@@ -16,9 +16,8 @@ from functools import cached_property
 import numpy as np
 from scipy.special import i0e
 
-from .geometry import aoa_jacobian, aoa_to_aod, ellipse_params
-
-_TWO_PI = 2.0 * np.pi
+from .estimation import weighted_spread
+from .geometry import _DEG, _TWO_PI, aoa_jacobian, aoa_to_aod, ellipse_params
 
 # HPBW is defined on the power pattern: g^2 drops to 1/2 at +/- hpbw/2,
 # so the amplitude-pattern std is hpbw / (2 sqrt(ln 2)).
@@ -35,11 +34,51 @@ def sigma_from_hpbw(hpbw):
     return hpbw * _HPBW_TO_SIGMA
 
 
+def _sample_truncated_normal(std, rng, count):
+    # Rejection from the untruncated normal, keeping |x| <= pi.  Exact for
+    # the truncated target; acceptance is erf(pi / (std * sqrt(2))), at
+    # worst ~0.76 for the widest allowed beam.
+    out = np.empty(count)
+    filled = 0
+    while filled < count:
+        draws = rng.normal(0.0, std, size=count - filled)
+        kept = draws[np.abs(draws) <= np.pi]
+        out[filled:filled + kept.size] = kept
+        filled += kept.size
+    return out
+
+
+def _invert_cdf(grid, cdf, quantiles):
+    idx = np.clip(np.searchsorted(cdf, quantiles, side="right"), 1, len(cdf) - 1)
+    lo, hi = cdf[idx - 1], cdf[idx]
+    span = hi - lo
+    frac = np.where(span > 0, (quantiles - lo) / np.where(span > 0, span, 1.0), 0.0)
+    return grid[idx - 1] + frac * (grid[idx] - grid[idx - 1])
+
+
+# Each pattern kind owns its departure density(phi) on angles in (-pi, pi],
+# a sample(rng, count) drawn from it, and its scenario-file form: to_json()
+# and the classmethod from_json(doc), looked up by kind in PATTERN_KINDS.
+
+
 @dataclass(frozen=True)
 class OmniPattern:
     """Omnidirectional transmit pattern: uniform departure density."""
 
     kind = "omni"
+
+    def density(self, phi):
+        return np.full(np.shape(phi), 1.0 / _TWO_PI)
+
+    def sample(self, rng, count):
+        return rng.uniform(-np.pi, np.pi, size=count)
+
+    def to_json(self):
+        return {"kind": self.kind}
+
+    @classmethod
+    def from_json(cls, doc):
+        return cls()
 
 
 @dataclass(frozen=True)
@@ -58,6 +97,22 @@ class GaussianPattern:
     @property
     def sigma(self):
         return sigma_from_hpbw(self.hpbw)
+
+    def density(self, phi):
+        sigma = self.sigma
+        norm = 1.0 / (math.sqrt(math.pi) * sigma * math.erf(math.pi / sigma))
+        return norm * np.exp(-(phi * phi) / (sigma * sigma))
+
+    def sample(self, rng, count):
+        # exp(-phi^2 / sigma^2) is a normal density with std sigma / sqrt(2).
+        return _sample_truncated_normal(self.sigma / math.sqrt(2.0), rng, count)
+
+    def to_json(self):
+        return {"kind": self.kind, "hpbw_deg": self.hpbw / _DEG}
+
+    @classmethod
+    def from_json(cls, doc):
+        return cls(hpbw=float(doc["hpbw_deg"]) * _DEG)
 
 
 @dataclass(frozen=True)
@@ -80,6 +135,8 @@ class TabulatedPattern:
             raise ValueError("tabulated pattern needs at least 8 samples")
         angles = np.array([a for a, _ in entries])
         amps = np.array([g for _, g in entries])
+        if not (np.all(np.isfinite(angles)) and np.all(np.isfinite(amps))):
+            raise ValueError("tabulated pattern samples must be finite")
         if np.any(np.diff(angles) <= 0):
             raise ValueError("tabulated pattern angles must be strictly increasing")
         if angles[0] <= -np.pi or angles[-1] > np.pi:
@@ -124,8 +181,29 @@ class TabulatedPattern:
         cdf /= cdf[-1]
         return grid, cdf
 
+    def sample(self, rng, count):
+        grid, cdf = self._cdf_grid
+        return _invert_cdf(grid, cdf, rng.random(count))
+
+    def to_json(self):
+        return {"kind": self.kind, "samples": [[a / _DEG, g] for a, g in self.samples]}
+
+    @classmethod
+    def from_json(cls, doc):
+        return cls(tuple((float(a) * _DEG, float(g)) for a, g in doc["samples"]))
+
 
 AntennaPattern = OmniPattern | GaussianPattern | TabulatedPattern
+
+PATTERN_KINDS = {cls.kind: cls for cls in (OmniPattern, GaussianPattern, TabulatedPattern)}
+
+
+def pattern_from_json(doc):
+    """Antenna pattern from its scenario-file form, dispatched on doc["kind"]."""
+    kind = doc.get("kind")
+    if kind not in PATTERN_KINDS:
+        raise ValueError(f"unknown pattern kind: {kind!r}")
+    return PATTERN_KINDS[kind].from_json(doc)
 
 
 @dataclass(frozen=True)
@@ -172,14 +250,17 @@ class TapProfile:
         object.__setattr__(self, "taps", taps)
         if not taps:
             raise ValueError("tap profile must contain at least the zero-delay tap")
+        for tap in taps:
+            if not math.isfinite(tap.delay):
+                raise ValueError(f"tap delays must be finite, got {tap.delay}")
         if taps[0].delay != 0.0:
             raise ValueError("first tap must have zero delay")
         delays = [t.delay for t in taps]
         if any(b <= a for a, b in zip(delays, delays[1:])):
             raise ValueError("tap delays must be strictly increasing")
         for tap in taps:
-            if not tap.power > 0:
-                raise ValueError(f"tap powers must be positive, got {tap.power}")
+            if not 0 < tap.power < math.inf:
+                raise ValueError(f"tap powers must be positive and finite, got {tap.power}")
             if not isinstance(tap.path_count, int) or tap.path_count < 1:
                 raise ValueError(f"tap path counts must be integers >= 1, got {tap.path_count}")
 
@@ -195,10 +276,7 @@ class TapProfile:
         """Power-weighted standard deviation of the tap delays (seconds)."""
         delays = np.array([t.delay for t in self.taps])
         weights = np.array([t.power for t in self.taps])
-        weights = weights / weights.sum()
-        mean = float(np.dot(weights, delays))
-        second = float(np.dot(weights, delays * delays))
-        return math.sqrt(max(second - mean * mean, 0.0))
+        return weighted_spread(delays, weights / weights.sum())
 
 
 def ellipses_for_taps(profile, distance):
@@ -222,20 +300,10 @@ def aod_pdf(phi_t, pattern):
     Omni: uniform 1/(2*pi).  Gaussian: C(sigma) exp(-phi^2 / sigma^2)
     with C = 1 / (sqrt(pi) * sigma * erf(pi / sigma)) so the truncated
     density integrates to one over (-pi, pi].  Tabulated: squared
-    interpolated amplitude, renormalized numerically.
+    interpolated amplitude, normalized by its exact power integral.
     """
     scalar = np.ndim(phi_t) == 0
-    phi = _check_angles(phi_t)
-    if isinstance(pattern, OmniPattern):
-        out = np.full(phi.shape, 1.0 / _TWO_PI)
-    elif isinstance(pattern, GaussianPattern):
-        sigma = pattern.sigma
-        norm = 1.0 / (math.sqrt(math.pi) * sigma * math.erf(math.pi / sigma))
-        out = norm * np.exp(-(phi * phi) / (sigma * sigma))
-    elif isinstance(pattern, TabulatedPattern):
-        out = pattern.density(phi)
-    else:
-        raise TypeError(f"unsupported antenna pattern: {pattern!r}")
+    out = pattern.density(_check_angles(phi_t))
     return float(out) if scalar else out
 
 

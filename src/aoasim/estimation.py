@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_TWO_PI = 2.0 * np.pi
+from .geometry import _TWO_PI
 
 # Tolerance on sum(probabilities) + point_mass == 1 for a valid spectrum.
 NORMALIZATION_TOL = 1e-9
@@ -138,6 +138,17 @@ def average_spectra(spectra):
     return AngularSpectrum(edges, density, point_mass, count)
 
 
+def weighted_spread(values, weights):
+    """Standard deviation of values under weights that sum to one.
+
+    Linear moments: sqrt(E[x^2] - E[x]^2), clamped at zero against
+    rounding.  Callers normalize their own weights.
+    """
+    mean = float(np.dot(weights, values))
+    second = float(np.dot(weights, values * values))
+    return math.sqrt(max(second - mean * mean, 0.0))
+
+
 def rms_angle_spread(spectrum):
     """Rms angle spread of a binned spectrum, in radians.
 
@@ -150,10 +161,7 @@ def rms_angle_spread(spectrum):
         raise ValueError(
             f"spectrum is not normalized (defect {spectrum.normalization_defect():.3e})"
         )
-    centers = spectrum.bin_centers
-    mean = float(np.dot(centers, probs))
-    second = float(np.dot(centers * centers, probs))
-    return math.sqrt(max(second - mean * mean, 0.0))
+    return weighted_spread(spectrum.bin_centers, probs)
 
 
 def rms_angle_spread_paths(paths):
@@ -170,9 +178,7 @@ def rms_angle_spread_paths(paths):
         raise ValueError("path set must carry positive total power")
     angles = np.array([p.aoa for p in paths.paths])
     weights = np.array([p.power for p in paths.paths]) / total
-    mean = float(np.dot(weights, angles))
-    second = float(np.dot(weights, angles * angles))
-    return math.sqrt(max(second - mean * mean, 0.0))
+    return weighted_spread(angles, weights)
 
 
 def lse(model, empirical):

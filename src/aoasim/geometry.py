@@ -18,6 +18,7 @@ import numpy as np
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact SI value
 
 _TWO_PI = 2.0 * np.pi
+_DEG = np.pi / 180.0  # radians per degree
 
 
 @dataclass(frozen=True)
@@ -77,6 +78,19 @@ def _check_eccentricity(eccentricity):
     return float(eccentricity)
 
 
+def _half_angle_map(phi, ratio):
+    # tan(out/2) = ratio * tan(phi/2), with the +/-pi fixed point kept
+    # exact; ratio 1 (a circle) is the identity.
+    scalar = np.ndim(phi) == 0
+    phi = np.asarray(wrap_angle(phi), dtype=float)
+    if ratio == 1.0:
+        mapped = phi
+    else:
+        mapped = 2.0 * np.arctan(ratio * np.tan(0.5 * phi))
+        mapped = np.where(phi == np.pi, np.pi, mapped)
+    return float(mapped) if scalar else mapped
+
+
 def aod_to_aoa(phi_t, eccentricity):
     """Arrival angle at the receiver for a departure angle on one ellipse.
 
@@ -90,15 +104,7 @@ def aod_to_aoa(phi_t, eccentricity):
     0 and pi as fixed points.  Accepts scalars or arrays.
     """
     ecc = _check_eccentricity(eccentricity)
-    scalar = np.ndim(phi_t) == 0
-    phi = np.asarray(wrap_angle(phi_t), dtype=float)
-    if ecc == 0.0:
-        mapped = phi
-    else:
-        ratio = (1.0 - ecc) / (1.0 + ecc)
-        mapped = 2.0 * np.arctan(ratio * np.tan(0.5 * phi))
-        mapped = np.where(phi == np.pi, np.pi, mapped)
-    return float(mapped) if scalar else mapped
+    return _half_angle_map(phi_t, (1.0 - ecc) / (1.0 + ecc))
 
 
 def aoa_to_aod(phi_r, eccentricity):
@@ -109,15 +115,7 @@ def aoa_to_aod(phi_r, eccentricity):
     aod_to_aoa to machine precision.  Accepts scalars or arrays.
     """
     ecc = _check_eccentricity(eccentricity)
-    scalar = np.ndim(phi_r) == 0
-    phi = np.asarray(wrap_angle(phi_r), dtype=float)
-    if ecc == 0.0:
-        mapped = phi
-    else:
-        ratio = (1.0 + ecc) / (1.0 - ecc)
-        mapped = 2.0 * np.arctan(ratio * np.tan(0.5 * phi))
-        mapped = np.where(phi == np.pi, np.pi, mapped)
-    return float(mapped) if scalar else mapped
+    return _half_angle_map(phi_r, (1.0 + ecc) / (1.0 - ecc))
 
 
 def aoa_jacobian(phi_t, eccentricity):

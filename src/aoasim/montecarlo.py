@@ -11,13 +11,12 @@ independent of execution order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .angular import GaussianPattern, OmniPattern, TabulatedPattern, ellipses_for_taps
+from .angular import ellipses_for_taps
 from .geometry import aod_to_aoa, wrap_angle
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -58,47 +57,15 @@ class PathSet:
         return sum(p.power for p in self.paths)
 
 
-def _sample_truncated_normal(std, rng, count):
-    # Rejection from the untruncated normal, keeping |x| <= pi.  Exact for
-    # the truncated target; acceptance is erf(pi / (std * sqrt(2))), at
-    # worst ~0.76 for the widest allowed beam.
-    out = np.empty(count)
-    filled = 0
-    while filled < count:
-        draws = rng.normal(0.0, std, size=count - filled)
-        kept = draws[np.abs(draws) <= np.pi]
-        out[filled:filled + kept.size] = kept
-        filled += kept.size
-    return out
-
-
-def _invert_cdf(grid, cdf, quantiles):
-    idx = np.clip(np.searchsorted(cdf, quantiles, side="right"), 1, len(cdf) - 1)
-    lo, hi = cdf[idx - 1], cdf[idx]
-    span = hi - lo
-    frac = np.where(span > 0, (quantiles - lo) / np.where(span > 0, span, 1.0), 0.0)
-    return grid[idx - 1] + frac * (grid[idx] - grid[idx - 1])
-
-
 def sample_aod(pattern, rng, size=None):
     """Draw departure angle(s) distributed per aod_pdf for the pattern.
 
-    Gaussian patterns are sampled by rejection from the untruncated
-    normal with std sigma/sqrt(2); tabulated patterns invert their
-    numerically integrated density.  Returns a scalar when size is None,
-    otherwise an array of the given length.
+    The pattern supplies its own sampler (see angular); the draws are
+    wrapped to (-pi, pi].  Returns a scalar when size is None, otherwise
+    an array of the given length.
     """
     count = 1 if size is None else int(size)
-    if isinstance(pattern, OmniPattern):
-        out = rng.uniform(-np.pi, np.pi, size=count)
-    elif isinstance(pattern, GaussianPattern):
-        out = _sample_truncated_normal(pattern.sigma / math.sqrt(2.0), rng, count)
-    elif isinstance(pattern, TabulatedPattern):
-        grid, cdf = pattern._cdf_grid
-        out = _invert_cdf(grid, cdf, rng.random(count))
-    else:
-        raise TypeError(f"unsupported antenna pattern: {pattern!r}")
-    out = wrap_angle(out)
+    out = wrap_angle(pattern.sample(rng, count))
     return float(out[0]) if size is None else out
 
 

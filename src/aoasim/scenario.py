@@ -11,8 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -23,16 +21,15 @@ from .angular import (
     AntennaPattern,
     GaussianPattern,
     LocalScattering,
-    OmniPattern,
-    TabulatedPattern,
     Tap,
     TapProfile,
+    pattern_from_json,
 )
 from .estimation import AngularSpectrum, average_spectra, estimate_pdf, rms_angle_spread
+from .geometry import _DEG
 from .montecarlo import generate_trial
 
-_DEG = math.pi / 180.0
-_US = 1e-6
+_US = 1e-6  # seconds per microsecond
 
 DEFAULT_PATHS_PER_TAP = 50
 DEFAULT_PROMINENCE_DB = 3.0
@@ -82,29 +79,6 @@ def _normalized_profile(profile):
     ))
 
 
-def _pattern_from_json(doc):
-    kind = doc.get("kind")
-    if kind == "omni":
-        return OmniPattern()
-    if kind == "gaussian":
-        return GaussianPattern(hpbw=float(doc["hpbw_deg"]) * _DEG)
-    if kind == "tabulated":
-        samples = tuple((float(a) * _DEG, float(g)) for a, g in doc["samples"])
-        return TabulatedPattern(samples)
-    raise ValueError(f"unknown pattern kind: {kind!r}")
-
-
-def _pattern_to_json(pattern):
-    if isinstance(pattern, OmniPattern):
-        return {"kind": "omni"}
-    if isinstance(pattern, GaussianPattern):
-        return {"kind": "gaussian", "hpbw_deg": pattern.hpbw / _DEG}
-    if isinstance(pattern, TabulatedPattern):
-        return {"kind": "tabulated",
-                "samples": [[a / _DEG, g] for a, g in pattern.samples]}
-    raise TypeError(f"unsupported antenna pattern: {pattern!r}")
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Complete simulation input.
@@ -129,6 +103,10 @@ class ScenarioConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        for name in ("distance", "kappa", "mu"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.distance < 0:
             raise ValueError(f"distance must be nonnegative, got {self.distance}")
         if self.kappa < 0:
@@ -171,7 +149,7 @@ class ScenarioConfig:
         return cls(
             distance=float(doc["distance_m"]),
             taps=_normalized_profile(profile),
-            pattern=_pattern_from_json(doc["pattern"]),
+            pattern=pattern_from_json(doc["pattern"]),
             kappa=float(doc["kappa"]),
             mu=float(doc["mu"]),
             trials=int(doc.get("trials", 500)),
@@ -187,7 +165,7 @@ class ScenarioConfig:
             "trials": self.trials,
             "bins": self.bins,
             "seed": self.master_seed,
-            "pattern": _pattern_to_json(self.pattern),
+            "pattern": self.pattern.to_json(),
             "taps": [
                 {"delay_us": t.delay / _US, "power": t.power, "paths": t.path_count}
                 for t in self.taps.taps
@@ -216,15 +194,14 @@ class RunReport:
 
     angle_spread is the rms angle spread of the averaged spectrum, in
     radians; per_trial_spreads holds the spread of each single-trial
-    spectrum.  elapsed is wall-clock seconds and is never serialized,
-    so emitted reports stay byte-identical across runs.
+    spectrum.  The report carries no timing, so emitted reports stay
+    byte-identical across runs.
     """
 
     averaged_spectrum: AngularSpectrum
     angle_spread: float
     per_trial_spreads: tuple[float, ...]
     scenario_echo: ScenarioConfig
-    elapsed: float
 
     def spread_standard_error(self):
         """Standard error of the angle-spread estimate across trials."""
@@ -250,25 +227,17 @@ class RunReport:
         }
 
 
-def run_simulation(config, workers=1):
+def run_simulation(config):
     """Run the configured number of trials and average their spectra.
 
-    Fully deterministic for a fixed master seed: per-trial spectra are
-    collected in trial order regardless of scheduling, so concurrent
-    execution (workers > 1) produces identical output.
+    Trials run one after another in trial order; each draws from its
+    own stream derived from (master seed, trial index), so the output is
+    fully deterministic for a fixed scenario and seed.
     """
-    start = time.perf_counter()
-
-    def one_trial(index):
-        return estimate_pdf(generate_trial(config, index), config.bins)
-
-    indices = range(config.trials)
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            spectra = list(pool.map(one_trial, indices))
-    else:
-        spectra = [one_trial(i) for i in indices]
-
+    spectra = [
+        estimate_pdf(generate_trial(config, index), config.bins)
+        for index in range(config.trials)
+    ]
     averaged = average_spectra(spectra)
     spreads = tuple(rms_angle_spread(s) for s in spectra)
     return RunReport(
@@ -276,7 +245,6 @@ def run_simulation(config, workers=1):
         angle_spread=rms_angle_spread(averaged),
         per_trial_spreads=spreads,
         scenario_echo=config,
-        elapsed=time.perf_counter() - start,
     )
 
 
@@ -286,7 +254,7 @@ class SweepPoint(NamedTuple):
     report: RunReport
 
 
-def hpbw_sweep(config, hpbw_deg_list, workers=1):
+def hpbw_sweep(config, hpbw_deg_list):
     """Angle spread versus half-power beamwidth.
 
     Reruns the simulation for each beamwidth (degrees) with the same
@@ -301,6 +269,6 @@ def hpbw_sweep(config, hpbw_deg_list, workers=1):
     points = []
     for hpbw_deg in hpbw_deg_list:
         cfg = replace(config, pattern=GaussianPattern(hpbw=float(hpbw_deg) * _DEG))
-        report = run_simulation(cfg, workers=workers)
+        report = run_simulation(cfg)
         points.append(SweepPoint(float(hpbw_deg), report.angle_spread, report))
     return points

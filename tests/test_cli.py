@@ -86,6 +86,22 @@ class TestSimulate:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["type"] in ("ValueError", "KeyError")
 
+    def test_non_finite_scenario_is_one_error_record(self, scenario_file, tmp_path, capsys):
+        doc = json.loads(scenario_file.read_text())
+        doc["kappa"] = math.nan
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "never"
+        code = main(["simulate", "--scenario", str(bad), "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["type"] == "ValueError" and "kappa" in record["error"]
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestSweep:
     def test_outputs(self, scenario_file, tmp_path):

@@ -6,7 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from aoasim.angular import GaussianPattern, OmniPattern, TabulatedPattern, Tap, TapProfile
+from aoasim.angular import (
+    PATTERN_KINDS,
+    GaussianPattern,
+    OmniPattern,
+    Tap,
+    TapProfile,
+    pattern_from_json,
+)
 from aoasim.estimation import estimate_pdf, rms_angle_spread
 from aoasim.montecarlo import generate_trial
 from aoasim.scenario import ScenarioConfig, extract_taps, hpbw_sweep, run_simulation
@@ -108,6 +115,12 @@ class TestScenarioConfig:
     def test_json_round_trip(self, pattern):
         config = ScenarioConfig.from_json_dict(_config_doc(pattern))
         assert ScenarioConfig.from_json_dict(config.to_json_dict()) == config
+        # the pattern's own JSON form and the kind registry invert each other
+        doc = config.pattern.to_json()
+        assert doc["kind"] == pattern["kind"]
+        assert PATTERN_KINDS[doc["kind"]] is type(config.pattern)
+        assert pattern_from_json(doc) == config.pattern
+        assert pattern_from_json(json.loads(json.dumps(doc))) == config.pattern
 
     def test_file_round_trip(self, tmp_path):
         config = ScenarioConfig.from_json_dict(_config_doc())
@@ -164,6 +177,27 @@ class TestScenarioConfig:
             doc[key] = bad
             with pytest.raises(ValueError):
                 ScenarioConfig.from_json_dict(doc)
+        # non-finite numbers are rejected at load, naming the field
+        for key, field in [("kappa", "kappa"), ("mu", "mu"), ("distance_m", "distance")]:
+            for bad in (math.nan, math.inf, -math.inf):
+                doc = dict(base)
+                doc[key] = bad
+                with pytest.raises(ValueError, match=f"{field} must be finite"):
+                    ScenarioConfig.from_json_dict(doc)
+        for tap_key, bad, message in [("delay_us", math.nan, "tap delays must be finite"),
+                                      ("delay_us", math.inf, "tap delays must be finite"),
+                                      ("power", math.inf, "tap powers must be positive and finite")]:
+            doc = dict(base)
+            doc["taps"] = [dict(tap) for tap in base["taps"]]
+            doc["taps"][-1][tap_key] = bad
+            with pytest.raises(ValueError, match=message):
+                ScenarioConfig.from_json_dict(doc)
+        for column in (0, 1):
+            samples = [[a, 1.0] for a in range(-165, 180, 30)]
+            samples[3][column] = math.nan
+            doc = _config_doc({"kind": "tabulated", "samples": samples})
+            with pytest.raises(ValueError, match="tabulated pattern samples must be finite"):
+                ScenarioConfig.from_json_dict(doc)
 
 
 def _quick_config(**overrides):
@@ -197,20 +231,10 @@ class TestRunSimulation:
         assert a.angle_spread == b.angle_spread
         assert a.per_trial_spreads == b.per_trial_spreads
 
-    def test_workers_do_not_change_output(self):
-        config = _quick_config()
-        serial = run_simulation(config, workers=1)
-        threaded = run_simulation(config, workers=4)
-        assert np.array_equal(
-            serial.averaged_spectrum.density, threaded.averaged_spectrum.density
-        )
-        assert serial.angle_spread == threaded.angle_spread
-
     def test_report_invariant(self):
         report = run_simulation(_quick_config())
         assert report.angle_spread == rms_angle_spread(report.averaged_spectrum)
         assert len(report.per_trial_spreads) == report.scenario_echo.trials
-        assert report.elapsed > 0
 
     def test_uniform_scenario_matches_analytic_spread(self):
         config = ScenarioConfig(
