@@ -39,7 +39,6 @@ from .geometry import (
     wrap_angle,
 )
 from .montecarlo import (
-    PathSample,
     PathSet,
     generate_trial,
     sample_aod,
@@ -65,7 +64,6 @@ __all__ = [
     "GaussianPattern",
     "LocalScattering",
     "OmniPattern",
-    "PathSample",
     "PathSet",
     "RunReport",
     "ScenarioConfig",

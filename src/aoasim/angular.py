@@ -56,9 +56,62 @@ def _invert_cdf(grid, cdf, quantiles):
     return grid[idx - 1] + frac * (grid[idx] - grid[idx - 1])
 
 
+# Scenario-file fields are read through these checks, so a missing or
+# unknown key, a bool or a string where a number belongs, or a fractional
+# count is a ValueError naming the field by its JSON path, such as
+# "trials", "taps[2].power" or "pattern.hpbw_deg".
+
+def _json_path(path, key):
+    return f"{path}.{key}" if path else key
+
+
+def json_object(doc, keys, path=""):
+    """doc, checked to be a JSON object whose keys all lie in keys."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path or 'scenario'} must be a JSON object")
+    for key in doc:
+        if key not in keys:
+            raise ValueError(f"unknown key: {_json_path(path, key)}")
+    return doc
+
+
+def json_number(value, path, integer=False):
+    """value as a float, or as an int when integer; bools are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise ValueError(f"{path} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    try:
+        return value if integer else float(value)
+    except OverflowError:
+        raise ValueError(f"{path} is out of range, got {value}") from None
+
+
+def json_field(doc, key, default=None, integer=False, path=""):
+    """doc[key] read by json_number; a missing key takes default if given."""
+    if key not in doc:
+        if default is None:
+            raise ValueError(f"{_json_path(path, key)} is required")
+        return default
+    return json_number(doc[key], _json_path(path, key), integer)
+
+
+def json_pairs(doc, key, path=""):
+    """doc[key] as a list of (float, float) from a list of [x, y] pairs."""
+    where = _json_path(path, key)
+    rows = doc.get(key)
+    if not isinstance(rows, list):
+        raise ValueError(f"{where} must be a list of [x, y] pairs")
+    pairs = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != 2:
+            raise ValueError(f"{where}[{i}] must be an [x, y] pair")
+        pairs.append(tuple(json_number(v, f"{where}[{i}][{j}]") for j, v in enumerate(row)))
+    return pairs
+
+
 # Each pattern kind owns its departure density(phi) on angles in (-pi, pi],
-# a sample(rng, count) drawn from it, and its scenario-file form: to_json()
-# and the classmethod from_json(doc), looked up by kind in PATTERN_KINDS.
+# a sample(rng, count) drawn from it, and its scenario-file form: to_json(),
+# the json_keys it accepts and the classmethod from_json(doc, path), looked
+# up by kind in PATTERN_KINDS.
 
 
 @dataclass(frozen=True)
@@ -66,6 +119,7 @@ class OmniPattern:
     """Omnidirectional transmit pattern: uniform departure density."""
 
     kind = "omni"
+    json_keys = ("kind",)
 
     def density(self, phi):
         return np.full(np.shape(phi), 1.0 / _TWO_PI)
@@ -77,7 +131,7 @@ class OmniPattern:
         return {"kind": self.kind}
 
     @classmethod
-    def from_json(cls, doc):
+    def from_json(cls, doc, path):
         return cls()
 
 
@@ -90,6 +144,7 @@ class GaussianPattern:
 
     hpbw: float
     kind = "gaussian"
+    json_keys = ("kind", "hpbw_deg")
 
     def __post_init__(self):
         sigma_from_hpbw(self.hpbw)  # validates the range
@@ -111,8 +166,8 @@ class GaussianPattern:
         return {"kind": self.kind, "hpbw_deg": self.hpbw / _DEG}
 
     @classmethod
-    def from_json(cls, doc):
-        return cls(hpbw=float(doc["hpbw_deg"]) * _DEG)
+    def from_json(cls, doc, path):
+        return cls(hpbw=json_field(doc, "hpbw_deg", path=path) * _DEG)
 
 
 @dataclass(frozen=True)
@@ -127,6 +182,7 @@ class TabulatedPattern:
 
     samples: tuple[tuple[float, float], ...]
     kind = "tabulated"
+    json_keys = ("kind", "samples")
 
     def __post_init__(self):
         entries = tuple((float(a), float(g)) for a, g in self.samples)
@@ -189,8 +245,8 @@ class TabulatedPattern:
         return {"kind": self.kind, "samples": [[a / _DEG, g] for a, g in self.samples]}
 
     @classmethod
-    def from_json(cls, doc):
-        return cls(tuple((float(a) * _DEG, float(g)) for a, g in doc["samples"]))
+    def from_json(cls, doc, path):
+        return cls(tuple((a * _DEG, g) for a, g in json_pairs(doc, "samples", path)))
 
 
 AntennaPattern = OmniPattern | GaussianPattern | TabulatedPattern
@@ -198,12 +254,17 @@ AntennaPattern = OmniPattern | GaussianPattern | TabulatedPattern
 PATTERN_KINDS = {cls.kind: cls for cls in (OmniPattern, GaussianPattern, TabulatedPattern)}
 
 
-def pattern_from_json(doc):
-    """Antenna pattern from its scenario-file form, dispatched on doc["kind"]."""
-    kind = doc.get("kind")
-    if kind not in PATTERN_KINDS:
-        raise ValueError(f"unknown pattern kind: {kind!r}")
-    return PATTERN_KINDS[kind].from_json(doc)
+def pattern_from_json(doc, path="pattern"):
+    """Antenna pattern from its scenario-file form, dispatched on doc["kind"].
+
+    Each kind accepts only its own json_keys; errors name the field by
+    its JSON path below path.
+    """
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if not isinstance(kind, str) or kind not in PATTERN_KINDS:
+        raise ValueError(f"unknown pattern kind at {path}.kind: {kind!r}")
+    cls = PATTERN_KINDS[kind]
+    return cls.from_json(json_object(doc, cls.json_keys, path), path)
 
 
 @dataclass(frozen=True)

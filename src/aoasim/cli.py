@@ -21,9 +21,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .estimation import lse, rms_angle_spread_paths
+from .estimation import lse
 from .geometry import _DEG
-from .montecarlo import generate_trial
 from .scenario import (
     _US,
     DEFAULT_PATHS_PER_TAP,
@@ -86,10 +85,7 @@ def _cmd_simulate(args):
     payload = report.to_json_dict()
     payload["version"] = __version__
     if args.per_path_spread:
-        spreads = [
-            rms_angle_spread_paths(generate_trial(config, i))
-            for i in range(config.trials)
-        ]
+        spreads = report.per_path_spreads
         payload["per_path_spread_deg"] = [s / _DEG for s in spreads]
         payload["per_path_spread_mean_deg"] = sum(spreads) / len(spreads) / _DEG
     _write_spectrum_csv(out / "spectrum.csv", report.averaged_spectrum)

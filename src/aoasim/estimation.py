@@ -93,6 +93,13 @@ class AngularSpectrum:
         return float(out) if np.ndim(phi) == 0 else out
 
 
+def _total_power(paths):
+    total = paths.total_power()
+    if not total > 0:
+        raise ValueError("path set must be nonempty and carry positive total power")
+    return total
+
+
 def estimate_pdf(paths, bin_count):
     """Power-weighted angular spectrum of one path set.
 
@@ -102,24 +109,18 @@ def estimate_pdf(paths, bin_count):
     left-inclusive with the last bin also containing +pi, so every
     angle in (-pi, pi] lands in exactly one bin.
     """
-    if not paths.paths:
-        raise ValueError("cannot estimate a spectrum from an empty path set")
     if bin_count < 8:
         raise ValueError(f"bin count must be at least 8, got {bin_count}")
-    total = paths.total_power()
-    if not total > 0:
-        raise ValueError("path set must carry positive total power")
+    total = _total_power(paths)
     edges = np.linspace(-np.pi, np.pi, int(bin_count) + 1)
-    weights, _ = np.histogram(
-        paths.scattered_angles(), bins=edges, weights=paths.scattered_powers()
-    )
+    weights, _ = np.histogram(paths.angles, bins=edges, weights=paths.powers)
     probabilities = weights / total
     width = _TWO_PI / int(bin_count)
     return AngularSpectrum(
         bin_edges=edges,
         density=probabilities / width,
-        point_mass_at_zero=paths.direct_power() / total,
-        sample_count=len(paths.paths),
+        point_mass_at_zero=paths.direct_power / total,
+        sample_count=paths.angles.size + (paths.direct_power > 0),
     )
 
 
@@ -171,14 +172,12 @@ def rms_angle_spread_paths(paths):
     path contributes at angle zero through its power weight.  Provided
     for comparison with the binned estimate.
     """
-    if not paths.paths:
-        raise ValueError("cannot compute a spread from an empty path set")
-    total = paths.total_power()
-    if not total > 0:
-        raise ValueError("path set must carry positive total power")
-    angles = np.array([p.aoa for p in paths.paths])
-    weights = np.array([p.power for p in paths.paths]) / total
-    return weighted_spread(angles, weights)
+    total = _total_power(paths)
+    angles, powers = paths.angles, paths.powers
+    if paths.direct_power > 0:
+        angles = np.append(angles, 0.0)
+        powers = np.append(powers, paths.direct_power)
+    return weighted_spread(angles, powers / total)
 
 
 def lse(model, empirical):

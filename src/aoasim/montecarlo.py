@@ -23,67 +23,51 @@ if TYPE_CHECKING:  # pragma: no cover
     from .scenario import ScenarioConfig
 
 
-@dataclass(frozen=True)
-class PathSample:
-    """One propagation path: owning tap, arrival angle, linear power."""
-
-    tap_index: int
-    aoa: float
-    power: float
-    is_direct: bool = False
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathSet:
-    """All paths of one trial, with identifiers for reproducibility."""
+    """All paths of one trial, as arrays.
 
-    paths: tuple[PathSample, ...]
-    scenario_digest: str
-    trial_seed: int
+    angles, powers: arrival angle (radians, in (-pi, pi]) and linear
+    power of each scattered path, in draw order: the zero-delay tap's
+    local paths first, then each delayed tap in profile order.
+    tap_index: the tap each scattered path belongs to.
+    direct_power: power of the direct path at boresight; 0.0 when
+    kappa = 0, in which case the trial has no direct path.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "paths", tuple(self.paths))
-
-    def scattered_angles(self):
-        return np.array([p.aoa for p in self.paths if not p.is_direct])
-
-    def scattered_powers(self):
-        return np.array([p.power for p in self.paths if not p.is_direct])
-
-    def direct_power(self):
-        return sum(p.power for p in self.paths if p.is_direct)
+    angles: np.ndarray
+    powers: np.ndarray
+    tap_index: np.ndarray
+    direct_power: float = 0.0
 
     def total_power(self):
-        return sum(p.power for p in self.paths)
+        # A sequential sum, path by path: np.sum adds pairwise, which
+        # changes the last bits of the normalized outputs.
+        return sum(self.powers.tolist()) + self.direct_power
 
 
-def sample_aod(pattern, rng, size=None):
-    """Draw departure angle(s) distributed per aod_pdf for the pattern.
+def sample_aod(pattern, rng, size):
+    """Draw size departure angles distributed per aod_pdf for the pattern.
 
     The pattern supplies its own sampler (see angular); the draws are
-    wrapped to (-pi, pi].  Returns a scalar when size is None, otherwise
-    an array of the given length.
+    wrapped to (-pi, pi].
     """
-    count = 1 if size is None else int(size)
-    out = wrap_angle(pattern.sample(rng, count))
-    return float(out[0]) if size is None else out
+    return wrap_angle(pattern.sample(rng, size))
 
 
-def sample_local_aoa(mu, rng, size=None):
-    """Draw von Mises(0, mu) arrival angle(s) for the local scattering tap.
+def sample_local_aoa(mu, rng, size):
+    """Draw size von Mises(0, mu) arrival angles for the local scattering tap.
 
     Uses the standard wrapped-envelope rejection sampler; mu = 0
     short-circuits to the uniform distribution on (-pi, pi].
     """
     if mu < 0:
         raise ValueError(f"mu must be nonnegative, got {mu}")
-    count = 1 if size is None else int(size)
     if mu == 0:
-        out = rng.uniform(-np.pi, np.pi, size=count)
+        out = rng.uniform(-np.pi, np.pi, size=size)
     else:
-        out = rng.vonmises(0.0, mu, size=count)
-    out = wrap_angle(out)
-    return float(out[0]) if size is None else out
+        out = rng.vonmises(0.0, mu, size=size)
+    return wrap_angle(out)
 
 
 def sample_tap_powers(power, path_count, rng):
@@ -121,52 +105,42 @@ def trial_rng(master_seed, trial_index):
     """Independent random generator for one trial.
 
     Streams are derived by splitting the master seed with the trial
-    index, so any subset of trials can be generated in any order, or in
-    parallel, with identical results.
+    index, so any subset of trials can be generated in any order with
+    identical results.  Returns the numpy Generator alone.
     """
     if trial_index < 0:
         raise ValueError(f"trial index must be nonnegative, got {trial_index}")
-    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(trial_index,))
-    return np.random.default_rng(seq), int(seq.generate_state(1, np.uint64)[0])
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=master_seed, spawn_key=(trial_index,))
+    )
 
 
 def generate_trial(scenario: "ScenarioConfig", trial_index):
-    """Generate the full path set for one Monte Carlo trial.
+    """Generate the path set of one Monte Carlo trial.
 
     For every delayed tap: path_count departure angles from the pattern
     density, mapped through that tap's ellipse, each paired with a
     uniform power draw.  For the zero-delay tap: von Mises local angles
-    with the Rician-scaled power draws.  With kappa > 0 one additional
-    deterministic direct path at boresight carries the power
-    kappa * P_0 / (1 + kappa).
+    with the Rician-scaled power draws.  With kappa > 0 a deterministic
+    direct path at boresight carries the power kappa * P_0 / (1 + kappa).
 
     Deterministic in (scenario, trial_index): repeated calls return
-    bitwise-identical path sets.
+    bitwise-identical arrays.
     """
-    rng, seed_word = trial_rng(scenario.master_seed, trial_index)
+    rng = trial_rng(scenario.master_seed, trial_index)
     profile = scenario.taps
-    ellipses = ellipses_for_taps(profile, scenario.distance)
-
-    paths = []
     tap0 = profile.taps[0]
-    local_angles = np.atleast_1d(sample_local_aoa(scenario.mu, rng, size=tap0.path_count))
-    local_powers = sample_local_powers(tap0.power, tap0.path_count, scenario.kappa, rng)
-    paths.extend(
-        PathSample(0, float(a), float(p))
-        for a, p in zip(local_angles, local_powers)
+    angles = [sample_local_aoa(scenario.mu, rng, tap0.path_count)]
+    powers = [sample_local_powers(tap0.power, tap0.path_count, scenario.kappa, rng)]
+    for ellipse, tap in zip(ellipses_for_taps(profile, scenario.distance), profile.delayed):
+        departures = sample_aod(scenario.pattern, rng, tap.path_count)
+        angles.append(aod_to_aoa(departures, ellipse.eccentricity))
+        powers.append(sample_tap_powers(tap.power, tap.path_count, rng))
+    counts = [tap.path_count for tap in profile.taps]
+    direct = scenario.kappa * tap0.power / (1.0 + scenario.kappa) if scenario.kappa > 0 else 0.0
+    return PathSet(
+        angles=np.concatenate(angles),
+        powers=np.concatenate(powers),
+        tap_index=np.repeat(np.arange(len(counts)), counts),
+        direct_power=direct,
     )
-
-    for ellipse, tap in zip(ellipses, profile.delayed):
-        departures = sample_aod(scenario.pattern, rng, size=tap.path_count)
-        arrivals = aod_to_aoa(departures, ellipse.eccentricity)
-        powers = sample_tap_powers(tap.power, tap.path_count, rng)
-        paths.extend(
-            PathSample(ellipse.tap_index, float(a), float(p))
-            for a, p in zip(np.atleast_1d(arrivals), powers)
-        )
-
-    if scenario.kappa > 0:
-        direct = scenario.kappa * tap0.power / (1.0 + scenario.kappa)
-        paths.append(PathSample(0, 0.0, direct, is_direct=True))
-
-    return PathSet(tuple(paths), scenario.digest(), seed_word)

@@ -23,9 +23,18 @@ from .angular import (
     LocalScattering,
     Tap,
     TapProfile,
+    json_field,
+    json_object,
+    json_pairs,
     pattern_from_json,
 )
-from .estimation import AngularSpectrum, average_spectra, estimate_pdf, rms_angle_spread
+from .estimation import (
+    AngularSpectrum,
+    average_spectra,
+    estimate_pdf,
+    rms_angle_spread,
+    rms_angle_spread_paths,
+)
 from .geometry import _DEG
 from .montecarlo import generate_trial
 
@@ -33,6 +42,10 @@ _US = 1e-6  # seconds per microsecond
 
 DEFAULT_PATHS_PER_TAP = 50
 DEFAULT_PROMINENCE_DB = 3.0
+
+_SCENARIO_KEYS = ("distance_m", "kappa", "mu", "trials", "bins", "seed", "pattern",
+                  "taps", "pdp", "paths_per_tap", "prominence_db")
+_TAP_KEYS = ("delay_us", "power", "paths")
 
 
 def extract_taps(raw_pdp, min_prominence_db=DEFAULT_PROMINENCE_DB,
@@ -126,35 +139,45 @@ class ScenarioConfig:
 
     @classmethod
     def from_json_dict(cls, doc):
+        """Scenario from its scenario-file form, checked field by field.
+
+        Counts (trials, bins, seed, paths_per_tap, taps[i].paths) must be
+        JSON integers and every other number a JSON number, never a bool;
+        unknown keys are rejected.  Each error is a ValueError naming the
+        field by its JSON path.
+        """
+        json_object(doc, _SCENARIO_KEYS)
         if ("taps" in doc) == ("pdp" in doc):
             raise ValueError("scenario must define exactly one of 'taps' or 'pdp'")
-        default_paths = int(doc.get("paths_per_tap", DEFAULT_PATHS_PER_TAP))
+        default_paths = json_field(doc, "paths_per_tap", DEFAULT_PATHS_PER_TAP, integer=True)
         if "taps" in doc:
-            taps = tuple(
-                Tap(
-                    delay=float(entry["delay_us"]) * _US,
-                    power=float(entry["power"]),
-                    path_count=int(entry.get("paths", default_paths)),
-                )
-                for entry in doc["taps"]
-            )
-            profile = TapProfile(taps)
+            if not isinstance(doc["taps"], list):
+                raise ValueError("taps must be a list of tap objects")
+            taps = []
+            for index, entry in enumerate(doc["taps"]):
+                path = f"taps[{index}]"
+                json_object(entry, _TAP_KEYS, path)
+                taps.append(Tap(
+                    delay=json_field(entry, "delay_us", path=path) * _US,
+                    power=json_field(entry, "power", path=path),
+                    path_count=json_field(entry, "paths", default_paths, integer=True, path=path),
+                ))
+            profile = TapProfile(tuple(taps))
         else:
-            samples = [(float(d) * _US, float(p)) for d, p in doc["pdp"]]
             profile = extract_taps(
-                samples,
-                min_prominence_db=float(doc.get("prominence_db", DEFAULT_PROMINENCE_DB)),
+                [(d * _US, p) for d, p in json_pairs(doc, "pdp")],
+                min_prominence_db=json_field(doc, "prominence_db", DEFAULT_PROMINENCE_DB),
                 paths_per_tap=default_paths,
             )
         return cls(
-            distance=float(doc["distance_m"]),
+            distance=json_field(doc, "distance_m"),
             taps=_normalized_profile(profile),
-            pattern=pattern_from_json(doc["pattern"]),
-            kappa=float(doc["kappa"]),
-            mu=float(doc["mu"]),
-            trials=int(doc.get("trials", 500)),
-            bins=int(doc.get("bins", 360)),
-            master_seed=int(doc.get("seed", 0)),
+            pattern=pattern_from_json(doc.get("pattern")),
+            kappa=json_field(doc, "kappa"),
+            mu=json_field(doc, "mu"),
+            trials=json_field(doc, "trials", 500, integer=True),
+            bins=json_field(doc, "bins", 360, integer=True),
+            master_seed=json_field(doc, "seed", 0, integer=True),
         )
 
     def to_json_dict(self):
@@ -194,13 +217,17 @@ class RunReport:
 
     angle_spread is the rms angle spread of the averaged spectrum, in
     radians; per_trial_spreads holds the spread of each single-trial
-    spectrum.  The report carries no timing, so emitted reports stay
+    spectrum, and per_path_spreads the unbinned spread of each trial's
+    raw paths (rms_angle_spread_paths), taken in the same pass.
+    to_json_dict leaves per_path_spreads out; the CLI emits them on
+    request.  The report carries no timing, so emitted reports stay
     byte-identical across runs.
     """
 
     averaged_spectrum: AngularSpectrum
     angle_spread: float
     per_trial_spreads: tuple[float, ...]
+    per_path_spreads: tuple[float, ...]
     scenario_echo: ScenarioConfig
 
     def spread_standard_error(self):
@@ -232,18 +259,21 @@ def run_simulation(config):
 
     Trials run one after another in trial order; each draws from its
     own stream derived from (master seed, trial index), so the output is
-    fully deterministic for a fixed scenario and seed.
+    fully deterministic for a fixed scenario and seed.  Each trial is
+    generated once, for its spectrum and its unbinned spread alike.
     """
-    spectra = [
-        estimate_pdf(generate_trial(config, index), config.bins)
-        for index in range(config.trials)
-    ]
+    spectra = []
+    path_spreads = []
+    for index in range(config.trials):
+        paths = generate_trial(config, index)
+        spectra.append(estimate_pdf(paths, config.bins))
+        path_spreads.append(rms_angle_spread_paths(paths))
     averaged = average_spectra(spectra)
-    spreads = tuple(rms_angle_spread(s) for s in spectra)
     return RunReport(
         averaged_spectrum=averaged,
         angle_spread=rms_angle_spread(averaged),
-        per_trial_spreads=spreads,
+        per_trial_spreads=tuple(rms_angle_spread(s) for s in spectra),
+        per_path_spreads=tuple(path_spreads),
         scenario_echo=config,
     )
 

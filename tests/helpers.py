@@ -7,6 +7,7 @@ integrals, and quantile-based goodness-of-fit machinery.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -162,3 +163,24 @@ def profile_with_delay_spread(target_spread_us, paths_per_tap=50):
     base_spread = math.sqrt(second - mean * mean)
     scale = target_spread_us / base_spread
     return make_profile(base_delays * scale, powers, paths_per_tap)
+
+
+DELETE = object()
+
+
+def edited_doc(doc, path, value):
+    """Deep copy of a JSON document with the entry at path changed.
+
+    path is a tuple of object keys and list indices; the entry is set to
+    value, or removed when value is DELETE.
+    """
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    owner = doc
+    for key in parents:
+        owner = owner[key]
+    if value is DELETE:
+        del owner[last]
+    else:
+        owner[last] = value
+    return doc

@@ -29,7 +29,7 @@ from aoasim.angular import (
 from aoasim.cli import main
 from aoasim.estimation import estimate_pdf, rms_angle_spread
 from aoasim.geometry import aoa_jacobian, aoa_to_aod, aod_to_aoa
-from aoasim.montecarlo import PathSample, PathSet, generate_trial, sample_aod
+from aoasim.montecarlo import PathSet, generate_trial, sample_aod
 from aoasim.scenario import ScenarioConfig, hpbw_sweep, run_simulation
 
 from helpers import (
@@ -225,19 +225,15 @@ def test_criterion_4_analytic_angle_spread():
     uniform_spread_deg = run_simulation(uniform_config).angle_spread / DEG
     uniform_ok = abs(uniform_spread_deg - 103.92) <= 1.0
 
-    concentrated = PathSet(
-        tuple(PathSample(0, 0.7, p) for p in (1.0, 2.0, 0.5)), "point", 0
-    )
+    concentrated = PathSet(np.full(3, 0.7), np.array([1.0, 2.0, 0.5]), np.zeros(3, dtype=int))
     point_spread = rms_angle_spread(estimate_pdf(concentrated, 360))
-    direct_only = PathSet((PathSample(0, 0.0, 1.0, is_direct=True),), "direct", 0)
+    direct_only = PathSet(np.empty(0), np.empty(0), np.empty(0, dtype=int), direct_power=1.0)
     direct_spread = rms_angle_spread(estimate_pdf(direct_only, 360))
     point_ok = point_spread == 0.0 and direct_spread == 0.0
 
     x = 1.1
     bins = 360
-    two_point = PathSet(
-        (PathSample(0, -x, 1.0), PathSample(0, x, 1.0)), "pair", 0
-    )
+    two_point = PathSet(np.array([-x, x]), np.ones(2), np.zeros(2, dtype=int))
     pair_spread = rms_angle_spread(estimate_pdf(two_point, bins))
     pair_ok = abs(pair_spread - x) <= TWO_PI / bins
 
@@ -316,10 +312,8 @@ def test_criterion_6_power_accounting():
         for i in range(trials):
             paths = generate_trial(config, i)
             totals[i] = paths.total_power()
-            local_sums[i] = sum(
-                p.power for p in paths.paths if p.tap_index == 0 and not p.is_direct
-            )
-            direct_sums[i] = paths.direct_power()
+            local_sums[i] = paths.powers[paths.tap_index == 0].sum()
+            direct_sums[i] = paths.direct_power
         total_err = abs(np.mean(totals) - 1.0)
         local_err = abs(np.mean(local_sums) - p0 / (1 + kappa)) / (p0 / (1 + kappa))
         expected_direct = kappa * p0 / (1 + kappa)

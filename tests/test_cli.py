@@ -8,6 +8,8 @@ import pytest
 
 from aoasim.cli import main
 
+from helpers import edited_doc
+
 TWO_PI = 2 * math.pi
 
 
@@ -71,6 +73,22 @@ class TestSimulate:
         assert len(report["per_path_spread_deg"]) == 5
         assert report["per_path_spread_mean_deg"] > 0
 
+    def test_per_path_spread_generates_each_trial_once(self, scenario_file, tmp_path,
+                                                        monkeypatch):
+        from aoasim import montecarlo
+
+        seeded = []
+        trial_rng = montecarlo.trial_rng
+
+        def counting_trial_rng(master_seed, trial_index):
+            seeded.append(trial_index)
+            return trial_rng(master_seed, trial_index)
+
+        monkeypatch.setattr(montecarlo, "trial_rng", counting_trial_rng)
+        assert main(["simulate", "--scenario", str(scenario_file), "--out", str(tmp_path),
+                     "--trials", "5", "--per-path-spread"]) == 0
+        assert seeded == [0, 1, 2, 3, 4]
+
     def test_missing_scenario_is_machine_readable_error(self, tmp_path, capsys):
         code = main(["simulate", "--scenario", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)])
@@ -87,20 +105,29 @@ class TestSimulate:
         assert record["type"] in ("ValueError", "KeyError")
 
     def test_non_finite_scenario_is_one_error_record(self, scenario_file, tmp_path, capsys):
+        # a non-finite, mistyped or misspelled field fails at load with one
+        # JSON error record naming the field; nothing is written or printed
         doc = json.loads(scenario_file.read_text())
-        doc["kappa"] = math.nan
-        bad = tmp_path / "nan.json"
-        bad.write_text(json.dumps(doc), encoding="utf-8")
-        out = tmp_path / "never"
-        code = main(["simulate", "--scenario", str(bad), "--out", str(out)])
-        assert code == 1
-        captured = capsys.readouterr()
-        lines = captured.err.splitlines()
-        assert len(lines) == 1
-        record = json.loads(lines[0])
-        assert record["type"] == "ValueError" and "kappa" in record["error"]
-        assert captured.out == ""
-        assert not out.exists()
+        for path, bad, message in [
+            (("kappa",), math.nan, "kappa must be finite"),
+            (("trials",), 2.7, "trials must be an integer"),
+            (("kappa",), True, "kappa must be a number"),
+            (("seeds",), 5, "unknown key: seeds"),
+            (("taps", 2, "pwr"), 0.25, "unknown key: taps[2].pwr"),
+            (("pattern", "hpbw"), 60.0, "unknown key: pattern.hpbw"),
+        ]:
+            bad_file = tmp_path / "bad.json"
+            bad_file.write_text(json.dumps(edited_doc(doc, path, bad)), encoding="utf-8")
+            out = tmp_path / "never"
+            code = main(["simulate", "--scenario", str(bad_file), "--out", str(out)])
+            assert code == 1, message
+            captured = capsys.readouterr()
+            lines = captured.err.splitlines()
+            assert len(lines) == 1
+            record = json.loads(lines[0])
+            assert record["type"] == "ValueError" and message in record["error"]
+            assert captured.out == ""
+            assert not out.exists()
 
 
 class TestSweep:

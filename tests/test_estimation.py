@@ -13,17 +13,20 @@ from aoasim.estimation import (
     rms_angle_spread,
     rms_angle_spread_paths,
 )
-from aoasim.montecarlo import PathSample, PathSet
+from aoasim.montecarlo import PathSet
 
 TWO_PI = 2 * math.pi
 
 
-def _path_set(entries, digest="test", seed=0):
-    paths = tuple(
-        PathSample(tap, float(angle), float(power), bool(direct))
-        for tap, angle, power, direct in entries
+def _path_set(entries):
+    # entries: (tap, angle, power, is_direct); direct entries add to direct_power
+    scattered = [entry for entry in entries if not entry[3]]
+    return PathSet(
+        angles=np.array([angle for _, angle, _, _ in scattered], dtype=float),
+        powers=np.array([power for _, _, power, _ in scattered], dtype=float),
+        tap_index=np.array([tap for tap, _, _, _ in scattered], dtype=int),
+        direct_power=float(sum(power for _, _, power, direct in entries if direct)),
     )
-    return PathSet(paths, digest, seed)
 
 
 def _uniform_spectrum(bins=360):
@@ -221,14 +224,18 @@ class TestPooledVersusAveraged:
             master_seed=123,
         )
         trials = 10_000
-        all_paths = []
+        path_sets = []
         spectra = []
         for index in range(trials):
             paths = generate_trial(config, index)
-            all_paths.extend(paths.paths)
+            path_sets.append(paths)
             spectra.append(estimate_pdf(paths, config.bins))
         averaged = average_spectra(spectra)
-        pooled = estimate_pdf(PathSet(tuple(all_paths), "pooled", 0), config.bins)
+        pooled = estimate_pdf(PathSet(
+            angles=np.concatenate([p.angles for p in path_sets]),
+            powers=np.concatenate([p.powers for p in path_sets]),
+            tap_index=np.concatenate([p.tap_index for p in path_sets]),
+        ), config.bins)
         scale = averaged.density.max()
         assert np.max(np.abs(pooled.density - averaged.density)) <= 0.01 * scale
 

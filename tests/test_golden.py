@@ -1,9 +1,11 @@
 """Golden-output regression: pinned sha256 digests of CLI output files.
 
-Each case runs the command line on a small fixed-seed scenario and
-compares the sha256 of every emitted file with a recorded digest, so any
-change to the bytes written (numbers, rounding, key order, formatting)
-fails here even when the values stay statistically sound.  Refactors
+Each case runs the command line on a fixed-seed scenario (small ones
+per pattern kind, and one wide enough to cross NumPy's histogram and
+summation block sizes) and compares the sha256 of every emitted file
+with a recorded digest, so any change to the bytes written (numbers,
+rounding, key order, formatting) fails here even when the values stay
+statistically sound.  Refactors
 must keep these digests; a deliberate change of output re-records them
 and says why.
 
@@ -35,16 +37,24 @@ _PATTERNS = {
 }
 
 
-def _scenario(tmp_path, pattern, kappa):
+# 70,000 paths per trial: more than NumPy's 65,536-element histogram block,
+# and long vectors in the unbinned spread's dot products.
+_WIDE_TAPS = [
+    {"delay_us": delay, "power": power, "paths": 14_000}
+    for delay, power in ((0.0, 0.4), (0.8, 0.25), (1.9, 0.15), (3.1, 0.12), (4.6, 0.08))
+]
+
+
+def _scenario(tmp_path, pattern, kappa, taps=_TAPS, trials=7, bins=48):
     doc = {
         "distance_m": 800.0,
         "kappa": kappa,
         "mu": 6.0,
-        "trials": 7,
-        "bins": 48,
+        "trials": trials,
+        "bins": bins,
         "seed": 2024,
         "pattern": pattern,
-        "taps": _TAPS,
+        "taps": taps,
     }
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -71,6 +81,11 @@ SIMULATE_DIGESTS = {
     },
 }
 
+WIDE_DIGESTS = {
+    "report.json": "08d1a8387922eafcc10125e63957fe5df559f504de2005d113d52811ccfd2191",
+    "spectrum.csv": "b5106afc0ad02574cb5baba8bb74ff09cd427c7613a1ffcf1f841c0e151fbab1",
+}
+
 SWEEP_DIGESTS = {
     "report.json": "9c505203bb3da09f77094d7c3972b3f621efe42c71e24df0e871245f93089656",
     "sweep.csv": "aadb0a3463bbe026cc6681a5349f8f5f48a3887613e3bac95ff9bc2838308696",
@@ -85,6 +100,16 @@ def test_simulate_per_path_spread_bytes(tmp_path, kind, kappa, capsys):
                  "--per-path-spread"]) == 0
     capsys.readouterr()
     assert _digests(out, ["report.json", "spectrum.csv"]) == SIMULATE_DIGESTS[kind]
+
+
+def test_wide_simulate_per_path_spread_bytes(tmp_path, capsys):
+    scenario = _scenario(tmp_path, _PATTERNS["tabulated"], 0.4,
+                         taps=_WIDE_TAPS, trials=2, bins=3600)
+    out = tmp_path / "wide"
+    assert main(["simulate", "--scenario", str(scenario), "--out", str(out),
+                 "--per-path-spread"]) == 0
+    capsys.readouterr()
+    assert _digests(out, ["report.json", "spectrum.csv"]) == WIDE_DIGESTS
 
 
 def test_sweep_bytes(tmp_path, capsys):

@@ -9,7 +9,6 @@ from scipy.stats import kstest
 from aoasim.angular import GaussianPattern, OmniPattern, TabulatedPattern, Tap, TapProfile
 from aoasim.geometry import aod_to_aoa
 from aoasim.montecarlo import (
-    PathSample,
     generate_trial,
     sample_aod,
     sample_local_aoa,
@@ -71,12 +70,6 @@ class TestSampleAod:
         result = kstest(draws, lambda x: tabulated_pattern_cdf(samples, x))
         assert result.pvalue > ALPHA
 
-    def test_scalar_draw(self):
-        rng = np.random.default_rng(105)
-        value = sample_aod(OmniPattern(), rng)
-        assert isinstance(value, float)
-        assert -math.pi < value <= math.pi
-
 
 class TestSampleLocalAoa:
     def test_uniform_when_unconcentrated(self):
@@ -100,11 +93,7 @@ class TestSampleLocalAoa:
 
     def test_negative_concentration_rejected(self):
         with pytest.raises(ValueError):
-            sample_local_aoa(-1.0, np.random.default_rng(0))
-
-    def test_scalar_draw(self):
-        value = sample_local_aoa(2.0, np.random.default_rng(113))
-        assert isinstance(value, float)
+            sample_local_aoa(-1.0, np.random.default_rng(0), 10)
 
 
 class TestSampleTapPowers:
@@ -181,42 +170,40 @@ def _scenario(kappa=0.0, mu=4.0, seed=7, counts=(10, 20, 30)):
 class TestGenerateTrial:
     def test_path_count_without_direct(self):
         paths = generate_trial(_scenario(kappa=0.0), 0)
-        assert len(paths.paths) == 60
-        assert not any(p.is_direct for p in paths.paths)
+        assert paths.angles.size == paths.powers.size == paths.tap_index.size == 60
+        assert paths.direct_power == 0.0
 
     def test_path_count_with_direct(self):
         config = _scenario(kappa=2.0)
         paths = generate_trial(config, 0)
-        assert len(paths.paths) == 61
-        direct = [p for p in paths.paths if p.is_direct]
-        assert len(direct) == 1
-        assert direct[0].aoa == 0.0
-        assert direct[0].tap_index == 0
+        assert paths.angles.size == 60
         p0 = config.taps.taps[0].power
-        assert direct[0].power == pytest.approx(2.0 * p0 / 3.0, rel=1e-12)
+        assert paths.direct_power == pytest.approx(2.0 * p0 / 3.0, rel=1e-12)
 
     def test_bitwise_determinism(self):
         config = _scenario(kappa=1.0, seed=99)
-        assert generate_trial(config, 5) == generate_trial(config, 5)
+        a, b = generate_trial(config, 5), generate_trial(config, 5)
+        assert np.array_equal(a.angles, b.angles)
+        assert np.array_equal(a.powers, b.powers)
+        assert np.array_equal(a.tap_index, b.tap_index)
+        assert a.direct_power == b.direct_power
 
     def test_trials_differ(self):
         config = _scenario(seed=99)
-        assert generate_trial(config, 0) != generate_trial(config, 1)
+        a, b = generate_trial(config, 0), generate_trial(config, 1)
+        assert not np.array_equal(a.angles, b.angles)
+        assert not np.array_equal(a.powers, b.powers)
 
     def test_all_angles_in_range(self):
         config = _scenario(kappa=0.5, mu=0.0)
         for index in range(20):
-            paths = generate_trial(config, index)
-            angles = np.array([p.aoa for p in paths.paths])
+            angles = generate_trial(config, index).angles
             assert np.all(angles > -math.pi) and np.all(angles <= math.pi)
 
     def test_tap_indices_match_profile(self):
         config = _scenario(kappa=0.0)
         paths = generate_trial(config, 3)
-        counts = {0: 0, 1: 0, 2: 0}
-        for p in paths.paths:
-            counts[p.tap_index] += 1
-        assert counts == {0: 10, 1: 20, 2: 30}
+        assert np.bincount(paths.tap_index).tolist() == [10, 20, 30]
 
     def test_delayed_taps_compress_toward_boresight(self):
         # every delayed-tap arrival must stay within the image of the
@@ -224,13 +211,13 @@ class TestGenerateTrial:
         config = _scenario(kappa=0.0)
         from aoasim.angular import ellipses_for_taps
 
-        ellipses = {e.tap_index: e for e in ellipses_for_taps(config.taps, config.distance)}
+        ellipses = ellipses_for_taps(config.taps, config.distance)
         for index in range(10):
             paths = generate_trial(config, index)
-            for p in paths.paths:
-                if p.tap_index > 0:
-                    limit = aod_to_aoa(math.pi, ellipses[p.tap_index].eccentricity)
-                    assert abs(p.aoa) <= limit
+            for ellipse in ellipses:
+                limit = aod_to_aoa(math.pi, ellipse.eccentricity)
+                arrivals = paths.angles[paths.tap_index == ellipse.tap_index]
+                assert np.all(np.abs(arrivals) <= limit)
 
     def test_expected_total_power(self):
         config = _scenario(kappa=1.0)
@@ -246,9 +233,9 @@ class TestGenerateTrial:
         ellipses = {e.tap_index: e for e in ellipses_for_taps(config.taps, config.distance)}
         collected = {1: [], 2: []}
         for index in range(400):
-            for p in generate_trial(config, index).paths:
-                if p.tap_index in collected:
-                    collected[p.tap_index].append(p.aoa)
+            paths = generate_trial(config, index)
+            for tap_index, angles in collected.items():
+                angles.extend(paths.angles[paths.tap_index == tap_index])
         sigma = config.pattern.sigma
         for tap_index, angles in collected.items():
             ecc = ellipses[tap_index].eccentricity
@@ -262,8 +249,3 @@ class TestGenerateTrial:
         with pytest.raises(ValueError):
             generate_trial(_scenario(), -1)
 
-
-class TestPathSampleInvariants:
-    def test_direct_sample_fields(self):
-        sample = PathSample(0, 0.0, 0.25, is_direct=True)
-        assert sample.tap_index == 0 and sample.aoa == 0.0

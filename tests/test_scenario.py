@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from aoasim.estimation import estimate_pdf, rms_angle_spread
 from aoasim.montecarlo import generate_trial
 from aoasim.scenario import ScenarioConfig, extract_taps, hpbw_sweep, run_simulation
 
-from helpers import make_profile
+from helpers import DELETE, edited_doc, make_profile
 
 
 class TestExtractTaps:
@@ -198,6 +199,41 @@ class TestScenarioConfig:
             doc = _config_doc({"kind": "tabulated", "samples": samples})
             with pytest.raises(ValueError, match="tabulated pattern samples must be finite"):
                 ScenarioConfig.from_json_dict(doc)
+        # mistyped, misspelled and missing fields are rejected at load,
+        # each error naming the field by its JSON path
+        tabulated = _config_doc({"kind": "tabulated",
+                                 "samples": [[a, 1.0] for a in range(-165, 180, 30)]})
+        pdp = dict(base, pdp=[[0.0, 1.0], [1.0, 0.2], [2.0, 0.5], [3.0, 0.1]])
+        del pdp["taps"]
+        for doc, path, bad, message in [
+            (base, ("trials",), 2.7, "trials must be an integer"),
+            (base, ("bins",), True, "bins must be an integer"),
+            (base, ("seed",), 7.5, "seed must be an integer"),
+            (base, ("paths_per_tap",), 2.5, "paths_per_tap must be an integer"),
+            (base, ("taps", 0, "paths"), True, "taps[0].paths must be an integer"),
+            (base, ("kappa",), True, "kappa must be a number"),
+            (base, ("mu",), "8", "mu must be a number"),
+            (base, ("distance_m",), False, "distance_m must be a number"),
+            (base, ("distance_m",), 10 ** 400, "distance_m is out of range"),
+            (base, ("taps", 2, "power"), True, "taps[2].power must be a number"),
+            (base, ("pattern", "hpbw_deg"), True, "pattern.hpbw_deg must be a number"),
+            (tabulated, ("pattern", "samples", 3, 1), True,
+             "pattern.samples[3][1] must be a number"),
+            (pdp, ("pdp", 1, 0), True, "pdp[1][0] must be a number"),
+            (pdp, ("prominence_db",), True, "prominence_db must be a number"),
+            (base, ("seeds",), 3, "unknown key: seeds"),
+            (base, ("taps", 2, "pwr"), 0.25, "unknown key: taps[2].pwr"),
+            (base, ("pattern", "hpbw"), 60.0, "unknown key: pattern.hpbw"),
+            (_config_doc({"kind": "omni"}), ("pattern", "hpbw_deg"), 60.0,
+             "unknown key: pattern.hpbw_deg"),
+            (base, ("mu",), DELETE, "mu is required"),
+            (base, ("taps", 1, "power"), DELETE, "taps[1].power is required"),
+            (base, ("taps",), {}, "taps must be a list"),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                ScenarioConfig.from_json_dict(edited_doc(doc, path, bad))
+        with pytest.raises(ValueError, match="scenario must be a JSON object"):
+            ScenarioConfig.from_json_dict([base])
 
 
 def _quick_config(**overrides):
