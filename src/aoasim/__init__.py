@@ -41,6 +41,7 @@ from .geometry import (
 from .montecarlo import (
     PathSet,
     generate_trial,
+    generate_trials,
     sample_aod,
     sample_local_aoa,
     sample_local_powers,
@@ -84,6 +85,7 @@ __all__ = [
     "estimate_pdf",
     "extract_taps",
     "generate_trial",
+    "generate_trials",
     "hpbw_sweep",
     "lse",
     "rms_angle_spread",

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import i0e
 
-from .estimation import weighted_spread
+from .estimation import sequential_sum, weighted_spread
 from .geometry import _DEG, _TWO_PI, aoa_jacobian, aoa_to_aod, ellipse_params
 
 # HPBW is defined on the power pattern: g^2 drops to 1/2 at +/- hpbw/2,
@@ -327,7 +327,7 @@ class TapProfile:
 
     @property
     def total_power(self):
-        return sum(t.power for t in self.taps)
+        return sequential_sum([t.power for t in self.taps])
 
     @property
     def delayed(self):

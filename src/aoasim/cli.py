@@ -21,7 +21,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .estimation import lse
+from .estimation import lse, sequential_sum
 from .geometry import _DEG
 from .scenario import (
     _US,
@@ -87,7 +87,7 @@ def _cmd_simulate(args):
     if args.per_path_spread:
         spreads = report.per_path_spreads
         payload["per_path_spread_deg"] = [s / _DEG for s in spreads]
-        payload["per_path_spread_mean_deg"] = sum(spreads) / len(spreads) / _DEG
+        payload["per_path_spread_mean_deg"] = sequential_sum(spreads) / len(spreads) / _DEG
     _write_spectrum_csv(out / "spectrum.csv", report.averaged_spectrum)
     _write_json(out / "report.json", payload)
     print(

@@ -30,18 +30,24 @@ from .angular import (
 )
 from .estimation import (
     AngularSpectrum,
-    average_spectra,
-    estimate_pdf,
+    angle_spread_rows,
+    path_spread_rows,
     rms_angle_spread,
-    rms_angle_spread_paths,
+    spectrum_rows,
 )
 from .geometry import _DEG
-from .montecarlo import generate_trial
+from .montecarlo import generate_trials
 
 _US = 1e-6  # seconds per microsecond
 
 DEFAULT_PATHS_PER_TAP = 50
 DEFAULT_PROMINENCE_DB = 3.0
+
+# run_simulation takes its trials in chunks of at most this many path and
+# bin entries (paths plus bins per trial, times trials; one trial at
+# least).  The batch buffers of a chunk grow with both, so this bounds
+# them whatever the trial count; the chunking changes no number.
+CHUNK_SIZE = 1 << 15
 
 _SCENARIO_KEYS = ("distance_m", "kappa", "mu", "trials", "bins", "seed", "pattern",
                   "taps", "pdp", "paths_per_tap", "prominence_db")
@@ -254,25 +260,41 @@ class RunReport:
         }
 
 
+def trials_per_chunk(config):
+    """Trials that run_simulation generates and bins as one batch."""
+    per_trial = sum(tap.path_count for tap in config.taps.taps) + config.bins
+    return max(1, CHUNK_SIZE // per_trial)
+
+
 def run_simulation(config):
     """Run the configured number of trials and average their spectra.
 
-    Trials run one after another in trial order; each draws from its
-    own stream derived from (master seed, trial index), so the output is
-    fully deterministic for a fixed scenario and seed.  Each trial is
-    generated once, for its spectrum and its unbinned spread alike.
+    Trials run in chunks of consecutive trials (trials_per_chunk), each
+    generated and binned as one batch;
+    every trial draws from its own stream derived from (master seed,
+    trial index), so the output is fully deterministic for a fixed
+    scenario and seed and does not depend on the chunking.  Each trial
+    is generated once, for its spectrum and its unbinned spread alike.
     """
-    spectra = []
+    trials, step = config.trials, trials_per_chunk(config)
+    density = np.empty((trials, config.bins))
+    point_mass = np.empty(trials)
     path_spreads = []
-    for index in range(config.trials):
-        paths = generate_trial(config, index)
-        spectra.append(estimate_pdf(paths, config.bins))
-        path_spreads.append(rms_angle_spread_paths(paths))
-    averaged = average_spectra(spectra)
+    for first in range(0, trials, step):
+        stop = min(first + step, trials)
+        paths = generate_trials(config, first, stop)
+        edges, density[first:stop], point_mass[first:stop] = spectrum_rows(paths, config.bins)
+        path_spreads += path_spread_rows(paths)
+    averaged = AngularSpectrum(
+        bin_edges=edges,
+        density=np.mean(density, axis=0),
+        point_mass_at_zero=float(np.mean(point_mass)),
+        sample_count=trials * (paths.angles.shape[1] + (paths.direct_power > 0)),
+    )
     return RunReport(
         averaged_spectrum=averaged,
         angle_spread=rms_angle_spread(averaged),
-        per_trial_spreads=tuple(rms_angle_spread(s) for s in spectra),
+        per_trial_spreads=tuple(angle_spread_rows(edges, density, point_mass)),
         per_path_spreads=tuple(path_spreads),
         scenario_echo=config,
     )

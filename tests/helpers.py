@@ -7,8 +7,10 @@ integrals, and quantile-based goodness-of-fit machinery.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 
 import numpy as np
 from scipy.special import erfinv
@@ -184,3 +186,13 @@ def edited_doc(doc, path, value):
     else:
         owner[last] = value
     return doc
+
+
+def left_to_right_sum(values):
+    """Float sum added strictly left to right, starting from 0.0."""
+    return functools.reduce(operator.add, [float(v) for v in values], 0.0)
+
+
+def histogram_rows(angles, powers, edges):
+    """np.histogram with explicit edges, one call per row."""
+    return np.array([np.histogram(a, edges, weights=w)[0] for a, w in zip(angles, powers)])

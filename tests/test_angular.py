@@ -22,7 +22,12 @@ from aoasim.angular import (
 )
 from aoasim.geometry import ellipse_params, wrap_angle
 
-from helpers import bessel_i0_series, ellipse_with_eccentricity, make_profile
+from helpers import (
+    bessel_i0_series,
+    ellipse_with_eccentricity,
+    left_to_right_sum,
+    make_profile,
+)
 
 TWO_PI = 2 * math.pi
 
@@ -280,6 +285,15 @@ class TestTapProfile:
     def test_requires_integer_path_count(self):
         with pytest.raises(ValueError):
             TapProfile((Tap(0.0, 1.0, 0),))
+
+    def test_total_power_adds_left_to_right(self):
+        # it normalizes every scenario's taps, so it must not depend on
+        # the Python version's sum()
+        powers = np.random.default_rng(2).uniform(0.0, 0.01, 250)
+        profile = TapProfile(tuple(Tap(k * 1e-7, float(p), 1) for k, p in enumerate(powers)))
+        expected = left_to_right_sum(powers)
+        assert expected != math.fsum(powers)
+        assert profile.total_power == expected
 
     def test_rms_delay_spread(self):
         # two equal-power taps at 0 and 2 us: mean 1 us, spread 1 us

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from aoasim.cli import main
+from aoasim.scenario import ScenarioConfig, run_simulation
 
-from helpers import edited_doc
+from helpers import edited_doc, left_to_right_sum
 
 TWO_PI = 2 * math.pi
 
@@ -72,6 +73,14 @@ class TestSimulate:
         report = json.loads((out / "report.json").read_text())
         assert len(report["per_path_spread_deg"]) == 5
         assert report["per_path_spread_mean_deg"] > 0
+
+    def test_per_path_spread_mean_adds_left_to_right(self, scenario_file, tmp_path):
+        assert main(["simulate", "--scenario", str(scenario_file), "--out", str(tmp_path),
+                     "--per-path-spread"]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        spreads = run_simulation(ScenarioConfig.from_file(scenario_file)).per_path_spreads
+        expected = left_to_right_sum(spreads) / len(spreads) / (math.pi / 180.0)
+        assert report["per_path_spread_mean_deg"] == expected
 
     def test_per_path_spread_generates_each_trial_once(self, scenario_file, tmp_path,
                                                         monkeypatch):

@@ -7,19 +7,27 @@ import re
 import numpy as np
 import pytest
 
+from aoasim import scenario
 from aoasim.angular import (
     PATTERN_KINDS,
     GaussianPattern,
     OmniPattern,
+    TabulatedPattern,
     Tap,
     TapProfile,
     pattern_from_json,
 )
-from aoasim.estimation import estimate_pdf, rms_angle_spread
-from aoasim.montecarlo import generate_trial
-from aoasim.scenario import ScenarioConfig, extract_taps, hpbw_sweep, run_simulation
+from aoasim.estimation import _histogram_rows, estimate_pdf, rms_angle_spread, spectrum_rows
+from aoasim.montecarlo import generate_trial, generate_trials
+from aoasim.scenario import (
+    ScenarioConfig,
+    extract_taps,
+    hpbw_sweep,
+    run_simulation,
+    trials_per_chunk,
+)
 
-from helpers import DELETE, edited_doc, make_profile
+from helpers import DELETE, edited_doc, histogram_rows, left_to_right_sum, make_profile
 
 
 class TestExtractTaps:
@@ -285,6 +293,82 @@ class TestRunSimulation:
         )
         report = run_simulation(config)
         assert math.degrees(report.angle_spread) == pytest.approx(103.92, abs=1.5)
+
+
+def _assert_same_report(a, b):
+    sa, sb = a.averaged_spectrum, b.averaged_spectrum
+    assert np.array_equal(sa.bin_edges, sb.bin_edges)
+    assert np.array_equal(sa.density, sb.density)
+    assert sa.point_mass_at_zero == sb.point_mass_at_zero
+    assert sa.sample_count == sb.sample_count
+    assert a.angle_spread == b.angle_spread
+    assert a.per_trial_spreads == b.per_trial_spreads
+    assert a.per_path_spreads == b.per_path_spreads
+    assert a.scenario_echo == b.scenario_echo
+
+
+_CHUNK_PATTERNS = {
+    "omni": OmniPattern(),
+    "gaussian": GaussianPattern(math.radians(75.0)),
+    "tabulated": TabulatedPattern(tuple(
+        (math.radians(a), 1.0 + 0.5 * abs(a) / 180.0) for a in range(-165, 180, 30)
+    )),
+}
+
+
+def _chunk_config(pattern, kappa, mu, counts=(4, 1, 6), trials=10, bins=48):
+    taps = make_profile([0.0, 0.8, 2.6], [0.45, 0.35, 0.2]).taps
+    return _quick_config(
+        taps=TapProfile(tuple(Tap(t.delay, t.power, n) for t, n in zip(taps, counts))),
+        pattern=pattern, kappa=kappa, mu=mu, trials=trials, bins=bins,
+    )
+
+
+class TestChunkedTrials:
+    """Generating and binning trials in chunks changes no number."""
+
+    @pytest.mark.parametrize("mu", [0.0, 6.0])
+    @pytest.mark.parametrize("kappa", [0.0, 0.5])
+    @pytest.mark.parametrize("kind", sorted(_CHUNK_PATTERNS))
+    def test_chunk_size_changes_no_number(self, monkeypatch, kind, kappa, mu):
+        config = _chunk_config(_CHUNK_PATTERNS[kind], kappa, mu)
+        per_trial = 11 + 48     # paths and bins
+        reports = []
+        default = scenario.CHUNK_SIZE
+        # one trial per chunk, 7 + 3 (a ragged last chunk), all 10 at once
+        for chunk_size, step in ((1, 1), (7 * per_trial, 7), (default, default // per_trial)):
+            monkeypatch.setattr(scenario, "CHUNK_SIZE", chunk_size)
+            assert trials_per_chunk(config) == step
+            reports.append(run_simulation(config))
+        for report in reports[1:]:
+            _assert_same_report(reports[0], report)
+
+        batch = generate_trials(config, 0, config.trials)
+        for k in range(config.trials):
+            single = generate_trial(config, k)
+            assert np.array_equal(batch.angles[k], single.angles)
+            assert np.array_equal(batch.powers[k], single.powers)
+        edges, density, point_mass = spectrum_rows(batch, config.bins)
+        weights = histogram_rows(batch.angles, batch.powers, edges)
+        assert np.array_equal(_histogram_rows(batch.angles, batch.powers, edges), weights)
+        totals = np.array([left_to_right_sum(row) + batch.direct_power for row in batch.powers])
+        assert np.array_equal(density, weights / totals[:, None] / (2 * math.pi / config.bins))
+        assert np.array_equal(point_mass, batch.direct_power / totals)
+
+    def test_trial_wider_than_a_chunk(self, monkeypatch):
+        # 33,000 paths per trial: more than a default chunk holds, so each
+        # trial is a chunk of its own; compare with both trials in one chunk
+        config = _chunk_config(_CHUNK_PATTERNS["gaussian"], 0.5, 6.0,
+                               counts=(11_000, 11_000, 11_000), trials=2, bins=360)
+        assert trials_per_chunk(config) == 1
+        alone = run_simulation(config)
+        monkeypatch.setattr(scenario, "CHUNK_SIZE", 2 * (33_000 + 360))
+        assert trials_per_chunk(config) == 2
+        _assert_same_report(alone, run_simulation(config))
+        batch = generate_trials(config, 0, 2)
+        edges = np.linspace(-math.pi, math.pi, 361)
+        assert np.array_equal(_histogram_rows(batch.angles, batch.powers, edges),
+                              histogram_rows(batch.angles, batch.powers, edges))
 
 
 class TestHpbwSweep:
