@@ -23,7 +23,6 @@ from .angular import (
 )
 from .estimation import (
     AngularSpectrum,
-    average_spectra,
     estimate_pdf,
     lse,
     rms_angle_spread,
@@ -77,7 +76,6 @@ __all__ = [
     "aoa_to_aod",
     "aod_pdf",
     "aod_to_aoa",
-    "average_spectra",
     "composite_aoa_pdf",
     "delayed_aoa_pdf",
     "ellipse_params",

@@ -1,10 +1,10 @@
 """Angular-spectrum estimation and dispersion metrics.
 
 Path sets are reduced to power-weighted histograms over (-pi, pi]
-(direct-path power goes into a point mass at boresight, not a bin),
-spectra from independent trials are averaged bin-wise, and angular
-dispersion is summarized by the rms angle spread of the binned
-distribution.
+(direct-path power goes into a point mass at boresight, not a bin)
+over K uniform bins, the bin count being the only statement of the
+binning, and angular dispersion is summarized by the rms angle spread
+of the binned distribution.
 
 A path set may hold a batch of trials, one row each (see
 montecarlo.generate_trials): spectrum_rows, angle_spread_rows and
@@ -44,35 +44,33 @@ def _check_point_mass(point_mass):
         raise ValueError(f"point mass must be a probability, got {point_mass[np.argmin(valid)]}")
 
 
+def _bin_edges(bin_count):
+    """Edges of bin_count uniform bins spanning exactly (-pi, pi]."""
+    return np.linspace(-np.pi, np.pi, int(bin_count) + 1)
+
+
+def _bin_centers(bin_count):
+    edges = _bin_edges(bin_count)
+    return 0.5 * (edges[:-1] + edges[1:])
+
+
 @dataclass(frozen=True, eq=False)
 class AngularSpectrum:
     """Binned arrival-angle density estimate.
 
-    bin_edges: uniform edges spanning exactly (-pi, pi], length K+1.
-    density: per-bin density in 1/radian, length K.
+    density: per-bin density in 1/radian over K uniform bins spanning
+    (-pi, pi]; the bin count K is the only statement of the binning.
     point_mass_at_zero: probability carried by the direct path.
-    sample_count: number of paths behind the estimate.
     """
 
-    bin_edges: np.ndarray
     density: np.ndarray
     point_mass_at_zero: float
-    sample_count: int
 
     def __post_init__(self):
-        edges = np.asarray(self.bin_edges, dtype=float)
         density = np.asarray(self.density, dtype=float)
-        object.__setattr__(self, "bin_edges", edges)
         object.__setattr__(self, "density", density)
-        if edges.ndim != 1 or edges.size < 9:
-            raise ValueError("bin_edges must be a 1-d array with at least 9 edges")
-        if density.shape != (edges.size - 1,):
-            raise ValueError("density length must match the number of bins")
-        if edges[0] != -np.pi or edges[-1] != np.pi:
-            raise ValueError("bin_edges must span exactly (-pi, pi]")
-        widths = np.diff(edges)
-        if np.any(widths <= 0) or not np.allclose(widths, widths[0], rtol=0, atol=1e-12):
-            raise ValueError("bin_edges must be uniform and increasing")
+        if density.ndim != 1 or density.size < 8:
+            raise ValueError("density must be a 1-d array of at least 8 bins")
         _check_density(density)
         _check_point_mass(self.point_mass_at_zero)
 
@@ -81,12 +79,16 @@ class AngularSpectrum:
         return self.density.size
 
     @property
+    def bin_edges(self):
+        return _bin_edges(self.density.size)
+
+    @property
     def bin_width(self):
         return _TWO_PI / self.density.size
 
     @property
     def bin_centers(self):
-        return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
+        return _bin_centers(self.density.size)
 
     @property
     def probabilities(self):
@@ -95,9 +97,6 @@ class AngularSpectrum:
     def normalization_defect(self):
         """|sum of bin probabilities + point mass - 1|."""
         return float(_normalization_defects(self.probabilities, self.point_mass_at_zero))
-
-    def is_normalized(self, tol=NORMALIZATION_TOL):
-        return self.normalization_defect() <= tol
 
     def density_at(self, phi):
         """Density of the bin containing each angle.
@@ -180,21 +179,21 @@ def spectrum_rows(paths, bin_count):
     """Per-trial spectra of a path set, one row per trial.
 
     paths holds one trial (1-d angles and powers) or a batch (2-d, one
-    row per trial).  Returns (bin_edges, density, point_mass): density
-    has one row of bin densities per trial and point_mass one entry per
-    trial, each checked as AngularSpectrum checks a single spectrum.
+    row per trial).  Returns (density, point_mass): density has one row
+    of bin densities per trial and point_mass one entry per trial, each
+    checked as AngularSpectrum checks a single spectrum.
     See estimate_pdf for the binning convention.
     """
     if bin_count < 8:
         raise ValueError(f"bin count must be at least 8, got {bin_count}")
     total = np.atleast_1d(_total_power(paths))
-    edges = np.linspace(-np.pi, np.pi, int(bin_count) + 1)
-    weights = _histogram_rows(np.atleast_2d(paths.angles), np.atleast_2d(paths.powers), edges)
+    weights = _histogram_rows(np.atleast_2d(paths.angles), np.atleast_2d(paths.powers),
+                              _bin_edges(bin_count))
     density = weights / total[:, None] / (_TWO_PI / int(bin_count))
     point_mass = paths.direct_power / total
     _check_density(density)
     _check_point_mass(point_mass)
-    return edges, density, point_mass
+    return density, point_mass
 
 
 def estimate_pdf(paths, bin_count):
@@ -206,28 +205,8 @@ def estimate_pdf(paths, bin_count):
     left-inclusive with the last bin also containing +pi, so every
     angle in (-pi, pi] lands in exactly one bin.
     """
-    edges, density, point_mass = spectrum_rows(paths, bin_count)
-    return AngularSpectrum(
-        bin_edges=edges,
-        density=density[0],
-        point_mass_at_zero=float(point_mass[0]),
-        sample_count=paths.angles.size + (paths.direct_power > 0),
-    )
-
-
-def average_spectra(spectra):
-    """Bin-wise arithmetic mean of spectra sharing identical bin edges."""
-    spectra = list(spectra)
-    if not spectra:
-        raise ValueError("cannot average an empty spectrum list")
-    edges = spectra[0].bin_edges
-    for s in spectra[1:]:
-        if not np.array_equal(s.bin_edges, edges):
-            raise ValueError("spectra must share identical bin edges")
-    density = np.mean([s.density for s in spectra], axis=0)
-    point_mass = float(np.mean([s.point_mass_at_zero for s in spectra]))
-    count = int(sum(s.sample_count for s in spectra))
-    return AngularSpectrum(edges, density, point_mass, count)
+    density, point_mass = spectrum_rows(paths, bin_count)
+    return AngularSpectrum(density[0], float(point_mass[0]))
 
 
 def weighted_spread(values, weights):
@@ -241,18 +220,19 @@ def weighted_spread(values, weights):
     return math.sqrt(max(second - mean * mean, 0.0))
 
 
-def angle_spread_rows(bin_edges, density, point_mass):
+def angle_spread_rows(density, point_mass):
     """Rms angle spread of each row of spectrum_rows, in radians.
 
     See rms_angle_spread; every row is checked to be normalized, and
     each row's moments are taken on their own, one dot product each.
     """
-    probabilities = np.atleast_2d(density) * (_TWO_PI / np.shape(density)[-1])
+    bin_count = np.shape(density)[-1]
+    probabilities = np.atleast_2d(density) * (_TWO_PI / bin_count)
     defects = _normalization_defects(probabilities, point_mass)
     if np.any(defects > NORMALIZATION_TOL):
         defect = defects[np.argmax(defects > NORMALIZATION_TOL)]
         raise ValueError(f"spectrum is not normalized (defect {defect:.3e})")
-    centers = 0.5 * (bin_edges[:-1] + bin_edges[1:])
+    centers = _bin_centers(bin_count)
     return [weighted_spread(centers, row) for row in probabilities]
 
 
@@ -263,8 +243,7 @@ def rms_angle_spread(spectrum):
     probability, with the point mass contributing at angle zero.  Linear
     (non-circular) moments.  Rejects spectra that are not normalized.
     """
-    [spread] = angle_spread_rows(spectrum.bin_edges, spectrum.density,
-                                 spectrum.point_mass_at_zero)
+    [spread] = angle_spread_rows(spectrum.density, spectrum.point_mass_at_zero)
     return spread
 
 
@@ -304,6 +283,8 @@ def lse(model, empirical):
         raise ValueError("empirical data must be nonempty")
     angles = np.array([a for a, _ in empirical], dtype=float)
     values = np.array([v for _, v in empirical], dtype=float)
+    if not (np.all(np.isfinite(angles)) and np.all(np.isfinite(values))):
+        raise ValueError("empirical angles and densities must be finite")
     if np.any(angles <= -np.pi) or np.any(angles > np.pi):
         raise ValueError("empirical angles must lie in (-pi, pi]")
     if isinstance(model, AngularSpectrum):

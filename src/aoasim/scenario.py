@@ -58,17 +58,21 @@ def extract_taps(raw_pdp, min_prominence_db=DEFAULT_PROMINENCE_DB,
                  paths_per_tap=DEFAULT_PATHS_PER_TAP):
     """Extract delay taps from raw power-delay-profile samples.
 
-    raw_pdp: sequence of (delay_seconds, linear_power) with strictly
-    increasing delays starting at zero.  The first sample always becomes
-    tap 0; interior local maxima whose prominence on the dB trace
-    exceeds min_prominence_db become the delayed taps.  Rejects profiles
-    with no local maximum anywhere (flat or monotonically rising).
+    raw_pdp: sequence of (delay_seconds, linear_power) with finite,
+    strictly increasing delays starting at zero and finite positive
+    powers.  The first sample always becomes tap 0; interior local
+    maxima whose prominence on the dB trace exceeds min_prominence_db
+    become the delayed taps.  Rejects profiles with no local maximum
+    anywhere (flat or monotonically rising).
     """
     samples = [(float(d), float(p)) for d, p in raw_pdp]
     if len(samples) < 3:
         raise ValueError(f"need at least 3 PDP samples, got {len(samples)}")
     delays = np.array([d for d, _ in samples])
     powers = np.array([p for _, p in samples])
+    for name, values in (("delays", delays), ("powers", powers)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"PDP {name} must be finite")
     if np.any(np.diff(delays) <= 0):
         raise ValueError("PDP delays must be strictly increasing")
     if delays[0] != 0.0:
@@ -270,31 +274,34 @@ def run_simulation(config):
     """Run the configured number of trials and average their spectra.
 
     Trials run in chunks of consecutive trials (trials_per_chunk), each
-    generated and binned as one batch;
-    every trial draws from its own stream derived from (master seed,
-    trial index), so the output is fully deterministic for a fixed
-    scenario and seed and does not depend on the chunking.  Each trial
-    is generated once, for its spectrum and its unbinned spread alike.
+    generated, binned and reduced as one batch before the next: the
+    per-trial spreads are taken per chunk and the density rows added
+    into one running sum in trial order, so memory stays bounded by the
+    chunk size, whatever the trial count.  Every trial draws from its
+    own stream derived from (master seed, trial index), so the output is
+    fully deterministic for a fixed scenario and seed and does not
+    depend on the chunking.  Each trial is generated once, for its
+    spectrum and its unbinned spread alike.
     """
     trials, step = config.trials, trials_per_chunk(config)
-    density = np.empty((trials, config.bins))
+    density_sum = np.zeros(config.bins)
     point_mass = np.empty(trials)
-    path_spreads = []
+    trial_spreads, path_spreads = [], []
     for first in range(0, trials, step):
         stop = min(first + step, trials)
         paths = generate_trials(config, first, stop)
-        edges, density[first:stop], point_mass[first:stop] = spectrum_rows(paths, config.bins)
+        density, point_mass[first:stop] = spectrum_rows(paths, config.bins)
+        # Reducing axis 0 adds row by row, as np.mean(axis=0) does over
+        # all trials; summing the chunk first would change the last bits.
+        density_sum = np.add.reduce(np.vstack([density_sum, density]))
+        trial_spreads += angle_spread_rows(density, point_mass[first:stop])
         path_spreads += path_spread_rows(paths)
-    averaged = AngularSpectrum(
-        bin_edges=edges,
-        density=np.mean(density, axis=0),
-        point_mass_at_zero=float(np.mean(point_mass)),
-        sample_count=trials * (paths.angles.shape[1] + (paths.direct_power > 0)),
-    )
+    # np.mean over the point masses adds pairwise, so they are all kept.
+    averaged = AngularSpectrum(density_sum / trials, float(np.mean(point_mass)))
     return RunReport(
         averaged_spectrum=averaged,
         angle_spread=rms_angle_spread(averaged),
-        per_trial_spreads=tuple(angle_spread_rows(edges, density, point_mass)),
+        per_trial_spreads=tuple(trial_spreads),
         per_path_spreads=tuple(path_spreads),
         scenario_echo=config,
     )

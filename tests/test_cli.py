@@ -200,6 +200,20 @@ class TestFit:
         assert code != 0
         assert "error" in json.loads(capsys.readouterr().err.strip())
 
+    @pytest.mark.parametrize("row", ["10,nan", "nan,0.003", "10,inf"])
+    def test_non_finite_empirical_is_one_error_record(self, scenario_file, tmp_path,
+                                                      capsys, row):
+        csv_path = tmp_path / "empirical.csv"
+        csv_path.write_text(f"angle_deg,density_per_deg\n0,0.003\n{row}\n", encoding="utf-8")
+        code = main(["fit", "--scenario", str(scenario_file),
+                     "--empirical", str(csv_path), "--trials", "2"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        record = json.loads(line)
+        assert record["type"] == "ValueError" and "must be finite" in record["error"]
+
 
 class TestTaps:
     def _write_pdp(self, tmp_path):
@@ -236,3 +250,16 @@ class TestTaps:
         assert main(["taps", "--pdp", str(path)]) != 0
         record = json.loads(capsys.readouterr().err.strip())
         assert "no local maximum" in record["error"]
+
+    @pytest.mark.parametrize("row, message", [("3,nan", "PDP powers must be finite"),
+                                              ("nan,0.2", "PDP delays must be finite"),
+                                              ("inf,0.2", "PDP delays must be finite")])
+    def test_non_finite_pdp_is_one_error_record(self, tmp_path, capsys, row, message):
+        path = tmp_path / "pdp.csv"
+        path.write_text(f"delay_us,power\n0,1\n1,0.1\n2,0.5\n{row}\n", encoding="utf-8")
+        assert main(["taps", "--pdp", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        record = json.loads(line)
+        assert record["type"] == "ValueError" and message in record["error"]

@@ -5,17 +5,18 @@ import math
 import numpy as np
 import pytest
 
+from aoasim import scenario
+from aoasim.angular import GaussianPattern, OmniPattern, Tap, TapProfile
 from aoasim.estimation import (
     AngularSpectrum,
     _histogram_rows,
-    average_spectra,
     estimate_pdf,
     lse,
     rms_angle_spread,
     rms_angle_spread_paths,
     sequential_sum,
 )
-from aoasim.montecarlo import PathSet
+from aoasim.montecarlo import PathSet, generate_trials
 
 from helpers import histogram_rows, left_to_right_sum
 
@@ -34,9 +35,23 @@ def _path_set(entries):
 
 
 def _uniform_spectrum(bins=360):
-    edges = np.linspace(-math.pi, math.pi, bins + 1)
-    density = np.full(bins, 1.0 / TWO_PI)
-    return AngularSpectrum(edges, density, 0.0, bins)
+    return AngularSpectrum(np.full(bins, 1.0 / TWO_PI), 0.0)
+
+
+def _averaged(monkeypatch, path_sets, bins):
+    # run_simulation's average over the given path sets, one trial each:
+    # one trial per chunk, the chunk's batch being that trial's path set
+    def trials(config, first, stop):
+        [paths] = path_sets[first:stop]
+        return PathSet(angles=paths.angles[None], powers=paths.powers[None],
+                       tap_index=paths.tap_index[None], direct_power=paths.direct_power)
+
+    monkeypatch.setattr(scenario, "CHUNK_SIZE", 1)
+    monkeypatch.setattr(scenario, "generate_trials", trials)
+    config = scenario.ScenarioConfig(
+        distance=1000.0, taps=TapProfile((Tap(0.0, 1.0, 1),)), pattern=OmniPattern(),
+        kappa=0.0, mu=0.0, trials=len(path_sets), bins=bins)
+    return scenario.run_simulation(config).averaged_spectrum
 
 
 class TestEstimatePdf:
@@ -134,43 +149,44 @@ class TestHistogramRows:
 
 
 class TestAverageSpectra:
-    def test_single_identity(self):
-        s = _uniform_spectrum()
-        out = average_spectra([s])
+    """run_simulation's bin-wise mean of the per-trial spectra."""
+
+    def test_single_identity(self, monkeypatch):
+        paths = _path_set([(0, 0.3, 1.0, False), (0, -0.7, 2.0, False), (0, 0.0, 0.5, True)])
+        s = estimate_pdf(paths, 36)
+        out = _averaged(monkeypatch, [paths], 36)
         assert np.array_equal(out.density, s.density)
         assert out.point_mass_at_zero == s.point_mass_at_zero
 
-    def test_self_average_identity(self):
+    def test_self_average_identity(self, monkeypatch):
         paths = _path_set([(0, 0.3, 1.0, False), (0, -0.7, 2.0, False)])
         s = estimate_pdf(paths, 72)
-        out = average_spectra([s, s])
+        out = _averaged(monkeypatch, [paths, paths], 72)
         assert np.array_equal(out.density, s.density)
 
-    def test_two_point_split(self):
+    def test_two_point_split(self, monkeypatch):
         a = _path_set([(0, -1.0, 1.0, False)])
         b = _path_set([(0, 1.0, 1.0, False)])
-        out = average_spectra([estimate_pdf(a, 36), estimate_pdf(b, 36)])
+        out = _averaged(monkeypatch, [a, b], 36)
         probs = np.sort(out.probabilities[np.nonzero(out.probabilities)])
         assert probs == pytest.approx([0.5, 0.5])
 
-    def test_mismatched_bins_rejected(self):
-        with pytest.raises(ValueError):
-            average_spectra([_uniform_spectrum(36), _uniform_spectrum(72)])
-
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            average_spectra([])
+        # an average over no trials is rejected with the scenario
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            scenario.ScenarioConfig(distance=1000.0, taps=TapProfile((Tap(0.0, 1.0, 1),)),
+                                    pattern=OmniPattern(), kappa=0.0, mu=0.0, trials=0)
 
-    def test_preserves_normalization(self):
+    def test_preserves_normalization(self, monkeypatch):
         rng = np.random.default_rng(31)
-        spectra = []
+        path_sets = []
         for _ in range(50):
             entries = [
                 (0, rng.uniform(-math.pi, math.pi), rng.uniform(0, 2), False)
                 for _ in range(rng.integers(1, 50))
             ]
-            spectra.append(estimate_pdf(_path_set(entries), 90))
-        out = average_spectra(spectra)
+            path_sets.append(_path_set(entries))
+        out = _averaged(monkeypatch, path_sets, 90)
         assert out.normalization_defect() <= 1e-9
 
 
@@ -207,9 +223,7 @@ class TestRmsAngleSpread:
         assert s1 == pytest.approx(s2, rel=1e-12)
 
     def test_unnormalized_rejected(self):
-        edges = np.linspace(-math.pi, math.pi, 37)
-        density = np.full(36, 1.0 / TWO_PI)
-        broken = AngularSpectrum(edges, density, 0.5, 10)
+        broken = AngularSpectrum(np.full(36, 1.0 / TWO_PI), 0.5)
         with pytest.raises(ValueError):
             rms_angle_spread(broken)
 
@@ -217,10 +231,7 @@ class TestRmsAngleSpread:
         x = 0.8
         paths = _path_set([(0, -x, 2.0, False), (0, x, 2.0, False), (0, 0.0, 1.0, False)])
         spectrum = estimate_pdf(paths, 360)
-        mirrored = AngularSpectrum(
-            spectrum.bin_edges, spectrum.density[::-1].copy(),
-            spectrum.point_mass_at_zero, spectrum.sample_count,
-        )
+        mirrored = AngularSpectrum(spectrum.density[::-1].copy(), spectrum.point_mass_at_zero)
         assert rms_angle_spread(spectrum) == pytest.approx(rms_angle_spread(mirrored), rel=1e-9)
 
 
@@ -249,32 +260,22 @@ class TestPooledVersusAveraged:
         # Averaging per-trial spectra and estimating once over the pooled
         # paths differ only through per-trial total-power fluctuations,
         # which wash out as the trial count grows.
-        from aoasim.angular import GaussianPattern, Tap, TapProfile
-        from aoasim.montecarlo import generate_trial
-        from aoasim.scenario import ScenarioConfig
-
-        config = ScenarioConfig(
+        config = scenario.ScenarioConfig(
             distance=1000.0,
             taps=TapProfile((Tap(0.0, 0.5, 10), Tap(2e-6, 0.5, 10))),
             pattern=GaussianPattern(math.radians(180.0)),
             kappa=0.0,
             mu=3.0,
-            trials=1,
+            trials=10_000,
             bins=72,
             master_seed=123,
         )
-        trials = 10_000
-        path_sets = []
-        spectra = []
-        for index in range(trials):
-            paths = generate_trial(config, index)
-            path_sets.append(paths)
-            spectra.append(estimate_pdf(paths, config.bins))
-        averaged = average_spectra(spectra)
+        averaged = scenario.run_simulation(config).averaged_spectrum
+        batch = generate_trials(config, 0, config.trials)
         pooled = estimate_pdf(PathSet(
-            angles=np.concatenate([p.angles for p in path_sets]),
-            powers=np.concatenate([p.powers for p in path_sets]),
-            tap_index=np.concatenate([p.tap_index for p in path_sets]),
+            angles=batch.angles.ravel(),
+            powers=batch.powers.ravel(),
+            tap_index=batch.tap_index.ravel(),
         ), config.bins)
         scale = averaged.density.max()
         assert np.max(np.abs(pooled.density - averaged.density)) <= 0.01 * scale
@@ -307,18 +308,31 @@ class TestLse:
         with pytest.raises(ValueError):
             lse(_uniform_spectrum(36), [])
 
+    @pytest.mark.parametrize("model", [_uniform_spectrum(36), lambda x: 0.2])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, model, bad):
+        # a NaN angle would otherwise land in the last bin, and a NaN
+        # density would make the error NaN
+        for empirical in ([(0.5, 0.1), (bad, 0.1)], [(0.5, 0.1), (0.2, bad)]):
+            with pytest.raises(ValueError, match="must be finite"):
+                lse(model, empirical)
+
 
 class TestAngularSpectrumType:
     def test_edges_must_span_circle(self):
-        with pytest.raises(ValueError):
-            AngularSpectrum(np.linspace(-1, 1, 37), np.full(36, 1.0), 0.0, 1)
+        # the edges derive from the bin count: K uniform bins over (-pi, pi]
+        edges = _uniform_spectrum(36).bin_edges
+        assert edges.size == 37 and edges[0] == -math.pi and edges[-1] == math.pi
+        assert np.array_equal(edges, np.linspace(-math.pi, math.pi, 37))
+        for density in (np.full(7, 1.0 / TWO_PI), np.full((2, 36), 1.0 / TWO_PI)):
+            with pytest.raises(ValueError, match="at least 8 bins"):
+                AngularSpectrum(density, 0.0)
 
     def test_density_must_be_nonnegative(self):
-        edges = np.linspace(-math.pi, math.pi, 37)
         density = np.full(36, 1.0 / TWO_PI)
         density[3] = -0.1
         with pytest.raises(ValueError):
-            AngularSpectrum(edges, density, 0.0, 1)
+            AngularSpectrum(density, 0.0)
 
     def test_density_at_lookup(self):
         spectrum = _uniform_spectrum(8)

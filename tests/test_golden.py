@@ -11,7 +11,11 @@ and says why.
 
 The digests depend on NumPy's random streams and on the platform's
 floating-point math library; they were recorded with NumPy 2.4 and
-Python 3.11 on x86-64 Linux.
+Python 3.11 on x86-64 Linux.  They also depend on NumPy reducing axis 0
+of a 2-d array row by row (np.mean(axis=0) and np.add.reduce): the
+averaged spectrum is a running sum of the per-trial density rows in
+trial order, which is bit for bit np.mean over all rows only because of
+that order.
 """
 
 import hashlib
