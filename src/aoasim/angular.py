@@ -10,13 +10,14 @@ carrying the Rician fraction of the zero-delay power.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
-from scipy.special import i0e
+from scipy.special import i0e, ndtr, ndtri
 
-from .estimation import sequential_sum, weighted_spread
+from .estimation import weighted_spread
 from .geometry import _DEG, _TWO_PI, aoa_jacobian, aoa_to_aod, ellipse_params
 
 # HPBW is defined on the power pattern: g^2 drops to 1/2 at +/- hpbw/2,
@@ -34,26 +35,58 @@ def sigma_from_hpbw(hpbw):
     return hpbw * _HPBW_TO_SIGMA
 
 
-def _sample_truncated_normal(std, rng, count):
-    # Rejection from the untruncated normal, keeping |x| <= pi.  Exact for
-    # the truncated target; acceptance is erf(pi / (std * sqrt(2))), at
-    # worst ~0.76 for the widest allowed beam.
-    out = np.empty(count)
-    filled = 0
-    while filled < count:
-        draws = rng.normal(0.0, std, size=count - filled)
-        kept = draws[np.abs(draws) <= np.pi]
-        out[filled:filled + kept.size] = kept
-        filled += kept.size
-    return out
+# Grid samplers tabulate a trapezoid CDF on this many nodes; the guide table
+# splits [0, 1] into this many equal cells of probability.
+_GRID_NODES = (1 << 16) + 1
+_GUIDE_CELLS = 1 << 16
 
 
-def _invert_cdf(grid, cdf, quantiles):
-    idx = np.clip(np.searchsorted(cdf, quantiles, side="right"), 1, len(cdf) - 1)
-    lo, hi = cdf[idx - 1], cdf[idx]
-    span = hi - lo
-    frac = np.where(span > 0, (quantiles - lo) / np.where(span > 0, span, 1.0), 0.0)
+class _CdfTable:
+    """Normalized trapezoid CDF of a density on a grid, ready for inversion.
+
+    guide[k] is the number of CDF nodes at or below k / _GUIDE_CELLS, so
+    the node count of a u in cell k lies within [guide[k], guide[k + 1]].
+    """
+
+    def __init__(self, grid, density):
+        steps = 0.5 * (density[1:] + density[:-1]) * np.diff(grid)
+        cdf = np.concatenate([[0.0], np.cumsum(steps)])
+        cdf /= cdf[-1]
+        self.grid, self.cdf = grid, cdf
+        self.guide = np.searchsorted(cdf, np.arange(_GUIDE_CELLS + 1) / _GUIDE_CELLS, side="right")
+
+
+def _invert_cdf(table, u):
+    """Linear interpolation of the inverse CDF at u in [0, 1).
+
+    Bit for bit the route through np.searchsorted(cdf, u, "right"): the
+    guide table brackets that node count and a bisection inside the
+    bracket finds it.
+    """
+    cell = (u * _GUIDE_CELLS).astype(np.intp)
+    lo, hi = table.guide[cell], table.guide[cell + 1]
+    # Most brackets are closed from the start; bisect the open ones,
+    # dropping each as it closes.  Where the density is low one guide
+    # cell spans many nodes, so a few values take many steps.
+    flat_lo, flat_hi, flat_u = lo.reshape(-1), hi.reshape(-1), u.reshape(-1)
+    todo = np.flatnonzero(flat_lo < flat_hi)
+    while todo.size:
+        a, b = flat_lo[todo], flat_hi[todo]
+        mid = (a + b) >> 1
+        above = table.cdf[mid] > flat_u[todo]
+        a, b = np.where(above, a, mid + 1), np.where(above, mid, b)
+        flat_lo[todo], flat_hi[todo] = a, b
+        todo = todo[a < b]
+    grid, cdf = table.grid, table.cdf
+    idx = np.clip(lo, 1, len(cdf) - 1)
+    c0, c1 = cdf[idx - 1], cdf[idx]
+    span = c1 - c0
+    frac = np.where(span > 0, (u - c0) / np.where(span > 0, span, 1.0), 0.0)
     return grid[idx - 1] + frac * (grid[idx] - grid[idx - 1])
+
+
+def _uniform_quantile(u):
+    return -np.pi + _TWO_PI * u
 
 
 # Scenario-file fields are read through these checks, so a missing or
@@ -109,7 +142,8 @@ def json_pairs(doc, key, path=""):
 
 
 # Each pattern kind owns its departure density(phi) on angles in (-pi, pi],
-# a sample(rng, count) drawn from it, and its scenario-file form: to_json(),
+# its quantile(u), the inverse of the density's CDF on [-pi, pi] at
+# uniforms u in [0, 1), and its scenario-file form: to_json(),
 # the json_keys it accepts and the classmethod from_json(doc, path), looked
 # up by kind in PATTERN_KINDS.
 
@@ -124,8 +158,8 @@ class OmniPattern:
     def density(self, phi):
         return np.full(np.shape(phi), 1.0 / _TWO_PI)
 
-    def sample(self, rng, count):
-        return rng.uniform(-np.pi, np.pi, size=count)
+    def quantile(self, u):
+        return _uniform_quantile(u)
 
     def to_json(self):
         return {"kind": self.kind}
@@ -158,9 +192,14 @@ class GaussianPattern:
         norm = 1.0 / (math.sqrt(math.pi) * sigma * math.erf(math.pi / sigma))
         return norm * np.exp(-(phi * phi) / (sigma * sigma))
 
-    def sample(self, rng, count):
-        # exp(-phi^2 / sigma^2) is a normal density with std sigma / sqrt(2).
-        return _sample_truncated_normal(self.sigma / math.sqrt(2.0), rng, count)
+    def quantile(self, u):
+        # exp(-phi^2 / sigma^2) is a normal density with std sigma / sqrt(2),
+        # truncated to [-pi, pi].  For narrow beams lo underflows to 0 and
+        # ndtri(0) is -inf; the clip puts that, and any rounding past the
+        # ends, back on [-pi, pi].
+        std = self.sigma / math.sqrt(2.0)
+        lo = ndtr(-np.pi / std)
+        return np.clip(std * ndtri(lo + u * (1.0 - 2.0 * lo)), -np.pi, np.pi)
 
     def to_json(self):
         return {"kind": self.kind, "hpbw_deg": self.hpbw / _DEG}
@@ -228,18 +267,12 @@ class TabulatedPattern:
         return amp * amp / self._power_integral
 
     @cached_property
-    def _cdf_grid(self):
-        # Dense numeric CDF used for inverse-transform sampling.
-        grid = np.linspace(-np.pi, np.pi, (1 << 16) + 1)
-        dens = self.density(grid)
-        steps = 0.5 * (dens[1:] + dens[:-1]) * np.diff(grid)
-        cdf = np.concatenate([[0.0], np.cumsum(steps)])
-        cdf /= cdf[-1]
-        return grid, cdf
+    def _cdf_table(self):
+        grid = np.linspace(-np.pi, np.pi, _GRID_NODES)
+        return _CdfTable(grid, self.density(grid))
 
-    def sample(self, rng, count):
-        grid, cdf = self._cdf_grid
-        return _invert_cdf(grid, cdf, rng.random(count))
+    def quantile(self, u):
+        return _invert_cdf(self._cdf_table, u)
 
     def to_json(self):
         return {"kind": self.kind, "samples": [[a / _DEG, g] for a, g in self.samples]}
@@ -285,6 +318,21 @@ class LocalScattering:
         if self.kappa < 0:
             raise ValueError(f"kappa must be nonnegative, got {self.kappa}")
 
+    def quantile(self, u):
+        """Inverse CDF of the von Mises(0, mu) arrival density at u in [0, 1)."""
+        return _uniform_quantile(u) if self.mu == 0 else _invert_cdf(_von_mises_table(self.mu), u)
+
+
+@lru_cache(maxsize=8)
+def _von_mises_table(mu):
+    # Beyond 12 / sqrt(mu) the density is below exp(-29) of its peak (and
+    # tends to exp(-72) as mu grows: a normal of std 1 / sqrt(mu) cut at 12
+    # std), so the grid covers only that range and stays dense where the
+    # mass is; a full-circle grid misses the CDF by 5e-6 at mu = 1e4.
+    half = min(np.pi, 12.0 / math.sqrt(mu))
+    grid = np.linspace(-half, half, _GRID_NODES)
+    return _CdfTable(grid, np.exp(mu * (np.cos(grid) - 1.0)))
+
 
 @dataclass(frozen=True)
 class Tap:
@@ -327,7 +375,9 @@ class TapProfile:
 
     @property
     def total_power(self):
-        return sequential_sum([t.power for t in self.taps])
+        # Added left to right: sum() compensates from Python 3.12 on, and
+        # this total normalizes every scenario's taps.
+        return reduce(operator.add, (t.power for t in self.taps), 0.0)
 
     @property
     def delayed(self):

@@ -15,13 +15,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
+import operator
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .estimation import lse, sequential_sum
+from .estimation import lse
 from .geometry import _DEG
 from .scenario import (
     _US,
@@ -87,7 +89,9 @@ def _cmd_simulate(args):
     if args.per_path_spread:
         spreads = report.per_path_spreads
         payload["per_path_spread_deg"] = [s / _DEG for s in spreads]
-        payload["per_path_spread_mean_deg"] = sequential_sum(spreads) / len(spreads) / _DEG
+        # Added left to right, whatever the Python version's sum() does.
+        total = functools.reduce(operator.add, spreads, 0.0)
+        payload["per_path_spread_mean_deg"] = total / len(spreads) / _DEG
     _write_spectrum_csv(out / "spectrum.csv", report.averaged_spectrum)
     _write_json(out / "report.json", payload)
     print(

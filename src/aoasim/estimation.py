@@ -15,7 +15,6 @@ what the same trial gives alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,26 +107,8 @@ class AngularSpectrum:
         arr = np.asarray(phi, dtype=float)
         if arr.size and (np.any(arr <= -np.pi) or np.any(arr > np.pi)):
             raise ValueError("angles must lie in (-pi, pi]")
-        idx = np.searchsorted(self.bin_edges, arr, side="right") - 1
-        idx = np.clip(idx, 0, self.bin_count - 1)
-        out = self.density[idx]
+        out = self.density[_bin_index(arr, self.bin_count)]
         return float(out) if np.ndim(phi) == 0 else out
-
-
-def sequential_sum(values):
-    """Sum along the last axis, adding left to right.
-
-    np.sum adds pairwise and Python's sum() compensates from 3.12 on;
-    both change the last bits of the normalized outputs.  Returns a
-    float for a 1-d input and an array of row sums for a 2-d one; an
-    empty row sums to 0.0.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.shape[-1] == 0:
-        sums = np.zeros(values.shape[:-1])
-    else:
-        sums = np.cumsum(values, axis=-1)[..., -1]
-    return float(sums) if sums.ndim == 0 else sums
 
 
 def _total_power(paths):
@@ -137,42 +118,19 @@ def _total_power(paths):
     return total
 
 
-# np.histogram with explicit edges works through its input in blocks of
-# this many values; _histogram_rows follows the same blocks.
-_HISTOGRAM_BLOCK = 65536
+def _bin_index(angles, bin_count):
+    """Bin of each angle: searchsorted(edges, angle, "right") - 1, clipped.
 
-
-def _histogram_rows(angles, powers, edges):
-    """np.histogram(angles[r], edges, weights=powers[r])[0] for every row r.
-
-    Bit for bit the explicit-edge route of np.histogram, row by row:
-    per block, sort the angles, take the sequential cumulative sum of the
-    sorted powers, gather it at each edge's position in the sorted row
-    (the last edge inclusive) and add the gathered sums over blocks; the
-    bin weights are the differences.
+    The arithmetic index floor((angle + pi) * K / 2pi) is within one of
+    it; one comparison with each neighbouring edge of _bin_edges corrects
+    it.  Bins are left-inclusive and the last bin also contains +pi.
     """
-    rows, count = angles.shape
-    cumulative = np.zeros((rows, edges.size))
-    for start in range(0, count, _HISTOGRAM_BLOCK):
-        block = angles[:, start:start + _HISTOGRAM_BLOCK]
-        order = np.argsort(block, axis=1)
-        block_powers = powers[:, start:start + _HISTOGRAM_BLOCK]
-        summed = np.zeros((rows, block.shape[1] + 1))
-        np.cumsum(np.take_along_axis(block_powers, order, axis=1), axis=1, out=summed[:, 1:])
-        # position[r, j]: how many values of row r lie below edges[j] (at
-        # or below it for the last edge), where np.histogram searches the
-        # sorted row for the edge.  A value lies below every edge from
-        # searchsorted(edges, value, "right") on, so counting values by
-        # that index and accumulating the counts gives every row's
-        # positions at once.  The sorted block searches faster.
-        sorted_block = np.take_along_axis(block, order, axis=1)
-        first_above = np.searchsorted(edges, sorted_block, side="right")
-        cell = first_above + (edges.size + 1) * np.arange(rows)[:, None]
-        below = np.bincount(cell.ravel(), minlength=rows * (edges.size + 1))
-        position = np.cumsum(below.reshape(rows, -1)[:, :edges.size], axis=1)
-        position[:, -1] = np.count_nonzero(block <= edges[-1], axis=1)
-        cumulative += np.take_along_axis(summed, position, axis=1)
-    return np.diff(cumulative, axis=1)
+    edges = _bin_edges(bin_count)
+    last = int(bin_count) - 1
+    index = np.clip(((angles + np.pi) * (bin_count / _TWO_PI)).astype(np.intp), 0, last)
+    index += edges[index + 1] <= angles
+    index -= edges[index] > angles
+    return np.clip(index, 0, last)
 
 
 def spectrum_rows(paths, bin_count):
@@ -186,10 +144,14 @@ def spectrum_rows(paths, bin_count):
     """
     if bin_count < 8:
         raise ValueError(f"bin count must be at least 8, got {bin_count}")
+    bin_count = int(bin_count)
     total = np.atleast_1d(_total_power(paths))
-    weights = _histogram_rows(np.atleast_2d(paths.angles), np.atleast_2d(paths.powers),
-                              _bin_edges(bin_count))
-    density = weights / total[:, None] / (_TWO_PI / int(bin_count))
+    angles, powers = np.atleast_2d(paths.angles), np.atleast_2d(paths.powers)
+    rows = angles.shape[0]
+    # One histogram for the whole batch: row r owns cells [r*K, (r+1)*K).
+    cells = _bin_index(angles, bin_count) + bin_count * np.arange(rows)[:, None]
+    weights = np.bincount(cells.ravel(), weights=powers.ravel(), minlength=rows * bin_count)
+    density = weights.reshape(rows, bin_count) / total[:, None] / (_TWO_PI / bin_count)
     point_mass = paths.direct_power / total
     _check_density(density)
     _check_point_mass(point_mass)
@@ -212,19 +174,23 @@ def estimate_pdf(paths, bin_count):
 def weighted_spread(values, weights):
     """Standard deviation of values under weights that sum to one.
 
-    Linear moments: sqrt(E[x^2] - E[x]^2), clamped at zero against
-    rounding.  Callers normalize their own weights.
+    Linear moments: sqrt(E[x^2] - E[x]^2) along the last axis, clamped
+    at zero against rounding; a float for 1-d weights, one spread per
+    row for 2-d ones.  Each row is reduced on its own, so its spread
+    does not depend on the other rows.  Callers normalize their own
+    weights.
     """
-    mean = float(np.dot(weights, values))
-    second = float(np.dot(weights, values * values))
-    return math.sqrt(max(second - mean * mean, 0.0))
+    weighted = weights * values
+    mean = np.sum(weighted, axis=-1)
+    second = np.sum(weighted * values, axis=-1)
+    spread = np.sqrt(np.maximum(second - mean * mean, 0.0))
+    return float(spread) if spread.ndim == 0 else spread
 
 
 def angle_spread_rows(density, point_mass):
     """Rms angle spread of each row of spectrum_rows, in radians.
 
-    See rms_angle_spread; every row is checked to be normalized, and
-    each row's moments are taken on their own, one dot product each.
+    See rms_angle_spread; every row is checked to be normalized.
     """
     bin_count = np.shape(density)[-1]
     probabilities = np.atleast_2d(density) * (_TWO_PI / bin_count)
@@ -232,8 +198,7 @@ def angle_spread_rows(density, point_mass):
     if np.any(defects > NORMALIZATION_TOL):
         defect = defects[np.argmax(defects > NORMALIZATION_TOL)]
         raise ValueError(f"spectrum is not normalized (defect {defect:.3e})")
-    centers = _bin_centers(bin_count)
-    return [weighted_spread(centers, row) for row in probabilities]
+    return weighted_spread(_bin_centers(bin_count), probabilities)
 
 
 def rms_angle_spread(spectrum):
@@ -244,19 +209,18 @@ def rms_angle_spread(spectrum):
     (non-circular) moments.  Rejects spectra that are not normalized.
     """
     [spread] = angle_spread_rows(spectrum.density, spectrum.point_mass_at_zero)
-    return spread
+    return float(spread)
 
 
 def path_spread_rows(paths):
-    """Unbinned rms angle spread of each trial of a path set (see spectrum_rows)."""
+    """Unbinned rms angle spread of each trial of a path set (see spectrum_rows).
+
+    The direct path, at angle zero, adds nothing to either moment; it
+    enters through the total power that normalizes the weights.
+    """
     total = np.atleast_1d(_total_power(paths))
-    angles, powers = np.atleast_2d(paths.angles), np.atleast_2d(paths.powers)
-    if paths.direct_power > 0:
-        rows = angles.shape[0]
-        angles = np.concatenate([angles, np.zeros((rows, 1))], axis=1)
-        powers = np.concatenate([powers, np.full((rows, 1), paths.direct_power)], axis=1)
-    weights = powers / total[:, None]
-    return [weighted_spread(a, w) for a, w in zip(angles, weights)]
+    weights = np.atleast_2d(paths.powers) / total[:, None]
+    return weighted_spread(np.atleast_2d(paths.angles), weights)
 
 
 def rms_angle_spread_paths(paths):
@@ -267,7 +231,7 @@ def rms_angle_spread_paths(paths):
     for comparison with the binned estimate.
     """
     [spread] = path_spread_rows(paths)
-    return spread
+    return float(spread)
 
 
 def lse(model, empirical):

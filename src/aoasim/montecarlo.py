@@ -4,14 +4,16 @@ Each trial draws departure angles from the transmit-pattern density,
 maps them through the per-tap ellipse to arrival angles, draws local
 scattering angles around the receiver from a von Mises distribution,
 and assigns per-path powers so the expected tap powers reproduce the
-delay profile.  Trials are seeded independently from
-(master_seed, trial_index), so generation is deterministic and
-independent of execution order.
+delay profile.
 
-generate_trials draws consecutive trials as one batch: each trial still
-draws from its own stream, in the same order, but the ellipse map and
-the wrapping run once per tap over all the batch's trials, so a batch
-of any size gives the same numbers.
+Stream format v2: a run reads one Philox stream (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC 2011) keyed by the
+master seed.  Trial i owns the uniforms [i*W, (i+1)*W) of it, W being
+2 x paths rounded up to whole Philox blocks of 4; Philox addresses
+them by its counter, so any subset of trials, in any chunking, reads
+the same numbers.  Of a trial's row, columns [0, P) turn into angles
+through the quantile functions (tap order, the zero-delay tap first)
+and columns [P, 2P) into powers.
 """
 
 from __future__ import annotations
@@ -22,11 +24,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .angular import ellipses_for_taps
-from .estimation import sequential_sum
 from .geometry import aod_to_aoa, wrap_angle
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import ScenarioConfig
+
+# Philox4x64 yields 4 doubles per counter step.
+_BLOCK = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,115 +53,63 @@ class PathSet:
     direct_power: float = 0.0
 
     def total_power(self):
-        return sequential_sum(self.powers) + self.direct_power
+        return np.sum(self.powers, axis=-1) + self.direct_power
 
 
 def sample_aod(pattern, rng, size):
     """Draw size departure angles distributed per aod_pdf for the pattern.
 
-    The pattern supplies its own sampler (see angular); the draws are
+    The pattern's quantile function applied to size uniforms from rng,
     wrapped to (-pi, pi].
     """
-    return wrap_angle(pattern.sample(rng, size))
+    return wrap_angle(pattern.quantile(rng.random(size)))
 
 
-def _local_aoa_draws(mu, rng, size):
-    # The unwrapped draws of sample_local_aoa.
-    if mu < 0:
-        raise ValueError(f"mu must be nonnegative, got {mu}")
-    if mu == 0:
-        return rng.uniform(-np.pi, np.pi, size=size)
-    return rng.vonmises(0.0, mu, size=size)
-
-
-def sample_local_aoa(mu, rng, size):
-    """Draw size von Mises(0, mu) arrival angles for the local scattering tap.
-
-    Uses the standard wrapped-envelope rejection sampler; mu = 0
-    short-circuits to the uniform distribution on (-pi, pi].
-    """
-    return wrap_angle(_local_aoa_draws(mu, rng, size))
-
-
-def sample_tap_powers(power, path_count, rng):
-    """Per-path powers for one delayed tap.
-
-    path_count independent draws from uniform(0, 2 * power / path_count),
-    so the expected per-path power is power / path_count and the expected
-    tap total is power.
-    """
-    if not power > 0:
-        raise ValueError(f"tap power must be positive, got {power}")
-    if not isinstance(path_count, (int, np.integer)) or path_count < 1:
-        raise ValueError(f"path count must be an integer >= 1, got {path_count}")
-    return rng.uniform(0.0, 2.0 * power / path_count, size=int(path_count))
-
-
-def sample_local_powers(power, path_count, kappa, rng):
-    """Per-path powers for the zero-delay scattering paths.
-
-    path_count draws from uniform(0, 2 * power / ((1 + kappa) * path_count));
-    the expected scattered total is power / (1 + kappa), leaving the
-    Rician fraction kappa / (1 + kappa) for the direct path.
-    """
-    if not power > 0:
-        raise ValueError(f"tap power must be positive, got {power}")
-    if not isinstance(path_count, (int, np.integer)) or path_count < 1:
-        raise ValueError(f"path count must be an integer >= 1, got {path_count}")
-    if kappa < 0:
-        raise ValueError(f"kappa must be nonnegative, got {kappa}")
-    upper = 2.0 * power / ((1.0 + kappa) * path_count)
-    return rng.uniform(0.0, upper, size=int(path_count))
-
-
-def trial_rng(master_seed, trial_index):
-    """Independent random generator for one trial.
-
-    Streams are derived by splitting the master seed with the trial
-    index, so any subset of trials can be generated in any order with
-    identical results.  Returns the numpy Generator alone.
-    """
-    if trial_index < 0:
-        raise ValueError(f"trial index must be nonnegative, got {trial_index}")
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=master_seed, spawn_key=(trial_index,))
-    )
+def _power_scales(scenario):
+    # Per-path power is uniform on [0, scale): each delayed tap's paths
+    # get 2 P / paths, so the expected tap total is P; the zero-delay
+    # tap's get 2 P_0 / ((1 + kappa) paths), leaving the Rician fraction
+    # kappa / (1 + kappa) of P_0 to the direct path.
+    taps = scenario.taps.taps
+    scales = [2.0 * tap.power / tap.path_count for tap in taps]
+    scales[0] /= 1.0 + scenario.kappa
+    return np.repeat(scales, [tap.path_count for tap in taps])
 
 
 def generate_trials(scenario: "ScenarioConfig", first, stop):
     """Path sets of trials first..stop-1 as one batch, one row per trial.
 
-    Each trial draws from its own trial_rng stream exactly as
-    generate_trial describes, in the same order, into per-tap
-    (trials, paths) buffers; the ellipses are built once, each tap's
-    draws are wrapped once and each delayed tap's block is mapped to
-    arrival angles in one call.  Returns a PathSet whose angles and
-    powers have one row per trial, so row k equals
-    generate_trial(scenario, first + k) bit for bit.
+    Reads the trials' uniforms from the run's stream in one call (see
+    the module docstring), turns the angle columns into local arrival
+    angles and departure angles by the quantile functions, maps each
+    delayed tap's departures through its ellipse, and scales the power
+    columns.  Row k equals generate_trial(scenario, first + k) bit for
+    bit, whatever first and stop are.
     """
+    if first < 0:
+        raise ValueError(f"trial index must be nonnegative, got {first}")
     profile = scenario.taps
-    tap0 = profile.taps[0]
-    count = stop - first
-    angles = [np.empty((count, tap.path_count)) for tap in profile.taps]
-    powers = [np.empty((count, tap.path_count)) for tap in profile.taps]
-    for row, index in enumerate(range(first, stop)):
-        rng = trial_rng(scenario.master_seed, index)
-        angles[0][row] = _local_aoa_draws(scenario.mu, rng, tap0.path_count)
-        powers[0][row] = sample_local_powers(tap0.power, tap0.path_count, scenario.kappa, rng)
-        for k, tap in enumerate(profile.delayed, start=1):
-            angles[k][row] = scenario.pattern.sample(rng, tap.path_count)
-            powers[k][row] = sample_tap_powers(tap.power, tap.path_count, rng)
-    # aod_to_aoa wraps its input, so every block is wrapped exactly once.
-    angles[0] = wrap_angle(angles[0])
-    for k, ellipse in enumerate(ellipses_for_taps(profile, scenario.distance), start=1):
-        angles[k] = aod_to_aoa(angles[k], ellipse.eccentricity)
     counts = [tap.path_count for tap in profile.taps]
-    direct = scenario.kappa * tap0.power / (1.0 + scenario.kappa) if scenario.kappa > 0 else 0.0
+    paths = sum(counts)
+    width = _BLOCK * -(-2 * paths // _BLOCK)
+    key = np.random.SeedSequence(scenario.master_seed).generate_state(2, np.uint64)
+    stream = np.random.Philox(key=key, counter=first * (width // _BLOCK))
+    uniforms = np.random.Generator(stream).random((stop - first, width))
+
+    angles = np.empty((stop - first, paths))
+    start = counts[0]
+    angles[:, :start] = wrap_angle(scenario.local.quantile(uniforms[:, :start]))
+    angles[:, start:] = scenario.pattern.quantile(uniforms[:, start:paths])
+    for count, ellipse in zip(counts[1:], ellipses_for_taps(profile, scenario.distance)):
+        # aod_to_aoa wraps its input, so every angle is wrapped exactly once.
+        block = angles[:, start:start + count]
+        block[...] = aod_to_aoa(block, ellipse.eccentricity)
+        start += count
     return PathSet(
-        angles=np.concatenate(angles, axis=1),
-        powers=np.concatenate(powers, axis=1),
+        angles=angles,
+        powers=uniforms[:, paths:2 * paths] * _power_scales(scenario),
         tap_index=np.repeat(np.arange(len(counts)), counts),
-        direct_power=direct,
+        direct_power=scenario.kappa * profile.taps[0].power / (1.0 + scenario.kappa),
     )
 
 

@@ -8,14 +8,12 @@ and linear power.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .angular import (
     AntennaPattern,
@@ -79,6 +77,10 @@ def extract_taps(raw_pdp, min_prominence_db=DEFAULT_PROMINENCE_DB,
         raise ValueError("PDP must start at zero delay")
     if np.any(powers <= 0):
         raise ValueError("PDP powers must be positive")
+
+    # Only PDP scenarios and `aoasim taps` get here: importing scipy.signal
+    # at the top would double the start-up time of every other command.
+    from scipy.signal import find_peaks
 
     level_db = 10.0 * np.log10(powers)
     peaks, _ = find_peaks(level_db, prominence=min_prominence_db)
@@ -215,11 +217,6 @@ class ScenarioConfig:
             json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
-    def digest(self):
-        """Short stable identifier of the scenario contents."""
-        canonical = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
-
 
 @dataclass(frozen=True)
 class RunReport:
@@ -277,32 +274,31 @@ def run_simulation(config):
     generated, binned and reduced as one batch before the next: the
     per-trial spreads are taken per chunk and the density rows added
     into one running sum in trial order, so memory stays bounded by the
-    chunk size, whatever the trial count.  Every trial draws from its
-    own stream derived from (master seed, trial index), so the output is
+    chunk size, whatever the trial count.  Every trial reads its own
+    block of the run's random stream (see montecarlo), so the output is
     fully deterministic for a fixed scenario and seed and does not
     depend on the chunking.  Each trial is generated once, for its
     spectrum and its unbinned spread alike.
     """
     trials, step = config.trials, trials_per_chunk(config)
     density_sum = np.zeros(config.bins)
-    point_mass = np.empty(trials)
-    trial_spreads, path_spreads = [], []
+    point_mass, trial_spreads, path_spreads = np.empty((3, trials))
     for first in range(0, trials, step):
         stop = min(first + step, trials)
         paths = generate_trials(config, first, stop)
         density, point_mass[first:stop] = spectrum_rows(paths, config.bins)
-        # Reducing axis 0 adds row by row, as np.mean(axis=0) does over
-        # all trials; summing the chunk first would change the last bits.
+        # Reducing axis 0 adds row by row, so the sum is the same for any
+        # chunking; summing the chunk first would change the last bits.
         density_sum = np.add.reduce(np.vstack([density_sum, density]))
-        trial_spreads += angle_spread_rows(density, point_mass[first:stop])
-        path_spreads += path_spread_rows(paths)
+        trial_spreads[first:stop] = angle_spread_rows(density, point_mass[first:stop])
+        path_spreads[first:stop] = path_spread_rows(paths)
     # np.mean over the point masses adds pairwise, so they are all kept.
     averaged = AngularSpectrum(density_sum / trials, float(np.mean(point_mass)))
     return RunReport(
         averaged_spectrum=averaged,
         angle_spread=rms_angle_spread(averaged),
-        per_trial_spreads=tuple(trial_spreads),
-        per_path_spreads=tuple(path_spreads),
+        per_trial_spreads=tuple(trial_spreads.tolist()),
+        per_path_spreads=tuple(path_spreads.tolist()),
         scenario_echo=config,
     )
 
@@ -318,7 +314,9 @@ def hpbw_sweep(config, hpbw_deg_list):
 
     Reruns the simulation for each beamwidth (degrees) with the same
     master seed and returns one (hpbw_deg, angle_spread, report) point
-    per entry.  Only defined for Gaussian patterns.
+    per entry, each equal bit for bit to run_simulation at that
+    beamwidth.  Every point reads the same uniforms, so the points share
+    common random numbers.  Only defined for Gaussian patterns.
     """
     if not isinstance(config.pattern, GaussianPattern):
         raise ValueError("HPBW sweep requires a Gaussian antenna pattern")

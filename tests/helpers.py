@@ -194,5 +194,22 @@ def left_to_right_sum(values):
 
 
 def histogram_rows(angles, powers, edges):
-    """np.histogram with explicit edges, one call per row."""
-    return np.array([np.histogram(a, edges, weights=w)[0] for a, w in zip(angles, powers)])
+    """Power in each bin of each row, added one path at a time in column order.
+
+    Bins follow np.histogram's convention (left-inclusive, the last bin
+    also holding the right edge), found by searching the edges.
+    """
+    bins = len(edges) - 1
+    out = np.zeros((len(angles), bins))
+    for row, a, w in zip(out, angles, powers):
+        np.add.at(row, np.clip(np.searchsorted(edges, a, side="right") - 1, 0, bins - 1), w)
+    return out
+
+
+def invert_cdf_searched(grid, cdf, u):
+    """Inverse of a grid CDF at u by linear interpolation, one edge search per value."""
+    idx = np.clip(np.searchsorted(cdf, u, side="right"), 1, len(cdf) - 1)
+    lo, hi = cdf[idx - 1], cdf[idx]
+    span = hi - lo
+    frac = np.where(span > 0, (u - lo) / np.where(span > 0, span, 1.0), 0.0)
+    return grid[idx - 1] + frac * (grid[idx] - grid[idx - 1])

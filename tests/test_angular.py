@@ -7,6 +7,10 @@ import pytest
 from scipy.integrate import quad
 
 from aoasim.angular import (
+    _GUIDE_CELLS,
+    _CdfTable,
+    _invert_cdf,
+    _von_mises_table,
     GaussianPattern,
     LocalScattering,
     OmniPattern,
@@ -25,6 +29,7 @@ from aoasim.geometry import ellipse_params, wrap_angle
 from helpers import (
     bessel_i0_series,
     ellipse_with_eccentricity,
+    invert_cdf_searched,
     left_to_right_sum,
     make_profile,
 )
@@ -302,3 +307,94 @@ class TestTapProfile:
 
     def test_wrap_angle_convention_reexported(self):
         assert wrap_angle(-math.pi) == math.pi
+
+
+# A tabulated pattern with a zero-amplitude stretch, so its CDF is flat there.
+_GAPPED_SAMPLES = tuple(zip(
+    np.linspace(-3.0, 3.0, 13).tolist(),
+    [1.0, 0.8, 0.0, 0.0, 0.0, 0.5, 1.2, 2.0, 1.5, 0.7, 0.3, 0.6, 0.9],
+))
+
+# Dense in the middle, down to 1e-12 at both ends, and the largest
+# double below one.
+_QUANTILE_U = np.concatenate([
+    [0.0, 1e-12, 1e-9, 1e-7], np.linspace(0.0, 1.0, 1025)[1:-1],
+    [1.0 - 1e-7, 1.0 - 1e-9, 1.0 - 2.0 ** -53],
+])
+
+
+def _cdf_by_quadrature(density, x, breaks=()):
+    # F at sorted x in [-pi, pi]: the density integrated over each gap
+    # between consecutive points, from -pi, and added up; a node that
+    # rounds to -pi is read at +pi, the same point of the circle
+    lower = np.concatenate([[-math.pi], x[:-1]])
+    pieces = []
+    for lo, hi in zip(lower, x):
+        inside = [b for b in breaks if lo < b < hi]
+        piece, _ = quad(lambda t: density(wrap_angle(t)), lo, hi, points=inside or None, limit=200,
+                        epsabs=1e-15, epsrel=1e-13) if hi > lo else (0.0, 0.0)
+        pieces.append(piece)
+    return np.cumsum(pieces)
+
+
+class TestQuantiles:
+    """Each quantile function inverts its analytic density's CDF."""
+
+    def _check(self, quantile, density, breaks=()):
+        x = np.asarray(quantile(_QUANTILE_U), dtype=float)
+        assert np.all((x >= -math.pi) & (x <= math.pi))
+        assert np.all(np.diff(x) >= 0)
+        defect = np.abs(_cdf_by_quadrature(density, x, breaks) - _QUANTILE_U)
+        assert np.max(defect) <= 1e-7
+
+    def test_omni(self):
+        self._check(OmniPattern().quantile, lambda x: aod_pdf(x, OmniPattern()))
+
+    @pytest.mark.parametrize("hpbw_deg", [1.0, 60.0, 360.0])
+    def test_gaussian(self, hpbw_deg):
+        pattern = GaussianPattern(math.radians(hpbw_deg))
+        self._check(pattern.quantile, lambda x: aod_pdf(x, pattern), breaks=[0.0])
+
+    def test_tabulated_with_zero_stretch(self):
+        pattern = TabulatedPattern(_GAPPED_SAMPLES)
+        nodes = [a for a, _ in _GAPPED_SAMPLES]
+        self._check(pattern.quantile, lambda x: aod_pdf(x, pattern), breaks=nodes)
+
+    @pytest.mark.parametrize("mu", [0.5, 15.0, 40.0, 1e4])
+    def test_von_mises(self, mu):
+        self._check(LocalScattering(mu).quantile, lambda x: von_mises_pdf(x, mu), breaks=[0.0])
+
+    def test_von_mises_zero_concentration_is_uniform(self):
+        u = np.linspace(0.0, 1.0, 101)[:-1]
+        assert np.array_equal(LocalScattering(0.0).quantile(u), OmniPattern().quantile(u))
+
+
+def _spiked_table():
+    # zero stretches (flat CDF segments) and one narrow spike, whose guide
+    # cells span many nodes
+    grid = np.linspace(-math.pi, math.pi, 4097)
+    density = np.where(np.abs(grid) < 1.0, 0.2, 0.0) + np.where(np.abs(grid - 2.0) < 0.01, 50.0, 0.0)
+    return _CdfTable(grid, density)
+
+
+class TestInvertCdf:
+    """The guided inversion gives the bits of the edge-search route."""
+
+    @pytest.mark.parametrize("table", [
+        TabulatedPattern(_GAPPED_SAMPLES)._cdf_table,
+        _von_mises_table(1e4),
+        _spiked_table(),
+    ], ids=["tabulated-zero-stretch", "von-mises-1e4", "spiked"])
+    def test_matches_searchsorted(self, table):
+        u = np.concatenate([
+            [0.0, np.nextafter(1.0, 0.0)],
+            np.arange(_GUIDE_CELLS) / _GUIDE_CELLS,
+            table.cdf[table.cdf < 1.0], np.nextafter(table.cdf[1:], 0.0),
+            np.random.default_rng(9).random(200_000),
+        ])
+        assert np.array_equal(_invert_cdf(table, u), invert_cdf_searched(table.grid, table.cdf, u))
+
+    def test_batch_shape_is_kept(self):
+        table = _spiked_table()
+        u = np.random.default_rng(10).random((3, 7))
+        assert np.array_equal(_invert_cdf(table, u), invert_cdf_searched(table.grid, table.cdf, u))

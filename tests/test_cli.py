@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aoasim
 from aoasim.cli import main
 from aoasim.scenario import ScenarioConfig, run_simulation
 
@@ -84,19 +89,27 @@ class TestSimulate:
 
     def test_per_path_spread_generates_each_trial_once(self, scenario_file, tmp_path,
                                                         monkeypatch):
-        from aoasim import montecarlo
+        from aoasim import montecarlo, scenario
 
-        seeded = []
-        trial_rng = montecarlo.trial_rng
+        generated = []
 
-        def counting_trial_rng(master_seed, trial_index):
-            seeded.append(trial_index)
-            return trial_rng(master_seed, trial_index)
+        def counting_generate_trials(config, first, stop):
+            batch = montecarlo.generate_trials(config, first, stop)
+            generated.extend(range(first, first + batch.angles.shape[0]))
+            return batch
 
-        monkeypatch.setattr(montecarlo, "trial_rng", counting_trial_rng)
+        monkeypatch.setattr(scenario, "generate_trials", counting_generate_trials)
         assert main(["simulate", "--scenario", str(scenario_file), "--out", str(tmp_path),
                      "--trials", "5", "--per-path-spread"]) == 0
-        assert seeded == [0, 1, 2, 3, 4]
+        assert generated == [0, 1, 2, 3, 4]
+
+    def test_import_leaves_scipy_signal_alone(self):
+        # only tap extraction needs scipy.signal, which costs most of start-up
+        code = "import sys, aoasim.cli; print('scipy.signal' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(Path(aoasim.__file__).parents[1]))
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env=env, check=True)
+        assert result.stdout.strip() == "False"
 
     def test_missing_scenario_is_machine_readable_error(self, tmp_path, capsys):
         code = main(["simulate", "--scenario", str(tmp_path / "nope.json"),
@@ -161,6 +174,26 @@ class TestSweep:
         assert main(args + ["--out", str(out_b), "--workers", "4"]) == 0
         assert (out_a / "sweep.csv").read_bytes() == (out_b / "sweep.csv").read_bytes()
         assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
+
+    def test_each_point_is_the_simulate_report_at_its_beamwidth(self, scenario_file, tmp_path,
+                                                                 capsys):
+        # every point reads the same uniforms as a plain run at its HPBW
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--scenario", str(scenario_file), "--hpbw", "200,45",
+                     "--trials", "10", "--out", str(out)]) == 0
+        points = json.loads((out / "report.json").read_text())["points"]
+        doc = json.loads(scenario_file.read_text())
+        for point in points:
+            single = tmp_path / f"hpbw{point['hpbw_deg']:g}.json"
+            single.write_text(json.dumps(edited_doc(doc, ("pattern", "hpbw_deg"),
+                                                    point["hpbw_deg"])), encoding="utf-8")
+            run = tmp_path / f"run{point['hpbw_deg']:g}"
+            assert main(["simulate", "--scenario", str(single), "--trials", "10",
+                         "--out", str(run)]) == 0
+            report = json.loads((run / "report.json").read_text())
+            assert report.pop("version")
+            assert point["report"] == report
+        capsys.readouterr()
 
     def test_rejects_non_gaussian(self, tmp_path, capsys):
         doc = {

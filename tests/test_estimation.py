@@ -9,16 +9,13 @@ from aoasim import scenario
 from aoasim.angular import GaussianPattern, OmniPattern, Tap, TapProfile
 from aoasim.estimation import (
     AngularSpectrum,
-    _histogram_rows,
+    _bin_index,
     estimate_pdf,
     lse,
     rms_angle_spread,
     rms_angle_spread_paths,
-    sequential_sum,
 )
 from aoasim.montecarlo import PathSet, generate_trials
-
-from helpers import histogram_rows, left_to_right_sum
 
 TWO_PI = 2 * math.pi
 
@@ -112,40 +109,38 @@ class TestEstimatePdf:
             estimate_pdf(_path_set([(0, 0.0, 1.0, False)]), 7)
 
 
-class TestHistogramRows:
-    def test_matches_numpy_row_by_row(self):
+def _searched_bins(angles, bins):
+    # np.histogram's convention: left-inclusive bins, +pi in the last one.
+    edges = np.linspace(-math.pi, math.pi, bins + 1)
+    return np.clip(np.searchsorted(edges, angles, side="right") - 1, 0, bins - 1)
+
+
+class TestBinIndex:
+    """The arithmetic bin index equals the edge search."""
+
+    @pytest.mark.parametrize("bins", [8, 36, 90, 360, 1000, 3600, 4097, 65536])
+    def test_values_on_every_edge(self, bins):
+        edges = np.linspace(-math.pi, math.pi, bins + 1)
+        stepped = -math.pi + np.arange(bins + 1) * (2 * math.pi / bins)
+        angles = np.concatenate([
+            edges, stepped, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            [-math.pi, math.pi],
+        ])
+        assert np.array_equal(_bin_index(angles, bins), _searched_bins(angles, bins))
+        assert _bin_index(np.array([math.pi]), bins)[0] == bins - 1
+        assert _bin_index(np.array([np.nextafter(-math.pi, 0.0)]), bins)[0] == 0
+
+    def test_random_draws(self):
         rng = np.random.default_rng(5)
-        edges = np.linspace(-math.pi, math.pi, 37)
-        angles = rng.uniform(-math.pi, math.pi, (6, 300))
-        powers = rng.uniform(0.0, 1.0, (6, 300))
-        angles[:, :37] = edges                   # on every edge, -pi and pi included
-        angles[:, 40:60] = angles[:, 60:80]      # ties carrying different powers
-        angles[:, 80:84] = [-4.0, 4.0, -math.pi - 1e-9, math.pi + 1e-9]   # outside
-        assert np.array_equal(_histogram_rows(angles, powers, edges),
-                              histogram_rows(angles, powers, edges))
+        for bins in (8, 64, 360, 3600, 4097):
+            angles = rng.uniform(-math.pi, math.pi, (4, 25_000))
+            assert np.array_equal(_bin_index(angles, bins), _searched_bins(angles, bins))
 
-    def test_ties_keep_numpy_order(self):
-        # many paths on a few angles, powers over 17 decades: the sums at
-        # the edges depend on the order in which tied paths are added
-        rng = np.random.default_rng(7)
-        edges = np.linspace(-math.pi, math.pi, 9)
-        angles = rng.choice([-2.0, -0.5, 0.0, 0.5, 2.0], size=(4, 500))
-        powers = 10.0 ** rng.uniform(-17.0, 0.0, size=(4, 500))
-        assert np.array_equal(_histogram_rows(angles, powers, edges),
-                              histogram_rows(angles, powers, edges))
-
-    def test_rows_longer_than_a_numpy_block(self):
-        rng = np.random.default_rng(6)
-        edges = np.linspace(-math.pi, math.pi, 3601)
-        angles = rng.uniform(-math.pi, math.pi, (2, 70_000))
-        powers = rng.uniform(0.0, 1e-4, (2, 70_000))
-        assert np.array_equal(_histogram_rows(angles, powers, edges),
-                              histogram_rows(angles, powers, edges))
-
-    def test_no_values(self):
-        edges = np.linspace(-math.pi, math.pi, 9)
-        assert np.array_equal(_histogram_rows(np.empty((2, 0)), np.empty((2, 0)), edges),
-                              np.zeros((2, 8)))
+    def test_density_at_uses_the_same_bins(self):
+        spectrum = AngularSpectrum(np.arange(1.0, 37.0) / (666.0 * TWO_PI / 36), 0.0)
+        angles = np.random.default_rng(6).uniform(-math.pi, math.pi, 1000)
+        assert np.array_equal(spectrum.density_at(angles),
+                              spectrum.density[_searched_bins(angles, 36)])
 
 
 class TestAverageSpectra:
@@ -342,31 +337,3 @@ class TestAngularSpectrumType:
         assert arr.shape == (2,)
         with pytest.raises(ValueError):
             spectrum.density_at(-math.pi)
-
-
-def _order_sensitive_values():
-    # 250 small powers whose left-to-right sum differs from a compensated
-    # (math.fsum, Python >= 3.12 sum()) and from a pairwise (np.sum) one.
-    values = np.random.default_rng(2).uniform(0.0, 0.01, 250)
-    expected = left_to_right_sum(values)
-    assert expected != math.fsum(values) and expected != float(np.sum(values))
-    return values, expected
-
-
-class TestSequentialSum:
-    def test_adds_left_to_right(self):
-        values, expected = _order_sensitive_values()
-        assert sequential_sum(values) == expected
-        assert sequential_sum(values.tolist()) == expected
-        assert sequential_sum([]) == 0.0
-
-    def test_rows_add_left_to_right(self):
-        values, expected = _order_sensitive_values()
-        rows = sequential_sum(np.vstack([values, values[::-1]]))
-        assert rows.tolist() == [expected, left_to_right_sum(values[::-1])]
-
-    def test_path_set_total_power(self):
-        values, expected = _order_sensitive_values()
-        paths = PathSet(angles=np.zeros(values.size), powers=values,
-                        tap_index=np.zeros(values.size, dtype=int), direct_power=0.25)
-        assert paths.total_power() == expected + 0.25

@@ -1,21 +1,22 @@
 """Golden-output regression: pinned sha256 digests of CLI output files.
 
 Each case runs the command line on a fixed-seed scenario (small ones
-per pattern kind, and one wide enough to cross NumPy's histogram and
-summation block sizes) and compares the sha256 of every emitted file
+per pattern kind, and one with 70,000 paths per trial, so long rows
+reach every reduction) and compares the sha256 of every emitted file
 with a recorded digest, so any change to the bytes written (numbers,
 rounding, key order, formatting) fails here even when the values stay
-statistically sound.  Refactors
-must keep these digests; a deliberate change of output re-records them
-and says why.
+statistically sound.  Refactors must keep these digests; a deliberate
+change of output re-records them and says why.
 
-The digests depend on NumPy's random streams and on the platform's
-floating-point math library; they were recorded with NumPy 2.4 and
-Python 3.11 on x86-64 Linux.  They also depend on NumPy reducing axis 0
-of a 2-d array row by row (np.mean(axis=0) and np.add.reduce): the
-averaged spectrum is a running sum of the per-trial density rows in
-trial order, which is bit for bit np.mean over all rows only because of
-that order.
+The digests were recorded for stream format v2 (package version 0.2.0):
+one Philox stream per run keyed by SeedSequence(seed), a fixed block of
+uniforms per trial, quantile samplers and one bincount per chunk.  They
+depend on NumPy's Philox and SeedSequence, on SciPy's ndtr and ndtri,
+and on the platform's floating-point math library; they were recorded
+with NumPy 2.4, SciPy 1.17 and Python 3.11 on x86-64 Linux.  They also
+depend on NumPy reducing axis 0 of a 2-d array row by row
+(np.add.reduce): the averaged spectrum is a running sum of the
+per-trial density rows in trial order.
 """
 
 import hashlib
@@ -41,8 +42,8 @@ _PATTERNS = {
 }
 
 
-# 70,000 paths per trial: more than NumPy's 65,536-element histogram block,
-# and long vectors in the unbinned spread's dot products.
+# 70,000 paths per trial: long rows for the power sums, the bincount and
+# the unbinned spread's moments.
 _WIDE_TAPS = [
     {"delay_us": delay, "power": power, "paths": 14_000}
     for delay, power in ((0.0, 0.4), (0.8, 0.25), (1.9, 0.15), (3.1, 0.12), (4.6, 0.08))
@@ -72,27 +73,27 @@ def _digests(directory, names):
 
 SIMULATE_DIGESTS = {
     "omni": {
-        "report.json": "9f30e9541a572b2abd41dfe1e8167f3df3a06ec0b8338030c0d750fc763e969a",
-        "spectrum.csv": "a45e1e37da6c7c72e2654534cb070123d1e56cffb614df37992b12f891d39dc3",
+        "report.json": "6d5ca7528d3795aa5e0a9c067fb585619facc2da7d67419e4dbde5fa94b33cee",
+        "spectrum.csv": "9286bb458bb71a1d7ed3010484f21194b7f619c5255762914a280751725e9df9",
     },
     "gaussian": {
-        "report.json": "94d41969d7d5f915d7c70eec56e74d9f35ee9f00c01ad92d711a7fb555257b59",
-        "spectrum.csv": "2c138cab9781fd26635f7facb474497e655e2e0245b098c800c45f7f253e2511",
+        "report.json": "792c52f97fd10ccb26d8a03fcb6b424fa3198d788f4f78885bfef57c9f36fcac",
+        "spectrum.csv": "019d987c0d324370a2c74e82567cf3049a439b5bacaf1077f0c11bfc4b6f0372",
     },
     "tabulated": {
-        "report.json": "1b4bfc858aa133dbd6baf2af934c0d301cb34088a442390974305c8f53205486",
-        "spectrum.csv": "9ed13b09944d54bfbbe31baaa7f2b5eac9372e7a9f56ce5fb5f7816773705ae6",
+        "report.json": "b07b38f7f6d28786191362ad4feeda5e28872fadcc2d07a00173ce62f909f294",
+        "spectrum.csv": "80acecb55667a4517b40220fa161495783e4fa33b4e79d66f7b7bd392059e32d",
     },
 }
 
 WIDE_DIGESTS = {
-    "report.json": "08d1a8387922eafcc10125e63957fe5df559f504de2005d113d52811ccfd2191",
-    "spectrum.csv": "b5106afc0ad02574cb5baba8bb74ff09cd427c7613a1ffcf1f841c0e151fbab1",
+    "report.json": "3728161947a8baf93b908fb7c973f954bf5e3102040a2cdd45d3e0d677dca49b",
+    "spectrum.csv": "e1b51f279bcbf4725526983fc5e071ed953ff826ce348d68e53fc732a8f1fee9",
 }
 
 SWEEP_DIGESTS = {
-    "report.json": "9c505203bb3da09f77094d7c3972b3f621efe42c71e24df0e871245f93089656",
-    "sweep.csv": "aadb0a3463bbe026cc6681a5349f8f5f48a3887613e3bac95ff9bc2838308696",
+    "report.json": "f05a207849f0d7e9586bd68f426ae1b8288040c6e9ef86ec57a2297022d0ff15",
+    "sweep.csv": "3f59d8db9d55bfcf7a447394d042af38792c1e83dc2399cd70ca44990cdc8bd0",
 }
 
 

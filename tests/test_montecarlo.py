@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from aoasim.angular import GaussianPattern, OmniPattern, TabulatedPattern, Tap, TapProfile
-from aoasim.geometry import aod_to_aoa
-from aoasim.montecarlo import (
-    generate_trial,
-    sample_aod,
-    sample_local_aoa,
-    sample_local_powers,
-    sample_tap_powers,
+from aoasim.angular import (
+    GaussianPattern,
+    LocalScattering,
+    OmniPattern,
+    TabulatedPattern,
+    Tap,
+    TapProfile,
 )
+from aoasim.geometry import aod_to_aoa, wrap_angle
+from aoasim.montecarlo import _power_scales, generate_trial, generate_trials, sample_aod
 from aoasim.scenario import ScenarioConfig
 
 from helpers import (
@@ -71,6 +72,11 @@ class TestSampleAod:
         assert result.pvalue > ALPHA
 
 
+def sample_local_aoa(mu, rng, size):
+    # size local arrival angles, drawn as generate_trials draws them
+    return wrap_angle(LocalScattering(mu).quantile(rng.random(size)))
+
+
 class TestSampleLocalAoa:
     def test_uniform_when_unconcentrated(self):
         rng = np.random.default_rng(110)
@@ -96,57 +102,66 @@ class TestSampleLocalAoa:
             sample_local_aoa(-1.0, np.random.default_rng(0), 10)
 
 
+def _power_config(taps, kappa=0.0):
+    # taps: (power, path count) pairs, the first at zero delay
+    return ScenarioConfig(
+        distance=1000.0,
+        taps=TapProfile(tuple(Tap(k * 1e-6, p, n) for k, (p, n) in enumerate(taps))),
+        pattern=OmniPattern(),
+        kappa=kappa,
+        mu=0.0,
+    )
+
+
+def _tap_powers(config, tap, trials):
+    # per-path powers of one tap, one row per trial
+    batch = generate_trials(config, 0, trials)
+    return batch.powers[:, batch.tap_index == tap]
+
+
 class TestSampleTapPowers:
+    """Per-path powers of a delayed tap: uniform on [0, 2 P / paths)."""
+
     def test_support(self):
-        rng = np.random.default_rng(120)
-        draws = sample_tap_powers(0.8, 40, rng)
-        assert draws.shape == (40,)
+        draws = _tap_powers(_power_config([(0.2, 5), (0.8, 40)]), 1, 50)
+        assert draws.shape == (50, 40)
         assert np.all(draws >= 0) and np.all(draws <= 2 * 0.8 / 40)
 
     def test_single_path_mean(self):
-        rng = np.random.default_rng(121)
-        draws = np.array([sample_tap_powers(1.0, 1, rng)[0] for _ in range(100_000)])
+        draws = _tap_powers(_power_config([(0.5, 3), (1.0, 1)]), 1, 100_000)
         assert np.all((draws >= 0) & (draws <= 2.0))
         assert np.mean(draws) == pytest.approx(1.0, rel=0.01)
 
     def test_expected_tap_total(self):
-        rng = np.random.default_rng(122)
-        totals = [sample_tap_powers(0.6, 25, rng).sum() for _ in range(10_000)]
+        totals = _tap_powers(_power_config([(0.4, 2), (0.6, 25)]), 1, 10_000).sum(axis=1)
         assert np.mean(totals) == pytest.approx(0.6, rel=0.01)
 
     def test_invalid_inputs_rejected(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            sample_tap_powers(0.0, 10, rng)
-        with pytest.raises(ValueError):
-            sample_tap_powers(1.0, 0, rng)
-        with pytest.raises(ValueError):
-            sample_tap_powers(1.0, 2.5, rng)
+        # power and path count are checked once, when the profile is built
+        for power, count in ((0.0, 10), (1.0, 0), (1.0, 2.5)):
+            with pytest.raises(ValueError):
+                _power_config([(1.0, 5), (power, count)])
 
 
 class TestSampleLocalPowers:
+    """Per-path powers of the zero-delay tap: uniform on [0, 2 P_0 / ((1 + kappa) paths))."""
+
     def test_zero_kappa_matches_tap_power_contract(self):
-        draws_a = sample_local_powers(0.5, 20, 0.0, np.random.default_rng(42))
-        draws_b = sample_tap_powers(0.5, 20, np.random.default_rng(42))
-        np.testing.assert_array_equal(draws_a, draws_b)
+        scales = _power_scales(_power_config([(0.5, 20), (0.5, 20)]))
+        assert np.array_equal(scales, np.full(40, 2 * 0.5 / 20))
 
     def test_unit_kappa_support_and_mean(self):
-        rng = np.random.default_rng(123)
-        totals = []
-        for _ in range(10_000):
-            draws = sample_local_powers(1.0, 10, 1.0, rng)
-            assert np.all((draws >= 0) & (draws <= 0.1))
-            totals.append(draws.sum())
-        assert np.mean(totals) == pytest.approx(0.5, rel=0.01)
+        draws = _tap_powers(_power_config([(1.0, 10), (0.5, 3)], kappa=1.0), 0, 10_000)
+        assert np.all((draws >= 0) & (draws <= 0.1))
+        assert np.mean(draws.sum(axis=1)) == pytest.approx(0.5, rel=0.01)
 
     def test_strong_rician_suppression(self):
-        rng = np.random.default_rng(124)
-        totals = [sample_local_powers(1.0, 10, 3.0, rng).sum() for _ in range(10_000)]
-        assert np.mean(totals) == pytest.approx(0.25, rel=0.01)
+        draws = _tap_powers(_power_config([(1.0, 10)], kappa=3.0), 0, 10_000)
+        assert np.mean(draws.sum(axis=1)) == pytest.approx(0.25, rel=0.01)
 
     def test_negative_kappa_rejected(self):
         with pytest.raises(ValueError):
-            sample_local_powers(1.0, 10, -0.5, np.random.default_rng(0))
+            _power_config([(1.0, 10)], kappa=-0.5)
 
 
 def _scenario(kappa=0.0, mu=4.0, seed=7, counts=(10, 20, 30)):

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from aoasim.angular import (
     TapProfile,
     pattern_from_json,
 )
-from aoasim.estimation import _histogram_rows, estimate_pdf, rms_angle_spread, spectrum_rows
+from aoasim.estimation import estimate_pdf, rms_angle_spread, spectrum_rows
 from aoasim.montecarlo import generate_trial, generate_trials
 from aoasim.scenario import (
     ScenarioConfig,
@@ -28,7 +29,7 @@ from aoasim.scenario import (
     trials_per_chunk,
 )
 
-from helpers import DELETE, edited_doc, histogram_rows, left_to_right_sum, make_profile
+from helpers import DELETE, edited_doc, histogram_rows, make_profile
 
 
 class TestExtractTaps:
@@ -171,14 +172,6 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="pattern kind"):
             ScenarioConfig.from_json_dict(doc)
 
-    def test_digest_tracks_content(self):
-        config = ScenarioConfig.from_json_dict(_config_doc())
-        same = ScenarioConfig.from_json_dict(_config_doc())
-        assert config.digest() == same.digest()
-        doc = _config_doc()
-        doc["kappa"] = 0.75
-        assert ScenarioConfig.from_json_dict(doc).digest() != config.digest()
-
     def test_validation(self):
         base = _config_doc()
         for key, bad in [("kappa", -1.0), ("mu", -0.5), ("trials", 0), ("bins", 4),
@@ -319,6 +312,26 @@ _CHUNK_PATTERNS = {
 }
 
 
+def _assert_binned_path_by_path(batch, bins):
+    # spectrum_rows of a batch against the loop reference, row by row
+    density, point_mass = spectrum_rows(batch, bins)
+    weights = histogram_rows(batch.angles, batch.powers, np.linspace(-math.pi, math.pi, bins + 1))
+    totals = np.array([np.sum(row) for row in batch.powers]) + batch.direct_power
+    assert np.array_equal(density, weights / totals[:, None] / (2 * math.pi / bins))
+    assert np.array_equal(point_mass, batch.direct_power / totals)
+    return density, point_mass
+
+
+def _assert_same_rows(batch, first, part):
+    # part holds trials first.. of batch, bit for bit
+    rows = slice(first, first + part.angles.shape[0])
+    assert np.array_equal(part.angles, batch.angles[rows])
+    assert np.array_equal(part.powers, batch.powers[rows])
+    assert np.array_equal(part.tap_index, batch.tap_index)
+    assert part.direct_power == batch.direct_power
+
+
+# 11 paths: 22 uniforms per trial, padded to 24 (whole Philox blocks of 4)
 def _chunk_config(pattern, kappa, mu, counts=(4, 1, 6), trials=10, bins=48):
     taps = make_profile([0.0, 0.8, 2.6], [0.45, 0.35, 0.2]).taps
     return _quick_config(
@@ -336,7 +349,7 @@ class TestChunkedTrials:
     def test_chunk_size_changes_no_number(self, monkeypatch, kind, kappa, mu):
         config = _chunk_config(_CHUNK_PATTERNS[kind], kappa, mu)
         batch = generate_trials(config, 0, config.trials)
-        density, point_mass = spectrum_rows(batch, config.bins)
+        density, point_mass = _assert_binned_path_by_path(batch, config.bins)
         per_trial = 11 + 48     # paths and bins
         reports = []
         default = scenario.CHUNK_SIZE
@@ -352,31 +365,28 @@ class TestChunkedTrials:
         for report in reports[1:]:
             _assert_same_report(reports[0], report)
 
+        # any subset of trials reads the same uniforms
         for k in range(config.trials):
             single = generate_trial(config, k)
             assert np.array_equal(batch.angles[k], single.angles)
             assert np.array_equal(batch.powers[k], single.powers)
-        edges = np.linspace(-math.pi, math.pi, config.bins + 1)
-        weights = histogram_rows(batch.angles, batch.powers, edges)
-        assert np.array_equal(_histogram_rows(batch.angles, batch.powers, edges), weights)
-        totals = np.array([left_to_right_sum(row) + batch.direct_power for row in batch.powers])
-        assert np.array_equal(density, weights / totals[:, None] / (2 * math.pi / config.bins))
-        assert np.array_equal(point_mass, batch.direct_power / totals)
+        for first, stop in ((0, 1), (3, 7), (2, 10), (9, 10)):
+            _assert_same_rows(batch, first, generate_trials(config, first, stop))
 
     def test_trial_wider_than_a_chunk(self, monkeypatch):
-        # 33,000 paths per trial: more than a default chunk holds, so each
-        # trial is a chunk of its own; compare with both trials in one chunk
+        # 33,001 paths per trial (66,002 uniforms, padded to 66,004): more
+        # than a default chunk holds, so each trial is a chunk of its own;
+        # compare with both trials in one chunk
         config = _chunk_config(_CHUNK_PATTERNS["gaussian"], 0.5, 6.0,
-                               counts=(11_000, 11_000, 11_000), trials=2, bins=360)
+                               counts=(11_000, 11_000, 11_001), trials=2, bins=360)
         assert trials_per_chunk(config) == 1
         alone = run_simulation(config)
-        monkeypatch.setattr(scenario, "CHUNK_SIZE", 2 * (33_000 + 360))
+        monkeypatch.setattr(scenario, "CHUNK_SIZE", 2 * (33_001 + 360))
         assert trials_per_chunk(config) == 2
         _assert_same_report(alone, run_simulation(config))
         batch = generate_trials(config, 0, 2)
-        edges = np.linspace(-math.pi, math.pi, 361)
-        assert np.array_equal(_histogram_rows(batch.angles, batch.powers, edges),
-                              histogram_rows(batch.angles, batch.powers, edges))
+        _assert_same_rows(batch, 1, generate_trials(config, 1, 2))
+        _assert_binned_path_by_path(batch, config.bins)
 
     def test_memory_does_not_grow_with_trials_times_bins(self):
         # 1000 trials over 2048 bins: a (trials, bins) buffer alone would
@@ -398,6 +408,24 @@ class TestHpbwSweep:
         [point] = hpbw_sweep(config, [math.degrees(config.pattern.hpbw)])
         direct = run_simulation(config)
         assert point.angle_spread == pytest.approx(direct.angle_spread, rel=1e-12)
+
+    def test_each_point_equals_a_run_at_its_beamwidth(self):
+        config = _quick_config(trials=12)
+        hpbws = [360.0, 200.0, 45.0]
+        for hpbw, point in zip(hpbws, hpbw_sweep(config, hpbws)):
+            beam = replace(config, pattern=GaussianPattern(math.radians(hpbw)))
+            _assert_same_report(point.report, run_simulation(beam))
+            assert point.angle_spread == point.report.angle_spread
+
+    def test_points_share_common_random_numbers(self):
+        # only the delayed taps' departure angles depend on the beamwidth
+        config = _quick_config(trials=6)
+        wide, narrow = (generate_trials(replace(config, pattern=GaussianPattern(math.radians(h))),
+                                        0, config.trials) for h in (200.0, 45.0))
+        local = wide.tap_index == 0
+        assert np.array_equal(wide.powers, narrow.powers)
+        assert np.array_equal(wide.angles[:, local], narrow.angles[:, local])
+        assert not np.any(wide.angles[:, ~local] == narrow.angles[:, ~local])
 
     def test_narrower_beam_reduces_spread(self):
         config = _quick_config(trials=60, kappa=0.0, mu=2.0)
