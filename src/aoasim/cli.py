@@ -2,8 +2,8 @@
 
 Subcommands:
     simulate  run one scenario, emit spectrum.csv and report.json
-    sweep     rerun a Gaussian-pattern scenario over a list of HPBWs,
-              emit sweep.csv and report.json
+    sweep     run a Gaussian-pattern scenario at each of a list of HPBWs
+              in one pass over the trials, emit sweep.csv and report.json
     fit       score the simulated spectrum against empirical data (LSE)
     taps      extract delay taps from a raw PDP CSV
 

@@ -38,13 +38,20 @@ def wrap_angle(phi):
     """Wrap angle(s) to (-pi, pi].  Accepts scalars or arrays.
 
     Values already inside the interval pass through bit-exactly, so
-    wrapping never perturbs in-range angles.
+    wrapping never perturbs in-range angles.  Angles on [-pi, pi], as
+    every quantile function returns them, take one pass: only -pi moves,
+    to pi.  Anything else (out of range, infinite or NaN) goes through
+    the modulo.
     """
     scalar = np.ndim(phi) == 0
     arr = np.asarray(phi, dtype=float)
-    wrapped = np.mod(arr, _TWO_PI)
-    wrapped = np.where(wrapped > np.pi, wrapped - _TWO_PI, wrapped)
-    out = np.where((arr > -np.pi) & (arr <= np.pi), arr, wrapped)
+    # min and max propagate NaN, which fails both comparisons.
+    if arr.size and -np.pi <= arr.min() and arr.max() <= np.pi:
+        out = np.where(arr == -np.pi, np.pi, arr)
+    else:
+        wrapped = np.mod(arr, _TWO_PI)
+        wrapped = np.where(wrapped > np.pi, wrapped - _TWO_PI, wrapped)
+        out = np.where((arr > -np.pi) & (arr <= np.pi), arr, wrapped)
     return float(out) if scalar else out
 
 

@@ -14,6 +14,12 @@ them by its counter, so any subset of trials, in any chunking, reads
 the same numbers.  Of a trial's row, columns [0, P) turn into angles
 through the quantile functions (tap order, the zero-delay tap first)
 and columns [P, 2P) into powers.
+
+The row does not depend on the transmit pattern, which only the delayed
+taps' departure quantiles read.  So generate_chunk takes a chunk of
+trials under several patterns at once: the uniforms, local angles and
+powers are drawn once, and each pattern adds one layer of departure
+angles.  This is how an HPBW sweep runs all its points in one pass.
 """
 
 from __future__ import annotations
@@ -41,7 +47,9 @@ class PathSet:
     power of each scattered path, in draw order: the zero-delay tap's
     local paths first, then each delayed tap in profile order.  Shape
     (paths,) for one trial; (trials, paths), one row per trial, for a
-    batch from generate_trials.
+    batch from generate_trials.  From generate_chunk, angles are
+    (points, trials, paths), one layer per pattern, and the powers
+    (trials, paths) are every layer's.
     tap_index: the tap each scattered path (column) belongs to.
     direct_power: power of the direct path at boresight; 0.0 when
     kappa = 0, in which case the trial has no direct path.
@@ -76,33 +84,44 @@ def _power_scales(scenario):
     return np.repeat(scales, [tap.path_count for tap in taps])
 
 
-def generate_trials(scenario: "ScenarioConfig", first, stop):
-    """Path sets of trials first..stop-1 as one batch, one row per trial.
+def draw_uniforms(scenario: "ScenarioConfig", first, stop):
+    """The uniforms of trials first..stop-1, one row of W per trial, in one call.
 
-    Reads the trials' uniforms from the run's stream in one call (see
-    the module docstring), turns the angle columns into local arrival
-    angles and departure angles by the quantile functions, maps each
-    delayed tap's departures through its ellipse, and scales the power
-    columns.  Row k equals generate_trial(scenario, first + k) bit for
-    bit, whatever first and stop are.
+    See the module docstring for the stream layout.
     """
     if first < 0:
         raise ValueError(f"trial index must be nonnegative, got {first}")
-    profile = scenario.taps
-    counts = [tap.path_count for tap in profile.taps]
-    paths = sum(counts)
+    paths = sum(tap.path_count for tap in scenario.taps.taps)
     width = _BLOCK * -(-2 * paths // _BLOCK)
     key = np.random.SeedSequence(scenario.master_seed).generate_state(2, np.uint64)
     stream = np.random.Philox(key=key, counter=first * (width // _BLOCK))
-    uniforms = np.random.Generator(stream).random((stop - first, width))
+    return np.random.Generator(stream).random((stop - first, width))
 
-    angles = np.empty((stop - first, paths))
+
+def generate_chunk(scenario: "ScenarioConfig", patterns, first, stop):
+    """Path sets of trials first..stop-1 under each of patterns, as one batch.
+
+    Draws the trials' uniforms once, takes the local arrival angles and
+    the powers from them once, and fills one layer of a (points, trials,
+    paths) angle array per pattern with that pattern's departure
+    quantiles; each delayed tap's departures, for all points at once,
+    then go through its ellipse.  The powers, (trials, paths), are shared
+    by every point.  Layer p equals generate_trials of the scenario with
+    patterns[p] bit for bit.
+    """
+    profile = scenario.taps
+    counts = [tap.path_count for tap in profile.taps]
+    paths = sum(counts)
+    uniforms = draw_uniforms(scenario, first, stop)
+
+    angles = np.empty((len(patterns), stop - first, paths))
     start = counts[0]
-    angles[:, :start] = wrap_angle(scenario.local.quantile(uniforms[:, :start]))
-    angles[:, start:] = scenario.pattern.quantile(uniforms[:, start:paths])
+    angles[:, :, :start] = wrap_angle(scenario.local.quantile(uniforms[:, :start]))
+    for layer, pattern in zip(angles, patterns):
+        layer[:, start:] = pattern.quantile(uniforms[:, start:paths])
     for count, ellipse in zip(counts[1:], ellipses_for_taps(profile, scenario.distance)):
         # aod_to_aoa wraps its input, so every angle is wrapped exactly once.
-        block = angles[:, start:start + count]
+        block = angles[:, :, start:start + count]
         block[...] = aod_to_aoa(block, ellipse.eccentricity)
         start += count
     return PathSet(
@@ -111,6 +130,21 @@ def generate_trials(scenario: "ScenarioConfig", first, stop):
         tap_index=np.repeat(np.arange(len(counts)), counts),
         direct_power=scenario.kappa * profile.taps[0].power / (1.0 + scenario.kappa),
     )
+
+
+def generate_trials(scenario: "ScenarioConfig", first, stop):
+    """Path sets of trials first..stop-1 as one batch, one row per trial.
+
+    Reads the trials' uniforms from the run's stream in one call (see
+    the module docstring), turns the angle columns into local arrival
+    angles and departure angles by the quantile functions, maps each
+    delayed tap's departures through its ellipse, and scales the power
+    columns.  Row k equals generate_trial(scenario, first + k) bit for
+    bit, whatever first and stop are.  The one-pattern case of
+    generate_chunk.
+    """
+    batch = generate_chunk(scenario, (scenario.pattern,), first, stop)
+    return PathSet(batch.angles[0], batch.powers, batch.tap_index, batch.direct_power)
 
 
 def generate_trial(scenario: "ScenarioConfig", trial_index):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -34,7 +35,7 @@ from .estimation import (
     spectrum_rows,
 )
 from .geometry import _DEG
-from .montecarlo import generate_trials
+from .montecarlo import generate_chunk
 
 _US = 1e-6  # seconds per microsecond
 
@@ -134,10 +135,7 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.distance < 0:
             raise ValueError(f"distance must be nonnegative, got {self.distance}")
-        if self.kappa < 0:
-            raise ValueError(f"kappa must be nonnegative, got {self.kappa}")
-        if self.mu < 0:
-            raise ValueError(f"mu must be nonnegative, got {self.mu}")
+        self.local  # LocalScattering checks the signs of mu and kappa
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if self.bins < 8:
@@ -145,7 +143,7 @@ class ScenarioConfig:
         if not 0 <= self.master_seed < 2 ** 64:
             raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed}")
 
-    @property
+    @cached_property
     def local(self):
         return LocalScattering(mu=self.mu, kappa=self.kappa)
 
@@ -261,46 +259,68 @@ class RunReport:
         }
 
 
-def trials_per_chunk(config):
-    """Trials that run_simulation generates and bins as one batch."""
+def trials_per_chunk(config, points=1):
+    """Trials that one chunk generates and bins as one batch, for points patterns."""
     per_trial = sum(tap.path_count for tap in config.taps.taps) + config.bins
-    return max(1, CHUNK_SIZE // per_trial)
+    return max(1, CHUNK_SIZE // points // per_trial)
+
+
+def _simulate(config, patterns):
+    """One report per pattern: config's trials, run once for all patterns.
+
+    Trials run in chunks of consecutive trials (trials_per_chunk), each
+    generated under every pattern at once (montecarlo.generate_chunk),
+    binned and reduced as one batch before the next: the per-trial
+    spreads are taken per chunk and each pattern's density rows added
+    into its running sum in trial order, so memory stays bounded by the
+    chunk size, whatever the trial count.  Every trial reads its own
+    block of the run's random stream, so each report is what config
+    with that pattern gives alone, bit for bit, whatever the chunking
+    and the other patterns.
+    """
+    trials, step = config.trials, trials_per_chunk(config, len(patterns))
+    density_sum = np.zeros((len(patterns), config.bins))
+    point_mass = np.empty(trials)
+    trial_spreads, path_spreads = np.empty((2, len(patterns), trials))
+    for first in range(0, trials, step):
+        stop = min(first + step, trials)
+        paths = generate_chunk(config, patterns, first, stop)
+        density, point_mass[first:stop] = spectrum_rows(paths, config.bins)
+        for running, rows in zip(density_sum, density):
+            # Reducing axis 0 adds row by row, so the sum is the same for
+            # any chunking; summing the chunk first would change the last
+            # bits.
+            running[...] = np.add.reduce(np.vstack([running, rows]))
+        trial_spreads[:, first:stop] = angle_spread_rows(density, point_mass[first:stop])
+        path_spreads[:, first:stop] = path_spread_rows(paths)
+    # np.mean over the point masses adds pairwise, so they are all kept.
+    mean_point_mass = float(np.mean(point_mass))
+    reports = []
+    for pattern, running, trial_row, path_row in zip(patterns, density_sum, trial_spreads,
+                                                     path_spreads):
+        averaged = AngularSpectrum(running / trials, mean_point_mass)
+        reports.append(RunReport(
+            averaged_spectrum=averaged,
+            angle_spread=rms_angle_spread(averaged),
+            per_trial_spreads=tuple(trial_row.tolist()),
+            per_path_spreads=tuple(path_row.tolist()),
+            scenario_echo=replace(config, pattern=pattern),
+        ))
+    return reports
 
 
 def run_simulation(config):
     """Run the configured number of trials and average their spectra.
 
-    Trials run in chunks of consecutive trials (trials_per_chunk), each
-    generated, binned and reduced as one batch before the next: the
-    per-trial spreads are taken per chunk and the density rows added
-    into one running sum in trial order, so memory stays bounded by the
-    chunk size, whatever the trial count.  Every trial reads its own
-    block of the run's random stream (see montecarlo), so the output is
-    fully deterministic for a fixed scenario and seed and does not
-    depend on the chunking.  Each trial is generated once, for its
+    The one-pattern case of _simulate: trials run in bounded chunks,
+    each generated, binned and reduced as one batch.  Every trial reads
+    its own block of the run's random stream (see montecarlo), so the
+    output is fully deterministic for a fixed scenario and seed and does
+    not depend on the chunking.  Each trial is generated once, for its
     spectrum and its unbinned spread alike.
     """
-    trials, step = config.trials, trials_per_chunk(config)
-    density_sum = np.zeros(config.bins)
-    point_mass, trial_spreads, path_spreads = np.empty((3, trials))
-    for first in range(0, trials, step):
-        stop = min(first + step, trials)
-        paths = generate_trials(config, first, stop)
-        density, point_mass[first:stop] = spectrum_rows(paths, config.bins)
-        # Reducing axis 0 adds row by row, so the sum is the same for any
-        # chunking; summing the chunk first would change the last bits.
-        density_sum = np.add.reduce(np.vstack([density_sum, density]))
-        trial_spreads[first:stop] = angle_spread_rows(density, point_mass[first:stop])
-        path_spreads[first:stop] = path_spread_rows(paths)
-    # np.mean over the point masses adds pairwise, so they are all kept.
-    averaged = AngularSpectrum(density_sum / trials, float(np.mean(point_mass)))
-    return RunReport(
-        averaged_spectrum=averaged,
-        angle_spread=rms_angle_spread(averaged),
-        per_trial_spreads=tuple(trial_spreads.tolist()),
-        per_path_spreads=tuple(path_spreads.tolist()),
-        scenario_echo=config,
-    )
+    [report] = _simulate(config, (config.pattern,))
+    return report
 
 
 class SweepPoint(NamedTuple):
@@ -312,20 +332,19 @@ class SweepPoint(NamedTuple):
 def hpbw_sweep(config, hpbw_deg_list):
     """Angle spread versus half-power beamwidth.
 
-    Reruns the simulation for each beamwidth (degrees) with the same
-    master seed and returns one (hpbw_deg, angle_spread, report) point
-    per entry, each equal bit for bit to run_simulation at that
-    beamwidth.  Every point reads the same uniforms, so the points share
-    common random numbers.  Only defined for Gaussian patterns.
+    Returns one (hpbw_deg, angle_spread, report) point per beamwidth
+    (degrees), each equal bit for bit to run_simulation at that
+    beamwidth.  All points run in one pass: each chunk of trials draws
+    its uniforms, local angles and powers once, and only the delayed
+    taps' departures, their ellipse map and the binning are per point.
+    Every point reads the same uniforms, so the points share common
+    random numbers.  Only defined for Gaussian patterns.
     """
     if not isinstance(config.pattern, GaussianPattern):
         raise ValueError("HPBW sweep requires a Gaussian antenna pattern")
-    hpbw_deg_list = list(hpbw_deg_list)
-    if not hpbw_deg_list:
+    hpbws = [float(hpbw_deg) for hpbw_deg in hpbw_deg_list]
+    if not hpbws:
         raise ValueError("hpbw list must be nonempty")
-    points = []
-    for hpbw_deg in hpbw_deg_list:
-        cfg = replace(config, pattern=GaussianPattern(hpbw=float(hpbw_deg) * _DEG))
-        report = run_simulation(cfg)
-        points.append(SweepPoint(float(hpbw_deg), report.angle_spread, report))
-    return points
+    patterns = tuple(GaussianPattern(hpbw=hpbw * _DEG) for hpbw in hpbws)
+    return [SweepPoint(hpbw, report.angle_spread, report)
+            for hpbw, report in zip(hpbws, _simulate(config, patterns))]

@@ -93,12 +93,12 @@ class TestSimulate:
 
         generated = []
 
-        def counting_generate_trials(config, first, stop):
-            batch = montecarlo.generate_trials(config, first, stop)
-            generated.extend(range(first, first + batch.angles.shape[0]))
+        def counting_generate_chunk(config, patterns, first, stop):
+            batch = montecarlo.generate_chunk(config, patterns, first, stop)
+            generated.extend(range(first, first + batch.angles.shape[1]))
             return batch
 
-        monkeypatch.setattr(scenario, "generate_trials", counting_generate_trials)
+        monkeypatch.setattr(scenario, "generate_chunk", counting_generate_chunk)
         assert main(["simulate", "--scenario", str(scenario_file), "--out", str(tmp_path),
                      "--trials", "5", "--per-path-spread"]) == 0
         assert generated == [0, 1, 2, 3, 4]

@@ -1,6 +1,7 @@
 """Tests for spectrum estimation and dispersion metrics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,12 +11,15 @@ from aoasim.angular import GaussianPattern, OmniPattern, Tap, TapProfile
 from aoasim.estimation import (
     AngularSpectrum,
     _bin_index,
+    angle_spread_rows,
     estimate_pdf,
     lse,
+    path_spread_rows,
     rms_angle_spread,
     rms_angle_spread_paths,
+    spectrum_rows,
 )
-from aoasim.montecarlo import PathSet, generate_trials
+from aoasim.montecarlo import PathSet, generate_chunk, generate_trials
 
 TWO_PI = 2 * math.pi
 
@@ -38,13 +42,14 @@ def _uniform_spectrum(bins=360):
 def _averaged(monkeypatch, path_sets, bins):
     # run_simulation's average over the given path sets, one trial each:
     # one trial per chunk, the chunk's batch being that trial's path set
-    def trials(config, first, stop):
+    # under the one pattern
+    def chunk(config, patterns, first, stop):
         [paths] = path_sets[first:stop]
-        return PathSet(angles=paths.angles[None], powers=paths.powers[None],
-                       tap_index=paths.tap_index[None], direct_power=paths.direct_power)
+        return PathSet(angles=paths.angles[None, None], powers=paths.powers[None],
+                       tap_index=paths.tap_index, direct_power=paths.direct_power)
 
     monkeypatch.setattr(scenario, "CHUNK_SIZE", 1)
-    monkeypatch.setattr(scenario, "generate_trials", trials)
+    monkeypatch.setattr(scenario, "generate_chunk", chunk)
     config = scenario.ScenarioConfig(
         distance=1000.0, taps=TapProfile((Tap(0.0, 1.0, 1),)), pattern=OmniPattern(),
         kappa=0.0, mu=0.0, trials=len(path_sets), bins=bins)
@@ -248,6 +253,38 @@ class TestRawPathSpread:
         )
         assert spread_without == 0.0
         assert spread_with == pytest.approx(0.5, rel=1e-12)
+
+
+class TestStackedRows:
+    """A leading points axis: each layer reduces as a batch of its own."""
+
+    def test_each_layer_equals_its_own_batch(self):
+        config = scenario.ScenarioConfig(
+            distance=900.0,
+            taps=TapProfile((Tap(0.0, 0.4, 5), Tap(1e-6, 0.4, 1), Tap(3e-6, 0.2, 7))),
+            pattern=OmniPattern(), kappa=0.6, mu=4.0, trials=9, bins=40, master_seed=8)
+        patterns = (OmniPattern(), GaussianPattern(math.radians(90.0)),
+                    GaussianPattern(math.radians(10.0)))
+        stacked = generate_chunk(config, patterns, 2, 9)
+        density, point_mass = spectrum_rows(stacked, config.bins)
+        spreads = angle_spread_rows(density, point_mass)
+        path_spreads = path_spread_rows(stacked)
+        assert density.shape == (3, 7, 40) and spreads.shape == path_spreads.shape == (3, 7)
+        for k, pattern in enumerate(patterns):
+            alone = generate_trials(replace(config, pattern=pattern), 2, 9)
+            assert np.array_equal(stacked.angles[k], alone.angles)
+            assert np.array_equal(stacked.powers, alone.powers)
+            layer_density, layer_mass = spectrum_rows(alone, config.bins)
+            assert np.array_equal(density[k], layer_density)
+            assert np.array_equal(point_mass, layer_mass)
+            assert np.array_equal(spreads[k], angle_spread_rows(layer_density, layer_mass))
+            assert np.array_equal(path_spreads[k], path_spread_rows(alone))
+
+    def test_unnormalized_row_of_a_later_point_is_named(self):
+        density = np.full((2, 3, 36), 1.0 / TWO_PI)
+        density[1, 2] *= 1.5
+        with pytest.raises(ValueError, match=r"defect 5\.000e-01"):
+            angle_spread_rows(density, np.zeros(3))
 
 
 class TestPooledVersusAveraged:

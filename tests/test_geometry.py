@@ -40,6 +40,33 @@ class TestWrapAngle:
         w = wrap_angle(x)
         assert np.all(w > -math.pi) and np.all(w <= math.pi)
 
+    def test_same_bits_as_the_modulo_formula(self):
+        def reference(phi):
+            arr = np.asarray(phi, dtype=float)
+            wrapped = np.mod(arr, 2 * np.pi)
+            wrapped = np.where(wrapped > np.pi, wrapped - 2 * np.pi, wrapped)
+            return np.where((arr > -np.pi) & (arr <= np.pi), arr, wrapped)
+
+        pi = math.pi
+        edges = [-pi, pi, -0.0, 0.0, np.nextafter(pi, np.inf), np.nextafter(-pi, -np.inf),
+                 np.nextafter(pi, 0.0), np.nextafter(-pi, 0.0), 2 * pi, -2 * pi]
+        odd = [np.inf, -np.inf, np.nan, 1e300, -1e300, 7.5, -40.0]
+        in_range = np.random.default_rng(4).uniform(-pi, pi, 64)
+        cases = [np.array(edges + odd), np.array(edges[:4]), in_range,
+                 np.append(in_range, -pi).reshape(5, 13), np.append(in_range, np.nan),
+                 np.empty(0), np.empty((2, 0))]
+        with np.errstate(invalid="ignore"):  # np.mod of an infinity is NaN
+            for arr in cases:
+                out = wrap_angle(arr)
+                assert out.shape == arr.shape
+                assert np.array_equal(out, reference(arr), equal_nan=True)
+                assert np.array_equal(np.signbit(out), np.signbit(reference(arr)))
+            for x in edges + odd:
+                out = wrap_angle(float(x))
+                assert isinstance(out, float)
+                assert np.array_equal(out, reference(x), equal_nan=True)
+                assert math.copysign(1.0, out) == math.copysign(1.0, float(reference(x)))
+
 
 class TestEllipseParams:
     def test_zero_distance_gives_circle(self):

@@ -17,6 +17,10 @@ with NumPy 2.4, SciPy 1.17 and Python 3.11 on x86-64 Linux.  They also
 depend on NumPy reducing axis 0 of a 2-d array row by row
 (np.add.reduce): the averaged spectrum is a running sum of the
 per-trial density rows in trial order.
+
+The chunked sweep case was recorded while hpbw_sweep still ran the
+whole simulation once per point; the one-pass sweep, which stacks all
+points in each chunk, must reproduce it.
 """
 
 import hashlib
@@ -91,6 +95,14 @@ WIDE_DIGESTS = {
     "spectrum.csv": "e1b51f279bcbf4725526983fc5e071ed953ff826ce348d68e53fc732a8f1fee9",
 }
 
+# 1000 paths and 360 bins per trial over 80 trials: several chunks of
+# trials (a ragged last one) for a run_simulation of one beamwidth, more
+# for the stacked sweep of four.
+_CHUNKED_TAPS = [
+    {"delay_us": delay, "power": power, "paths": paths}
+    for delay, power, paths in ((0.0, 0.45, 300), (0.8, 0.35, 400), (2.6, 0.2, 300))
+]
+
 SWEEP_DIGESTS = {
     "report.json": "f05a207849f0d7e9586bd68f426ae1b8288040c6e9ef86ec57a2297022d0ff15",
     "sweep.csv": "3f59d8db9d55bfcf7a447394d042af38792c1e83dc2399cd70ca44990cdc8bd0",
@@ -124,3 +136,19 @@ def test_sweep_bytes(tmp_path, capsys):
                  "--out", str(out)]) == 0
     capsys.readouterr()
     assert _digests(out, ["sweep.csv", "report.json"]) == SWEEP_DIGESTS
+
+
+CHUNKED_SWEEP_DIGESTS = {
+    "report.json": "27b9a33c8ad81b0a86790ee119e620c827d37a11358212e6b41f174d62eb2af3",
+    "sweep.csv": "70326e7f77020686e9fcf46949da25bbd3ed29c798624bf947718f74811c58b7",
+}
+
+
+def test_chunked_sweep_bytes(tmp_path, capsys):
+    scenario = _scenario(tmp_path, _PATTERNS["gaussian"], 0.0,
+                         taps=_CHUNKED_TAPS, trials=80, bins=360)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--scenario", str(scenario), "--hpbw", "360,150,60,20",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert _digests(out, ["sweep.csv", "report.json"]) == CHUNKED_SWEEP_DIGESTS

@@ -389,17 +389,28 @@ class TestChunkedTrials:
         _assert_binned_path_by_path(batch, config.bins)
 
     def test_memory_does_not_grow_with_trials_times_bins(self):
-        # 1000 trials over 2048 bins: a (trials, bins) buffer alone would
-        # take 16 MB; each chunk's rows are reduced before the next
-        config = _quick_config(taps=make_profile([0.0, 1.0], [0.5, 0.5], 4),
-                               trials=1000, bins=2048)
-        tracemalloc.start()
-        try:
-            run_simulation(config)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        # each chunk's rows are reduced before the next
+        config = _memory_config()
+        _, peak = _traced_memory(lambda: run_simulation(config))
         assert peak < config.trials * config.bins * 8 / 4
+
+
+def _memory_config():
+    # 1000 trials over 2048 bins: a (trials, bins) buffer alone would take
+    # 16 MB
+    return _quick_config(taps=make_profile([0.0, 1.0], [0.5, 0.5], 4), trials=1000, bins=2048)
+
+
+def _traced_memory(run):
+    # (what the call's result holds, peak) as tracemalloc counts them
+    tracemalloc.start()
+    try:
+        result = run()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return retained, peak
 
 
 class TestHpbwSweep:
@@ -407,7 +418,51 @@ class TestHpbwSweep:
         config = _quick_config()
         [point] = hpbw_sweep(config, [math.degrees(config.pattern.hpbw)])
         direct = run_simulation(config)
-        assert point.angle_spread == pytest.approx(direct.angle_spread, rel=1e-12)
+        _assert_same_report(point.report, direct)
+        assert point.angle_spread == direct.angle_spread
+
+    @pytest.mark.parametrize("kappa,mu", [(0.0, 0.0), (0.5, 6.0)])
+    def test_stacked_chunks_equal_runs_at_each_beamwidth(self, monkeypatch, kappa, mu):
+        # 10 trials in chunks of 3 (a ragged last chunk of 1), three points
+        # stacked per chunk; tap 1 has a single path
+        config = _chunk_config(_CHUNK_PATTERNS["gaussian"], kappa, mu)
+        hpbws = [360.0, 75.0, 12.5]
+        monkeypatch.setattr(scenario, "CHUNK_SIZE", 3 * len(hpbws) * (11 + 48))
+        assert trials_per_chunk(config, len(hpbws)) == 3
+        points = hpbw_sweep(config, hpbws)
+        assert [point.hpbw_deg for point in points] == hpbws
+        for hpbw, point in zip(hpbws, points):
+            beam = replace(config, pattern=GaussianPattern(math.radians(hpbw)))
+            _assert_same_report(point.report, run_simulation(beam))
+            assert point.angle_spread == point.report.angle_spread
+
+    def test_each_chunk_is_drawn_once_for_all_points(self, monkeypatch):
+        from aoasim import montecarlo
+
+        config = _quick_config(trials=40)
+        hpbws = [360.0, 180.0, 120.0, 90.0, 60.0]
+        draw = montecarlo.draw_uniforms
+        drawn = []
+
+        def counting_draw(config, first, stop):
+            drawn.append((first, stop))
+            return draw(config, first, stop)
+
+        monkeypatch.setattr(scenario, "CHUNK_SIZE", 4 * len(hpbws) * (45 + 90))
+        monkeypatch.setattr(montecarlo, "draw_uniforms", counting_draw)
+        hpbw_sweep(config, hpbws)
+        # 40 trials in 10 chunks of 4, each drawn once for all 5 points
+        assert drawn == [(first, first + 4) for first in range(0, 40, 4)]
+
+    def test_memory_does_not_grow_with_points_times_trials(self):
+        # 40 points: one (points, trials, bins) buffer would take 655 MB.
+        # The 40 reports returned hold about 3.3 MB (two tuples of 1000
+        # floats and 2048 bins each); above them, the sweep keeps to the
+        # bound that one run_simulation of the scenario keeps
+        config = _memory_config()
+        hpbws = np.linspace(20.0, 360.0, 40)
+        retained, peak = _traced_memory(lambda: hpbw_sweep(config, hpbws))
+        assert peak - retained < config.trials * config.bins * 8 / 4
 
     def test_each_point_equals_a_run_at_its_beamwidth(self):
         config = _quick_config(trials=12)
