@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import i0e, ndtr, ndtri
 
 from .estimation import weighted_spread
-from .geometry import _DEG, _TWO_PI, aoa_jacobian, aoa_to_aod, ellipse_params
+from .geometry import _DEG, _TWO_PI, _US, _check_angles, aoa_jacobian, aoa_to_aod, ellipse_params
 
 # HPBW is defined on the power pattern: g^2 drops to 1/2 at +/- hpbw/2,
 # so the amplitude-pattern std is hpbw / (2 sqrt(ln 2)).
@@ -336,11 +336,28 @@ def _von_mises_table(mu):
 
 @dataclass(frozen=True)
 class Tap:
-    """One delay tap: excess delay (seconds), mean linear power, path count."""
+    """One delay tap: excess delay (seconds), mean linear power, path count.
+
+    Owns its scenario-file form, {"delay_us", "power", "paths"}, as each
+    pattern kind owns its own.
+    """
 
     delay: float
     power: float
     path_count: int
+    json_keys = ("delay_us", "power", "paths")
+
+    def to_json(self):
+        return {"delay_us": self.delay / _US, "power": self.power, "paths": self.path_count}
+
+    @classmethod
+    def from_json(cls, doc, path, default_paths):
+        json_object(doc, cls.json_keys, path)
+        return cls(
+            delay=json_field(doc, "delay_us", path=path) * _US,
+            power=json_field(doc, "power", path=path),
+            path_count=json_field(doc, "paths", default_paths, integer=True, path=path),
+        )
 
 
 @dataclass(frozen=True)
@@ -391,18 +408,8 @@ class TapProfile:
 
 
 def ellipses_for_taps(profile, distance):
-    """Ellipse set for the delayed taps of a profile (tap indices 1..N)."""
-    return tuple(
-        ellipse_params(distance, tap.delay, tap_index=index)
-        for index, tap in enumerate(profile.delayed, start=1)
-    )
-
-
-def _check_angles(phi):
-    arr = np.asarray(phi, dtype=float)
-    if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr <= -np.pi) or np.any(arr > np.pi)):
-        raise ValueError("angles must lie in (-pi, pi]")
-    return arr
+    """Ellipse set for the delayed taps of a profile, in tap order."""
+    return tuple(ellipse_params(distance, tap.delay) for tap in profile.delayed)
 
 
 def aod_pdf(phi_t, pattern):

@@ -24,9 +24,8 @@ from pathlib import Path
 
 from . import __version__
 from .estimation import lse
-from .geometry import _DEG
+from .geometry import _DEG, _US
 from .scenario import (
-    _US,
     DEFAULT_PATHS_PER_TAP,
     DEFAULT_PROMINENCE_DB,
     ScenarioConfig,
@@ -38,14 +37,9 @@ from .scenario import (
 
 def _load_config(args):
     config = ScenarioConfig.from_file(args.scenario)
-    overrides = {}
-    if getattr(args, "trials", None) is not None:
-        overrides["trials"] = args.trials
-    if getattr(args, "bins", None) is not None:
-        overrides["bins"] = args.bins
-    if getattr(args, "seed", None) is not None:
-        overrides["master_seed"] = args.seed
-    return replace(config, **overrides) if overrides else config
+    overrides = {"trials": args.trials, "bins": args.bins, "master_seed": args.seed}
+    return replace(config, **{name: value for name, value in overrides.items()
+                              if value is not None})
 
 
 def _write_json(path, payload):
@@ -62,18 +56,34 @@ def _write_spectrum_csv(path, spectrum):
             writer.writerow([repr(float(center) / _DEG), repr(float(density) * _DEG)])
 
 
+def _number(field):
+    try:
+        return float(field)
+    except ValueError:
+        return None
+
+
 def _read_csv_pairs(path):
-    rows = []
+    """The (x, y) rows of a two-column CSV of numbers.
+
+    Blank rows and rows whose first field starts with # are skipped, and
+    so is the first other row if its first field is not a number (a
+    header).  Every other row must be exactly two numbers.
+    """
+    rows, first = [], True
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or row[0].lstrip().startswith("#"):
                 continue
-            try:
-                rows.append((float(row[0]), float(row[1])))
-            except (ValueError, IndexError):
-                if rows:
-                    raise ValueError(f"malformed CSV row in {path}: {row!r}")
-                # otherwise: header row, skip
+            values = [_number(field) for field in row]
+            header, first = first and values[0] is None, False
+            if header:
+                continue
+            if len(values) != 2 or None in values:
+                raise ValueError(f"malformed CSV row {reader.line_num} in {path}: {row!r} "
+                                 "(expected two numbers)")
+            rows.append(tuple(values))
     if not rows:
         raise ValueError(f"no numeric rows found in {path}")
     return rows
@@ -87,7 +97,7 @@ def _cmd_simulate(args):
     payload = report.to_json_dict()
     payload["version"] = __version__
     if args.per_path_spread:
-        spreads = report.per_path_spreads
+        spreads = report.per_path_spreads.tolist()
         payload["per_path_spread_deg"] = [s / _DEG for s in spreads]
         # Added left to right, whatever the Python version's sum() does.
         total = functools.reduce(operator.add, spreads, 0.0)
@@ -156,10 +166,7 @@ def _cmd_taps(args):
         paths_per_tap=args.paths,
     )
     payload = {
-        "taps": [
-            {"delay_us": t.delay / _US, "power": t.power, "paths": t.path_count}
-            for t in profile.taps
-        ],
+        "taps": [tap.to_json() for tap in profile.taps],
         "rms_delay_spread_us": profile.rms_delay_spread() / _US,
     }
     text = json.dumps(payload, indent=2, sort_keys=True)
@@ -223,7 +230,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, TypeError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, KeyError, OSError, MemoryError) as exc:
         record = {"error": str(exc), "type": type(exc).__name__, "command": args.command}
         sys.stderr.write(json.dumps(record) + "\n")
         return 1

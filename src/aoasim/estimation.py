@@ -6,12 +6,12 @@ over K uniform bins, the bin count being the only statement of the
 binning, and angular dispersion is summarized by the rms angle spread
 of the binned distribution.
 
-A path set may hold a batch of trials, one row each (see
-montecarlo.generate_trials), or such a batch under several patterns
-behind a leading points axis (montecarlo.generate_chunk):
-spectrum_rows, angle_spread_rows and path_spread_rows reduce every row
-at once, and the single-trial functions are their one-row case.  Each
-row's result is bit for bit what the same trial gives alone.
+A path set may hold one trial, a batch of trials, one row each, or
+such a batch under several patterns behind a leading points axis (see
+montecarlo.generate_chunk): spectrum_rows, angle_spread_rows and
+path_spread_rows reduce every row at once, and the single-trial
+functions are their one-row case.  Each row's result is bit for bit
+what the same trial gives alone.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _TWO_PI
+from .geometry import _TWO_PI, _check_angles
 
 # Tolerance on sum(probabilities) + point_mass == 1 for a valid spectrum.
 NORMALIZATION_TOL = 1e-9
@@ -104,12 +104,9 @@ class AngularSpectrum:
 
         Bin membership follows the histogram convention used to build
         the spectrum: bins are left-inclusive and the last bin also
-        contains +pi.
+        contains +pi.  Every angle must be finite and in (-pi, pi].
         """
-        arr = np.asarray(phi, dtype=float)
-        if arr.size and (np.any(arr <= -np.pi) or np.any(arr > np.pi)):
-            raise ValueError("angles must lie in (-pi, pi]")
-        out = self.density[_bin_index(arr, self.bin_count)]
+        out = self.density[_bin_index(_check_angles(phi), self.bin_count)]
         return float(out) if np.ndim(phi) == 0 else out
 
 
@@ -236,39 +233,19 @@ def path_spread_rows(paths):
     return weighted_spread(np.atleast_2d(paths.angles), weights)
 
 
-def rms_angle_spread_paths(paths):
-    """Rms angle spread computed from raw paths, without binning.
+def lse(spectrum, empirical):
+    """Least-square error between a spectrum and empirical samples.
 
-    Power-weighted linear moments of the arrival angles; the direct
-    path contributes at angle zero through its power weight.  Provided
-    for comparison with the binned estimate.
-    """
-    [spread] = path_spread_rows(paths)
-    return float(spread)
-
-
-def lse(model, empirical):
-    """Least-square error between a model density and empirical samples.
-
-    model: an AngularSpectrum or a callable returning density (1/radian)
-    at an angle.  empirical: nonempty sequence of (angle_rad, density)
-    pairs with angles in (-pi, pi].  Returns the unweighted sum of
-    squared density differences at the empirical angles.
+    empirical: nonempty sequence of (angle_rad, density) pairs, angles
+    in (-pi, pi] and densities in 1/radian, all finite.  Returns the
+    unweighted sum of squared differences between the spectrum's
+    density_at each empirical angle and the empirical density.
     """
     empirical = list(empirical)
     if not empirical:
         raise ValueError("empirical data must be nonempty")
-    angles = np.array([a for a, _ in empirical], dtype=float)
     values = np.array([v for _, v in empirical], dtype=float)
-    if not (np.all(np.isfinite(angles)) and np.all(np.isfinite(values))):
-        raise ValueError("empirical angles and densities must be finite")
-    if np.any(angles <= -np.pi) or np.any(angles > np.pi):
-        raise ValueError("empirical angles must lie in (-pi, pi]")
-    if isinstance(model, AngularSpectrum):
-        predicted = model.density_at(angles)
-    elif callable(model):
-        predicted = np.array([float(model(a)) for a in angles])
-    else:
-        raise TypeError("model must be an AngularSpectrum or a callable density")
-    residual = predicted - values
+    if not np.all(np.isfinite(values)):
+        raise ValueError("empirical densities must be finite")
+    residual = spectrum.density_at(np.array([a for a, _ in empirical], dtype=float)) - values
     return float(np.dot(residual, residual))

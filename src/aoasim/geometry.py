@@ -19,6 +19,7 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact SI value
 
 _TWO_PI = 2.0 * np.pi
 _DEG = np.pi / 180.0  # radians per degree
+_US = 1e-6  # seconds per microsecond
 
 
 @dataclass(frozen=True)
@@ -31,7 +32,6 @@ class EllipseGeometry:
 
     major_axis: float
     eccentricity: float
-    tap_index: int = 0
 
 
 def wrap_angle(phi):
@@ -55,7 +55,17 @@ def wrap_angle(phi):
     return float(out) if scalar else out
 
 
-def ellipse_params(distance, delay, tap_index=0):
+def _check_angles(phi):
+    """phi as a float array, checked to be finite and in (-pi, pi]."""
+    arr = np.asarray(phi, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("angles must be finite")
+    if np.any(arr <= -np.pi) or np.any(arr > np.pi):
+        raise ValueError("angles must lie in (-pi, pi]")
+    return arr
+
+
+def ellipse_params(distance, delay):
     """Build the ellipse for one excess-delay tap.
 
     distance: Tx-Rx separation in meters (focal distance of the ellipse).
@@ -72,10 +82,7 @@ def ellipse_params(distance, delay, tap_index=0):
             f"delay must be positive (zero delay is the local-scattering tap), got {delay}"
         )
     major_axis = distance + SPEED_OF_LIGHT * delay
-    eccentricity = distance / major_axis
-    return EllipseGeometry(
-        major_axis=major_axis, eccentricity=eccentricity, tap_index=tap_index
-    )
+    return EllipseGeometry(major_axis=major_axis, eccentricity=distance / major_axis)
 
 
 def _check_eccentricity(eccentricity):

@@ -47,9 +47,9 @@ class PathSet:
     power of each scattered path, in draw order: the zero-delay tap's
     local paths first, then each delayed tap in profile order.  Shape
     (paths,) for one trial; (trials, paths), one row per trial, for a
-    batch from generate_trials.  From generate_chunk, angles are
-    (points, trials, paths), one layer per pattern, and the powers
-    (trials, paths) are every layer's.
+    batch.  From generate_chunk, angles are (points, trials, paths),
+    one layer per pattern, and the powers (trials, paths) are every
+    layer's.
     tap_index: the tap each scattered path (column) belongs to.
     direct_power: power of the direct path at boresight; 0.0 when
     kappa = 0, in which case the trial has no direct path.
@@ -106,8 +106,9 @@ def generate_chunk(scenario: "ScenarioConfig", patterns, first, stop):
     paths) angle array per pattern with that pattern's departure
     quantiles; each delayed tap's departures, for all points at once,
     then go through its ellipse.  The powers, (trials, paths), are shared
-    by every point.  Layer p equals generate_trials of the scenario with
-    patterns[p] bit for bit.
+    by every point.  Layer p is bit for bit what the scenario with
+    patterns[p] gives alone, and row k of it what trial first + k gives
+    alone, whatever first and stop are.
     """
     profile = scenario.taps
     counts = [tap.path_count for tap in profile.taps]
@@ -132,21 +133,6 @@ def generate_chunk(scenario: "ScenarioConfig", patterns, first, stop):
     )
 
 
-def generate_trials(scenario: "ScenarioConfig", first, stop):
-    """Path sets of trials first..stop-1 as one batch, one row per trial.
-
-    Reads the trials' uniforms from the run's stream in one call (see
-    the module docstring), turns the angle columns into local arrival
-    angles and departure angles by the quantile functions, maps each
-    delayed tap's departures through its ellipse, and scales the power
-    columns.  Row k equals generate_trial(scenario, first + k) bit for
-    bit, whatever first and stop are.  The one-pattern case of
-    generate_chunk.
-    """
-    batch = generate_chunk(scenario, (scenario.pattern,), first, stop)
-    return PathSet(batch.angles[0], batch.powers, batch.tap_index, batch.direct_power)
-
-
 def generate_trial(scenario: "ScenarioConfig", trial_index):
     """Generate the path set of one Monte Carlo trial.
 
@@ -157,7 +143,8 @@ def generate_trial(scenario: "ScenarioConfig", trial_index):
     direct path at boresight carries the power kappa * P_0 / (1 + kappa).
 
     Deterministic in (scenario, trial_index): repeated calls return
-    bitwise-identical arrays.  The one-trial case of generate_trials.
+    bitwise-identical arrays.  A view of the one-trial, one-pattern
+    generate_chunk.
     """
-    batch = generate_trials(scenario, trial_index, trial_index + 1)
-    return PathSet(batch.angles[0], batch.powers[0], batch.tap_index, batch.direct_power)
+    batch = generate_chunk(scenario, (scenario.pattern,), trial_index, trial_index + 1)
+    return PathSet(batch.angles[0, 0], batch.powers[0], batch.tap_index, batch.direct_power)

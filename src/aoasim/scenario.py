@@ -34,10 +34,8 @@ from .estimation import (
     rms_angle_spread,
     spectrum_rows,
 )
-from .geometry import _DEG
+from .geometry import _DEG, _US
 from .montecarlo import generate_chunk
-
-_US = 1e-6  # seconds per microsecond
 
 DEFAULT_PATHS_PER_TAP = 50
 DEFAULT_PROMINENCE_DB = 3.0
@@ -50,7 +48,6 @@ CHUNK_SIZE = 1 << 15
 
 _SCENARIO_KEYS = ("distance_m", "kappa", "mu", "trials", "bins", "seed", "pattern",
                   "taps", "pdp", "paths_per_tap", "prominence_db")
-_TAP_KEYS = ("delay_us", "power", "paths")
 
 
 def extract_taps(raw_pdp, min_prominence_db=DEFAULT_PROMINENCE_DB,
@@ -163,16 +160,10 @@ class ScenarioConfig:
         if "taps" in doc:
             if not isinstance(doc["taps"], list):
                 raise ValueError("taps must be a list of tap objects")
-            taps = []
-            for index, entry in enumerate(doc["taps"]):
-                path = f"taps[{index}]"
-                json_object(entry, _TAP_KEYS, path)
-                taps.append(Tap(
-                    delay=json_field(entry, "delay_us", path=path) * _US,
-                    power=json_field(entry, "power", path=path),
-                    path_count=json_field(entry, "paths", default_paths, integer=True, path=path),
-                ))
-            profile = TapProfile(tuple(taps))
+            profile = TapProfile(tuple(
+                Tap.from_json(entry, f"taps[{index}]", default_paths)
+                for index, entry in enumerate(doc["taps"])
+            ))
         else:
             profile = extract_taps(
                 [(d * _US, p) for d, p in json_pairs(doc, "pdp")],
@@ -199,10 +190,7 @@ class ScenarioConfig:
             "bins": self.bins,
             "seed": self.master_seed,
             "pattern": self.pattern.to_json(),
-            "taps": [
-                {"delay_us": t.delay / _US, "power": t.power, "paths": t.path_count}
-                for t in self.taps.taps
-            ],
+            "taps": [tap.to_json() for tap in self.taps.taps],
         }
 
     @classmethod
@@ -216,28 +204,29 @@ class ScenarioConfig:
             fh.write("\n")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunReport:
     """Result of one averaged simulation run.
 
     angle_spread is the rms angle spread of the averaged spectrum, in
     radians; per_trial_spreads holds the spread of each single-trial
     spectrum, and per_path_spreads the unbinned spread of each trial's
-    raw paths (rms_angle_spread_paths), taken in the same pass.
-    to_json_dict leaves per_path_spreads out; the CLI emits them on
-    request.  The report carries no timing, so emitted reports stay
-    byte-identical across runs.
+    raw paths (estimation.path_spread_rows), taken in the same pass:
+    read-only float64 arrays, one entry per trial.  to_json_dict leaves
+    per_path_spreads out; the CLI emits them on request.  The report
+    carries no timing, so emitted reports stay byte-identical across
+    runs.
     """
 
     averaged_spectrum: AngularSpectrum
     angle_spread: float
-    per_trial_spreads: tuple[float, ...]
-    per_path_spreads: tuple[float, ...]
+    per_trial_spreads: np.ndarray
+    per_path_spreads: np.ndarray
     scenario_echo: ScenarioConfig
 
     def spread_standard_error(self):
         """Standard error of the angle-spread estimate across trials."""
-        spreads = np.array(self.per_trial_spreads)
+        spreads = self.per_trial_spreads
         if spreads.size < 2:
             return float("inf")
         return float(np.std(spreads, ddof=1) / math.sqrt(spreads.size))
@@ -250,10 +239,10 @@ class RunReport:
             "point_mass_at_zero": spectrum.point_mass_at_zero,
             "bins": spectrum.bin_count,
             "trials": self.scenario_echo.trials,
-            "per_trial_spread_deg": [s / _DEG for s in self.per_trial_spreads],
+            "per_trial_spread_deg": (self.per_trial_spreads / _DEG).tolist(),
             "spectrum": {
-                "angle_deg": [c / _DEG for c in spectrum.bin_centers],
-                "pdf_per_deg": [d * _DEG for d in spectrum.density],
+                "angle_deg": (spectrum.bin_centers / _DEG).tolist(),
+                "pdf_per_deg": (spectrum.density * _DEG).tolist(),
             },
             "scenario": self.scenario_echo.to_json_dict(),
         }
@@ -293,6 +282,8 @@ def _simulate(config, patterns):
             running[...] = np.add.reduce(np.vstack([running, rows]))
         trial_spreads[:, first:stop] = angle_spread_rows(density, point_mass[first:stop])
         path_spreads[:, first:stop] = path_spread_rows(paths)
+    # Each report's spreads are read-only rows of these.
+    trial_spreads.flags.writeable = path_spreads.flags.writeable = False
     # np.mean over the point masses adds pairwise, so they are all kept.
     mean_point_mass = float(np.mean(point_mass))
     reports = []
@@ -302,8 +293,8 @@ def _simulate(config, patterns):
         reports.append(RunReport(
             averaged_spectrum=averaged,
             angle_spread=rms_angle_spread(averaged),
-            per_trial_spreads=tuple(trial_row.tolist()),
-            per_path_spreads=tuple(path_row.tolist()),
+            per_trial_spreads=trial_row,
+            per_path_spreads=path_row,
             scenario_echo=replace(config, pattern=pattern),
         ))
     return reports

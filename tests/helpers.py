@@ -135,7 +135,7 @@ def tabulated_pattern_cdf(samples, xs):
     return np.array([integral_up_to(float(x)) / norm for x in np.atleast_1d(xs)])
 
 
-def ellipse_with_eccentricity(ecc, tap_index=1):
+def ellipse_with_eccentricity(ecc):
     """Ellipse constructed to hit an exact target eccentricity.
 
     Uses distance = ecc and excess path length = 1 - ecc (meters), so
@@ -144,8 +144,8 @@ def ellipse_with_eccentricity(ecc, tap_index=1):
     from aoasim.geometry import SPEED_OF_LIGHT, ellipse_params
 
     if ecc == 0.0:
-        return ellipse_params(0.0, 1e-6, tap_index=tap_index)
-    return ellipse_params(float(ecc), (1.0 - float(ecc)) / SPEED_OF_LIGHT, tap_index=tap_index)
+        return ellipse_params(0.0, 1e-6)
+    return ellipse_params(float(ecc), (1.0 - float(ecc)) / SPEED_OF_LIGHT)
 
 
 def make_profile(delays_us, powers, paths_per_tap=50):

@@ -170,7 +170,7 @@ class TestVonMisesPdf:
 
 class TestDelayedAoaPdf:
     def test_zero_eccentricity_reduces_to_departure_density(self):
-        ellipse = ellipse_params(0.0, 1e-6, tap_index=1)
+        ellipse = ellipse_params(0.0, 1e-6)
         pattern = GaussianPattern(math.radians(90.0))
         x = np.linspace(-3, 3, 31)
         np.testing.assert_allclose(

@@ -11,12 +11,32 @@ import numpy as np
 import pytest
 
 import aoasim
+from aoasim import cli
+from aoasim.angular import Tap, TapProfile
 from aoasim.cli import main
-from aoasim.scenario import ScenarioConfig, run_simulation
+from aoasim.scenario import ScenarioConfig, extract_taps, run_simulation
 
 from helpers import edited_doc, left_to_right_sum
 
 TWO_PI = 2 * math.pi
+EXAMPLE_PDP = Path(__file__).parents[1] / "scenarios" / "example_pdp.csv"
+
+# Rows that must fail whole files: a non-numeric row after the first (only
+# a first row may be a header), a row of three fields, a row of one
+MALFORMED_ROWS = pytest.mark.parametrize(
+    "row, fields",
+    [("0.5,abc", "'0.5', 'abc'"), ("x,y", "'x', 'y'"),
+     ("2.0,0.3,9", "'2.0', '0.3', '9'"), ("2.0", "'2.0'")],
+    ids=["not-a-number", "second-header", "three-fields", "one-field"],
+)
+
+
+def _error_record(capsys):
+    # the one JSON error record of a failed command, which printed nothing else
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    return json.loads(line)
 
 
 @pytest.fixture
@@ -151,6 +171,18 @@ class TestSimulate:
             assert captured.out == ""
             assert not out.exists()
 
+    def test_out_of_memory_is_one_error_record(self, scenario_file, tmp_path, capsys,
+                                               monkeypatch):
+        def exhausted(config):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(cli, "run_simulation", exhausted)
+        code = main(["simulate", "--scenario", str(scenario_file), "--out", str(tmp_path)])
+        assert code == 1
+        record = _error_record(capsys)
+        assert record == {"error": "Unable to allocate 7.28 TiB for an array",
+                          "type": "MemoryError", "command": "simulate"}
+
 
 class TestSweep:
     def test_outputs(self, scenario_file, tmp_path):
@@ -241,11 +273,33 @@ class TestFit:
         code = main(["fit", "--scenario", str(scenario_file),
                      "--empirical", str(csv_path), "--trials", "2"])
         assert code == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        [line] = captured.err.splitlines()
-        record = json.loads(line)
+        record = _error_record(capsys)
         assert record["type"] == "ValueError" and "must be finite" in record["error"]
+
+    @MALFORMED_ROWS
+    def test_malformed_row_names_file_and_row(self, scenario_file, tmp_path, capsys,
+                                              row, fields):
+        # the bad row comes before a good one (line 3) or after it (line 4)
+        for rows in ([row, "1.0,0.2"], ["1.0,0.2", row]):
+            csv_path = tmp_path / "empirical.csv"
+            text = "\n".join(["angle_deg,density_per_deg", "# a comment", *rows])
+            csv_path.write_text(text + "\n", encoding="utf-8")
+            code = main(["fit", "--scenario", str(scenario_file),
+                         "--empirical", str(csv_path), "--trials", "2"])
+            assert code == 1
+            record = _error_record(capsys)
+            line = 3 if rows[0] == row else 4
+            assert record["type"] == "ValueError"
+            assert f"row {line} in {csv_path}: [{fields}]" in record["error"]
+
+    def test_first_row_is_header_only_if_not_a_number(self, scenario_file, tmp_path,
+                                                      capsys):
+        # no header: every row counts
+        csv_path = tmp_path / "empirical.csv"
+        csv_path.write_text("# angle, density\n0.5,0.003\n-10,0.002\n", encoding="utf-8")
+        assert main(["fit", "--scenario", str(scenario_file),
+                     "--empirical", str(csv_path), "--trials", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["points"] == 2
 
 
 class TestTaps:
@@ -291,8 +345,28 @@ class TestTaps:
         path = tmp_path / "pdp.csv"
         path.write_text(f"delay_us,power\n0,1\n1,0.1\n2,0.5\n{row}\n", encoding="utf-8")
         assert main(["taps", "--pdp", str(path)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        [line] = captured.err.splitlines()
-        record = json.loads(line)
+        record = _error_record(capsys)
         assert record["type"] == "ValueError" and message in record["error"]
+
+    @MALFORMED_ROWS
+    def test_malformed_row_names_file_and_row(self, tmp_path, capsys, row, fields):
+        path = tmp_path / "pdp.csv"
+        path.write_text(f"delay_us,power\n0,1\n{row}\n1,0.1\n2,0.5\n", encoding="utf-8")
+        assert main(["taps", "--pdp", str(path)]) == 1
+        record = _error_record(capsys)
+        assert record["type"] == "ValueError"
+        assert f"row 3 in {path}: [{fields}]" in record["error"]
+
+    def test_printed_taps_load_as_scenario_taps(self, capsys):
+        # the taps printed by `aoasim taps` are a scenario's taps list: one
+        # tap JSON form, read back to the profile that extract_taps gives
+        assert main(["taps", "--pdp", str(EXAMPLE_PDP)]) == 0
+        printed = json.loads(capsys.readouterr().out)["taps"]
+        samples = [(d * 1e-6, p) for d, p in cli._read_csv_pairs(EXAMPLE_PDP)]
+        extracted = extract_taps(samples)
+        assert TapProfile(tuple(Tap.from_json(tap, "taps", 50) for tap in printed)) == extracted
+        doc = {"distance_m": 1000.0, "kappa": 0.0, "mu": 1.0, "pattern": {"kind": "omni"}}
+        loaded = ScenarioConfig.from_json_dict(dict(doc, taps=printed)).taps
+        total = extracted.total_power
+        assert loaded == TapProfile(tuple(Tap(t.delay, t.power / total, t.path_count)
+                                          for t in extracted.taps))

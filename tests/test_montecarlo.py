@@ -15,7 +15,7 @@ from aoasim.angular import (
     TapProfile,
 )
 from aoasim.geometry import aod_to_aoa, wrap_angle
-from aoasim.montecarlo import _power_scales, generate_trial, generate_trials, sample_aod
+from aoasim.montecarlo import _power_scales, generate_chunk, generate_trial, sample_aod
 from aoasim.scenario import ScenarioConfig
 
 from helpers import (
@@ -73,7 +73,7 @@ class TestSampleAod:
 
 
 def sample_local_aoa(mu, rng, size):
-    # size local arrival angles, drawn as generate_trials draws them
+    # size local arrival angles, drawn as generate_chunk draws them
     return wrap_angle(LocalScattering(mu).quantile(rng.random(size)))
 
 
@@ -115,7 +115,7 @@ def _power_config(taps, kappa=0.0):
 
 def _tap_powers(config, tap, trials):
     # per-path powers of one tap, one row per trial
-    batch = generate_trials(config, 0, trials)
+    batch = generate_chunk(config, (config.pattern,), 0, trials)
     return batch.powers[:, batch.tap_index == tap]
 
 
@@ -229,9 +229,9 @@ class TestGenerateTrial:
         ellipses = ellipses_for_taps(config.taps, config.distance)
         for index in range(10):
             paths = generate_trial(config, index)
-            for ellipse in ellipses:
+            for tap_index, ellipse in enumerate(ellipses, start=1):
                 limit = aod_to_aoa(math.pi, ellipse.eccentricity)
-                arrivals = paths.angles[paths.tap_index == ellipse.tap_index]
+                arrivals = paths.angles[paths.tap_index == tap_index]
                 assert np.all(np.abs(arrivals) <= limit)
 
     def test_expected_total_power(self):
@@ -245,7 +245,7 @@ class TestGenerateTrial:
         from aoasim.angular import ellipses_for_taps
 
         config = _scenario(kappa=0.0, counts=(10, 40, 40))
-        ellipses = {e.tap_index: e for e in ellipses_for_taps(config.taps, config.distance)}
+        ellipses = dict(enumerate(ellipses_for_taps(config.taps, config.distance), start=1))
         collected = {1: [], 2: []}
         for index in range(400):
             paths = generate_trial(config, index)

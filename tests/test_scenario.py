@@ -20,7 +20,7 @@ from aoasim.angular import (
     pattern_from_json,
 )
 from aoasim.estimation import estimate_pdf, rms_angle_spread, spectrum_rows
-from aoasim.montecarlo import generate_trial, generate_trials
+from aoasim.montecarlo import generate_chunk, generate_trial
 from aoasim.scenario import (
     ScenarioConfig,
     extract_taps,
@@ -271,12 +271,22 @@ class TestRunSimulation:
         b = run_simulation(config)
         assert np.array_equal(a.averaged_spectrum.density, b.averaged_spectrum.density)
         assert a.angle_spread == b.angle_spread
-        assert a.per_trial_spreads == b.per_trial_spreads
+        assert np.array_equal(a.per_trial_spreads, b.per_trial_spreads)
 
     def test_report_invariant(self):
         report = run_simulation(_quick_config())
         assert report.angle_spread == rms_angle_spread(report.averaged_spectrum)
         assert len(report.per_trial_spreads) == report.scenario_echo.trials
+
+    def test_spreads_are_read_only_arrays(self):
+        config = _quick_config()
+        reports = [run_simulation(config)]
+        reports += [point.report for point in hpbw_sweep(config, [360.0, 60.0])]
+        for report in reports:
+            for spreads in (report.per_trial_spreads, report.per_path_spreads):
+                assert spreads.dtype == np.float64 and spreads.shape == (config.trials,)
+                with pytest.raises(ValueError, match="read-only"):
+                    spreads[0] = 0.0
 
     def test_uniform_scenario_matches_analytic_spread(self):
         config = ScenarioConfig(
@@ -298,8 +308,8 @@ def _assert_same_report(a, b):
     assert np.array_equal(sa.density, sb.density)
     assert sa.point_mass_at_zero == sb.point_mass_at_zero
     assert a.angle_spread == b.angle_spread
-    assert a.per_trial_spreads == b.per_trial_spreads
-    assert a.per_path_spreads == b.per_path_spreads
+    assert np.array_equal(a.per_trial_spreads, b.per_trial_spreads)
+    assert np.array_equal(a.per_path_spreads, b.per_path_spreads)
     assert a.scenario_echo == b.scenario_echo
 
 
@@ -313,9 +323,10 @@ _CHUNK_PATTERNS = {
 
 
 def _assert_binned_path_by_path(batch, bins):
-    # spectrum_rows of a batch against the loop reference, row by row
-    density, point_mass = spectrum_rows(batch, bins)
-    weights = histogram_rows(batch.angles, batch.powers, np.linspace(-math.pi, math.pi, bins + 1))
+    # spectrum_rows of a one-pattern chunk against the loop reference, row by row
+    [density], point_mass = spectrum_rows(batch, bins)
+    weights = histogram_rows(batch.angles[0], batch.powers,
+                             np.linspace(-math.pi, math.pi, bins + 1))
     totals = np.array([np.sum(row) for row in batch.powers]) + batch.direct_power
     assert np.array_equal(density, weights / totals[:, None] / (2 * math.pi / bins))
     assert np.array_equal(point_mass, batch.direct_power / totals)
@@ -323,9 +334,9 @@ def _assert_binned_path_by_path(batch, bins):
 
 
 def _assert_same_rows(batch, first, part):
-    # part holds trials first.. of batch, bit for bit
-    rows = slice(first, first + part.angles.shape[0])
-    assert np.array_equal(part.angles, batch.angles[rows])
+    # part holds trials first.. of batch, bit for bit (one-pattern chunks)
+    rows = slice(first, first + part.angles.shape[1])
+    assert np.array_equal(part.angles, batch.angles[:, rows])
     assert np.array_equal(part.powers, batch.powers[rows])
     assert np.array_equal(part.tap_index, batch.tap_index)
     assert part.direct_power == batch.direct_power
@@ -348,7 +359,7 @@ class TestChunkedTrials:
     @pytest.mark.parametrize("kind", sorted(_CHUNK_PATTERNS))
     def test_chunk_size_changes_no_number(self, monkeypatch, kind, kappa, mu):
         config = _chunk_config(_CHUNK_PATTERNS[kind], kappa, mu)
-        batch = generate_trials(config, 0, config.trials)
+        batch = generate_chunk(config, (config.pattern,), 0, config.trials)
         density, point_mass = _assert_binned_path_by_path(batch, config.bins)
         per_trial = 11 + 48     # paths and bins
         reports = []
@@ -368,10 +379,10 @@ class TestChunkedTrials:
         # any subset of trials reads the same uniforms
         for k in range(config.trials):
             single = generate_trial(config, k)
-            assert np.array_equal(batch.angles[k], single.angles)
+            assert np.array_equal(batch.angles[0, k], single.angles)
             assert np.array_equal(batch.powers[k], single.powers)
         for first, stop in ((0, 1), (3, 7), (2, 10), (9, 10)):
-            _assert_same_rows(batch, first, generate_trials(config, first, stop))
+            _assert_same_rows(batch, first, generate_chunk(config, (config.pattern,), first, stop))
 
     def test_trial_wider_than_a_chunk(self, monkeypatch):
         # 33,001 paths per trial (66,002 uniforms, padded to 66,004): more
@@ -384,8 +395,8 @@ class TestChunkedTrials:
         monkeypatch.setattr(scenario, "CHUNK_SIZE", 2 * (33_001 + 360))
         assert trials_per_chunk(config) == 2
         _assert_same_report(alone, run_simulation(config))
-        batch = generate_trials(config, 0, 2)
-        _assert_same_rows(batch, 1, generate_trials(config, 1, 2))
+        batch = generate_chunk(config, (config.pattern,), 0, 2)
+        _assert_same_rows(batch, 1, generate_chunk(config, (config.pattern,), 1, 2))
         _assert_binned_path_by_path(batch, config.bins)
 
     def test_memory_does_not_grow_with_trials_times_bins(self):
@@ -456,8 +467,8 @@ class TestHpbwSweep:
 
     def test_memory_does_not_grow_with_points_times_trials(self):
         # 40 points: one (points, trials, bins) buffer would take 655 MB.
-        # The 40 reports returned hold about 3.3 MB (two tuples of 1000
-        # floats and 2048 bins each); above them, the sweep keeps to the
+        # The 40 reports returned hold about 1.3 MB (two arrays of 1000
+        # spreads and 2048 bins each); above them, the sweep keeps to the
         # bound that one run_simulation of the scenario keeps
         config = _memory_config()
         hpbws = np.linspace(20.0, 360.0, 40)
@@ -475,12 +486,12 @@ class TestHpbwSweep:
     def test_points_share_common_random_numbers(self):
         # only the delayed taps' departure angles depend on the beamwidth
         config = _quick_config(trials=6)
-        wide, narrow = (generate_trials(replace(config, pattern=GaussianPattern(math.radians(h))),
-                                        0, config.trials) for h in (200.0, 45.0))
+        wide, narrow = (generate_chunk(config, (GaussianPattern(math.radians(h)),),
+                                       0, config.trials) for h in (200.0, 45.0))
         local = wide.tap_index == 0
         assert np.array_equal(wide.powers, narrow.powers)
-        assert np.array_equal(wide.angles[:, local], narrow.angles[:, local])
-        assert not np.any(wide.angles[:, ~local] == narrow.angles[:, ~local])
+        assert np.array_equal(wide.angles[..., local], narrow.angles[..., local])
+        assert not np.any(wide.angles[..., ~local] == narrow.angles[..., ~local])
 
     def test_narrower_beam_reduces_spread(self):
         config = _quick_config(trials=60, kappa=0.0, mu=2.0)
