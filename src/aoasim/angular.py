@@ -9,6 +9,7 @@ carrying the Rician fraction of the zero-delay power.
 
 from __future__ import annotations
 
+import json
 import math
 import operator
 from dataclasses import dataclass
@@ -18,7 +19,16 @@ import numpy as np
 from scipy.special import i0e, ndtr, ndtri
 
 from .estimation import weighted_spread
-from .geometry import _DEG, _TWO_PI, _US, _check_angles, aoa_jacobian, aoa_to_aod, ellipse_params
+from .geometry import (
+    _DEG,
+    _TWO_PI,
+    _US,
+    _check_angles,
+    _read_only,
+    aoa_jacobian,
+    aoa_to_aod,
+    ellipse_params,
+)
 
 # HPBW is defined on the power pattern: g^2 drops to 1/2 at +/- hpbw/2,
 # so the amplitude-pattern std is hpbw / (2 sqrt(ln 2)).
@@ -139,6 +149,40 @@ def json_pairs(doc, key, path=""):
             raise ValueError(f"{where}[{i}] must be an [x, y] pair")
         pairs.append(tuple(json_number(v, f"{where}[{i}][{j}]") for j, v in enumerate(row)))
     return pairs
+
+
+def json_text(value, pad=""):
+    """json.dumps(value, indent=2, sort_keys=True), byte for byte.
+
+    The one writer of the package's indented JSON (pad is the indent of
+    the line value starts on).  A list of finite floats is one join of
+    float reprs; dicts and other lists are walked here; every other
+    value goes to json.dumps.  Keys must be str: any other key is a
+    TypeError, where json.dumps would turn a number into a string.
+    """
+    inner = pad + "  "
+    separator = ",\n" + inner
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be str, got {key!r}")
+        body = separator.join(f"{json.dumps(key)}: {json_text(value[key], inner)}"
+                              for key in sorted(value))
+        return f"{{\n{inner}{body}\n{pad}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        try:
+            body = separator.join(map(float.__repr__, value))
+        except TypeError:  # not all floats
+            body = None
+        # Only nan and inf have an n in their repr; JSON spells them otherwise.
+        if body is None or "n" in body:
+            body = separator.join(json_text(item, inner) for item in value)
+        return f"[\n{inner}{body}\n{pad}]"
+    return json.dumps(value)
 
 
 # Each pattern kind owns its departure density(phi) on angles in (-pi, pi],
@@ -399,6 +443,15 @@ class TapProfile:
     @property
     def delayed(self):
         return self.taps[1:]
+
+    @cached_property
+    def path_counts(self):
+        return tuple(tap.path_count for tap in self.taps)
+
+    @cached_property
+    def tap_index(self):
+        """The tap of each path column, paths in tap order; read-only."""
+        return _read_only(np.repeat(np.arange(len(self.taps)), self.path_counts))
 
     def rms_delay_spread(self):
         """Power-weighted standard deviation of the tap delays (seconds)."""

@@ -23,6 +23,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
+from .angular import json_text
 from .estimation import lse
 from .geometry import _DEG, _US
 from .scenario import (
@@ -44,16 +45,19 @@ def _load_config(args):
 
 def _write_json(path, payload):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text(payload) + "\n")
+
+
+def _write_csv(path, header, first, second):
+    """Two columns of floats as csv.writer writes their reprs, in one join."""
+    rows = "".join(f"{a!r},{b!r}\r\n" for a, b in zip(first, second))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"{header}\r\n{rows}")
 
 
 def _write_spectrum_csv(path, spectrum):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["angle_deg", "pdf_per_deg"])
-        for center, density in zip(spectrum.bin_centers, spectrum.density):
-            writer.writerow([repr(float(center) / _DEG), repr(float(density) * _DEG)])
+    _write_csv(path, "angle_deg,pdf_per_deg", (spectrum.bin_centers / _DEG).tolist(),
+               (spectrum.density * _DEG).tolist())
 
 
 def _number(field):
@@ -117,11 +121,8 @@ def _cmd_sweep(args):
     points = hpbw_sweep(config, hpbws)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "sweep.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["hpbw_deg", "as_deg"])
-        for point in points:
-            writer.writerow([repr(point.hpbw_deg), repr(point.angle_spread / _DEG)])
+    _write_csv(out / "sweep.csv", "hpbw_deg,as_deg", [point.hpbw_deg for point in points],
+               [point.angle_spread / _DEG for point in points])
     payload = {
         "version": __version__,
         "scenario": config.to_json_dict(),
@@ -154,7 +155,7 @@ def _cmd_fit(args):
         "bins": config.bins,
         "angle_spread_deg": report.angle_spread / _DEG,
     }
-    print(json.dumps(result, indent=2, sort_keys=True))
+    print(json_text(result))
     return 0
 
 
@@ -169,7 +170,7 @@ def _cmd_taps(args):
         "taps": [tap.to_json() for tap in profile.taps],
         "rms_delay_spread_us": profile.rms_delay_spread() / _US,
     }
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json_text(payload)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
     else:

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .geometry import _TWO_PI, _check_angles
+from .geometry import _TWO_PI, _check_angles, _read_only
 
 # Tolerance on sum(probabilities) + point_mass == 1 for a valid spectrum.
 NORMALIZATION_TOL = 1e-9
@@ -45,14 +46,19 @@ def _check_point_mass(point_mass):
         raise ValueError(f"point mass must be a probability, got {point_mass[np.argmin(valid)]}")
 
 
+# Edges and centers depend on the bin count alone: each is computed once
+# per count, not once per chunk, and shared read-only.
+
+@lru_cache(maxsize=8)
 def _bin_edges(bin_count):
     """Edges of bin_count uniform bins spanning exactly (-pi, pi]."""
-    return np.linspace(-np.pi, np.pi, int(bin_count) + 1)
+    return _read_only(np.linspace(-np.pi, np.pi, int(bin_count) + 1))
 
 
+@lru_cache(maxsize=8)
 def _bin_centers(bin_count):
     edges = _bin_edges(bin_count)
-    return 0.5 * (edges[:-1] + edges[1:])
+    return _read_only(0.5 * (edges[:-1] + edges[1:]))
 
 
 @dataclass(frozen=True, eq=False)

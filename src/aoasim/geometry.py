@@ -55,6 +55,12 @@ def wrap_angle(phi):
     return float(out) if scalar else out
 
 
+def _read_only(arr):
+    """arr, marked read-only: for arrays computed once and then shared."""
+    arr.flags.writeable = False
+    return arr
+
+
 def _check_angles(phi):
     """phi as a float array, checked to be finite and in (-pi, pi]."""
     arr = np.asarray(phi, dtype=float)
@@ -87,22 +93,32 @@ def ellipse_params(distance, delay):
 
 def _check_eccentricity(eccentricity):
     # Reject rather than clip: e >= 1 would silently produce garbage angles.
-    if not 0.0 <= eccentricity < 1.0:
-        raise ValueError(f"eccentricity must lie in [0, 1), got {eccentricity}")
-    return float(eccentricity)
+    # One eccentricity, or one per column; the first bad one is reported.
+    ecc = np.asarray(eccentricity, dtype=float)
+    valid = (0.0 <= ecc) & (ecc < 1.0)
+    if not np.all(valid):
+        raise ValueError(f"eccentricity must lie in [0, 1), got {ecc.flat[np.argmin(valid)]}")
+    return ecc
 
 
 def _half_angle_map(phi, ratio):
     # tan(out/2) = ratio * tan(phi/2), with the +/-pi fixed point kept
-    # exact; ratio 1 (a circle) is the identity.
+    # exact; ratio 1 (a circle) is the identity.  ratio is one value or
+    # one per column (the last axis of phi), and each column comes out
+    # bit for bit as its own ratio maps it alone.  The steps run in place
+    # on one contiguous copy, so a batch needs two buffers of its size.
     scalar = np.ndim(phi) == 0
-    phi = np.asarray(wrap_angle(phi), dtype=float)
-    if ratio == 1.0:
-        mapped = phi
-    else:
-        mapped = 2.0 * np.arctan(ratio * np.tan(0.5 * phi))
-        mapped = np.where(phi == np.pi, np.pi, mapped)
-    return float(mapped) if scalar else mapped
+    phi = np.atleast_1d(wrap_angle(phi))
+    identity = ratio == 1.0
+    if np.all(identity):
+        return float(phi[0]) if scalar else phi
+    mapped = np.multiply(phi, 0.5)
+    np.tan(mapped, out=mapped)
+    mapped *= ratio
+    np.arctan(mapped, out=mapped)
+    mapped *= 2.0
+    np.copyto(mapped, phi, where=(phi == np.pi) | identity)
+    return float(mapped[0]) if scalar else mapped
 
 
 def aod_to_aoa(phi_t, eccentricity):
@@ -115,7 +131,10 @@ def aod_to_aoa(phi_t, eccentricity):
     stable near the boresight and back-lobe fixed points for any e < 1.
 
     Odd, strictly increasing, and contracting: |phi_r| <= |phi_t|, with
-    0 and pi as fixed points.  Accepts scalars or arrays.
+    0 and pi as fixed points.  Accepts scalars or arrays, and one
+    eccentricity or an array of them broadcast along the last axis of
+    phi_t (one per column), each checked to lie in [0, 1).  A column
+    with e = 0 comes back unchanged, bit for bit.
     """
     ecc = _check_eccentricity(eccentricity)
     return _half_angle_map(phi_t, (1.0 - ecc) / (1.0 + ecc))

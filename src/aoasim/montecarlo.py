@@ -73,6 +73,16 @@ def sample_aod(pattern, rng, size):
     return wrap_angle(pattern.quantile(rng.random(size)))
 
 
+# The run invariants below depend on the scenario alone: ScenarioConfig
+# computes each on first use and keeps it read-only (stream_key,
+# power_scales, eccentricities), so a run pays for them once, not once
+# per chunk.
+
+def _stream_key(scenario):
+    """Key of the run's Philox stream, derived from the master seed."""
+    return np.random.SeedSequence(scenario.master_seed).generate_state(2, np.uint64)
+
+
 def _power_scales(scenario):
     # Per-path power is uniform on [0, scale): each delayed tap's paths
     # get 2 P / paths, so the expected tap total is P; the zero-delay
@@ -81,7 +91,14 @@ def _power_scales(scenario):
     taps = scenario.taps.taps
     scales = [2.0 * tap.power / tap.path_count for tap in taps]
     scales[0] /= 1.0 + scenario.kappa
-    return np.repeat(scales, [tap.path_count for tap in taps])
+    return np.repeat(scales, scenario.taps.path_counts)
+
+
+def _eccentricities(scenario):
+    """The ellipse eccentricity of each delayed path column, in column order."""
+    ellipses = ellipses_for_taps(scenario.taps, scenario.distance)
+    return np.repeat([ellipse.eccentricity for ellipse in ellipses],
+                     scenario.taps.path_counts[1:])
 
 
 def draw_uniforms(scenario: "ScenarioConfig", first, stop):
@@ -91,10 +108,8 @@ def draw_uniforms(scenario: "ScenarioConfig", first, stop):
     """
     if first < 0:
         raise ValueError(f"trial index must be nonnegative, got {first}")
-    paths = sum(tap.path_count for tap in scenario.taps.taps)
-    width = _BLOCK * -(-2 * paths // _BLOCK)
-    key = np.random.SeedSequence(scenario.master_seed).generate_state(2, np.uint64)
-    stream = np.random.Philox(key=key, counter=first * (width // _BLOCK))
+    width = _BLOCK * -(-2 * scenario.taps.tap_index.size // _BLOCK)
+    stream = np.random.Philox(key=scenario.stream_key, counter=first * (width // _BLOCK))
     return np.random.Generator(stream).random((stop - first, width))
 
 
@@ -104,31 +119,26 @@ def generate_chunk(scenario: "ScenarioConfig", patterns, first, stop):
     Draws the trials' uniforms once, takes the local arrival angles and
     the powers from them once, and fills one layer of a (points, trials,
     paths) angle array per pattern with that pattern's departure
-    quantiles; each delayed tap's departures, for all points at once,
-    then go through its ellipse.  The powers, (trials, paths), are shared
-    by every point.  Layer p is bit for bit what the scenario with
-    patterns[p] gives alone, and row k of it what trial first + k gives
-    alone, whatever first and stop are.
+    quantiles; every delayed tap's departures, for all points at once,
+    then go through their ellipses in one call.  The powers, (trials,
+    paths), are shared by every point.  Layer p is bit for bit what the
+    scenario with patterns[p] gives alone, and row k of it what trial
+    first + k gives alone, whatever first and stop are.
     """
     profile = scenario.taps
-    counts = [tap.path_count for tap in profile.taps]
-    paths = sum(counts)
+    local, paths = profile.path_counts[0], profile.tap_index.size
     uniforms = draw_uniforms(scenario, first, stop)
 
     angles = np.empty((len(patterns), stop - first, paths))
-    start = counts[0]
-    angles[:, :, :start] = wrap_angle(scenario.local.quantile(uniforms[:, :start]))
+    angles[:, :, :local] = wrap_angle(scenario.local.quantile(uniforms[:, :local]))
     for layer, pattern in zip(angles, patterns):
-        layer[:, start:] = pattern.quantile(uniforms[:, start:paths])
-    for count, ellipse in zip(counts[1:], ellipses_for_taps(profile, scenario.distance)):
-        # aod_to_aoa wraps its input, so every angle is wrapped exactly once.
-        block = angles[:, :, start:start + count]
-        block[...] = aod_to_aoa(block, ellipse.eccentricity)
-        start += count
+        layer[:, local:] = pattern.quantile(uniforms[:, local:paths])
+    # aod_to_aoa wraps its input, so every angle is wrapped exactly once.
+    angles[:, :, local:] = aod_to_aoa(angles[:, :, local:], scenario.eccentricities)
     return PathSet(
         angles=angles,
-        powers=uniforms[:, paths:2 * paths] * _power_scales(scenario),
-        tap_index=np.repeat(np.arange(len(counts)), counts),
+        powers=uniforms[:, paths:2 * paths] * scenario.power_scales,
+        tap_index=profile.tap_index,
         direct_power=scenario.kappa * profile.taps[0].power / (1.0 + scenario.kappa),
     )
 

@@ -25,6 +25,7 @@ from .angular import (
     json_field,
     json_object,
     json_pairs,
+    json_text,
     pattern_from_json,
 )
 from .estimation import (
@@ -34,8 +35,8 @@ from .estimation import (
     rms_angle_spread,
     spectrum_rows,
 )
-from .geometry import _DEG, _US
-from .montecarlo import generate_chunk
+from .geometry import _DEG, _US, _read_only
+from .montecarlo import _eccentricities, _power_scales, _stream_key, generate_chunk
 
 DEFAULT_PATHS_PER_TAP = 50
 DEFAULT_PROMINENCE_DB = 3.0
@@ -58,9 +59,13 @@ def extract_taps(raw_pdp, min_prominence_db=DEFAULT_PROMINENCE_DB,
     strictly increasing delays starting at zero and finite positive
     powers.  The first sample always becomes tap 0; interior local
     maxima whose prominence on the dB trace exceeds min_prominence_db
-    become the delayed taps.  Rejects profiles with no local maximum
-    anywhere (flat or monotonically rising).
+    become the delayed taps; it must be finite and nonnegative (the
+    scenario field prominence_db).  Rejects profiles with no local
+    maximum anywhere (flat or monotonically rising).
     """
+    if not 0.0 <= min_prominence_db < math.inf:
+        raise ValueError(
+            f"prominence_db must be finite and nonnegative, got {min_prominence_db}")
     samples = [(float(d), float(p)) for d, p in raw_pdp]
     if len(samples) < 3:
         raise ValueError(f"need at least 3 PDP samples, got {len(samples)}")
@@ -144,6 +149,22 @@ class ScenarioConfig:
     def local(self):
         return LocalScattering(mu=self.mu, kappa=self.kappa)
 
+    # The run invariants of generation (see montecarlo), computed on first
+    # use and kept read-only, so that a run pays for them once and not once
+    # per chunk.
+
+    @cached_property
+    def stream_key(self):
+        return _read_only(_stream_key(self))
+
+    @cached_property
+    def power_scales(self):
+        return _read_only(_power_scales(self))
+
+    @cached_property
+    def eccentricities(self):
+        return _read_only(_eccentricities(self))
+
     @classmethod
     def from_json_dict(cls, doc):
         """Scenario from its scenario-file form, checked field by field.
@@ -200,8 +221,7 @@ class ScenarioConfig:
 
     def to_file(self, path):
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json_text(self.to_json_dict()) + "\n")
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,11 +295,11 @@ def _simulate(config, patterns):
         stop = min(first + step, trials)
         paths = generate_chunk(config, patterns, first, stop)
         density, point_mass[first:stop] = spectrum_rows(paths, config.bins)
-        for running, rows in zip(density_sum, density):
-            # Reducing axis 0 adds row by row, so the sum is the same for
-            # any chunking; summing the chunk first would change the last
-            # bits.
-            running[...] = np.add.reduce(np.vstack([running, rows]))
+        # Reducing the trial axis, which is not the contiguous one, adds
+        # row by row, so each point's sum is the same for any chunking;
+        # summing the chunk first would change the last bits.
+        density_sum[...] = np.add.reduce(
+            np.concatenate([density_sum[:, None], density], axis=1), axis=1)
         trial_spreads[:, first:stop] = angle_spread_rows(density, point_mass[first:stop])
         path_spreads[:, first:stop] = path_spread_rows(paths)
     # Each report's spreads are read-only rows of these.

@@ -348,6 +348,16 @@ class TestTaps:
         record = _error_record(capsys)
         assert record["type"] == "ValueError" and message in record["error"]
 
+    @pytest.mark.parametrize("prominence", ["nan", "inf", "-inf", "-3.0"])
+    def test_bad_prominence_is_one_error_record(self, tmp_path, capsys, prominence):
+        # NaN or inf used to print the zero-delay tap alone, with exit 0
+        path = self._write_pdp(tmp_path)
+        assert main(["taps", "--pdp", str(path), f"--prominence={prominence}"]) == 1
+        record = _error_record(capsys)
+        assert record["type"] == "ValueError"
+        assert record["error"] == ("prominence_db must be finite and nonnegative, "
+                                   f"got {float(prominence)}")
+
     @MALFORMED_ROWS
     def test_malformed_row_names_file_and_row(self, tmp_path, capsys, row, fields):
         path = tmp_path / "pdp.csv"

@@ -1,6 +1,7 @@
 """Tests for the multi-elliptical geometry primitives."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -154,6 +155,38 @@ class TestAodToAoa:
     def test_scalar_in_scalar_out(self):
         out = aod_to_aoa(0.5, 0.3)
         assert isinstance(out, float)
+
+    def test_one_eccentricity_per_column_maps_each_column_alone(self):
+        # a batch of departures, one eccentricity per column (last axis):
+        # each column is bit for bit the scalar-eccentricity map of that
+        # column, and the closed form with the fixed point at pi; e = 0
+        # columns, and e so small that the ratio rounds to 1, come back
+        # unchanged, and +/-pi stay on pi
+        ecc = np.array([0.0, 0.3, 0.0, 0.9, 1e-17, 0.999999, 0.5])
+        phi = np.random.default_rng(11).uniform(-math.pi, math.pi, (3, 400, ecc.size))
+        phi[0, 0], phi[1, 1], phi[2, 2] = math.pi, -math.pi, 0.0
+        mapped = aod_to_aoa(phi, ecc)
+        assert mapped.shape == phi.shape
+        for column, e in enumerate(ecc):
+            departures = np.ascontiguousarray(phi[..., column])
+            alone = aod_to_aoa(departures, e)
+            ratio = (1.0 - e) / (1.0 + e)
+            wrapped = wrap_angle(departures)
+            closed_form = np.where(wrapped == math.pi, math.pi,
+                                   2.0 * np.arctan(ratio * np.tan(0.5 * wrapped)))
+            expected = wrapped if ratio == 1.0 else closed_form
+            assert mapped[..., column].tobytes() == alone.tobytes() == expected.tobytes()
+        for column in (0, 2, 4):
+            assert mapped[..., column].tobytes() == wrap_angle(phi[..., column]).tobytes()
+        assert mapped[0, 0].tolist() == mapped[1, 1].tolist() == [math.pi] * ecc.size
+
+    @pytest.mark.parametrize("bad", [1.0, 1.5, -0.01, float("nan"), float("inf")])
+    def test_any_bad_column_eccentricity_is_named(self, bad):
+        ecc = np.array([0.2, 0.0, bad, 0.7])
+        with pytest.raises(ValueError, match=re.escape(f"[0, 1), got {bad}")):
+            aod_to_aoa(np.zeros((2, 4)), ecc)
+        with pytest.raises(ValueError, match=re.escape(f"[0, 1), got {bad}")):
+            aod_to_aoa(0.5, bad)
 
 
 class TestAoaToAod:

@@ -17,6 +17,7 @@ from aoasim.angular import (
     TabulatedPattern,
     Tap,
     TapProfile,
+    ellipses_for_taps,
     pattern_from_json,
 )
 from aoasim.estimation import estimate_pdf, rms_angle_spread, spectrum_rows
@@ -138,6 +139,34 @@ class TestScenarioConfig:
         path = tmp_path / "scenario.json"
         config.to_file(path)
         assert ScenarioConfig.from_file(path) == config
+        expected = json.dumps(config.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        assert path.read_text(encoding="utf-8") == expected
+
+    @pytest.mark.parametrize("prominence", [math.nan, math.inf, -math.inf, -3.0])
+    def test_prominence_must_be_finite_and_nonnegative(self, prominence):
+        # NaN or +inf would drop every delayed tap without a word
+        doc = _config_doc()
+        del doc["taps"]
+        doc["pdp"] = [[0.0, 1.0], [1.0, 0.2], [2.0, 0.5], [3.0, 0.1]]
+        assert len(ScenarioConfig.from_json_dict(doc).taps.taps) == 2
+        assert len(ScenarioConfig.from_json_dict(dict(doc, prominence_db=0)).taps.taps) == 2
+        message = f"prominence_db must be finite and nonnegative, got {prominence}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ScenarioConfig.from_json_dict(dict(doc, prominence_db=prominence))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            extract_taps([(d * 1e-6, p) for d, p in doc["pdp"]], min_prominence_db=prominence)
+
+    def test_run_invariants_are_computed_once_and_read_only(self):
+        config = _quick_config()
+        for name in ("stream_key", "power_scales", "eccentricities"):
+            value = getattr(config, name)
+            assert getattr(config, name) is value
+            assert not value.flags.writeable
+        assert not config.taps.tap_index.flags.writeable
+        # one eccentricity per delayed path column, in tap order
+        assert config.eccentricities.tolist() == [
+            ellipse.eccentricity for ellipse in ellipses_for_taps(config.taps, config.distance)
+            for _ in range(15)]
 
     def test_powers_normalized_on_load(self):
         doc = _config_doc()
@@ -464,6 +493,33 @@ class TestHpbwSweep:
         hpbw_sweep(config, hpbws)
         # 40 trials in 10 chunks of 4, each drawn once for all 5 points
         assert drawn == [(first, first + 4) for first in range(0, 40, 4)]
+
+    def test_fixed_costs_are_paid_once_per_run_or_per_chunk(self, monkeypatch):
+        # 40 trials in 10 chunks of 4 for 5 points: the run's stream key is
+        # derived once, and each chunk maps every delayed path of every
+        # point through its ellipse in one call
+        from aoasim import montecarlo
+
+        config = _quick_config(trials=40)
+        hpbws = [360.0, 180.0, 120.0, 90.0, 60.0]
+        seed_sequence, ellipse_map = np.random.SeedSequence, montecarlo.aod_to_aoa
+        seeds, mapped = [], []
+
+        def counting_seed_sequence(*args, **kwargs):
+            seeds.append(args)
+            return seed_sequence(*args, **kwargs)
+
+        def counting_map(phi, eccentricity):
+            mapped.append(np.shape(phi))
+            return ellipse_map(phi, eccentricity)
+
+        monkeypatch.setattr(scenario, "CHUNK_SIZE", 4 * len(hpbws) * (45 + 90))
+        monkeypatch.setattr(np.random, "SeedSequence", counting_seed_sequence)
+        monkeypatch.setattr(montecarlo, "aod_to_aoa", counting_map)
+        hpbw_sweep(config, hpbws)
+        assert seeds == [(config.master_seed,)]
+        # 30 delayed paths per trial: taps 1 and 2, 15 paths each
+        assert mapped == [(len(hpbws), 4, 30)] * 10
 
     def test_memory_does_not_grow_with_points_times_trials(self):
         # 40 points: one (points, trials, bins) buffer would take 655 MB.

@@ -1,8 +1,9 @@
 """Property test of scenario loading through the command line.
 
-Generated scenario documents, small enough to run in milliseconds, mix
-valid fields with wrong types, non-finite numbers, unknown keys and edge
-values (one-path taps, kappa 0, mu 0).  Whatever the document,
+Generated scenario documents, small enough to run in milliseconds, give
+their taps as a list or as a raw PDP (with or without prominence_db) and
+mix valid fields with wrong types, non-finite numbers, unknown keys and
+edge values (one-path taps, kappa 0, mu 0).  Whatever the document,
 `aoasim simulate` must either write a normalized report or fail with
 exactly one JSON error record, never a traceback.
 """
@@ -61,6 +62,13 @@ def _valid_scenario(draw):
         "pattern": draw(_pattern()),
         "taps": taps,
     }
+    if draw(st.booleans()):
+        # the raw-PDP form instead: taps extracted at load, above a prominence
+        del doc["taps"]
+        powers = draw(st.lists(st.floats(0.01, 1.0), min_size=3, max_size=8))
+        doc["pdp"] = [[0.5 * k, power] for k, power in enumerate(powers)]
+        if draw(st.booleans()):
+            doc["prominence_db"] = draw(_number(0.0, 10.0))
     optional = {
         "trials": st.integers(1, 3),
         "bins": st.integers(8, 64),
@@ -126,6 +134,8 @@ def test_simulate_writes_a_normalized_report_or_one_error_record(doc):
             assert all(value >= 0.0 for value in density)
             total = math.fsum(density) * (360.0 / bins) + report["point_mass_at_zero"]
             assert abs(total - 1.0) <= 1e-9
+            if "pdp" in doc and "prominence_db" in doc:
+                assert 0.0 <= doc["prominence_db"] < math.inf
         else:
             assert code == 1
             assert stdout.getvalue() == ""

@@ -1,0 +1,168 @@
+"""The package's output writers against the standard library routes.
+
+Every indented JSON the package writes goes through angular.json_text,
+and the CSV files through one join of float reprs.  Both must give the
+bytes of the routes they replace, which are kept here as the reference:
+json.dumps(value, indent=2, sort_keys=True), and a csv.writer loop over
+the repr of each value.
+"""
+
+import csv
+import json
+import math
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from aoasim import cli
+from aoasim.angular import json_text
+from aoasim.cli import main
+from aoasim.estimation import AngularSpectrum
+from aoasim.geometry import _DEG
+
+
+def _reference_json(value):
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+def _reference_spectrum_csv(path, spectrum):
+    # cli._write_spectrum_csv as it was: one csv.writer row per bin
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["angle_deg", "pdf_per_deg"])
+        for center, density in zip(spectrum.bin_centers, spectrum.density):
+            writer.writerow([repr(float(center) / _DEG), repr(float(density) * _DEG)])
+
+
+def _reference_csv(path, header, first, second):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header.split(","))
+        for a, b in zip(first, second):
+            writer.writerow([repr(a), repr(b)])
+
+
+_SPECIAL_FLOATS = st.sampled_from([
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.2250738585072014e-308,
+    1e16, -1e16, 1e-7, 1.0000000000000002, 0.1,
+])
+_FLOATS = st.one_of(st.floats(allow_nan=True, allow_infinity=True), _SPECIAL_FLOATS)
+_KEYS = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(["", "é", "naïve key", 'quote"d', "back\\slash", "tab\tnew\nline",
+                     "\x00\x1f", " ", "😀", "pdf_per_deg", "angle_deg"]),
+)
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2 ** 70, 2 ** 70), _FLOATS,
+    st.text(max_size=8),
+)
+_DOCUMENTS = st.recursive(
+    _SCALARS | st.lists(_FLOATS, max_size=12),
+    lambda children: (st.lists(children, max_size=5)
+                      | st.dictionaries(_KEYS, children, max_size=5)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DOCUMENTS)
+def test_json_text_is_json_dumps(doc):
+    assert json_text(doc) == _reference_json(doc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(_FLOATS, max_size=20), min_size=1, max_size=4),
+       st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20))
+def test_float_lists_are_json_dumps(lists, finite):
+    # the one-join route for all-float lists, nested at several depths,
+    # next to the per-item route for lists with a nan or an infinity
+    doc = {"finite": finite, "mixed": lists, "deep": {"er": [finite, {"x": finite}]}}
+    assert json_text(doc) == _reference_json(doc)
+    assert json_text(finite) == _reference_json(finite)
+
+
+def test_json_text_edge_values():
+    for doc in ([], {}, [[]], [{}], {"a": []}, {"a": {}}, [1, 1.0, True, None, "1"],
+                (1.5, 2.5), {"t": (0.1, [0.2])}, [np.float64(0.1), np.float64(-0.0)],
+                [True, False], [1, 2, 3], sys.float_info.max, "ünï "):
+        assert json_text(doc) == _reference_json(doc)
+
+
+@pytest.mark.parametrize("doc", [{1: 2.0}, {"a": {None: 1}}, [{1.5: "x"}], {True: 0}])
+def test_json_text_rejects_keys_that_are_not_str(doc):
+    with pytest.raises(TypeError, match="keys must be str"):
+        json_text(doc)
+
+
+def test_json_text_rejects_what_json_dumps_rejects():
+    for value in (np.zeros(2), {1, 2}, {"a": object()}):
+        with pytest.raises(TypeError):
+            _reference_json(value)
+        with pytest.raises(TypeError):
+            json_text(value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(8, 400), st.integers(0, 2 ** 32 - 1))
+def test_spectrum_csv_is_the_csv_writer_loop(tmp_path_factory, bins, seed):
+    rng = np.random.default_rng(seed)
+    density = rng.exponential(size=bins) * 10.0 ** rng.uniform(-12, 3, size=bins)
+    density[rng.random(bins) < 0.2] = 0.0
+    spectrum = AngularSpectrum(density, 0.0)
+    out = tmp_path_factory.mktemp("csv")
+    cli._write_spectrum_csv(out / "new.csv", spectrum)
+    _reference_spectrum_csv(out / "old.csv", spectrum)
+    assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(_FLOATS, _FLOATS), max_size=10))
+def test_csv_is_the_csv_writer_loop(tmp_path_factory, rows):
+    first, second = [a for a, _ in rows], [b for _, b in rows]
+    out = tmp_path_factory.mktemp("csv")
+    cli._write_csv(out / "new.csv", "hpbw_deg,as_deg", first, second)
+    _reference_csv(out / "old.csv", "hpbw_deg,as_deg", first, second)
+    assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
+
+
+@pytest.fixture
+def scenario_file(tmp_path):
+    doc = {
+        "distance_m": 900.0, "kappa": 0.3, "mu": 6.0, "trials": 6, "bins": 40, "seed": 5,
+        "pattern": {"kind": "gaussian", "hpbw_deg": 90.0},
+        "taps": [{"delay_us": 0.0, "power": 0.5, "paths": 5},
+                 {"delay_us": 1.2, "power": 0.5, "paths": 7}],
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def _assert_reference_json_text(text):
+    # finite floats read back to themselves, so json.dumps of what was read
+    # is what json.dumps of what was written gave
+    assert text == _reference_json(json.loads(text)) + "\n"
+
+
+def test_every_indented_json_output_is_json_dumps(scenario_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(scenario_file), "--out", str(out),
+                 "--per-path-spread"]) == 0
+    _assert_reference_json_text((out / "report.json").read_text(encoding="utf-8"))
+    assert main(["sweep", "--scenario", str(scenario_file), "--hpbw", "360,45",
+                 "--out", str(out)]) == 0
+    _assert_reference_json_text((out / "report.json").read_text(encoding="utf-8"))
+    empirical = tmp_path / "empirical.csv"
+    empirical.write_text("angle_deg,density\n0,0.01\n30,0.002\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["fit", "--scenario", str(scenario_file), "--empirical", str(empirical)]) == 0
+    _assert_reference_json_text(capsys.readouterr().out)
+    pdp = tmp_path / "pdp.csv"
+    pdp.write_text("delay_us,power\n0,1\n1,0.2\n2,0.5\n3,0.1\n", encoding="utf-8")
+    assert main(["taps", "--pdp", str(pdp)]) == 0
+    _assert_reference_json_text(capsys.readouterr().out)
+    assert main(["taps", "--pdp", str(pdp), "--out", str(tmp_path / "taps.json")]) == 0
+    _assert_reference_json_text((tmp_path / "taps.json").read_text(encoding="utf-8"))
