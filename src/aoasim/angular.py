@@ -56,43 +56,44 @@ class _CdfTable:
 
     guide[k] is the number of CDF nodes at or below k / _GUIDE_CELLS, so
     the node count of a u in cell k lies within [guide[k], guide[k + 1]].
+    G = _GUIDE_CELLS is a power of two, so c * G is exact and a node c is
+    at or below k / G exactly when ceil(c * G) <= k: the guide is a
+    running count of those ceilings (the indexed search of Chen and
+    Asau, 1974).
     """
 
     def __init__(self, grid, density):
-        steps = 0.5 * (density[1:] + density[:-1]) * np.diff(grid)
-        cdf = np.concatenate([[0.0], np.cumsum(steps)])
+        # Summed and counted in place: a table is 65,537 nodes, and a copy
+        # kept alive during the build lifts the peak memory of a run.
+        cdf = np.zeros(len(grid))
+        np.cumsum(0.5 * (density[1:] + density[:-1]) * np.diff(grid), out=cdf[1:])
         cdf /= cdf[-1]
         self.grid, self.cdf = grid, cdf
-        self.guide = np.searchsorted(cdf, np.arange(_GUIDE_CELLS + 1) / _GUIDE_CELLS, side="right")
+        counts = np.bincount(np.ceil(cdf * _GUIDE_CELLS).astype(np.intp), minlength=_GUIDE_CELLS + 1)
+        self.guide = np.cumsum(counts, out=counts)
 
 
 def _invert_cdf(table, u):
     """Linear interpolation of the inverse CDF at u in [0, 1).
 
     Bit for bit the route through np.searchsorted(cdf, u, "right"): the
-    guide table brackets that node count and a bisection inside the
-    bracket finds it.
+    guide table brackets that node count, two probe steps close most
+    brackets and one edge search closes the rest.
     """
+    grid, cdf = table.grid, table.cdf
     cell = (u * _GUIDE_CELLS).astype(np.intp)
     lo, hi = table.guide[cell], table.guide[cell + 1]
-    # Most brackets are closed from the start; bisect the open ones,
-    # dropping each as it closes.  Where the density is low one guide
-    # cell spans many nodes, so a few values take many steps.
-    flat_lo, flat_hi, flat_u = lo.reshape(-1), hi.reshape(-1), u.reshape(-1)
-    todo = np.flatnonzero(flat_lo < flat_hi)
-    while todo.size:
-        a, b = flat_lo[todo], flat_hi[todo]
-        mid = (a + b) >> 1
-        above = table.cdf[mid] > flat_u[todo]
-        a, b = np.where(above, a, mid + 1), np.where(above, mid, b)
-        flat_lo[todo], flat_hi[todo] = a, b
-        todo = todo[a < b]
-    grid, cdf = table.grid, table.cdf
-    idx = np.clip(lo, 1, len(cdf) - 1)
-    c0, c1 = cdf[idx - 1], cdf[idx]
-    span = c1 - c0
-    frac = np.where(span > 0, (u - c0) / np.where(span > 0, span, 1.0), 0.0)
-    return grid[idx - 1] + frac * (grid[idx] - grid[idx - 1])
+    # lo never passes the count, which is at most len(cdf) - 1 as
+    # u < 1 = cdf[-1], so cdf[lo] is always in bounds.
+    for _ in range(2):
+        lo += (lo < hi) & (cdf[lo] <= u)
+    # Where the density is low one guide cell spans many nodes; the few
+    # values still open there go to one search.
+    still_open = (lo < hi) & (cdf[lo] <= u)
+    lo[still_open] = np.searchsorted(cdf, u[still_open], side="right")
+    # Now cdf[lo - 1] <= u < cdf[lo], with 1 <= lo, so the span is positive.
+    c0, g0 = cdf[lo - 1], grid[lo - 1]
+    return g0 + (u - c0) / (cdf[lo] - c0) * (grid[lo] - g0)
 
 
 def _uniform_quantile(u):

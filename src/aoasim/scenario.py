@@ -171,14 +171,16 @@ class ScenarioConfig:
 
         Counts (trials, bins, seed, paths_per_tap, taps[i].paths) must be
         JSON integers and every other number a JSON number, never a bool;
-        unknown keys are rejected.  Each error is a ValueError naming the
-        field by its JSON path.
+        unknown keys, and prominence_db beside taps, are rejected.  Each
+        error is a ValueError naming the field by its JSON path.
         """
         json_object(doc, _SCENARIO_KEYS)
         if ("taps" in doc) == ("pdp" in doc):
             raise ValueError("scenario must define exactly one of 'taps' or 'pdp'")
         default_paths = json_field(doc, "paths_per_tap", DEFAULT_PATHS_PER_TAP, integer=True)
         if "taps" in doc:
+            if "prominence_db" in doc:
+                raise ValueError("prominence_db applies only to a 'pdp' scenario, not to 'taps'")
             if not isinstance(doc["taps"], list):
                 raise ValueError("taps must be a list of tap objects")
             profile = TapProfile(tuple(

@@ -213,3 +213,8 @@ def invert_cdf_searched(grid, cdf, u):
     span = hi - lo
     frac = np.where(span > 0, (u - lo) / np.where(span > 0, span, 1.0), 0.0)
     return grid[idx - 1] + frac * (grid[idx] - grid[idx - 1])
+
+
+def guide_searched(cdf, cells):
+    """Guide table of a grid CDF: the number of nodes at or below each k / cells."""
+    return np.searchsorted(cdf, np.arange(cells + 1) / cells, side="right")

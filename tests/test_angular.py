@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from aoasim.angular import (
@@ -29,6 +31,7 @@ from aoasim.geometry import ellipse_params, wrap_angle
 from helpers import (
     bessel_i0_series,
     ellipse_with_eccentricity,
+    guide_searched,
     invert_cdf_searched,
     left_to_right_sum,
     make_profile,
@@ -377,14 +380,66 @@ def _spiked_table():
     return _CdfTable(grid, density)
 
 
+@st.composite
+def _table_specs(draw):
+    # A grid of 9-4097 nodes over a symmetric span, with a density made of a
+    # base level (perhaps 0) and up to five features: zero stretches, narrow
+    # spikes, and tails scaled down towards the smallest doubles.  Plain
+    # values, so a falsifying example reads as the table it builds.
+    nodes = draw(st.integers(9, 4097))
+    features = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["zero", "spike", "tail"]))
+        size = {"zero": st.integers(1, nodes), "spike": st.floats(1.0, 1e6),
+                "tail": st.floats(1.0, 300.0)}[kind]
+        features.append((kind, draw(st.integers(0, nodes - 1)), draw(size), draw(st.booleans())))
+    return {
+        "nodes": nodes,
+        "half": draw(st.floats(1e-3, math.pi)),
+        "base": draw(st.sampled_from([0.0, 1e-3, 1.0])),
+        "features": features,
+        # at least one spike, so the density is not all zero
+        "peak": draw(st.integers(0, nodes - 1)),
+        "seed": draw(st.integers(0, 2 ** 32 - 1)),
+    }
+
+
+def _table_from_spec(spec):
+    nodes = spec["nodes"]
+    density = np.full(nodes, spec["base"])
+    for kind, start, size, flip in spec["features"]:
+        if kind == "zero":
+            density[start:start + size] = 0.0
+        elif kind == "spike":
+            density[start:start + (3 if flip else 1)] += size
+        else:
+            ramp = np.linspace(0.0, size, nodes - start)
+            density[start:] *= 10.0 ** -(ramp[::-1] if flip else ramp)
+    density[spec["peak"]] += 1.0
+    return _CdfTable(np.linspace(-spec["half"], spec["half"], nodes), density)
+
+
+def _probe_values(table, seed):
+    # 0, the largest double below 1, every node below 1, the double just
+    # below each node, and uniforms
+    cdf = table.cdf
+    return np.concatenate([
+        [0.0, np.nextafter(1.0, 0.0)],
+        cdf[cdf < 1.0], np.nextafter(cdf[1:], 0.0),
+        np.random.default_rng(seed).random(20_000),
+    ])
+
+
 class TestInvertCdf:
     """The guided inversion gives the bits of the edge-search route."""
 
     @pytest.mark.parametrize("table", [
         TabulatedPattern(_GAPPED_SAMPLES)._cdf_table,
+        _von_mises_table(0.5),
+        _von_mises_table(15.0),
         _von_mises_table(1e4),
         _spiked_table(),
-    ], ids=["tabulated-zero-stretch", "von-mises-1e4", "spiked"])
+    ], ids=["tabulated-zero-stretch", "von-mises-0.5", "von-mises-15", "von-mises-1e4", "spiked"])
     def test_matches_searchsorted(self, table):
         u = np.concatenate([
             [0.0, np.nextafter(1.0, 0.0)],
@@ -392,6 +447,15 @@ class TestInvertCdf:
             table.cdf[table.cdf < 1.0], np.nextafter(table.cdf[1:], 0.0),
             np.random.default_rng(9).random(200_000),
         ])
+        assert np.array_equal(_invert_cdf(table, u), invert_cdf_searched(table.grid, table.cdf, u))
+        assert np.array_equal(table.guide, guide_searched(table.cdf, _GUIDE_CELLS))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_table_specs())
+    def test_random_tables_match_searchsorted(self, spec):
+        table = _table_from_spec(spec)
+        assert np.array_equal(table.guide, guide_searched(table.cdf, _GUIDE_CELLS))
+        u = _probe_values(table, spec["seed"])
         assert np.array_equal(_invert_cdf(table, u), invert_cdf_searched(table.grid, table.cdf, u))
 
     def test_batch_shape_is_kept(self):

@@ -157,6 +157,7 @@ class TestSimulate:
             (("seeds",), 5, "unknown key: seeds"),
             (("taps", 2, "pwr"), 0.25, "unknown key: taps[2].pwr"),
             (("pattern", "hpbw"), 60.0, "unknown key: pattern.hpbw"),
+            (("prominence_db",), math.nan, "prominence_db applies only to a 'pdp' scenario"),
         ]:
             bad_file = tmp_path / "bad.json"
             bad_file.write_text(json.dumps(edited_doc(doc, path, bad)), encoding="utf-8")

@@ -252,6 +252,10 @@ class TestScenarioConfig:
              "pattern.samples[3][1] must be a number"),
             (pdp, ("pdp", 1, 0), True, "pdp[1][0] must be a number"),
             (pdp, ("prominence_db",), True, "prominence_db must be a number"),
+            # taps are given directly, so a prominence would be ignored silently
+            *((base, ("prominence_db",), bad,
+               "prominence_db applies only to a 'pdp' scenario, not to 'taps'")
+              for bad in (math.nan, 3.0, 0, "abc", None)),
             (pdp, ("pdp", 1, 1), math.nan, "PDP powers must be finite"),
             (pdp, ("pdp", 3, 1), math.inf, "PDP powers must be finite"),
             (pdp, ("pdp", 2, 0), math.nan, "PDP delays must be finite"),
@@ -431,7 +435,7 @@ class TestChunkedTrials:
     def test_memory_does_not_grow_with_trials_times_bins(self):
         # each chunk's rows are reduced before the next
         config = _memory_config()
-        _, peak = _traced_memory(lambda: run_simulation(config))
+        _, peak = _traced_memory(lambda: run_simulation(config), config)
         assert peak < config.trials * config.bins * 8 / 4
 
 
@@ -441,8 +445,11 @@ def _memory_config():
     return _quick_config(taps=make_profile([0.0, 1.0], [0.5, 0.5], 4), trials=1000, bins=2048)
 
 
-def _traced_memory(run):
-    # (what the call's result holds, peak) as tracemalloc counts them
+def _traced_memory(run, config):
+    # (what the call's result holds, peak) as tracemalloc counts them.  The
+    # config's von Mises table is built first: whether an earlier test has
+    # already cached it (1.5 MB) would otherwise decide what is counted
+    config.local.quantile(np.zeros(1))
     tracemalloc.start()
     try:
         result = run()
@@ -523,12 +530,13 @@ class TestHpbwSweep:
 
     def test_memory_does_not_grow_with_points_times_trials(self):
         # 40 points: one (points, trials, bins) buffer would take 655 MB.
-        # The 40 reports returned hold about 1.3 MB (two arrays of 1000
-        # spreads and 2048 bins each); above them, the sweep keeps to the
-        # bound that one run_simulation of the scenario keeps
+        # What the call retains is the 40 reports returned, about 1.4 MB
+        # (an array of 1000 spreads and one of 2048 bins each); above them,
+        # the sweep keeps to the bound that one run_simulation of the
+        # scenario keeps
         config = _memory_config()
         hpbws = np.linspace(20.0, 360.0, 40)
-        retained, peak = _traced_memory(lambda: hpbw_sweep(config, hpbws))
+        retained, peak = _traced_memory(lambda: hpbw_sweep(config, hpbws), config)
         assert peak - retained < config.trials * config.bins * 8 / 4
 
     def test_each_point_equals_a_run_at_its_beamwidth(self):

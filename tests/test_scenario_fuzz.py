@@ -2,10 +2,11 @@
 
 Generated scenario documents, small enough to run in milliseconds, give
 their taps as a list or as a raw PDP (with or without prominence_db) and
-mix valid fields with wrong types, non-finite numbers, unknown keys and
-edge values (one-path taps, kappa 0, mu 0).  Whatever the document,
-`aoasim simulate` must either write a normalized report or fail with
-exactly one JSON error record, never a traceback.
+mix valid fields with wrong types, non-finite numbers, unknown keys, a
+prominence_db beside a tap list, and edge values (one-path taps, kappa 0,
+mu 0).  Whatever the document, `aoasim simulate` must either write a
+normalized report or fail with exactly one JSON error record, never a
+traceback.
 """
 
 import contextlib
@@ -94,8 +95,13 @@ def _leaves(doc, path=()):
 
 @st.composite
 def _scenario(draw):
-    """A valid scenario with up to three fields spoiled: replaced, removed or misspelled."""
+    """A valid scenario with up to three fields spoiled: replaced, removed or misspelled.
+
+    A tap list may also carry a prominence_db, which only a PDP reads.
+    """
     doc = draw(_valid_scenario())
+    if "taps" in doc and draw(st.integers(0, 3)) == 0:
+        doc["prominence_db"] = draw(_number(0.0, 10.0))
     for _ in range(draw(st.integers(0, 3))):
         paths = [path for path, _ in _leaves(doc)]
         *parents, last = draw(st.sampled_from(paths))
@@ -134,8 +140,8 @@ def test_simulate_writes_a_normalized_report_or_one_error_record(doc):
             assert all(value >= 0.0 for value in density)
             total = math.fsum(density) * (360.0 / bins) + report["point_mass_at_zero"]
             assert abs(total - 1.0) <= 1e-9
-            if "pdp" in doc and "prominence_db" in doc:
-                assert 0.0 <= doc["prominence_db"] < math.inf
+            if "prominence_db" in doc:
+                assert "pdp" in doc and 0.0 <= doc["prominence_db"] < math.inf
         else:
             assert code == 1
             assert stdout.getvalue() == ""
