@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
 import numpy as np
-from scipy.special import i0e, ndtr, ndtri
 
-from .estimation import weighted_spread
+from .estimation import _float_reprs, weighted_spread
 from .geometry import (
     _DEG,
     _TWO_PI,
@@ -157,9 +156,10 @@ def json_text(value, pad=""):
 
     The one writer of the package's indented JSON (pad is the indent of
     the line value starts on).  A list of finite floats is one join of
-    float reprs; dicts and other lists are walked here; every other
-    value goes to json.dumps.  Keys must be str: any other key is a
-    TypeError, where json.dumps would turn a number into a string.
+    float reprs, taken once for an estimation._FloatList; dicts and other
+    lists are walked here; every other value goes to json.dumps.  Keys
+    must be str: any other key is a TypeError, where json.dumps would
+    turn a number into a string.
     """
     inner = pad + "  "
     separator = ",\n" + inner
@@ -176,7 +176,7 @@ def json_text(value, pad=""):
         if not value:
             return "[]"
         try:
-            body = separator.join(map(float.__repr__, value))
+            body = separator.join(_float_reprs(value))
         except TypeError:  # not all floats
             body = None
         # Only nan and inf have an n in their repr; JSON spells them otherwise.
@@ -237,13 +237,24 @@ class GaussianPattern:
         norm = 1.0 / (math.sqrt(math.pi) * sigma * math.erf(math.pi / sigma))
         return norm * np.exp(-(phi * phi) / (sigma * sigma))
 
-    def quantile(self, u):
+    # SciPy is imported here and in von_mises_pdf only: it more than
+    # doubles the start-up time of a command, and no other route needs it.
+
+    @cached_property
+    def _truncation(self):
         # exp(-phi^2 / sigma^2) is a normal density with std sigma / sqrt(2),
-        # truncated to [-pi, pi].  For narrow beams lo underflows to 0 and
-        # ndtri(0) is -inf; the clip puts that, and any rounding past the
-        # ends, back on [-pi, pi].
+        # truncated to [-pi, pi]: (std, its mass below -pi).
+        from scipy.special import ndtr
+
         std = self.sigma / math.sqrt(2.0)
-        lo = ndtr(-np.pi / std)
+        return std, ndtr(-np.pi / std)
+
+    def quantile(self, u):
+        # For narrow beams lo underflows to 0 and ndtri(0) is -inf; the clip
+        # puts that, and any rounding past the ends, back on [-pi, pi].
+        from scipy.special import ndtri
+
+        std, lo = self._truncation
         return np.clip(std * ndtri(lo + u * (1.0 - 2.0 * lo)), -np.pi, np.pi)
 
     def to_json(self):
@@ -485,6 +496,8 @@ def von_mises_pdf(phi, mu):
     Evaluated in exponentially scaled form, so large concentrations do
     not overflow; mu = 0 degenerates to the uniform density.
     """
+    from scipy.special import i0e
+
     if mu < 0:
         raise ValueError(f"mu must be nonnegative, got {mu}")
     scalar = np.ndim(phi) == 0

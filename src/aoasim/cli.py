@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import __version__
 from .angular import json_text
-from .estimation import lse
+from .estimation import _float_reprs, lse
 from .geometry import _DEG, _US
 from .scenario import (
     DEFAULT_PATHS_PER_TAP,
@@ -50,14 +50,15 @@ def _write_json(path, payload):
 
 def _write_csv(path, header, first, second):
     """Two columns of floats as csv.writer writes their reprs, in one join."""
-    rows = "".join(f"{a!r},{b!r}\r\n" for a, b in zip(first, second))
+    rows = "".join(f"{a},{b}\r\n" for a, b in zip(_float_reprs(first), _float_reprs(second)))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"{header}\r\n{rows}")
 
 
 def _write_spectrum_csv(path, spectrum):
-    _write_csv(path, "angle_deg,pdf_per_deg", (spectrum.bin_centers / _DEG).tolist(),
-               (spectrum.density * _DEG).tolist())
+    # The columns of report.json's "spectrum", each float's repr taken once
+    # for both files.
+    _write_csv(path, "angle_deg,pdf_per_deg", *spectrum._columns_deg)
 
 
 def _number(field):

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .geometry import _TWO_PI, _check_angles, _read_only
+from .geometry import _DEG, _TWO_PI, _check_angles, _read_only
 
 # Tolerance on sum(probabilities) + point_mass == 1 for a valid spectrum.
 NORMALIZATION_TOL = 1e-9
@@ -44,6 +44,23 @@ def _check_point_mass(point_mass):
     valid = (point_mass >= 0.0) & (point_mass <= 1.0 + NORMALIZATION_TOL)
     if not np.all(valid):
         raise ValueError(f"point mass must be a probability, got {point_mass[np.argmin(valid)]}")
+
+
+class _FloatList(list):
+    """A list of floats whose reprs are taken once, however many files carry them.
+
+    The writers read a list through _float_reprs, which takes the reprs
+    on the first read, so the floats must not change after it.
+    """
+
+    @cached_property
+    def reprs(self):
+        return list(map(float.__repr__, self))
+
+
+def _float_reprs(values):
+    """float.__repr__ of each of values: a TypeError if one is not a float."""
+    return values.reprs if isinstance(values, _FloatList) else list(map(float.__repr__, values))
 
 
 # Edges and centers depend on the bin count alone: each is computed once
@@ -100,6 +117,14 @@ class AngularSpectrum:
     @property
     def probabilities(self):
         return self.density * self.bin_width
+
+    @cached_property
+    def _columns_deg(self):
+        # The bin centers in degrees and the density per degree, as
+        # spectrum.csv and report.json both carry them; every caller gets
+        # these same two lists.
+        return (_FloatList((self.bin_centers / _DEG).tolist()),
+                _FloatList((self.density * _DEG).tolist()))
 
     def normalization_defect(self):
         """|sum of bin probabilities + point mass - 1|."""

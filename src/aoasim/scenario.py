@@ -51,6 +51,34 @@ _SCENARIO_KEYS = ("distance_m", "kappa", "mu", "trials", "bins", "seed", "patter
                   "taps", "pdp", "paths_per_tap", "prominence_db")
 
 
+def _prominent_peaks(x, min_prominence=0.0):
+    """Indices of the peaks of x whose prominence is at least min_prominence.
+
+    The definitions of scipy.signal.find_peaks, which the tests hold this
+    to: a peak is a strict local maximum, a run of equal samples with a
+    lower sample on each side, placed at the run's midpoint rounded down,
+    so the first and last samples are never peaks.  Its prominence is its
+    height above the higher of the lowest samples on its two sides, each
+    side searched out to the first strictly higher sample or the edge.
+    Every peak's prominence is positive, so the default keeps them all.
+    """
+    # The first index of every run of equal samples but the first run; the
+    # runs between the first and the last are the candidates.
+    bounds = np.flatnonzero(x[1:] != x[:-1]) + 1
+    starts, ends = bounds[:-1], bounds[1:] - 1
+    is_peak = (x[starts - 1] < x[starts]) & (x[ends + 1] < x[starts])
+    kept = []
+    for peak in ((starts + ends) // 2)[is_peak].tolist():
+        height = x[peak]
+        left = np.flatnonzero(x[:peak] > height)
+        right = np.flatnonzero(x[peak + 1:] > height)
+        lo = left[-1] + 1 if left.size else 0
+        hi = peak + 1 + right[0] if right.size else x.size
+        if height - max(x[lo:peak].min(), x[peak + 1:hi].min()) >= min_prominence:
+            kept.append(peak)
+    return np.array(kept, dtype=np.intp)
+
+
 def extract_taps(raw_pdp, min_prominence_db=DEFAULT_PROMINENCE_DB,
                  paths_per_tap=DEFAULT_PATHS_PER_TAP):
     """Extract delay taps from raw power-delay-profile samples.
@@ -81,18 +109,10 @@ def extract_taps(raw_pdp, min_prominence_db=DEFAULT_PROMINENCE_DB,
     if np.any(powers <= 0):
         raise ValueError("PDP powers must be positive")
 
-    # Only PDP scenarios and `aoasim taps` get here: importing scipy.signal
-    # at the top would double the start-up time of every other command.
-    from scipy.signal import find_peaks
-
     level_db = 10.0 * np.log10(powers)
-    peaks, _ = find_peaks(level_db, prominence=min_prominence_db)
-    if peaks.size == 0:
-        raw_peaks, _ = find_peaks(level_db)
-        if raw_peaks.size == 0 and not powers[0] > powers[1]:
-            raise ValueError(
-                "PDP has no local maximum (flat or rising profile); cannot extract taps"
-            )
+    peaks = _prominent_peaks(level_db, min_prominence_db)
+    if peaks.size == 0 and _prominent_peaks(level_db).size == 0 and not powers[0] > powers[1]:
+        raise ValueError("PDP has no local maximum (flat or rising profile); cannot extract taps")
     taps = [Tap(0.0, float(powers[0]), int(paths_per_tap))]
     taps.extend(Tap(float(delays[k]), float(powers[k]), int(paths_per_tap)) for k in peaks)
     return TapProfile(tuple(taps))
@@ -255,6 +275,7 @@ class RunReport:
 
     def to_json_dict(self):
         spectrum = self.averaged_spectrum
+        angle_deg, pdf_per_deg = spectrum._columns_deg
         return {
             "angle_spread_deg": self.angle_spread / _DEG,
             "angle_spread_rad": self.angle_spread,
@@ -262,10 +283,7 @@ class RunReport:
             "bins": spectrum.bin_count,
             "trials": self.scenario_echo.trials,
             "per_trial_spread_deg": (self.per_trial_spreads / _DEG).tolist(),
-            "spectrum": {
-                "angle_deg": (spectrum.bin_centers / _DEG).tolist(),
-                "pdf_per_deg": (spectrum.density * _DEG).tolist(),
-            },
+            "spectrum": {"angle_deg": angle_deg, "pdf_per_deg": pdf_per_deg},
             "scenario": self.scenario_echo.to_json_dict(),
         }
 

@@ -123,13 +123,48 @@ class TestSimulate:
                      "--trials", "5", "--per-path-spread"]) == 0
         assert generated == [0, 1, 2, 3, 4]
 
-    def test_import_leaves_scipy_signal_alone(self):
-        # only tap extraction needs scipy.signal, which costs most of start-up
-        code = "import sys, aoasim.cli; print('scipy.signal' in sys.modules)"
+    def test_import_leaves_scipy_signal_alone(self, scenario_file, tmp_path):
+        # SciPy triples the start-up time, so only sampling a Gaussian
+        # pattern loads it (scipy.special), and no route loads scipy.signal.
+        # Each command runs in a fresh process, as a loaded module stays.
+        doc = json.loads(scenario_file.read_text())
+        scenarios = {}
+        for name, edits in [
+            ("omni", {"pattern": {"kind": "omni"}}),
+            ("tabulated", {"pattern": {"kind": "tabulated", "samples": [
+                [-135.0 + 45.0 * k, 1.0 + 0.5 * math.cos(math.radians(45.0 * k))]
+                for k in range(8)]}}),
+            ("pdp", {"taps": None, "pdp": [
+                [float(d), float(p)] for d, p in np.loadtxt(EXAMPLE_PDP, delimiter=",",
+                                                           skiprows=1)]}),
+        ]:
+            scenarios[name] = tmp_path / f"{name}.json"
+            scenarios[name].write_text(json.dumps(
+                {k: v for k, v in dict(doc, **edits).items() if v is not None}))
+        out = str(tmp_path / "out")
+        statements = [
+            "pass",
+            f"assert aoasim.cli.main(['simulate', '--scenario', {str(scenarios['omni'])!r}, "
+            f"'--out', {out!r}]) == 0",
+            f"assert aoasim.cli.main(['simulate', '--scenario', {str(scenarios['tabulated'])!r}, "
+            f"'--out', {out!r}]) == 0",
+            f"assert aoasim.cli.main(['taps', '--pdp', {str(EXAMPLE_PDP)!r}]) == 0",
+            f"aoasim.scenario.ScenarioConfig.from_file({str(scenarios['pdp'])!r})",
+            f"assert aoasim.cli.main(['simulate', '--scenario', {str(scenario_file)!r}, "
+            f"'--out', {out!r}]) == 0",
+        ]
         env = dict(os.environ, PYTHONPATH=str(Path(aoasim.__file__).parents[1]))
-        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                                env=env, check=True)
-        assert result.stdout.strip() == "False"
+        loaded = []
+        for statement in statements:
+            code = (f"import json, sys, aoasim.cli\n{statement}\n"
+                    "print(json.dumps(sorted(m for m in sys.modules\n"
+                    "                        if m.split('.')[0] == 'scipy')))")
+            result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                    env=env, check=True)
+            loaded.append(json.loads(result.stdout.splitlines()[-1]))
+        assert loaded[:-1] == [[]] * 5
+        assert "scipy.special" in loaded[-1]
+        assert not any(name.startswith("scipy.signal") for name in loaded[-1])
 
     def test_missing_scenario_is_machine_readable_error(self, tmp_path, capsys):
         code = main(["simulate", "--scenario", str(tmp_path / "nope.json"),

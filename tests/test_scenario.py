@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aoasim import scenario
 from aoasim.angular import (
@@ -97,6 +99,31 @@ class TestExtractTaps:
         powers = np.exp(-delays / 3e-6)
         profile = extract_taps(list(zip(delays, powers)), paths_per_tap=17)
         assert all(t.path_count == 17 for t in profile.taps)
+
+    # Levels on a coarse grid, so plateaus, ties between peaks and between
+    # bases, and prominences equal to a threshold are common.
+    @settings(max_examples=600, deadline=None)
+    @given(st.lists(st.one_of(st.integers(-4, 4).map(lambda k: 0.5 * k),
+                              st.floats(-60.0, 60.0)), max_size=40),
+           st.integers(0, 12).map(lambda k: 0.5 * k), st.data())
+    @example([3.0, 1.0, 2.0, 1.0, 3.0], 1.0, None)  # edge maxima; prominence 1.0
+    @example([2.0, 2.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0, 2.0, 2.0], 1.0, None)  # edge plateaus
+    @example([1.0] * 6, 0.0, None)  # flat
+    @example([0.0, 0.5, 1.0, 1.0, 1.5], 0.0, None)  # rising, with a plateau
+    def test_peak_finder_is_scipy_find_peaks(self, level, threshold, data):
+        from scipy.signal import find_peaks, peak_prominences
+
+        x = np.array(level, dtype=float)
+        peaks, _ = find_peaks(x)
+        # the no-prominence call that rejects a flat or rising profile
+        assert np.array_equal(scenario._prominent_peaks(x), peaks)
+        thresholds = [threshold]
+        if peaks.size and data is not None:
+            # exactly one peak's prominence: a peak at the threshold is kept
+            thresholds.append(data.draw(st.sampled_from(peak_prominences(x, peaks)[0].tolist())))
+        for value in thresholds:
+            expected, _ = find_peaks(x, prominence=value)
+            assert np.array_equal(scenario._prominent_peaks(x, value), expected)
 
 
 def _config_doc(pattern=None):
