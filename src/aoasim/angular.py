@@ -77,22 +77,35 @@ def _invert_cdf(table, u):
 
     Bit for bit the route through np.searchsorted(cdf, u, "right"): the
     guide table brackets that node count, two probe steps close most
-    brackets and one edge search closes the rest.
+    brackets and one edge search closes the rest.  Each table lookup is
+    one take, and u may have any shape.
     """
     grid, cdf = table.grid, table.cdf
     cell = (u * _GUIDE_CELLS).astype(np.intp)
-    lo, hi = table.guide[cell], table.guide[cell + 1]
+    # An array even for a scalar u, so that np.put below writes into lo.
+    lo, hi = np.asarray(table.guide.take(cell)), table.guide.take(cell + 1)
     # lo never passes the count, which is at most len(cdf) - 1 as
     # u < 1 = cdf[-1], so cdf[lo] is always in bounds.
     for _ in range(2):
-        lo += (lo < hi) & (cdf[lo] <= u)
+        lo += (lo < hi) & (cdf.take(lo) <= u)
     # Where the density is low one guide cell spans many nodes; the few
-    # values still open there go to one search.
-    still_open = (lo < hi) & (cdf[lo] <= u)
-    lo[still_open] = np.searchsorted(cdf, u[still_open], side="right")
+    # values still open there go to one search, by flat index.
+    still_open = np.flatnonzero((lo < hi) & (cdf.take(lo) <= u))
+    np.put(lo, still_open, np.searchsorted(cdf, u.take(still_open), side="right"))
     # Now cdf[lo - 1] <= u < cdf[lo], with 1 <= lo, so the span is positive.
-    c0, g0 = cdf[lo - 1], grid[lo - 1]
-    return g0 + (u - c0) / (cdf[lo] - c0) * (grid[lo] - g0)
+    # g0 + (u - c0) / (cdf[lo] - c0) * (grid[lo] - g0), one operation at
+    # a time into out.
+    below = lo - 1
+    c0, g0 = cdf.take(below), grid.take(below)
+    out = np.subtract(u, c0)
+    span = cdf.take(lo)
+    span -= c0
+    out /= span
+    span = grid.take(lo)
+    span -= g0
+    out *= span
+    out += g0
+    return out
 
 
 def _uniform_quantile(u):
@@ -155,11 +168,11 @@ def json_text(value, pad=""):
     """json.dumps(value, indent=2, sort_keys=True), byte for byte.
 
     The one writer of the package's indented JSON (pad is the indent of
-    the line value starts on).  A list of finite floats is one join of
-    float reprs, taken once for an estimation._FloatList; dicts and other
-    lists are walked here; every other value goes to json.dumps.  Keys
-    must be str: any other key is a TypeError, where json.dumps would
-    turn a number into a string.
+    the line value starts on).  A list or tuple of finite floats is one
+    join of float reprs, taken once for an estimation._FloatList; dicts
+    and other sequences are walked here; every other value goes to
+    json.dumps.  Keys must be str: any other key is a TypeError, where
+    json.dumps would turn a number into a string.
     """
     inner = pad + "  "
     separator = ",\n" + inner

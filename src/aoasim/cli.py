@@ -96,7 +96,7 @@ def _read_csv_pairs(path):
 
 def _cmd_simulate(args):
     config = _load_config(args)
-    report = run_simulation(config)
+    report = run_simulation(config, per_path_spread=args.per_path_spread)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     payload = report.to_json_dict()
@@ -187,6 +187,9 @@ def _add_run_options(parser):
                         help="accepted for compatibility; has no effect (trials run serially)")
 
 
+# Built on the first main call and kept for the process: parse_args leaves
+# the parser as it was, so repeated calls in one process build it once.
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="aoasim",

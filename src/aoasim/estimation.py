@@ -46,11 +46,13 @@ def _check_point_mass(point_mass):
         raise ValueError(f"point mass must be a probability, got {point_mass[np.argmin(valid)]}")
 
 
-class _FloatList(list):
-    """A list of floats whose reprs are taken once, however many files carry them.
+class _FloatList(tuple):
+    """Floats whose reprs are taken once, however many files carry them.
 
-    The writers read a list through _float_reprs, which takes the reprs
-    on the first read, so the floats must not change after it.
+    The writers read one through _float_reprs, which takes the reprs on
+    the first read.  A tuple, so the floats cannot change after it: an
+    edit raises instead of leaving stale reprs, and one such column can
+    be shared by every spectrum that carries it.
     """
 
     @cached_property
@@ -76,6 +78,14 @@ def _bin_edges(bin_count):
 def _bin_centers(bin_count):
     edges = _bin_edges(bin_count)
     return _read_only(0.5 * (edges[:-1] + edges[1:]))
+
+
+@lru_cache(maxsize=8)
+def _centers_deg(bin_count):
+    # The angle_deg column of spectrum.csv and report.json, its reprs taken.
+    column = _FloatList((_bin_centers(bin_count) / _DEG).tolist())
+    column.reprs
+    return column
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,9 +132,9 @@ class AngularSpectrum:
     def _columns_deg(self):
         # The bin centers in degrees and the density per degree, as
         # spectrum.csv and report.json both carry them; every caller gets
-        # these same two lists.
-        return (_FloatList((self.bin_centers / _DEG).tolist()),
-                _FloatList((self.density * _DEG).tolist()))
+        # these same two columns, and every spectrum of a bin count the
+        # same centers.
+        return _centers_deg(self.density.size), _FloatList((self.density * _DEG).tolist())
 
     def normalization_defect(self):
         """|sum of bin probabilities + point mass - 1|."""
@@ -158,8 +168,8 @@ def _bin_index(angles, bin_count):
     edges = _bin_edges(bin_count)
     last = int(bin_count) - 1
     index = np.clip(((angles + np.pi) * (bin_count / _TWO_PI)).astype(np.intp), 0, last)
-    index += edges[index + 1] <= angles
-    index -= edges[index] > angles
+    index += edges.take(index + 1) <= angles
+    index -= edges.take(index) > angles
     return np.clip(index, 0, last)
 
 

@@ -254,16 +254,17 @@ class RunReport:
     radians; per_trial_spreads holds the spread of each single-trial
     spectrum, and per_path_spreads the unbinned spread of each trial's
     raw paths (estimation.path_spread_rows), taken in the same pass:
-    read-only float64 arrays, one entry per trial.  to_json_dict leaves
-    per_path_spreads out; the CLI emits them on request.  The report
-    carries no timing, so emitted reports stay byte-identical across
-    runs.
+    read-only float64 arrays, one entry per trial.  per_path_spreads is
+    None unless the run was asked for it (run_simulation's
+    per_path_spread); to_json_dict leaves it out, and the CLI emits it
+    on request.  The report carries no timing, so emitted reports stay
+    byte-identical across runs.
     """
 
     averaged_spectrum: AngularSpectrum
     angle_spread: float
     per_trial_spreads: np.ndarray
-    per_path_spreads: np.ndarray
+    per_path_spreads: np.ndarray | None
     scenario_echo: ScenarioConfig
 
     def spread_standard_error(self):
@@ -294,7 +295,7 @@ def trials_per_chunk(config, points=1):
     return max(1, CHUNK_SIZE // points // per_trial)
 
 
-def _simulate(config, patterns):
+def _simulate(config, patterns, per_path_spread):
     """One report per pattern: config's trials, run once for all patterns.
 
     Trials run in chunks of consecutive trials (trials_per_chunk), each
@@ -305,12 +306,14 @@ def _simulate(config, patterns):
     chunk size, whatever the trial count.  Every trial reads its own
     block of the run's random stream, so each report is what config
     with that pattern gives alone, bit for bit, whatever the chunking
-    and the other patterns.
+    and the other patterns.  The unbinned per-path spreads are taken
+    only when per_path_spread is true; otherwise the reports carry None.
     """
     trials, step = config.trials, trials_per_chunk(config, len(patterns))
     density_sum = np.zeros((len(patterns), config.bins))
     point_mass = np.empty(trials)
-    trial_spreads, path_spreads = np.empty((2, len(patterns), trials))
+    trial_spreads = np.empty((len(patterns), trials))
+    path_spreads = np.empty((len(patterns), trials)) if per_path_spread else None
     for first in range(0, trials, step):
         stop = min(first + step, trials)
         paths = generate_chunk(config, patterns, first, stop)
@@ -321,14 +324,19 @@ def _simulate(config, patterns):
         density_sum[...] = np.add.reduce(
             np.concatenate([density_sum[:, None], density], axis=1), axis=1)
         trial_spreads[:, first:stop] = angle_spread_rows(density, point_mass[first:stop])
-        path_spreads[:, first:stop] = path_spread_rows(paths)
+        if per_path_spread:
+            path_spreads[:, first:stop] = path_spread_rows(paths)
     # Each report's spreads are read-only rows of these.
-    trial_spreads.flags.writeable = path_spreads.flags.writeable = False
+    trial_spreads.flags.writeable = False
+    path_rows = [None] * len(patterns)
+    if per_path_spread:
+        path_spreads.flags.writeable = False
+        path_rows = path_spreads
     # np.mean over the point masses adds pairwise, so they are all kept.
     mean_point_mass = float(np.mean(point_mass))
     reports = []
     for pattern, running, trial_row, path_row in zip(patterns, density_sum, trial_spreads,
-                                                     path_spreads):
+                                                     path_rows):
         averaged = AngularSpectrum(running / trials, mean_point_mass)
         reports.append(RunReport(
             averaged_spectrum=averaged,
@@ -340,7 +348,7 @@ def _simulate(config, patterns):
     return reports
 
 
-def run_simulation(config):
+def run_simulation(config, per_path_spread=False):
     """Run the configured number of trials and average their spectra.
 
     The one-pattern case of _simulate: trials run in bounded chunks,
@@ -348,9 +356,10 @@ def run_simulation(config):
     its own block of the run's random stream (see montecarlo), so the
     output is fully deterministic for a fixed scenario and seed and does
     not depend on the chunking.  Each trial is generated once, for its
-    spectrum and its unbinned spread alike.
+    spectrum and, with per_path_spread, its unbinned spread alike;
+    without it the report's per_path_spreads is None.
     """
-    [report] = _simulate(config, (config.pattern,))
+    [report] = _simulate(config, (config.pattern,), per_path_spread)
     return report
 
 
@@ -369,7 +378,8 @@ def hpbw_sweep(config, hpbw_deg_list):
     its uniforms, local angles and powers once, and only the delayed
     taps' departures, their ellipse map and the binning are per point.
     Every point reads the same uniforms, so the points share common
-    random numbers.  Only defined for Gaussian patterns.
+    random numbers.  Only defined for Gaussian patterns.  The reports
+    carry no per-path spreads (per_path_spreads is None).
     """
     if not isinstance(config.pattern, GaussianPattern):
         raise ValueError("HPBW sweep requires a Gaussian antenna pattern")
@@ -378,4 +388,4 @@ def hpbw_sweep(config, hpbw_deg_list):
         raise ValueError("hpbw list must be nonempty")
     patterns = tuple(GaussianPattern(hpbw=hpbw * _DEG) for hpbw in hpbws)
     return [SweepPoint(hpbw, report.angle_spread, report)
-            for hpbw, report in zip(hpbws, _simulate(config, patterns))]
+            for hpbw, report in zip(hpbws, _simulate(config, patterns, per_path_spread=False))]

@@ -459,6 +459,14 @@ class TestInvertCdf:
         assert np.array_equal(_invert_cdf(table, u), invert_cdf_searched(table.grid, table.cdf, u))
 
     def test_batch_shape_is_kept(self):
+        # uniforms anywhere, and a 2-d batch inside the guide cells that span
+        # many nodes (the flat stretches), which the edge search closes; each
+        # of its first row also as a scalar and as a 0-d array
         table = _spiked_table()
-        u = np.random.default_rng(10).random((3, 7))
-        assert np.array_equal(_invert_cdf(table, u), invert_cdf_searched(table.grid, table.cdf, u))
+        rng = np.random.default_rng(10)
+        wide = np.flatnonzero(np.diff(table.guide) > 3)
+        cells = rng.choice(wide, size=(4, 50))
+        batch = (cells + 0.999 * rng.random(cells.shape)) / _GUIDE_CELLS
+        for u in [rng.random((3, 7)), batch, *batch[0], *map(np.array, batch[0])]:
+            assert np.array_equal(_invert_cdf(table, u),
+                                  invert_cdf_searched(table.grid, table.cdf, u))

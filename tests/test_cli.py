@@ -103,7 +103,8 @@ class TestSimulate:
         assert main(["simulate", "--scenario", str(scenario_file), "--out", str(tmp_path),
                      "--per-path-spread"]) == 0
         report = json.loads((tmp_path / "report.json").read_text())
-        spreads = run_simulation(ScenarioConfig.from_file(scenario_file)).per_path_spreads
+        spreads = run_simulation(ScenarioConfig.from_file(scenario_file),
+                                 per_path_spread=True).per_path_spreads
         expected = left_to_right_sum(spreads) / len(spreads) / (math.pi / 180.0)
         assert report["per_path_spread_mean_deg"] == expected
 
@@ -122,6 +123,33 @@ class TestSimulate:
         assert main(["simulate", "--scenario", str(scenario_file), "--out", str(tmp_path),
                      "--trials", "5", "--per-path-spread"]) == 0
         assert generated == [0, 1, 2, 3, 4]
+
+    def test_per_path_spreads_only_on_request(self, scenario_file, tmp_path, monkeypatch):
+        # one path_spread_rows call per chunk with --per-path-spread, and
+        # none for a plain simulate or a sweep
+        from aoasim import scenario
+
+        calls = {"generate_chunk": 0, "path_spread_rows": 0}
+
+        def counting(name):
+            original = getattr(scenario, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(scenario, name, counting(name))
+        monkeypatch.setattr(scenario, "CHUNK_SIZE", 1)    # one trial per chunk
+        run = ["--scenario", str(scenario_file), "--out", str(tmp_path), "--trials", "5"]
+        for argv, spread_calls in ((["simulate", *run], 0),
+                                   (["simulate", *run, "--per-path-spread"], 5),
+                                   (["sweep", *run, "--hpbw", "360,60"], 0)):
+            calls.update(dict.fromkeys(calls, 0))
+            assert main(argv) == 0
+            assert calls == {"generate_chunk": 5, "path_spread_rows": spread_calls}
 
     def test_import_leaves_scipy_signal_alone(self, scenario_file, tmp_path):
         # SciPy triples the start-up time, so only sampling a Gaussian
@@ -209,7 +237,7 @@ class TestSimulate:
 
     def test_out_of_memory_is_one_error_record(self, scenario_file, tmp_path, capsys,
                                                monkeypatch):
-        def exhausted(config):
+        def exhausted(config, per_path_spread=False):
             raise MemoryError("Unable to allocate 7.28 TiB for an array")
 
         monkeypatch.setattr(cli, "run_simulation", exhausted)

@@ -20,6 +20,7 @@ from aoasim.angular import (
     Tap,
     TapProfile,
     ellipses_for_taps,
+    json_text,
     pattern_from_json,
 )
 from aoasim.estimation import estimate_pdf, rms_angle_spread, spectrum_rows
@@ -339,14 +340,21 @@ class TestRunSimulation:
         assert len(report.per_trial_spreads) == report.scenario_echo.trials
 
     def test_spreads_are_read_only_arrays(self):
+        # per-path spreads only when asked for; sweep points never carry them
         config = _quick_config()
-        reports = [run_simulation(config)]
+        asked = run_simulation(config, per_path_spread=True)
+        reports = [asked, run_simulation(config)]
         reports += [point.report for point in hpbw_sweep(config, [360.0, 60.0])]
         for report in reports:
-            for spreads in (report.per_trial_spreads, report.per_path_spreads):
-                assert spreads.dtype == np.float64 and spreads.shape == (config.trials,)
+            spreads = [report.per_trial_spreads]
+            if report is asked:
+                spreads.append(report.per_path_spreads)
+            else:
+                assert report.per_path_spreads is None
+            for row in spreads:
+                assert row.dtype == np.float64 and row.shape == (config.trials,)
                 with pytest.raises(ValueError, match="read-only"):
-                    spreads[0] = 0.0
+                    row[0] = 0.0
 
     def test_uniform_scenario_matches_analytic_spread(self):
         config = ScenarioConfig(
@@ -369,7 +377,10 @@ def _assert_same_report(a, b):
     assert sa.point_mass_at_zero == sb.point_mass_at_zero
     assert a.angle_spread == b.angle_spread
     assert np.array_equal(a.per_trial_spreads, b.per_trial_spreads)
-    assert np.array_equal(a.per_path_spreads, b.per_path_spreads)
+    if a.per_path_spreads is None or b.per_path_spreads is None:
+        assert a.per_path_spreads is b.per_path_spreads is None
+    else:
+        assert np.array_equal(a.per_path_spreads, b.per_path_spreads)
     assert a.scenario_echo == b.scenario_echo
 
 
@@ -428,7 +439,7 @@ class TestChunkedTrials:
         for chunk_size, step in ((1, 1), (7 * per_trial, 7), (default, default // per_trial)):
             monkeypatch.setattr(scenario, "CHUNK_SIZE", chunk_size)
             assert trials_per_chunk(config) == step
-            reports.append(run_simulation(config))
+            reports.append(run_simulation(config, per_path_spread=True))
             # the running sum of the rows is the mean over all trials
             averaged = reports[-1].averaged_spectrum
             assert np.array_equal(averaged.density, np.mean(density, axis=0))
@@ -451,10 +462,10 @@ class TestChunkedTrials:
         config = _chunk_config(_CHUNK_PATTERNS["gaussian"], 0.5, 6.0,
                                counts=(11_000, 11_000, 11_001), trials=2, bins=360)
         assert trials_per_chunk(config) == 1
-        alone = run_simulation(config)
+        alone = run_simulation(config, per_path_spread=True)
         monkeypatch.setattr(scenario, "CHUNK_SIZE", 2 * (33_001 + 360))
         assert trials_per_chunk(config) == 2
-        _assert_same_report(alone, run_simulation(config))
+        _assert_same_report(alone, run_simulation(config, per_path_spread=True))
         batch = generate_chunk(config, (config.pattern,), 0, 2)
         _assert_same_rows(batch, 1, generate_chunk(config, (config.pattern,), 1, 2))
         _assert_binned_path_by_path(batch, config.bins)
@@ -608,3 +619,15 @@ class TestRunReportSerialization:
             math.degrees(report.angle_spread)
         )
         assert len(payload["spectrum"]["angle_deg"]) == report.scenario_echo.bins
+
+    def test_spectrum_columns_cannot_go_stale(self):
+        # The columns keep their reprs once written, and a bin count's
+        # centers are shared by every spectrum: an edit raises, so neither
+        # this payload nor a later one writes a number the report lacks.
+        report = run_simulation(_quick_config(trials=3))
+        payload = report.to_json_dict()
+        text = json_text(payload)
+        for column in payload["spectrum"].values():
+            with pytest.raises(TypeError):
+                column[0] = 123.0
+        assert json_text(payload) == text == json_text(report.to_json_dict())
