@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
-from .estimation import _float_reprs, weighted_spread
+from .estimation import _clamp, _float_reprs, weighted_spread
 from .geometry import (
     _DEG,
     _TWO_PI,
@@ -78,9 +78,10 @@ def _invert_cdf(table, u):
     Bit for bit the route through np.searchsorted(cdf, u, "right"): the
     guide table brackets that node count, two probe steps close most
     brackets and one edge search closes the rest.  Each table lookup is
-    one take, and u may have any shape.
+    one take, and u may be a number or an array of any shape.
     """
     grid, cdf = table.grid, table.cdf
+    u = np.asarray(u, dtype=float)
     cell = (u * _GUIDE_CELLS).astype(np.intp)
     # An array even for a scalar u, so that np.put below writes into lo.
     lo, hi = np.asarray(table.guide.take(cell)), table.guide.take(cell + 1)
@@ -263,12 +264,15 @@ class GaussianPattern:
         return std, ndtr(-np.pi / std)
 
     def quantile(self, u):
-        # For narrow beams lo underflows to 0 and ndtri(0) is -inf; the clip
-        # puts that, and any rounding past the ends, back on [-pi, pi].
+        # For narrow beams lo underflows to 0 and ndtri(0) is -inf; the clamp
+        # puts that, and any rounding past the ends, back on [-pi, pi].  It
+        # runs in place, so a scalar u goes through a 0-d array and comes
+        # back a scalar.
         from scipy.special import ndtri
 
         std, lo = self._truncation
-        return np.clip(std * ndtri(lo + u * (1.0 - 2.0 * lo)), -np.pi, np.pi)
+        angles = _clamp(np.asarray(std * ndtri(lo + u * (1.0 - 2.0 * lo))), -np.pi, np.pi)
+        return angles if angles.ndim else angles[()]
 
     def to_json(self):
         return {"kind": self.kind, "hpbw_deg": self.hpbw / _DEG}

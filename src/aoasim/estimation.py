@@ -6,17 +6,15 @@ over K uniform bins, the bin count being the only statement of the
 binning, and angular dispersion is summarized by the rms angle spread
 of the binned distribution.
 
-A path set may hold one trial, a batch of trials, one row each, or
-such a batch under several patterns behind a leading points axis (see
-montecarlo.generate_chunk): spectrum_rows, angle_spread_rows and
-path_spread_rows reduce every row at once, and the single-trial
-functions are their one-row case.  Each row's result is bit for bit
-what the same trial gives alone.
+A path set holds one trial or a batch of trials, one row each (see
+montecarlo.generate_chunk, which gives a sweep one batch per pattern):
+spectrum_rows, angle_spread_rows and path_spread_rows reduce every row
+at once, and the single-trial functions are their one-row case.  Each
+row's result is bit for bit what the same trial gives alone.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -167,22 +165,28 @@ def _bin_index(angles, bin_count):
     """
     edges = _bin_edges(bin_count)
     last = int(bin_count) - 1
-    index = np.clip(((angles + np.pi) * (bin_count / _TWO_PI)).astype(np.intp), 0, last)
+    # Clamped in place: an array even for one angle, so that out= can
+    # write into it.
+    index = np.asarray(((angles + np.pi) * (bin_count / _TWO_PI)).astype(np.intp))
+    _clamp(index, 0, last)
     index += edges.take(index + 1) <= angles
     index -= edges.take(index) > angles
-    return np.clip(index, 0, last)
+    return _clamp(index, 0, last)
+
+
+def _clamp(values, lo, hi):
+    # np.clip(values, lo, hi), bit for bit, in place.
+    np.maximum(values, lo, out=values)
+    return np.minimum(values, hi, out=values)
 
 
 def spectrum_rows(paths, bin_count):
     """Per-trial spectra of a path set, one row per trial.
 
-    paths holds one trial (1-d angles and powers), a batch (2-d, one
-    row per trial) or a batch under several patterns (3-d angles, one
-    (trials, paths) layer per pattern, sharing 2-d powers; see
-    montecarlo.generate_chunk).  Returns (density, point_mass): density
-    has one row of bin densities per trial, under a leading points axis
-    for 3-d angles, and point_mass one entry per trial, each checked as
-    AngularSpectrum checks a single spectrum.
+    paths holds one trial (1-d angles and powers) or a batch (2-d, one
+    row per trial).  Returns (density, point_mass): density has one row
+    of bin densities per trial, and point_mass one entry per trial, each
+    checked as AngularSpectrum checks a single spectrum.
     See estimate_pdf for the binning convention.
     """
     if bin_count < 8:
@@ -190,16 +194,15 @@ def spectrum_rows(paths, bin_count):
     bin_count = int(bin_count)
     total = np.atleast_1d(_total_power(paths))
     angles = np.atleast_2d(paths.angles)
-    powers = np.broadcast_to(paths.powers, angles.shape)
-    rows = angles.shape[:-1]
-    row_start = bin_count * np.arange(math.prod(rows)).reshape(rows + (1,))
-    # One histogram for the whole batch: row r (of all points, in order)
-    # owns cells [r*K, (r+1)*K), and each cell adds its paths in column
-    # order, as a histogram of that row alone would.
-    cells = _bin_index(angles, bin_count) + row_start
-    weights = np.bincount(cells.ravel(), weights=powers.ravel(),
-                          minlength=row_start.size * bin_count)
-    density = weights.reshape(rows + (bin_count,)) / total[:, None]
+    rows = angles.shape[0]
+    # One histogram for the whole batch: row r owns cells [r*K, (r+1)*K),
+    # and each cell adds its paths in column order, as a histogram of
+    # that row alone would.
+    cells = _bin_index(angles, bin_count)
+    cells += bin_count * np.arange(rows)[:, None]
+    weights = np.bincount(cells.ravel(), weights=np.ravel(paths.powers),
+                          minlength=rows * bin_count)
+    density = weights.reshape(rows, bin_count) / total[:, None]
     density /= _TWO_PI / bin_count
     point_mass = paths.direct_power / total
     _check_density(density)
@@ -239,14 +242,13 @@ def weighted_spread(values, weights):
 def angle_spread_rows(density, point_mass):
     """Rms angle spread of each row of spectrum_rows, in radians.
 
-    See rms_angle_spread; every row is checked to be normalized.  A
-    leading points axis of density carries through to the result.
+    See rms_angle_spread; every row is checked to be normalized.
     """
     bin_count = np.shape(density)[-1]
     probabilities = np.atleast_2d(density) * (_TWO_PI / bin_count)
     defects = _normalization_defects(probabilities, point_mass)
     if np.any(defects > NORMALIZATION_TOL):
-        defect = defects.flat[np.argmax(defects > NORMALIZATION_TOL)]
+        defect = defects[np.argmax(defects > NORMALIZATION_TOL)]
         raise ValueError(f"spectrum is not normalized (defect {defect:.3e})")
     return weighted_spread(_bin_centers(bin_count), probabilities)
 
@@ -265,9 +267,8 @@ def rms_angle_spread(spectrum):
 def path_spread_rows(paths):
     """Unbinned rms angle spread of each trial of a path set (see spectrum_rows).
 
-    3-d angles give one row of spreads per point.  The direct path, at
-    angle zero, adds nothing to either moment; it enters through the
-    total power that normalizes the weights.
+    The direct path, at angle zero, adds nothing to either moment; it
+    enters through the total power that normalizes the weights.
     """
     total = np.atleast_1d(_total_power(paths))
     weights = np.atleast_2d(paths.powers) / total[:, None]

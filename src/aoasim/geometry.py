@@ -121,6 +121,13 @@ def _half_angle_map(phi, ratio):
     return float(mapped[0]) if scalar else mapped
 
 
+def _half_angle_ratio(eccentricity):
+    # (1-e)/(1+e) of each eccentricity, checked: the ratio of aod_to_aoa,
+    # which a scenario keeps per path column (ScenarioConfig.half_angle_ratios).
+    ecc = _check_eccentricity(eccentricity)
+    return (1.0 - ecc) / (1.0 + ecc)
+
+
 def aod_to_aoa(phi_t, eccentricity):
     """Arrival angle at the receiver for a departure angle on one ellipse.
 
@@ -136,8 +143,7 @@ def aod_to_aoa(phi_t, eccentricity):
     phi_t (one per column), each checked to lie in [0, 1).  A column
     with e = 0 comes back unchanged, bit for bit.
     """
-    ecc = _check_eccentricity(eccentricity)
-    return _half_angle_map(phi_t, (1.0 - ecc) / (1.0 + ecc))
+    return _half_angle_map(phi_t, _half_angle_ratio(eccentricity))
 
 
 def aoa_to_aod(phi_r, eccentricity):

@@ -17,9 +17,10 @@ and columns [P, 2P) into powers.
 
 The row does not depend on the transmit pattern, which only the delayed
 taps' departure quantiles read.  So generate_chunk takes a chunk of
-trials under several patterns at once: the uniforms, local angles and
-powers are drawn once, and each pattern adds one layer of departure
-angles.  This is how an HPBW sweep runs all its points in one pass.
+trials under several patterns in turn: the uniforms, local angles and
+powers are drawn once, and each pattern then gets its departure angles,
+their ellipse map and a (trials, paths) path set of its own.  This is
+how an HPBW sweep runs all its points in one pass.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .angular import ellipses_for_taps
-from .geometry import aod_to_aoa, wrap_angle
+from .geometry import _half_angle_map, wrap_angle
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import ScenarioConfig
@@ -47,9 +48,7 @@ class PathSet:
     power of each scattered path, in draw order: the zero-delay tap's
     local paths first, then each delayed tap in profile order.  Shape
     (paths,) for one trial; (trials, paths), one row per trial, for a
-    batch.  From generate_chunk, angles are (points, trials, paths),
-    one layer per pattern, and the powers (trials, paths) are every
-    layer's.
+    batch.
     tap_index: the tap each scattered path (column) belongs to.
     direct_power: power of the direct path at boresight; 0.0 when
     kappa = 0, in which case the trial has no direct path.
@@ -75,8 +74,9 @@ def sample_aod(pattern, rng, size):
 
 # The run invariants below depend on the scenario alone: ScenarioConfig
 # computes each on first use and keeps it read-only (stream_key,
-# power_scales, eccentricities), so a run pays for them once, not once
-# per chunk.
+# power_scales, eccentricities, and the checked half_angle_ratios of the
+# eccentricities), so a run pays for them once, not once per chunk or
+# pattern.
 
 def _stream_key(scenario):
     """Key of the run's Philox stream, derived from the master seed."""
@@ -114,33 +114,31 @@ def draw_uniforms(scenario: "ScenarioConfig", first, stop):
 
 
 def generate_chunk(scenario: "ScenarioConfig", patterns, first, stop):
-    """Path sets of trials first..stop-1 under each of patterns, as one batch.
+    """Path sets of trials first..stop-1, one per pattern in turn.
 
-    Draws the trials' uniforms once, takes the local arrival angles and
-    the powers from them once, and fills one layer of a (points, trials,
-    paths) angle array per pattern with that pattern's departure
-    quantiles; every delayed tap's departures, for all points at once,
-    then go through their ellipses in one call.  The powers, (trials,
-    paths), are shared by every point.  Layer p is bit for bit what the
-    scenario with patterns[p] gives alone, and row k of it what trial
-    first + k gives alone, whatever first and stop are.
+    Draws the trials' uniforms once and takes the local arrival angles
+    and the powers from them once.  Then, for each of patterns, it maps
+    that pattern's departure quantiles of every delayed tap through
+    their ellipses and yields the (trials, paths) path set, before it
+    takes the next pattern: only the path set in hand is built.  Every
+    path set shares the one powers array.  The path set of patterns[p]
+    is bit for bit what the scenario with that pattern gives alone, and
+    its row k what trial first + k gives alone, whatever first and stop
+    are.
     """
     profile = scenario.taps
     local, paths = profile.path_counts[0], profile.tap_index.size
     uniforms = draw_uniforms(scenario, first, stop)
-
-    angles = np.empty((len(patterns), stop - first, paths))
-    angles[:, :, :local] = wrap_angle(scenario.local.quantile(uniforms[:, :local]))
-    for layer, pattern in zip(angles, patterns):
-        layer[:, local:] = pattern.quantile(uniforms[:, local:paths])
-    # aod_to_aoa wraps its input, so every angle is wrapped exactly once.
-    angles[:, :, local:] = aod_to_aoa(angles[:, :, local:], scenario.eccentricities)
-    return PathSet(
-        angles=angles,
-        powers=uniforms[:, paths:2 * paths] * scenario.power_scales,
-        tap_index=profile.tap_index,
-        direct_power=scenario.kappa * profile.taps[0].power / (1.0 + scenario.kappa),
-    )
+    local_angles = wrap_angle(scenario.local.quantile(uniforms[:, :local]))
+    powers = uniforms[:, paths:2 * paths] * scenario.power_scales
+    direct_power = scenario.kappa * profile.taps[0].power / (1.0 + scenario.kappa)
+    for pattern in patterns:
+        angles = np.empty((stop - first, paths))
+        angles[:, :local] = local_angles
+        # The map wraps its input, so every angle is wrapped exactly once.
+        angles[:, local:] = _half_angle_map(pattern.quantile(uniforms[:, local:paths]),
+                                            scenario.half_angle_ratios)
+        yield PathSet(angles, powers, profile.tap_index, direct_power)
 
 
 def generate_trial(scenario: "ScenarioConfig", trial_index):
@@ -156,5 +154,5 @@ def generate_trial(scenario: "ScenarioConfig", trial_index):
     bitwise-identical arrays.  A view of the one-trial, one-pattern
     generate_chunk.
     """
-    batch = generate_chunk(scenario, (scenario.pattern,), trial_index, trial_index + 1)
-    return PathSet(batch.angles[0, 0], batch.powers[0], batch.tap_index, batch.direct_power)
+    [batch] = generate_chunk(scenario, (scenario.pattern,), trial_index, trial_index + 1)
+    return PathSet(batch.angles[0], batch.powers[0], batch.tap_index, batch.direct_power)

@@ -35,16 +35,17 @@ from .estimation import (
     rms_angle_spread,
     spectrum_rows,
 )
-from .geometry import _DEG, _US, _read_only
+from .geometry import _DEG, _US, _half_angle_ratio, _read_only
 from .montecarlo import _eccentricities, _power_scales, _stream_key, generate_chunk
 
 DEFAULT_PATHS_PER_TAP = 50
 DEFAULT_PROMINENCE_DB = 3.0
 
-# run_simulation takes its trials in chunks of at most this many path and
-# bin entries (paths plus bins per trial, times trials; one trial at
-# least).  The batch buffers of a chunk grow with both, so this bounds
-# them whatever the trial count; the chunking changes no number.
+# run_simulation and hpbw_sweep take their trials in chunks of at most
+# this many path and bin entries (paths plus bins per trial, times trials;
+# one trial at least).  The batch buffers of a chunk grow with both, and a
+# sweep builds them for one point at a time, so this bounds them whatever
+# the trial and point counts; the chunking changes no number.
 CHUNK_SIZE = 1 << 15
 
 _SCENARIO_KEYS = ("distance_m", "kappa", "mu", "trials", "bins", "seed", "pattern",
@@ -185,6 +186,12 @@ class ScenarioConfig:
     def eccentricities(self):
         return _read_only(_eccentricities(self))
 
+    @cached_property
+    def half_angle_ratios(self):
+        # aod_to_aoa's ratio of each delayed path column, its eccentricity
+        # checked here once, so the chunks map without checking it again.
+        return _read_only(_half_angle_ratio(self.eccentricities))
+
     @classmethod
     def from_json_dict(cls, doc):
         """Scenario from its scenario-file form, checked field by field.
@@ -289,43 +296,44 @@ class RunReport:
         }
 
 
-def trials_per_chunk(config, points=1):
-    """Trials that one chunk generates and bins as one batch, for points patterns."""
+def trials_per_chunk(config):
+    """Trials that one chunk generates and bins as one batch, for any pattern count."""
     per_trial = sum(tap.path_count for tap in config.taps.taps) + config.bins
-    return max(1, CHUNK_SIZE // points // per_trial)
+    return max(1, CHUNK_SIZE // per_trial)
 
 
 def _simulate(config, patterns, per_path_spread):
     """One report per pattern: config's trials, run once for all patterns.
 
-    Trials run in chunks of consecutive trials (trials_per_chunk), each
-    generated under every pattern at once (montecarlo.generate_chunk),
-    binned and reduced as one batch before the next: the per-trial
-    spreads are taken per chunk and each pattern's density rows added
-    into its running sum in trial order, so memory stays bounded by the
-    chunk size, whatever the trial count.  Every trial reads its own
-    block of the run's random stream, so each report is what config
-    with that pattern gives alone, bit for bit, whatever the chunking
-    and the other patterns.  The unbinned per-path spreads are taken
-    only when per_path_spread is true; otherwise the reports carry None.
+    Trials run in chunks of consecutive trials (trials_per_chunk).  Each
+    chunk is drawn once and then generated under one pattern at a time
+    (montecarlo.generate_chunk), binned and reduced into that pattern's
+    row before the next: the per-trial spreads are taken per chunk and
+    the density rows added into the pattern's running sum in trial
+    order, so memory stays bounded by the chunk size, whatever the trial
+    and pattern counts.  Every trial reads its own block of the run's
+    random stream, so each report is what config with that pattern gives
+    alone, bit for bit, whatever the chunking and the other patterns.
+    The unbinned per-path spreads are taken only when per_path_spread is
+    true; otherwise the reports carry None.
     """
-    trials, step = config.trials, trials_per_chunk(config, len(patterns))
+    trials, step = config.trials, trials_per_chunk(config)
     density_sum = np.zeros((len(patterns), config.bins))
     point_mass = np.empty(trials)
     trial_spreads = np.empty((len(patterns), trials))
     path_spreads = np.empty((len(patterns), trials)) if per_path_spread else None
     for first in range(0, trials, step):
         stop = min(first + step, trials)
-        paths = generate_chunk(config, patterns, first, stop)
-        density, point_mass[first:stop] = spectrum_rows(paths, config.bins)
-        # Reducing the trial axis, which is not the contiguous one, adds
-        # row by row, so each point's sum is the same for any chunking;
-        # summing the chunk first would change the last bits.
-        density_sum[...] = np.add.reduce(
-            np.concatenate([density_sum[:, None], density], axis=1), axis=1)
-        trial_spreads[:, first:stop] = angle_spread_rows(density, point_mass[first:stop])
-        if per_path_spread:
-            path_spreads[:, first:stop] = path_spread_rows(paths)
+        for point, paths in enumerate(generate_chunk(config, patterns, first, stop)):
+            density, point_mass[first:stop] = spectrum_rows(paths, config.bins)
+            trial_spreads[point, first:stop] = angle_spread_rows(density, point_mass[first:stop])
+            # Reducing the trial axis, which is not the contiguous one, adds
+            # row by row, so the sum is the same for any chunking; summing
+            # the chunk first would change the last bits.
+            density_sum[point] = np.add.reduce(
+                np.concatenate([density_sum[point, None], density]), axis=0)
+            if per_path_spread:
+                path_spreads[point, first:stop] = path_spread_rows(paths)
     # Each report's spreads are read-only rows of these.
     trial_spreads.flags.writeable = False
     path_rows = [None] * len(patterns)
@@ -374,9 +382,11 @@ def hpbw_sweep(config, hpbw_deg_list):
 
     Returns one (hpbw_deg, angle_spread, report) point per beamwidth
     (degrees), each equal bit for bit to run_simulation at that
-    beamwidth.  All points run in one pass: each chunk of trials draws
-    its uniforms, local angles and powers once, and only the delayed
-    taps' departures, their ellipse map and the binning are per point.
+    beamwidth.  All points run in one pass, in chunks as large as one
+    run_simulation takes: each chunk of trials draws its uniforms, local
+    angles and powers once, and only the delayed taps' departures, their
+    ellipse map, the binning and the reduce run per point, one point at
+    a time.
     Every point reads the same uniforms, so the points share common
     random numbers.  Only defined for Gaussian patterns.  The reports
     carry no per-path spreads (per_path_spreads is None).

@@ -371,6 +371,20 @@ class TestQuantiles:
         u = np.linspace(0.0, 1.0, 101)[:-1]
         assert np.array_equal(LocalScattering(0.0).quantile(u), OmniPattern().quantile(u))
 
+    @pytest.mark.parametrize("sampler", [
+        OmniPattern(), GaussianPattern(math.radians(60.0)), GaussianPattern(math.radians(1.0)),
+        TabulatedPattern(_GAPPED_SAMPLES), LocalScattering(0.0), LocalScattering(5.0),
+    ], ids=["omni", "gaussian", "gaussian-narrow", "tabulated", "uniform-local", "von-mises"])
+    def test_scalar_uniform_gives_the_one_element_result(self, sampler):
+        # a Python float, an np.float64 and a 0-d array each give one angle,
+        # the bits of the quantile of the 1-element array
+        for u in [0.0, 0.3, 0.999]:
+            [expected] = sampler.quantile(np.array([u]))
+            for scalar in [u, np.float64(u), np.array(u)]:
+                angle = sampler.quantile(scalar)
+                assert np.ndim(angle) == 0
+                assert np.asarray(angle).tobytes() == expected.tobytes()
+
 
 def _spiked_table():
     # zero stretches (flat CDF segments) and one narrow spike, whose guide

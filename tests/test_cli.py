@@ -115,9 +115,9 @@ class TestSimulate:
         generated = []
 
         def counting_generate_chunk(config, patterns, first, stop):
-            batch = montecarlo.generate_chunk(config, patterns, first, stop)
-            generated.extend(range(first, first + batch.angles.shape[1]))
-            return batch
+            for batch in montecarlo.generate_chunk(config, patterns, first, stop):
+                generated.extend(range(first, first + len(batch.angles)))
+                yield batch
 
         monkeypatch.setattr(scenario, "generate_chunk", counting_generate_chunk)
         assert main(["simulate", "--scenario", str(scenario_file), "--out", str(tmp_path),

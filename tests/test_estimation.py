@@ -44,8 +44,8 @@ def _averaged(monkeypatch, path_sets, bins):
     # under the one pattern
     def chunk(config, patterns, first, stop):
         [paths] = path_sets[first:stop]
-        return PathSet(angles=paths.angles[None, None], powers=paths.powers[None],
-                       tap_index=paths.tap_index, direct_power=paths.direct_power)
+        return [PathSet(angles=paths.angles[None], powers=paths.powers[None],
+                        tap_index=paths.tap_index, direct_power=paths.direct_power)]
 
     monkeypatch.setattr(scenario, "CHUNK_SIZE", 1)
     monkeypatch.setattr(scenario, "generate_chunk", chunk)
@@ -255,7 +255,7 @@ class TestRawPathSpread:
 
 
 class TestStackedRows:
-    """A leading points axis: each layer reduces as a batch of its own."""
+    """A sweep's chunk: each pattern's batch reduces as that pattern's own chunk."""
 
     def test_each_layer_equals_its_own_batch(self):
         config = scenario.ScenarioConfig(
@@ -264,26 +264,27 @@ class TestStackedRows:
             pattern=OmniPattern(), kappa=0.6, mu=4.0, trials=9, bins=40, master_seed=8)
         patterns = (OmniPattern(), GaussianPattern(math.radians(90.0)),
                     GaussianPattern(math.radians(10.0)))
-        stacked = generate_chunk(config, patterns, 2, 9)
-        density, point_mass = spectrum_rows(stacked, config.bins)
-        spreads = angle_spread_rows(density, point_mass)
-        path_spreads = path_spread_rows(stacked)
-        assert density.shape == (3, 7, 40) and spreads.shape == path_spreads.shape == (3, 7)
-        for k, pattern in enumerate(patterns):
-            # the pattern's own one-layer chunk, reduced as a 2-d batch
-            chunk = generate_chunk(replace(config, pattern=pattern), (pattern,), 2, 9)
-            alone = PathSet(chunk.angles[0], chunk.powers, chunk.tap_index, chunk.direct_power)
-            assert np.array_equal(stacked.angles[k], alone.angles)
-            assert np.array_equal(stacked.powers, alone.powers)
+        batches = list(generate_chunk(config, patterns, 2, 9))
+        assert len(batches) == len(patterns)
+        for batch, pattern in zip(batches, patterns):
+            density, point_mass = spectrum_rows(batch, config.bins)
+            spreads = angle_spread_rows(density, point_mass)
+            path_spreads = path_spread_rows(batch)
+            assert density.shape == (7, 40) and spreads.shape == path_spreads.shape == (7,)
+            # the pattern's own one-pattern chunk, reduced as a batch
+            [alone] = generate_chunk(replace(config, pattern=pattern), (pattern,), 2, 9)
+            assert np.array_equal(batch.angles, alone.angles)
+            assert np.array_equal(batch.powers, alone.powers)
             layer_density, layer_mass = spectrum_rows(alone, config.bins)
-            assert np.array_equal(density[k], layer_density)
+            assert np.array_equal(density, layer_density)
             assert np.array_equal(point_mass, layer_mass)
-            assert np.array_equal(spreads[k], angle_spread_rows(layer_density, layer_mass))
-            assert np.array_equal(path_spreads[k], path_spread_rows(alone))
+            assert np.array_equal(spreads, angle_spread_rows(layer_density, layer_mass))
+            assert np.array_equal(path_spreads, path_spread_rows(alone))
 
     def test_unnormalized_row_of_a_later_point_is_named(self):
-        density = np.full((2, 3, 36), 1.0 / TWO_PI)
-        density[1, 2] *= 1.5
+        # the first row past the tolerance is named, not the first row
+        density = np.full((3, 36), 1.0 / TWO_PI)
+        density[2] *= 1.5
         with pytest.raises(ValueError, match=r"defect 5\.000e-01"):
             angle_spread_rows(density, np.zeros(3))
 
@@ -304,7 +305,7 @@ class TestPooledVersusAveraged:
             master_seed=123,
         )
         averaged = scenario.run_simulation(config).averaged_spectrum
-        batch = generate_chunk(config, (config.pattern,), 0, config.trials)
+        [batch] = generate_chunk(config, (config.pattern,), 0, config.trials)
         pooled = estimate_pdf(PathSet(
             angles=batch.angles.ravel(),
             powers=batch.powers.ravel(),

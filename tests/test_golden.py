@@ -14,14 +14,14 @@ uniforms per trial, quantile samplers and one bincount per chunk.  They
 depend on NumPy's Philox and SeedSequence, on SciPy's ndtr and ndtri,
 and on the platform's floating-point math library; they were recorded
 with NumPy 2.4, SciPy 1.17 and Python 3.11 on x86-64 Linux.  They also
-depend on NumPy reducing the trial axis of a (points, trials, bins)
-array row by row (np.add.reduce over an axis that is not the contiguous
-one): the averaged spectrum is a running sum of the per-trial density
-rows in trial order.
+depend on NumPy reducing the trial axis of a (trials, bins) array row by
+row (np.add.reduce over an axis that is not the contiguous one): the
+averaged spectrum is a running sum of the per-trial density rows in
+trial order.
 
 The chunked sweep case was recorded while hpbw_sweep still ran the
-whole simulation once per point; the one-pass sweep, which stacks all
-points in each chunk, must reproduce it.
+whole simulation once per point; the one-pass sweep, which draws each
+chunk once and then bins it for one point at a time, must reproduce it.
 """
 
 import hashlib

@@ -115,7 +115,7 @@ def _power_config(taps, kappa=0.0):
 
 def _tap_powers(config, tap, trials):
     # per-path powers of one tap, one row per trial
-    batch = generate_chunk(config, (config.pattern,), 0, trials)
+    [batch] = generate_chunk(config, (config.pattern,), 0, trials)
     return batch.powers[:, batch.tap_index == tap]
 
 

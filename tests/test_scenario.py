@@ -186,7 +186,7 @@ class TestScenarioConfig:
 
     def test_run_invariants_are_computed_once_and_read_only(self):
         config = _quick_config()
-        for name in ("stream_key", "power_scales", "eccentricities"):
+        for name in ("stream_key", "power_scales", "eccentricities", "half_angle_ratios"):
             value = getattr(config, name)
             assert getattr(config, name) is value
             assert not value.flags.writeable
@@ -195,6 +195,8 @@ class TestScenarioConfig:
         assert config.eccentricities.tolist() == [
             ellipse.eccentricity for ellipse in ellipses_for_taps(config.taps, config.distance)
             for _ in range(15)]
+        ecc = config.eccentricities
+        assert np.array_equal(config.half_angle_ratios, (1.0 - ecc) / (1.0 + ecc))
 
     def test_powers_normalized_on_load(self):
         doc = _config_doc()
@@ -395,8 +397,8 @@ _CHUNK_PATTERNS = {
 
 def _assert_binned_path_by_path(batch, bins):
     # spectrum_rows of a one-pattern chunk against the loop reference, row by row
-    [density], point_mass = spectrum_rows(batch, bins)
-    weights = histogram_rows(batch.angles[0], batch.powers,
+    density, point_mass = spectrum_rows(batch, bins)
+    weights = histogram_rows(batch.angles, batch.powers,
                              np.linspace(-math.pi, math.pi, bins + 1))
     totals = np.array([np.sum(row) for row in batch.powers]) + batch.direct_power
     assert np.array_equal(density, weights / totals[:, None] / (2 * math.pi / bins))
@@ -406,8 +408,8 @@ def _assert_binned_path_by_path(batch, bins):
 
 def _assert_same_rows(batch, first, part):
     # part holds trials first.. of batch, bit for bit (one-pattern chunks)
-    rows = slice(first, first + part.angles.shape[1])
-    assert np.array_equal(part.angles, batch.angles[:, rows])
+    rows = slice(first, first + len(part.angles))
+    assert np.array_equal(part.angles, batch.angles[rows])
     assert np.array_equal(part.powers, batch.powers[rows])
     assert np.array_equal(part.tap_index, batch.tap_index)
     assert part.direct_power == batch.direct_power
@@ -430,7 +432,7 @@ class TestChunkedTrials:
     @pytest.mark.parametrize("kind", sorted(_CHUNK_PATTERNS))
     def test_chunk_size_changes_no_number(self, monkeypatch, kind, kappa, mu):
         config = _chunk_config(_CHUNK_PATTERNS[kind], kappa, mu)
-        batch = generate_chunk(config, (config.pattern,), 0, config.trials)
+        [batch] = generate_chunk(config, (config.pattern,), 0, config.trials)
         density, point_mass = _assert_binned_path_by_path(batch, config.bins)
         per_trial = 11 + 48     # paths and bins
         reports = []
@@ -450,10 +452,11 @@ class TestChunkedTrials:
         # any subset of trials reads the same uniforms
         for k in range(config.trials):
             single = generate_trial(config, k)
-            assert np.array_equal(batch.angles[0, k], single.angles)
+            assert np.array_equal(batch.angles[k], single.angles)
             assert np.array_equal(batch.powers[k], single.powers)
         for first, stop in ((0, 1), (3, 7), (2, 10), (9, 10)):
-            _assert_same_rows(batch, first, generate_chunk(config, (config.pattern,), first, stop))
+            [part] = generate_chunk(config, (config.pattern,), first, stop)
+            _assert_same_rows(batch, first, part)
 
     def test_trial_wider_than_a_chunk(self, monkeypatch):
         # 33,001 paths per trial (66,002 uniforms, padded to 66,004): more
@@ -466,8 +469,9 @@ class TestChunkedTrials:
         monkeypatch.setattr(scenario, "CHUNK_SIZE", 2 * (33_001 + 360))
         assert trials_per_chunk(config) == 2
         _assert_same_report(alone, run_simulation(config, per_path_spread=True))
-        batch = generate_chunk(config, (config.pattern,), 0, 2)
-        _assert_same_rows(batch, 1, generate_chunk(config, (config.pattern,), 1, 2))
+        [batch] = generate_chunk(config, (config.pattern,), 0, 2)
+        [part] = generate_chunk(config, (config.pattern,), 1, 2)
+        _assert_same_rows(batch, 1, part)
         _assert_binned_path_by_path(batch, config.bins)
 
     def test_memory_does_not_grow_with_trials_times_bins(self):
@@ -508,12 +512,12 @@ class TestHpbwSweep:
 
     @pytest.mark.parametrize("kappa,mu", [(0.0, 0.0), (0.5, 6.0)])
     def test_stacked_chunks_equal_runs_at_each_beamwidth(self, monkeypatch, kappa, mu):
-        # 10 trials in chunks of 3 (a ragged last chunk of 1), three points
-        # stacked per chunk; tap 1 has a single path
+        # 10 trials in chunks of 3 (a ragged last chunk of 1), each drawn
+        # once for the three points; tap 1 has a single path
         config = _chunk_config(_CHUNK_PATTERNS["gaussian"], kappa, mu)
         hpbws = [360.0, 75.0, 12.5]
-        monkeypatch.setattr(scenario, "CHUNK_SIZE", 3 * len(hpbws) * (11 + 48))
-        assert trials_per_chunk(config, len(hpbws)) == 3
+        monkeypatch.setattr(scenario, "CHUNK_SIZE", 3 * (11 + 48))
+        assert trials_per_chunk(config) == 3
         points = hpbw_sweep(config, hpbws)
         assert [point.hpbw_deg for point in points] == hpbws
         for hpbw, point in zip(hpbws, points):
@@ -536,35 +540,59 @@ class TestHpbwSweep:
         monkeypatch.setattr(scenario, "CHUNK_SIZE", 4 * len(hpbws) * (45 + 90))
         monkeypatch.setattr(montecarlo, "draw_uniforms", counting_draw)
         hpbw_sweep(config, hpbws)
-        # 40 trials in 10 chunks of 4, each drawn once for all 5 points
-        assert drawn == [(first, first + 4) for first in range(0, 40, 4)]
+        # 40 trials in 2 chunks of 20, as one run takes them, each drawn
+        # once for all 5 points
+        assert drawn == [(0, 20), (20, 40)]
 
     def test_fixed_costs_are_paid_once_per_run_or_per_chunk(self, monkeypatch):
-        # 40 trials in 10 chunks of 4 for 5 points: the run's stream key is
-        # derived once, and each chunk maps every delayed path of every
-        # point through its ellipse in one call
+        # 40 trials in 2 chunks of 20 for 5 points: the run's stream key is
+        # derived once, and each chunk maps every delayed path of each
+        # point through its ellipse in one call per point
         from aoasim import montecarlo
 
         config = _quick_config(trials=40)
         hpbws = [360.0, 180.0, 120.0, 90.0, 60.0]
-        seed_sequence, ellipse_map = np.random.SeedSequence, montecarlo.aod_to_aoa
+        seed_sequence, ellipse_map = np.random.SeedSequence, montecarlo._half_angle_map
         seeds, mapped = [], []
 
         def counting_seed_sequence(*args, **kwargs):
             seeds.append(args)
             return seed_sequence(*args, **kwargs)
 
-        def counting_map(phi, eccentricity):
+        def counting_map(phi, ratio):
             mapped.append(np.shape(phi))
-            return ellipse_map(phi, eccentricity)
+            return ellipse_map(phi, ratio)
 
         monkeypatch.setattr(scenario, "CHUNK_SIZE", 4 * len(hpbws) * (45 + 90))
         monkeypatch.setattr(np.random, "SeedSequence", counting_seed_sequence)
-        monkeypatch.setattr(montecarlo, "aod_to_aoa", counting_map)
+        monkeypatch.setattr(montecarlo, "_half_angle_map", counting_map)
         hpbw_sweep(config, hpbws)
         assert seeds == [(config.master_seed,)]
         # 30 delayed paths per trial: taps 1 and 2, 15 paths each
-        assert mapped == [(len(hpbws), 4, 30)] * 10
+        assert mapped == [(20, 30)] * 10
+
+    @pytest.mark.parametrize("points", [1, 2, 5, 40])
+    def test_sweep_takes_as_many_chunks_as_one_run(self, monkeypatch, points):
+        # 41 trials in chunks of 4 (a ragged last chunk of 1) whatever the
+        # point count: ceil(41 / 4) = 11 draws, as run_simulation makes
+        from aoasim import montecarlo
+
+        config = _quick_config(trials=41)
+        draw = montecarlo.draw_uniforms
+        drawn = []
+
+        def counting_draw(config, first, stop):
+            drawn.append((first, stop))
+            return draw(config, first, stop)
+
+        monkeypatch.setattr(scenario, "CHUNK_SIZE", 4 * (45 + 90))
+        monkeypatch.setattr(montecarlo, "draw_uniforms", counting_draw)
+        run_simulation(config)
+        alone = drawn[:]
+        drawn.clear()
+        hpbw_sweep(config, np.linspace(20.0, 360.0, points))
+        assert drawn == alone
+        assert len(alone) == math.ceil(config.trials / trials_per_chunk(config)) == 11
 
     def test_memory_does_not_grow_with_points_times_trials(self):
         # 40 points: one (points, trials, bins) buffer would take 655 MB.
@@ -588,8 +616,8 @@ class TestHpbwSweep:
     def test_points_share_common_random_numbers(self):
         # only the delayed taps' departure angles depend on the beamwidth
         config = _quick_config(trials=6)
-        wide, narrow = (generate_chunk(config, (GaussianPattern(math.radians(h)),),
-                                       0, config.trials) for h in (200.0, 45.0))
+        [wide], [narrow] = (generate_chunk(config, (GaussianPattern(math.radians(h)),),
+                                           0, config.trials) for h in (200.0, 45.0))
         local = wide.tap_index == 0
         assert np.array_equal(wide.powers, narrow.powers)
         assert np.array_equal(wide.angles[..., local], narrow.angles[..., local])
