@@ -54,11 +54,13 @@ class _CdfTable:
     """Normalized trapezoid CDF of a density on a grid, ready for inversion.
 
     guide[k] is the number of CDF nodes at or below k / _GUIDE_CELLS, so
-    the node count of a u in cell k lies within [guide[k], guide[k + 1]].
-    G = _GUIDE_CELLS is a power of two, so c * G is exact and a node c is
-    at or below k / G exactly when ceil(c * G) <= k: the guide is a
-    running count of those ceilings (the indexed search of Chen and
-    Asau, 1974).
+    the node count of a u in cell k lies within [guide[k], guide[k + 1]],
+    and the node guide[k + 1], where there is one, lies above the cell's
+    top (k + 1) / G: _invert_cdf starts each u at guide[k] and needs no
+    upper bound.  G = _GUIDE_CELLS is a power of two, so c * G is exact
+    and a node c is at or below k / G exactly when ceil(c * G) <= k: the
+    guide is a running count of those ceilings (the indexed search of
+    Chen and Asau, 1974).
     """
 
     def __init__(self, grid, density):
@@ -75,37 +77,49 @@ class _CdfTable:
 def _invert_cdf(table, u):
     """Linear interpolation of the inverse CDF at u in [0, 1).
 
-    Bit for bit the route through np.searchsorted(cdf, u, "right"): the
-    guide table brackets that node count, two probe steps close most
-    brackets and one edge search closes the rest.  Each table lookup is
-    one take, and u may be a number or an array of any shape.
+    Bit for bit the route through np.searchsorted(cdf, u, "right"), the
+    node count c of u.  One guide lookup starts each value at the count
+    of its guide cell's lower end; two probe steps close most values and
+    one edge search closes the rest.  The probes need no upper bound: the
+    node that ends u's guide cell already lies above u (see _CdfTable),
+    so a probe steps only while it is below c, and c is at most
+    len(cdf) - 1 as u < 1 = cdf[-1].  The cdf[lo] the last probe took is
+    the interpolation's upper CDF value.  Each table lookup is one take,
+    and the steps run in place, so at most four arrays of u's size are
+    live at once (lo, c1, out and one scratch array).  u may be a number
+    or an array of any shape.
     """
     grid, cdf = table.grid, table.cdf
     u = np.asarray(u, dtype=float)
-    cell = (u * _GUIDE_CELLS).astype(np.intp)
-    # An array even for a scalar u, so that np.put below writes into lo.
-    lo, hi = np.asarray(table.guide.take(cell)), table.guide.take(cell + 1)
-    # lo never passes the count, which is at most len(cdf) - 1 as
-    # u < 1 = cdf[-1], so cdf[lo] is always in bounds.
+    # Arrays even for a scalar u, so that the steps below can write into
+    # them.  lo stays within [0, len(cdf) - 1], so the takes by lo clip
+    # nothing: mode="clip" only spares the copy that a take into out
+    # makes in the default mode.
+    lo = np.asarray(table.guide.take((u * _GUIDE_CELLS).astype(np.intp)))
+    c1 = np.asarray(cdf.take(lo))
     for _ in range(2):
-        lo += (lo < hi) & (cdf.take(lo) <= u)
+        lo += c1 <= u
+        cdf.take(lo, out=c1, mode="clip")
     # Where the density is low one guide cell spans many nodes; the few
     # values still open there go to one search, by flat index.
-    still_open = np.flatnonzero((lo < hi) & (cdf.take(lo) <= u))
+    still_open = np.flatnonzero(c1 <= u)
     np.put(lo, still_open, np.searchsorted(cdf, u.take(still_open), side="right"))
-    # Now cdf[lo - 1] <= u < cdf[lo], with 1 <= lo, so the span is positive.
-    # g0 + (u - c0) / (cdf[lo] - c0) * (grid[lo] - g0), one operation at
-    # a time into out.
-    below = lo - 1
-    c0, g0 = cdf.take(below), grid.take(below)
-    out = np.subtract(u, c0)
-    span = cdf.take(lo)
-    span -= c0
-    out /= span
-    span = grid.take(lo)
-    span -= g0
-    out *= span
-    out += g0
+    np.put(c1, still_open, cdf.take(lo.take(still_open)))
+    del still_open  # not live beside the four arrays below
+    # Now c0 = cdf[lo - 1] <= u < cdf[lo] = c1, with 1 <= lo, so the span
+    # is positive: g0 + (u - c0) / (c1 - c0) * (g1 - g0), one operation at
+    # a time, in place.
+    lo -= 1
+    scratch = np.asarray(cdf.take(lo))
+    out = np.subtract(u, scratch)
+    c1 -= scratch
+    out /= c1
+    grid.take(lo, out=scratch, mode="clip")
+    lo += 1
+    grid.take(lo, out=c1, mode="clip")
+    c1 -= scratch
+    out *= c1
+    out += scratch
     return out
 
 

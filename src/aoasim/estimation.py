@@ -8,7 +8,8 @@ of the binned distribution.
 
 A path set holds one trial or a batch of trials, one row each (see
 montecarlo.generate_chunk, which gives a sweep one batch per pattern):
-spectrum_rows, angle_spread_rows and path_spread_rows reduce every row
+spectrum_rows (power_rows, which the patterns of a chunk share, and
+density_rows), angle_spread_rows and path_spread_rows reduce every row
 at once, and the single-trial functions are their one-row case.  Each
 row's result is bit for bit what the same trial gives alone.
 """
@@ -180,19 +181,29 @@ def _clamp(values, lo, hi):
     return np.minimum(values, hi, out=values)
 
 
-def spectrum_rows(paths, bin_count):
-    """Per-trial spectra of a path set, one row per trial.
+def power_rows(paths):
+    """(total power, point mass) of each trial of a path set (see spectrum_rows).
 
-    paths holds one trial (1-d angles and powers) or a batch (2-d, one
-    row per trial).  Returns (density, point_mass): density has one row
-    of bin densities per trial, and point_mass one entry per trial, each
-    checked as AngularSpectrum checks a single spectrum.
-    See estimate_pdf for the binning convention.
+    Both depend on the powers alone, which every pattern's path set of a
+    chunk shares (montecarlo.generate_chunk), so a run takes them once
+    per chunk.  Each point mass is checked as AngularSpectrum checks
+    one.
+    """
+    total = np.atleast_1d(_total_power(paths))
+    point_mass = paths.direct_power / total
+    _check_point_mass(point_mass)
+    return total, point_mass
+
+
+def density_rows(paths, bin_count, total):
+    """Bin densities of each trial of a path set, one row per trial.
+
+    total is each trial's total power, from power_rows.  See
+    estimate_pdf for the binning convention.
     """
     if bin_count < 8:
         raise ValueError(f"bin count must be at least 8, got {bin_count}")
     bin_count = int(bin_count)
-    total = np.atleast_1d(_total_power(paths))
     angles = np.atleast_2d(paths.angles)
     rows = angles.shape[0]
     # One histogram for the whole batch: row r owns cells [r*K, (r+1)*K),
@@ -204,10 +215,21 @@ def spectrum_rows(paths, bin_count):
                           minlength=rows * bin_count)
     density = weights.reshape(rows, bin_count) / total[:, None]
     density /= _TWO_PI / bin_count
-    point_mass = paths.direct_power / total
     _check_density(density)
-    _check_point_mass(point_mass)
-    return density, point_mass
+    return density
+
+
+def spectrum_rows(paths, bin_count):
+    """Per-trial spectra of a path set, one row per trial.
+
+    paths holds one trial (1-d angles and powers) or a batch (2-d, one
+    row per trial).  Returns (density, point_mass): density has one row
+    of bin densities per trial (density_rows), and point_mass one entry
+    per trial (power_rows), each checked as AngularSpectrum checks a
+    single spectrum.
+    """
+    total, point_mass = power_rows(paths)
+    return density_rows(paths, bin_count, total), point_mass
 
 
 def estimate_pdf(paths, bin_count):

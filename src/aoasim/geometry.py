@@ -102,22 +102,23 @@ def _check_eccentricity(eccentricity):
 
 
 def _half_angle_map(phi, ratio):
-    # tan(out/2) = ratio * tan(phi/2), with the +/-pi fixed point kept
-    # exact; ratio 1 (a circle) is the identity.  ratio is one value or
-    # one per column (the last axis of phi), and each column comes out
-    # bit for bit as its own ratio maps it alone.  The steps run in place
-    # on one contiguous copy, so a batch needs two buffers of its size.
+    # tan(out/2) = ratio * tan(phi/2) for phi on [-pi, pi], as every
+    # quantile function returns it, so phi is not wrapped here; out is on
+    # (-pi, pi].  ratio is one value or one per column (the last axis of
+    # phi), and each column comes out bit for bit as its own ratio maps it
+    # alone.  The steps run in place on one buffer of phi's size.  They
+    # keep neither a ratio-1 column (a circle: the identity) nor the fixed
+    # point +-pi exact, so both are copied in last: the column from phi,
+    # and +-pi as pi, the wrap of -pi.
     scalar = np.ndim(phi) == 0
-    phi = np.atleast_1d(wrap_angle(phi))
-    identity = ratio == 1.0
-    if np.all(identity):
-        return float(phi[0]) if scalar else phi
+    phi = np.atleast_1d(phi)
     mapped = np.multiply(phi, 0.5)
     np.tan(mapped, out=mapped)
     mapped *= ratio
     np.arctan(mapped, out=mapped)
     mapped *= 2.0
-    np.copyto(mapped, phi, where=(phi == np.pi) | identity)
+    np.copyto(mapped, phi, where=ratio == 1.0)
+    np.copyto(mapped, np.pi, where=(phi == np.pi) | (phi == -np.pi))
     return float(mapped[0]) if scalar else mapped
 
 
@@ -143,7 +144,7 @@ def aod_to_aoa(phi_t, eccentricity):
     phi_t (one per column), each checked to lie in [0, 1).  A column
     with e = 0 comes back unchanged, bit for bit.
     """
-    return _half_angle_map(phi_t, _half_angle_ratio(eccentricity))
+    return _half_angle_map(wrap_angle(phi_t), _half_angle_ratio(eccentricity))
 
 
 def aoa_to_aod(phi_r, eccentricity):
@@ -154,7 +155,7 @@ def aoa_to_aod(phi_r, eccentricity):
     aod_to_aoa to machine precision.  Accepts scalars or arrays.
     """
     ecc = _check_eccentricity(eccentricity)
-    return _half_angle_map(phi_r, (1.0 + ecc) / (1.0 - ecc))
+    return _half_angle_map(wrap_angle(phi_r), (1.0 + ecc) / (1.0 - ecc))
 
 
 def aoa_jacobian(phi_t, eccentricity):

@@ -133,11 +133,12 @@ def generate_chunk(scenario: "ScenarioConfig", patterns, first, stop):
     powers = uniforms[:, paths:2 * paths] * scenario.power_scales
     direct_power = scenario.kappa * profile.taps[0].power / (1.0 + scenario.kappa)
     for pattern in patterns:
-        angles = np.empty((stop - first, paths))
-        angles[:, :local] = local_angles
-        # The map wraps its input, so every angle is wrapped exactly once.
-        angles[:, local:] = _half_angle_map(pattern.quantile(uniforms[:, local:paths]),
-                                            scenario.half_angle_ratios)
+        # The map takes the quantiles on [-pi, pi] and gives angles on
+        # (-pi, pi], so every angle is wrapped exactly once.  The angles
+        # are joined after the map, so they and the quantile's working
+        # arrays are never live at once.
+        angles = np.concatenate((local_angles, _half_angle_map(
+            pattern.quantile(uniforms[:, local:paths]), scenario.half_angle_ratios)), axis=1)
         yield PathSet(angles, powers, profile.tap_index, direct_power)
 
 

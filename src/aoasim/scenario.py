@@ -31,9 +31,10 @@ from .angular import (
 from .estimation import (
     AngularSpectrum,
     angle_spread_rows,
+    density_rows,
     path_spread_rows,
+    power_rows,
     rms_angle_spread,
-    spectrum_rows,
 )
 from .geometry import _DEG, _US, _half_angle_ratio, _read_only
 from .montecarlo import _eccentricities, _power_scales, _stream_key, generate_chunk
@@ -308,14 +309,16 @@ def _simulate(config, patterns, per_path_spread):
     Trials run in chunks of consecutive trials (trials_per_chunk).  Each
     chunk is drawn once and then generated under one pattern at a time
     (montecarlo.generate_chunk), binned and reduced into that pattern's
-    row before the next: the per-trial spreads are taken per chunk and
-    the density rows added into the pattern's running sum in trial
-    order, so memory stays bounded by the chunk size, whatever the trial
-    and pattern counts.  Every trial reads its own block of the run's
-    random stream, so each report is what config with that pattern gives
-    alone, bit for bit, whatever the chunking and the other patterns.
-    The unbinned per-path spreads are taken only when per_path_spread is
-    true; otherwise the reports carry None.
+    row before the next; the total powers and point masses, which depend
+    on the shared powers alone, are taken once per chunk.  The per-trial
+    spreads are taken per chunk and the density rows added into the
+    pattern's running sum in trial order, so memory stays bounded by the
+    chunk size, whatever the trial and pattern counts.  Every trial
+    reads its own block of the run's random stream, so each report is
+    what config with that pattern gives alone, bit for bit, whatever the
+    chunking and the other patterns.  The unbinned per-path spreads are
+    taken only when per_path_spread is true; otherwise the reports carry
+    None.
     """
     trials, step = config.trials, trials_per_chunk(config)
     density_sum = np.zeros((len(patterns), config.bins))
@@ -325,7 +328,11 @@ def _simulate(config, patterns, per_path_spread):
     for first in range(0, trials, step):
         stop = min(first + step, trials)
         for point, paths in enumerate(generate_chunk(config, patterns, first, stop)):
-            density, point_mass[first:stop] = spectrum_rows(paths, config.bins)
+            if point == 0:
+                # Every pattern's path set shares the chunk's powers, and
+                # with them the total powers and point masses.
+                total, point_mass[first:stop] = power_rows(paths)
+            density = density_rows(paths, config.bins, total)
             trial_spreads[point, first:stop] = angle_spread_rows(density, point_mass[first:stop])
             # Reducing the trial axis, which is not the contiguous one, adds
             # row by row, so the sum is the same for any chunking; summing

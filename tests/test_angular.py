@@ -1,6 +1,7 @@
 """Tests for the analytic angular densities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -444,16 +445,32 @@ def _probe_values(table, seed):
     ])
 
 
+def _assert_guide_bounds_the_probes(table):
+    # the node guide[k + 1] lies above the top of guide cell k, so the
+    # probes of a u in cell k stop there without a bound of their own
+    upper = table.guide[1:]
+    inside = upper < table.cdf.size
+    tops = np.arange(1, _GUIDE_CELLS + 1) / _GUIDE_CELLS
+    assert np.all(table.cdf[upper[inside]] > tops[inside])
+
+
+_TABLES = pytest.mark.parametrize("table", [
+    TabulatedPattern(_GAPPED_SAMPLES)._cdf_table,
+    _von_mises_table(0.5),
+    _von_mises_table(15.0),
+    _von_mises_table(1e4),
+    _spiked_table(),
+], ids=["tabulated-zero-stretch", "von-mises-0.5", "von-mises-15", "von-mises-1e4", "spiked"])
+
+
 class TestInvertCdf:
     """The guided inversion gives the bits of the edge-search route."""
 
-    @pytest.mark.parametrize("table", [
-        TabulatedPattern(_GAPPED_SAMPLES)._cdf_table,
-        _von_mises_table(0.5),
-        _von_mises_table(15.0),
-        _von_mises_table(1e4),
-        _spiked_table(),
-    ], ids=["tabulated-zero-stretch", "von-mises-0.5", "von-mises-15", "von-mises-1e4", "spiked"])
+    @_TABLES
+    def test_guide_bounds_the_probes(self, table):
+        _assert_guide_bounds_the_probes(table)
+
+    @_TABLES
     def test_matches_searchsorted(self, table):
         u = np.concatenate([
             [0.0, np.nextafter(1.0, 0.0)],
@@ -469,6 +486,7 @@ class TestInvertCdf:
     def test_random_tables_match_searchsorted(self, spec):
         table = _table_from_spec(spec)
         assert np.array_equal(table.guide, guide_searched(table.cdf, _GUIDE_CELLS))
+        _assert_guide_bounds_the_probes(table)
         u = _probe_values(table, spec["seed"])
         assert np.array_equal(_invert_cdf(table, u), invert_cdf_searched(table.grid, table.cdf, u))
 
@@ -484,3 +502,18 @@ class TestInvertCdf:
         for u in [rng.random((3, 7)), batch, *batch[0], *map(np.array, batch[0])]:
             assert np.array_equal(_invert_cdf(table, u),
                                   invert_cdf_searched(table.grid, table.cdf, u))
+
+    @_TABLES
+    def test_at_most_four_arrays_of_the_input_size_are_live(self, table):
+        # lo, the upper CDF value, the result and one scratch array; the
+        # allowance is for array headers and the call's frame, a few
+        # hundred bytes whatever the size
+        u = np.random.default_rng(11).random(20_000)
+        _invert_cdf(table, u[:1])
+        tracemalloc.start()
+        try:
+            _invert_cdf(table, u)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * u.nbytes + 4096

@@ -9,6 +9,8 @@ from scipy.integrate import quad
 
 from aoasim.geometry import (
     SPEED_OF_LIGHT,
+    _half_angle_map,
+    _half_angle_ratio,
     aoa_jacobian,
     aoa_to_aod,
     aod_to_aoa,
@@ -179,6 +181,24 @@ class TestAodToAoa:
         for column in (0, 2, 4):
             assert mapped[..., column].tobytes() == wrap_angle(phi[..., column]).tobytes()
         assert mapped[0, 0].tolist() == mapped[1, 1].tolist() == [math.pi] * ecc.size
+
+    @pytest.mark.parametrize("ecc", [
+        np.array([0.3, 0.0, 0.9, 1e-17, 0.999999]),
+        np.zeros(4),
+    ], ids=["mixed-columns", "distance-0"])
+    def test_unwrapped_map_of_quantiles_equals_aod_to_aoa(self, ecc):
+        # the generation path maps quantiles, which lie on [-pi, pi], with
+        # no wrap of its own: at exactly -pi and pi, in columns whose ratio
+        # is 1 and on a distance-0 scenario (every ratio 1) it gives the
+        # bits of aod_to_aoa, which wraps first; -pi comes out as pi
+        phi = np.random.default_rng(12).uniform(-math.pi, math.pi, (40, ecc.size))
+        phi[0], phi[1], phi[2] = -math.pi, math.pi, 0.0
+        mapped = _half_angle_map(phi, _half_angle_ratio(ecc))
+        assert mapped.tobytes() == aod_to_aoa(phi, ecc).tobytes()
+        assert mapped[:2].tolist() == [[math.pi] * ecc.size] * 2
+        for e in ecc:
+            for angle in (-math.pi, math.pi):
+                assert _half_angle_map(angle, _half_angle_ratio(e)) == math.pi == aod_to_aoa(angle, e)
 
     @pytest.mark.parametrize("bad", [1.0, 1.5, -0.01, float("nan"), float("inf")])
     def test_any_bad_column_eccentricity_is_named(self, bad):

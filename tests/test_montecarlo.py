@@ -1,11 +1,15 @@
 """Tests for the path-set generators."""
 
+import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from aoasim import montecarlo
 from aoasim.angular import (
     GaussianPattern,
     LocalScattering,
@@ -264,3 +268,55 @@ class TestGenerateTrial:
         with pytest.raises(ValueError):
             generate_trial(_scenario(), -1)
 
+
+LONG_SPREAD = Path(__file__).parents[1] / "scenarios" / "synthetic_long_spread.json"
+
+
+def _wide_config():
+    # One trial shaped like the benchmark's simulate_wide: the shipped
+    # long-spread scenario at 5,000 paths on each of its 5 taps, with a
+    # 72-sample tabulated pattern, so both grid samplers run
+    doc = json.loads(LONG_SPREAD.read_text(encoding="utf-8"))
+    rng = np.random.default_rng(5)
+    doc.update(trials=1, bins=3600, kappa=0.0, pattern={
+        "kind": "tabulated",
+        "samples": [[-175.0 + 5.0 * k, rng.uniform(0.1, 1.0)] for k in range(72)],
+    })
+    doc["taps"] = [dict(tap, paths=5000) for tap in doc["taps"]]
+    return ScenarioConfig.from_json_dict(doc)
+
+
+class TestGenerateChunk:
+    def test_circles_give_the_wrapped_departures(self, monkeypatch):
+        # distance 0: every ellipse is a circle (ratio 1), so each delayed
+        # arrival angle is its departure quantile, bit for bit, as
+        # aod_to_aoa gives it; a uniform of 0 departs at -pi and arrives
+        # at pi
+        config = ScenarioConfig(distance=0.0, taps=make_profile([0.0, 1.0, 2.0], [1, 1, 1], 6),
+                                pattern=OmniPattern(), kappa=0.0, mu=4.0, master_seed=3)
+        uniforms = montecarlo.draw_uniforms(config, 0, 4)
+        uniforms[:, 6:18:5] = 0.0
+        monkeypatch.setattr(montecarlo, "draw_uniforms", lambda *args: uniforms)
+        [batch] = generate_chunk(config, (config.pattern,), 0, 4)
+        departures = config.pattern.quantile(uniforms[:, 6:18])
+        delayed = batch.angles[:, 6:]
+        assert delayed.tobytes() == aod_to_aoa(departures, config.eccentricities).tobytes()
+        assert delayed.tobytes() == wrap_angle(departures).tobytes()
+        assert np.all(delayed[:, ::5] == math.pi)
+
+    def test_wide_trial_peak_memory(self):
+        # 25,000 paths in one trial: its uniforms (400 kB), powers, local
+        # angles and path-set angles, plus the grid sampler's at most four
+        # arrays of the 20,000 departures (640 kB), stay under 1.5 MB
+        config = _wide_config()
+        assert config.taps.tap_index.size == 25_000
+        chunk = (config.pattern,), 0, 1
+        [warm] = generate_chunk(config, *chunk)  # both CDF tables built before tracing
+        tracemalloc.start()
+        try:
+            [batch] = generate_chunk(config, *chunk)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert batch.angles.tobytes() == warm.angles.tobytes()
+        assert peak <= 1_500_000

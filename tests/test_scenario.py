@@ -571,6 +571,31 @@ class TestHpbwSweep:
         # 30 delayed paths per trial: taps 1 and 2, 15 paths each
         assert mapped == [(20, 30)] * 10
 
+    def test_power_work_is_done_once_per_chunk(self, monkeypatch):
+        # 40 trials in 2 chunks of 20 for 5 points: the total powers and
+        # point masses depend on the shared powers alone, so they are
+        # taken and checked once per chunk, not once per point and chunk;
+        # each report's averaged spectrum checks its point mass once more
+        from aoasim import estimation
+
+        config = _quick_config(trials=40)
+        hpbws = [360.0, 180.0, 120.0, 90.0, 60.0]
+        calls = {"_total_power": 0, "_check_point_mass": 0}
+
+        def counting(name):
+            wrapped = getattr(estimation, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return wrapped(*args)
+            return counted
+
+        monkeypatch.setattr(scenario, "CHUNK_SIZE", 4 * len(hpbws) * (45 + 90))
+        for name in calls:
+            monkeypatch.setattr(estimation, name, counting(name))
+        hpbw_sweep(config, hpbws)
+        assert calls == {"_total_power": 2, "_check_point_mass": 2 + len(hpbws)}
+
     @pytest.mark.parametrize("points", [1, 2, 5, 40])
     def test_sweep_takes_as_many_chunks_as_one_run(self, monkeypatch, points):
         # 41 trials in chunks of 4 (a ragged last chunk of 1) whatever the
