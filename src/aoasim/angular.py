@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
-from .estimation import _clamp, _float_reprs, weighted_spread
+from .estimation import _float_reprs, weighted_spread
 from .geometry import (
     _DEG,
     _TWO_PI,
@@ -125,6 +125,12 @@ def _invert_cdf(table, u):
 
 def _uniform_quantile(u):
     return -np.pi + _TWO_PI * u
+
+
+def _clamp(values, lo, hi):
+    # np.clip(values, lo, hi), bit for bit, in place.
+    np.maximum(values, lo, out=values)
+    return np.minimum(values, hi, out=values)
 
 
 # Scenario-file fields are read through these checks, so a missing or

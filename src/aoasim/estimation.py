@@ -4,14 +4,19 @@ Path sets are reduced to power-weighted histograms over (-pi, pi]
 (direct-path power goes into a point mass at boresight, not a bin)
 over K uniform bins, the bin count being the only statement of the
 binning, and angular dispersion is summarized by the rms angle spread
-of the binned distribution.
+of the binned distribution.  An angle's bin is a truncated arithmetic
+estimate settled by one upper-edge comparison (_bin_index).
 
 A path set holds one trial or a batch of trials, one row each (see
 montecarlo.generate_chunk, which gives a sweep one batch per pattern):
 spectrum_rows (power_rows, which the patterns of a chunk share, and
 density_rows), angle_spread_rows and path_spread_rows reduce every row
 at once, and the single-trial functions are their one-row case.  Each
-row's result is bit for bit what the same trial gives alone.
+row's result is bit for bit what the same trial gives alone.  A run
+(scenario._simulate) has density_rows write into its own buffer and
+then hands those rows to the spread as scratch, so the moments take
+no temporaries of the rows' size.  Only estimate_pdf, the public
+single-trial entry, checks its path set; the run builds valid ones.
 """
 
 from __future__ import annotations
@@ -71,6 +76,14 @@ def _float_reprs(values):
 def _bin_edges(bin_count):
     """Edges of bin_count uniform bins spanning exactly (-pi, pi]."""
     return _read_only(np.linspace(-np.pi, np.pi, int(bin_count) + 1))
+
+
+@lru_cache(maxsize=8)
+def _upper_edges(bin_count):
+    """Upper edge of each bin, the last one +inf: see _bin_index."""
+    upper = _bin_edges(bin_count)[1:].copy()
+    upper[-1] = np.inf
+    return _read_only(upper)
 
 
 @lru_cache(maxsize=8)
@@ -158,27 +171,24 @@ def _total_power(paths):
 
 
 def _bin_index(angles, bin_count):
-    """Bin of each angle: searchsorted(edges, angle, "right") - 1, clipped.
+    """Bin of each angle in (-pi, pi]: searchsorted(edges, angle, "right") - 1, clipped.
 
-    The arithmetic index floor((angle + pi) * K / 2pi) is within one of
-    it; one comparison with each neighbouring edge of _bin_edges corrects
-    it.  Bins are left-inclusive and the last bin also contains +pi.
+    Bins are left-inclusive and the last bin also contains +pi.  The
+    estimate t = (angle + pi) * K / 2pi - 2**-20, truncated toward zero,
+    is never below 0, and it is the true bin b or b - 1: the rounding
+    error of t and of the linspace edges of _bin_edges is below about
+    6e-16 * K in units of one bin, so less than the 2**-20 bias while
+    K < 1e9.  An angle on or just past edge b then truncates to b - 1,
+    and one just short of edge b + 1 to b.  One comparison with the
+    upper edge of the estimated bin settles it; the last bin's upper
+    edge is +inf, so +pi stays in that bin and no clamp is needed.
     """
-    edges = _bin_edges(bin_count)
-    last = int(bin_count) - 1
-    # Clamped in place: an array even for one angle, so that out= can
-    # write into it.
-    index = np.asarray(((angles + np.pi) * (bin_count / _TWO_PI)).astype(np.intp))
-    _clamp(index, 0, last)
-    index += edges.take(index + 1) <= angles
-    index -= edges.take(index) > angles
-    return _clamp(index, 0, last)
-
-
-def _clamp(values, lo, hi):
-    # np.clip(values, lo, hi), bit for bit, in place.
-    np.maximum(values, lo, out=values)
-    return np.minimum(values, hi, out=values)
+    scaled = angles + np.pi
+    scaled *= bin_count / _TWO_PI
+    scaled -= 2.0 ** -20
+    index = scaled.astype(np.intp)
+    index += _upper_edges(bin_count).take(index) <= angles
+    return index
 
 
 def power_rows(paths):
@@ -195,11 +205,12 @@ def power_rows(paths):
     return total, point_mass
 
 
-def density_rows(paths, bin_count, total):
+def density_rows(paths, bin_count, total, out=None):
     """Bin densities of each trial of a path set, one row per trial.
 
-    total is each trial's total power, from power_rows.  See
-    estimate_pdf for the binning convention.
+    total is each trial's total power, from power_rows.  The rows are
+    written into out, a (trials, bin_count) float array, when one is
+    given, and returned.  See estimate_pdf for the binning convention.
     """
     if bin_count < 8:
         raise ValueError(f"bin count must be at least 8, got {bin_count}")
@@ -213,9 +224,8 @@ def density_rows(paths, bin_count, total):
     cells += bin_count * np.arange(rows)[:, None]
     weights = np.bincount(cells.ravel(), weights=np.ravel(paths.powers),
                           minlength=rows * bin_count)
-    density = weights.reshape(rows, bin_count) / total[:, None]
+    density = np.divide(weights.reshape(rows, bin_count), total[:, None], out=out)
     density /= _TWO_PI / bin_count
-    _check_density(density)
     return density
 
 
@@ -225,11 +235,19 @@ def spectrum_rows(paths, bin_count):
     paths holds one trial (1-d angles and powers) or a batch (2-d, one
     row per trial).  Returns (density, point_mass): density has one row
     of bin densities per trial (density_rows), and point_mass one entry
-    per trial (power_rows), each checked as AngularSpectrum checks a
-    single spectrum.
+    per trial (power_rows), the point masses checked as AngularSpectrum
+    checks one.
     """
     total, point_mass = power_rows(paths)
     return density_rows(paths, bin_count, total), point_mass
+
+
+def _check_path_set(paths):
+    _check_angles(paths.angles)
+    for field in ("powers", "direct_power"):
+        power = getattr(paths, field)
+        if not np.all(np.isfinite(power)) or np.any(power < 0):
+            raise ValueError(f"{field} must be finite and nonnegative")
 
 
 def estimate_pdf(paths, bin_count):
@@ -239,8 +257,11 @@ def estimate_pdf(paths, bin_count):
     in it divided by the total power of the set (direct path included);
     the direct-path power becomes the point mass at zero.  Bins are
     left-inclusive with the last bin also containing +pi, so every
-    angle in (-pi, pi] lands in exactly one bin.
+    angle in (-pi, pi] lands in exactly one bin.  Angles outside
+    (-pi, pi] or not finite, and powers or a direct power that are
+    negative or not finite, are a ValueError naming the field.
     """
+    _check_path_set(paths)
     density, point_mass = spectrum_rows(paths, bin_count)
     return AngularSpectrum(density[0], float(point_mass[0]))
 
@@ -250,15 +271,29 @@ def weighted_spread(values, weights):
 
     Linear moments: sqrt(E[x^2] - E[x]^2) along the last axis, clamped
     at zero against rounding; a float for 1-d inputs, one spread per
-    row otherwise (values and weights broadcast).  Each row is reduced
-    on its own, so its spread does not depend on the other rows.
-    Callers normalize their own weights.
+    row otherwise (values broadcast against weights).  Each row is
+    reduced on its own, so its spread does not depend on the other
+    rows.  Callers normalize their own weights, and hand them over as
+    scratch: weights is overwritten with weights * values**2.
     """
-    weighted = weights * values
-    mean = np.sum(weighted, axis=-1)
-    second = np.sum(weighted * values, axis=-1)
+    weights *= values
+    mean = np.sum(weights, axis=-1)
+    weights *= values
+    second = np.sum(weights, axis=-1)
     spread = np.sqrt(np.maximum(second - mean * mean, 0.0))
     return float(spread) if spread.ndim == 0 else spread
+
+
+def _scratch_spread_rows(density, point_mass):
+    # angle_spread_rows of 2-d density rows, which it turns into bin
+    # probabilities in place and then hands to weighted_spread as scratch.
+    bin_count = density.shape[-1]
+    density *= _TWO_PI / bin_count
+    defects = _normalization_defects(density, point_mass)
+    if np.any(defects > NORMALIZATION_TOL):
+        defect = defects[np.argmax(defects > NORMALIZATION_TOL)]
+        raise ValueError(f"spectrum is not normalized (defect {defect:.3e})")
+    return weighted_spread(_bin_centers(bin_count), density)
 
 
 def angle_spread_rows(density, point_mass):
@@ -266,13 +301,7 @@ def angle_spread_rows(density, point_mass):
 
     See rms_angle_spread; every row is checked to be normalized.
     """
-    bin_count = np.shape(density)[-1]
-    probabilities = np.atleast_2d(density) * (_TWO_PI / bin_count)
-    defects = _normalization_defects(probabilities, point_mass)
-    if np.any(defects > NORMALIZATION_TOL):
-        defect = defects[np.argmax(defects > NORMALIZATION_TOL)]
-        raise ValueError(f"spectrum is not normalized (defect {defect:.3e})")
-    return weighted_spread(_bin_centers(bin_count), probabilities)
+    return _scratch_spread_rows(np.array(density, dtype=float, ndmin=2), point_mass)
 
 
 def rms_angle_spread(spectrum):
@@ -286,13 +315,13 @@ def rms_angle_spread(spectrum):
     return float(spread)
 
 
-def path_spread_rows(paths):
+def path_spread_rows(paths, total):
     """Unbinned rms angle spread of each trial of a path set (see spectrum_rows).
 
-    The direct path, at angle zero, adds nothing to either moment; it
-    enters through the total power that normalizes the weights.
+    total is each trial's total power, from power_rows.  The direct
+    path, at angle zero, adds nothing to either moment; it enters
+    through the total power that normalizes the weights.
     """
-    total = np.atleast_1d(_total_power(paths))
     weights = np.atleast_2d(paths.powers) / total[:, None]
     return weighted_spread(np.atleast_2d(paths.angles), weights)
 

@@ -30,7 +30,7 @@ from .angular import (
 )
 from .estimation import (
     AngularSpectrum,
-    angle_spread_rows,
+    _scratch_spread_rows,
     density_rows,
     path_spread_rows,
     power_rows,
@@ -320,27 +320,33 @@ def _simulate(config, patterns, per_path_spread):
     taken only when per_path_spread is true; otherwise the reports carry
     None.
     """
-    trials, step = config.trials, trials_per_chunk(config)
-    density_sum = np.zeros((len(patterns), config.bins))
+    trials, step, bins = config.trials, trials_per_chunk(config), config.bins
+    density_sum = np.zeros((len(patterns), bins))
+    # Row 0 takes a pattern's running sum, the rows after it a chunk's
+    # density rows, so one reduce adds them in trial order, in place.
+    buffer = np.empty((min(step, trials) + 1, bins))
     point_mass = np.empty(trials)
     trial_spreads = np.empty((len(patterns), trials))
     path_spreads = np.empty((len(patterns), trials)) if per_path_spread else None
     for first in range(0, trials, step):
         stop = min(first + step, trials)
+        rows = buffer[:stop - first + 1]
         for point, paths in enumerate(generate_chunk(config, patterns, first, stop)):
             if point == 0:
                 # Every pattern's path set shares the chunk's powers, and
                 # with them the total powers and point masses.
                 total, point_mass[first:stop] = power_rows(paths)
-            density = density_rows(paths, config.bins, total)
-            trial_spreads[point, first:stop] = angle_spread_rows(density, point_mass[first:stop])
+            rows[0] = density_sum[point]
+            density_rows(paths, bins, total, out=rows[1:])
             # Reducing the trial axis, which is not the contiguous one, adds
             # row by row, so the sum is the same for any chunking; summing
             # the chunk first would change the last bits.
-            density_sum[point] = np.add.reduce(
-                np.concatenate([density_sum[point, None], density]), axis=0)
+            np.add.reduce(rows, axis=0, out=density_sum[point])
+            # The density rows, added in, are the spreads' scratch.
+            trial_spreads[point, first:stop] = _scratch_spread_rows(rows[1:],
+                                                                    point_mass[first:stop])
             if per_path_spread:
-                path_spreads[point, first:stop] = path_spread_rows(paths)
+                path_spreads[point, first:stop] = path_spread_rows(paths, total)
     # Each report's spreads are read-only rows of these.
     trial_spreads.flags.writeable = False
     path_rows = [None] * len(patterns)

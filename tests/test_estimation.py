@@ -5,16 +5,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aoasim import scenario
 from aoasim.angular import GaussianPattern, OmniPattern, Tap, TapProfile
 from aoasim.estimation import (
     AngularSpectrum,
+    _bin_edges,
     _bin_index,
+    _upper_edges,
     angle_spread_rows,
     estimate_pdf,
     lse,
     path_spread_rows,
+    power_rows,
     rms_angle_spread,
     spectrum_rows,
 )
@@ -32,6 +37,12 @@ def _path_set(entries):
         tap_index=np.array([tap for tap, _, _, _ in scattered], dtype=int),
         direct_power=float(sum(power for _, _, power, direct in entries if direct)),
     )
+
+
+def _path_spreads(paths):
+    # path_spread_rows with the total powers it is handed in a run
+    total, _ = power_rows(paths)
+    return path_spread_rows(paths, total)
 
 
 def _uniform_spectrum(bins=360):
@@ -112,6 +123,20 @@ class TestEstimatePdf:
         with pytest.raises(ValueError):
             estimate_pdf(_path_set([(0, 0.0, 1.0, False)]), 7)
 
+    @pytest.mark.parametrize("entry,message", [
+        ((1, 4.0, 1.0, False), r"angles must lie in \(-pi, pi\]"),
+        ((1, math.nan, 1.0, False), "angles must be finite"),
+        ((1, 1.0, -0.5, False), "powers must be finite and nonnegative"),
+        ((1, 1.0, math.inf, False), "powers must be finite and nonnegative"),
+        ((0, 0.0, math.nan, True), "direct_power must be finite and nonnegative"),
+    ])
+    def test_invalid_path_set_rejected(self, entry, message):
+        # unchecked, the bin index would put 4.0 in the last bin and NaN
+        # in bin 0, and a negative power would pass as a spectrum
+        paths = _path_set([(0, 0.5, 1.0, False), entry])
+        with pytest.raises(ValueError, match=message):
+            estimate_pdf(paths, 36)
+
 
 def _searched_bins(angles, bins):
     # np.histogram's convention: left-inclusive bins, +pi in the last one.
@@ -133,6 +158,28 @@ class TestBinIndex:
         assert np.array_equal(_bin_index(angles, bins), _searched_bins(angles, bins))
         assert _bin_index(np.array([math.pi]), bins)[0] == bins - 1
         assert _bin_index(np.array([np.nextafter(-math.pi, 0.0)]), bins)[0] == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(8, 2**20), st.data())
+    def test_edges_and_their_neighbours(self, bins, data):
+        # edges drawn from the K + 1, each with its 1 to 4 ulp neighbours
+        # on either side; every angle kept in (-pi, pi]
+        try:
+            edges = _bin_edges(bins)[data.draw(st.lists(st.integers(0, bins), min_size=1,
+                                                        max_size=8))]
+            angles = [edges, [np.nextafter(-math.pi, 0.0), math.pi]]
+            for direction in (-np.inf, np.inf):
+                neighbour = edges
+                for _ in range(4):
+                    neighbour = np.nextafter(neighbour, direction)
+                    angles.append(neighbour)
+            angles = np.concatenate(angles)
+            angles = angles[(angles > -math.pi) & (angles <= math.pi)]
+            assert np.array_equal(_bin_index(angles, bins), _searched_bins(angles, bins))
+        finally:
+            # a million-bin edge array takes 8 MB; keep no more than one
+            _bin_edges.cache_clear()
+            _upper_edges.cache_clear()
 
     def test_random_draws(self):
         rng = np.random.default_rng(5)
@@ -242,12 +289,12 @@ class TestRawPathSpread:
         ]
         paths = _path_set(entries)
         binned = rms_angle_spread(estimate_pdf(paths, 5760))
-        [raw] = path_spread_rows(paths)
+        [raw] = _path_spreads(paths)
         assert binned == pytest.approx(raw, abs=2e-3)
 
     def test_direct_path_pulls_spread_down(self):
-        [spread_without] = path_spread_rows(_path_set([(1, 1.0, 1.0, False)]))
-        [spread_with] = path_spread_rows(
+        [spread_without] = _path_spreads(_path_set([(1, 1.0, 1.0, False)]))
+        [spread_with] = _path_spreads(
             _path_set([(1, 1.0, 1.0, False), (0, 0.0, 1.0, True)])
         )
         assert spread_without == 0.0
@@ -269,7 +316,7 @@ class TestStackedRows:
         for batch, pattern in zip(batches, patterns):
             density, point_mass = spectrum_rows(batch, config.bins)
             spreads = angle_spread_rows(density, point_mass)
-            path_spreads = path_spread_rows(batch)
+            path_spreads = _path_spreads(batch)
             assert density.shape == (7, 40) and spreads.shape == path_spreads.shape == (7,)
             # the pattern's own one-pattern chunk, reduced as a batch
             [alone] = generate_chunk(replace(config, pattern=pattern), (pattern,), 2, 9)
@@ -279,7 +326,7 @@ class TestStackedRows:
             assert np.array_equal(density, layer_density)
             assert np.array_equal(point_mass, layer_mass)
             assert np.array_equal(spreads, angle_spread_rows(layer_density, layer_mass))
-            assert np.array_equal(path_spreads, path_spread_rows(alone))
+            assert np.array_equal(path_spreads, _path_spreads(alone))
 
     def test_unnormalized_row_of_a_later_point_is_named(self):
         # the first row past the tolerance is named, not the first row

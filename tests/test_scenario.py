@@ -480,6 +480,22 @@ class TestChunkedTrials:
         _, peak = _traced_memory(lambda: run_simulation(config), config)
         assert peak < config.trials * config.bins * 8 / 4
 
+    def test_chunk_binning_and_reduce_peak_at_two_chunk_arrays(self, monkeypatch):
+        # One chunk of 64 trials over 2048 bins, 4 paths each.  The run's
+        # (rows + 1, bins) buffer and the histogram's (rows, bins) weights
+        # are the only arrays of the chunk's size: the density rows are
+        # reduced and turned into the spreads' scratch in place, so a
+        # copy of them for the reduce, or temporaries for the probabilities
+        # or the moments, would each add one more.  The allowance covers
+        # the few bins-sized arrays, the paths and the generator.  An omni
+        # pattern, so that no first SciPy import is counted.
+        config = _quick_config(taps=make_profile([0.0, 1.0], [0.5, 0.5], 2),
+                               pattern=OmniPattern(), trials=64, bins=2048)
+        monkeypatch.setattr(scenario, "CHUNK_SIZE", 64 * (4 + 2048))
+        assert trials_per_chunk(config) == config.trials
+        _, peak = _traced_memory(lambda: run_simulation(config), config)
+        assert peak <= 2.25 * config.trials * config.bins * 8
+
 
 def _memory_config():
     # 1000 trials over 2048 bins: a (trials, bins) buffer alone would take
