@@ -3,20 +3,18 @@
 Path sets are reduced to power-weighted histograms over (-pi, pi]
 (direct-path power goes into a point mass at boresight, not a bin)
 over K uniform bins, the bin count being the only statement of the
-binning, and angular dispersion is summarized by the rms angle spread
-of the binned distribution.  An angle's bin is a truncated arithmetic
-estimate settled by one upper-edge comparison (_bin_index).
+binning (_Bins), and angular dispersion is summarized by the rms angle
+spread of the binned distribution.
 
 A path set holds one trial or a batch of trials, one row each (see
 montecarlo.generate_chunk, which gives a sweep one batch per pattern):
-spectrum_rows (power_rows, which the patterns of a chunk share, and
-density_rows), angle_spread_rows and path_spread_rows reduce every row
-at once, and the single-trial functions are their one-row case.  Each
-row's result is bit for bit what the same trial gives alone.  A run
-(scenario._simulate) has density_rows write into its own buffer and
-then hands those rows to the spread as scratch, so the moments take
-no temporaries of the rows' size.  Only estimate_pdf, the public
-single-trial entry, checks its path set; the run builds valid ones.
+power_rows (which the patterns of a chunk share), density_rows,
+angle_spread_rows and path_spread_rows reduce every row at once, and
+the single-trial functions are their one-row case.  Each row's result
+is bit for bit what the same trial gives alone.  How a run keeps its
+rows in one buffer, as running sum and scratch: README, Determinism.
+Only estimate_pdf, the public single-trial entry, checks its path set;
+the run builds valid ones.
 """
 
 from __future__ import annotations
@@ -35,11 +33,6 @@ NORMALIZATION_TOL = 1e-9
 def _normalization_defects(probabilities, point_mass):
     # |sum of bin probabilities + point mass - 1|, per row.
     return np.abs(np.sum(probabilities, axis=-1) + point_mass - 1.0)
-
-
-def _check_density(density):
-    if np.any(density < 0) or not np.all(np.isfinite(density)):
-        raise ValueError("density values must be finite and nonnegative")
 
 
 def _check_point_mass(point_mass):
@@ -69,35 +62,52 @@ def _float_reprs(values):
     return values.reprs if isinstance(values, _FloatList) else list(map(float.__repr__, values))
 
 
-# Edges and centers depend on the bin count alone: each is computed once
-# per count, not once per chunk, and shared read-only.
+class _Bins:
+    """The binning of count uniform bins spanning exactly (-pi, pi].
 
-@lru_cache(maxsize=8)
-def _bin_edges(bin_count):
-    """Edges of bin_count uniform bins spanning exactly (-pi, pi]."""
-    return _read_only(np.linspace(-np.pi, np.pi, int(bin_count) + 1))
+    One object per count (_bins), so every spectrum and every batch of
+    rows of a count shares its read-only arrays: the edges, the upper
+    edge of each bin (the last one +inf: see index) and the centers.
+    """
+
+    # index is exact while the count is below 1e9; counts stop at the
+    # largest its tests cover.
+    MAX_COUNT = 2 ** 20
+
+    def __init__(self, count):
+        self.count = count
+        self.width = _TWO_PI / count
+        self.edges = _read_only(np.linspace(-np.pi, np.pi, count + 1))
+        self.upper = _read_only(np.append(self.edges[1:-1], np.inf))
+        self.centers = _read_only(0.5 * (self.edges[:-1] + self.edges[1:]))
+
+    @cached_property
+    def centers_deg(self):
+        # The angle_deg column of spectrum.csv and report.json.
+        return _FloatList((self.centers / _DEG).tolist())
+
+    def index(self, angles):
+        """Bin of each angle in (-pi, pi]: searchsorted(edges, angle, "right") - 1, clipped.
+
+        Bins are left-inclusive and the last bin also contains +pi.  The
+        estimate t = (angle + pi) * K / 2pi - 2**-20, truncated toward zero,
+        is never below 0, and it is the true bin b or b - 1: the rounding
+        error of t and of the linspace edges is below about 6e-16 * K in
+        units of one bin, so less than the 2**-20 bias while K < 1e9.  An
+        angle on or just past edge b then truncates to b - 1, and one just
+        short of edge b + 1 to b.  One comparison with the upper edge of
+        the estimated bin settles it; the last bin's upper edge is +inf,
+        so +pi stays in that bin and no clamp is needed.
+        """
+        scaled = angles + np.pi
+        scaled *= self.count / _TWO_PI
+        scaled -= 2.0 ** -20
+        index = scaled.astype(np.intp)
+        index += self.upper.take(index) <= angles
+        return index
 
 
-@lru_cache(maxsize=8)
-def _upper_edges(bin_count):
-    """Upper edge of each bin, the last one +inf: see _bin_index."""
-    upper = _bin_edges(bin_count)[1:].copy()
-    upper[-1] = np.inf
-    return _read_only(upper)
-
-
-@lru_cache(maxsize=8)
-def _bin_centers(bin_count):
-    edges = _bin_edges(bin_count)
-    return _read_only(0.5 * (edges[:-1] + edges[1:]))
-
-
-@lru_cache(maxsize=8)
-def _centers_deg(bin_count):
-    # The angle_deg column of spectrum.csv and report.json, its reprs taken.
-    column = _FloatList((_bin_centers(bin_count) / _DEG).tolist())
-    column.reprs
-    return column
+_bins = lru_cache(maxsize=8)(_Bins)
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,6 +116,8 @@ class AngularSpectrum:
 
     density: per-bin density in 1/radian over K uniform bins spanning
     (-pi, pi]; the bin count K is the only statement of the binning.
+    The spectrum keeps a read-only copy, so its written columns
+    (_columns_deg) cannot go stale.
     point_mass_at_zero: probability carried by the direct path.
     """
 
@@ -113,12 +125,13 @@ class AngularSpectrum:
     point_mass_at_zero: float
 
     def __post_init__(self):
-        density = np.asarray(self.density, dtype=float)
-        object.__setattr__(self, "density", density)
+        density = np.array(self.density, dtype=float)
         if density.ndim != 1 or density.size < 8:
             raise ValueError("density must be a 1-d array of at least 8 bins")
-        _check_density(density)
+        if np.any(density < 0) or not np.all(np.isfinite(density)):
+            raise ValueError("density values must be finite and nonnegative")
         _check_point_mass(self.point_mass_at_zero)
+        object.__setattr__(self, "density", _read_only(density))
 
     @property
     def bin_count(self):
@@ -126,15 +139,15 @@ class AngularSpectrum:
 
     @property
     def bin_edges(self):
-        return _bin_edges(self.density.size)
+        return _bins(self.density.size).edges
 
     @property
     def bin_width(self):
-        return _TWO_PI / self.density.size
+        return _bins(self.density.size).width
 
     @property
     def bin_centers(self):
-        return _bin_centers(self.density.size)
+        return _bins(self.density.size).centers
 
     @property
     def probabilities(self):
@@ -146,7 +159,7 @@ class AngularSpectrum:
         # spectrum.csv and report.json both carry them; every caller gets
         # these same two columns, and every spectrum of a bin count the
         # same centers.
-        return _centers_deg(self.density.size), _FloatList((self.density * _DEG).tolist())
+        return _bins(self.density.size).centers_deg, _FloatList((self.density * _DEG).tolist())
 
     def normalization_defect(self):
         """|sum of bin probabilities + point mass - 1|."""
@@ -159,47 +172,21 @@ class AngularSpectrum:
         the spectrum: bins are left-inclusive and the last bin also
         contains +pi.  Every angle must be finite and in (-pi, pi].
         """
-        out = self.density[_bin_index(_check_angles(phi), self.bin_count)]
+        out = self.density[_bins(self.bin_count).index(_check_angles(phi))]
         return float(out) if np.ndim(phi) == 0 else out
 
 
-def _total_power(paths):
-    total = paths.total_power()
-    if not np.all(total > 0):
-        raise ValueError("path set must be nonempty and carry positive total power")
-    return total
-
-
-def _bin_index(angles, bin_count):
-    """Bin of each angle in (-pi, pi]: searchsorted(edges, angle, "right") - 1, clipped.
-
-    Bins are left-inclusive and the last bin also contains +pi.  The
-    estimate t = (angle + pi) * K / 2pi - 2**-20, truncated toward zero,
-    is never below 0, and it is the true bin b or b - 1: the rounding
-    error of t and of the linspace edges of _bin_edges is below about
-    6e-16 * K in units of one bin, so less than the 2**-20 bias while
-    K < 1e9.  An angle on or just past edge b then truncates to b - 1,
-    and one just short of edge b + 1 to b.  One comparison with the
-    upper edge of the estimated bin settles it; the last bin's upper
-    edge is +inf, so +pi stays in that bin and no clamp is needed.
-    """
-    scaled = angles + np.pi
-    scaled *= bin_count / _TWO_PI
-    scaled -= 2.0 ** -20
-    index = scaled.astype(np.intp)
-    index += _upper_edges(bin_count).take(index) <= angles
-    return index
-
-
 def power_rows(paths):
-    """(total power, point mass) of each trial of a path set (see spectrum_rows).
+    """(total power, point mass) of each trial of a path set.
 
     Both depend on the powers alone, which every pattern's path set of a
     chunk shares (montecarlo.generate_chunk), so a run takes them once
-    per chunk.  Each point mass is checked as AngularSpectrum checks
-    one.
+    per chunk.  Each total must be positive, and each point mass is
+    checked as AngularSpectrum checks one.
     """
-    total = np.atleast_1d(_total_power(paths))
+    total = np.atleast_1d(paths.total_power())
+    if not np.all(total > 0):
+        raise ValueError("path set must be nonempty and carry positive total power")
     point_mass = paths.direct_power / total
     _check_point_mass(point_mass)
     return total, point_mass
@@ -212,42 +199,21 @@ def density_rows(paths, bin_count, total, out=None):
     written into out, a (trials, bin_count) float array, when one is
     given, and returned.  See estimate_pdf for the binning convention.
     """
-    if bin_count < 8:
-        raise ValueError(f"bin count must be at least 8, got {bin_count}")
-    bin_count = int(bin_count)
+    if not 8 <= bin_count <= _Bins.MAX_COUNT:
+        raise ValueError(f"bins must be from 8 to {_Bins.MAX_COUNT}, got {bin_count}")
+    bins = _bins(int(bin_count))
     angles = np.atleast_2d(paths.angles)
     rows = angles.shape[0]
     # One histogram for the whole batch: row r owns cells [r*K, (r+1)*K),
     # and each cell adds its paths in column order, as a histogram of
     # that row alone would.
-    cells = _bin_index(angles, bin_count)
-    cells += bin_count * np.arange(rows)[:, None]
+    cells = bins.index(angles)
+    cells += bins.count * np.arange(rows)[:, None]
     weights = np.bincount(cells.ravel(), weights=np.ravel(paths.powers),
-                          minlength=rows * bin_count)
-    density = np.divide(weights.reshape(rows, bin_count), total[:, None], out=out)
-    density /= _TWO_PI / bin_count
+                          minlength=rows * bins.count)
+    density = np.divide(weights.reshape(rows, bins.count), total[:, None], out=out)
+    density /= bins.width
     return density
-
-
-def spectrum_rows(paths, bin_count):
-    """Per-trial spectra of a path set, one row per trial.
-
-    paths holds one trial (1-d angles and powers) or a batch (2-d, one
-    row per trial).  Returns (density, point_mass): density has one row
-    of bin densities per trial (density_rows), and point_mass one entry
-    per trial (power_rows), the point masses checked as AngularSpectrum
-    checks one.
-    """
-    total, point_mass = power_rows(paths)
-    return density_rows(paths, bin_count, total), point_mass
-
-
-def _check_path_set(paths):
-    _check_angles(paths.angles)
-    for field in ("powers", "direct_power"):
-        power = getattr(paths, field)
-        if not np.all(np.isfinite(power)) or np.any(power < 0):
-            raise ValueError(f"{field} must be finite and nonnegative")
 
 
 def estimate_pdf(paths, bin_count):
@@ -261,9 +227,13 @@ def estimate_pdf(paths, bin_count):
     (-pi, pi] or not finite, and powers or a direct power that are
     negative or not finite, are a ValueError naming the field.
     """
-    _check_path_set(paths)
-    density, point_mass = spectrum_rows(paths, bin_count)
-    return AngularSpectrum(density[0], float(point_mass[0]))
+    _check_angles(paths.angles)
+    for field in ("powers", "direct_power"):
+        power = getattr(paths, field)
+        if not np.all(np.isfinite(power)) or np.any(power < 0):
+            raise ValueError(f"{field} must be finite and nonnegative")
+    total, point_mass = power_rows(paths)
+    return AngularSpectrum(density_rows(paths, bin_count, total)[0], float(point_mass[0]))
 
 
 def weighted_spread(values, weights):
@@ -284,24 +254,22 @@ def weighted_spread(values, weights):
     return float(spread) if spread.ndim == 0 else spread
 
 
-def _scratch_spread_rows(density, point_mass):
-    # angle_spread_rows of 2-d density rows, which it turns into bin
-    # probabilities in place and then hands to weighted_spread as scratch.
-    bin_count = density.shape[-1]
-    density *= _TWO_PI / bin_count
+def angle_spread_rows(density, point_mass):
+    """Rms angle spread of each row of density_rows, in radians.
+
+    density: a 2-d float array, one row of bin densities per trial, and
+    point_mass the trials' point masses (power_rows).  The rows are the
+    spread's scratch and are overwritten: turned into bin probabilities
+    in place, then handed to weighted_spread.  See rms_angle_spread;
+    every row is checked to be normalized.
+    """
+    bins = _bins(density.shape[-1])
+    density *= bins.width
     defects = _normalization_defects(density, point_mass)
     if np.any(defects > NORMALIZATION_TOL):
         defect = defects[np.argmax(defects > NORMALIZATION_TOL)]
         raise ValueError(f"spectrum is not normalized (defect {defect:.3e})")
-    return weighted_spread(_bin_centers(bin_count), density)
-
-
-def angle_spread_rows(density, point_mass):
-    """Rms angle spread of each row of spectrum_rows, in radians.
-
-    See rms_angle_spread; every row is checked to be normalized.
-    """
-    return _scratch_spread_rows(np.array(density, dtype=float, ndmin=2), point_mass)
+    return weighted_spread(bins.centers, density)
 
 
 def rms_angle_spread(spectrum):
@@ -311,12 +279,13 @@ def rms_angle_spread(spectrum):
     probability, with the point mass contributing at angle zero.  Linear
     (non-circular) moments.  Rejects spectra that are not normalized.
     """
-    [spread] = angle_spread_rows(spectrum.density, spectrum.point_mass_at_zero)
+    [spread] = angle_spread_rows(np.array(spectrum.density, ndmin=2),
+                                 spectrum.point_mass_at_zero)
     return float(spread)
 
 
 def path_spread_rows(paths, total):
-    """Unbinned rms angle spread of each trial of a path set (see spectrum_rows).
+    """Unbinned rms angle spread of each trial of a path set.
 
     total is each trial's total power, from power_rows.  The direct
     path, at angle zero, adds nothing to either moment; it enters

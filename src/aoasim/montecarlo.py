@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .angular import ellipses_for_taps
-from .geometry import _half_angle_map, wrap_angle
+from .geometry import _half_angle_map, _half_angle_ratio, wrap_angle
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import ScenarioConfig
@@ -74,9 +74,8 @@ def sample_aod(pattern, rng, size):
 
 # The run invariants below depend on the scenario alone: ScenarioConfig
 # computes each on first use and keeps it read-only (stream_key,
-# power_scales, eccentricities, and the checked half_angle_ratios of the
-# eccentricities), so a run pays for them once, not once per chunk or
-# pattern.
+# power_scales and half_angle_ratios), so a run pays for them once, not
+# once per chunk or pattern.
 
 def _stream_key(scenario):
     """Key of the run's Philox stream, derived from the master seed."""
@@ -94,11 +93,11 @@ def _power_scales(scenario):
     return np.repeat(scales, scenario.taps.path_counts)
 
 
-def _eccentricities(scenario):
-    """The ellipse eccentricity of each delayed path column, in column order."""
+def _half_angle_ratios(scenario):
+    """(1 - e) / (1 + e) of each delayed path column's ellipse, e checked."""
     ellipses = ellipses_for_taps(scenario.taps, scenario.distance)
-    return np.repeat([ellipse.eccentricity for ellipse in ellipses],
-                     scenario.taps.path_counts[1:])
+    return _half_angle_ratio(np.repeat([ellipse.eccentricity for ellipse in ellipses],
+                                       scenario.taps.path_counts[1:]))
 
 
 def draw_uniforms(scenario: "ScenarioConfig", first, stop):

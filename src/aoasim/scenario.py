@@ -30,14 +30,15 @@ from .angular import (
 )
 from .estimation import (
     AngularSpectrum,
-    _scratch_spread_rows,
+    _Bins,
+    angle_spread_rows,
     density_rows,
     path_spread_rows,
     power_rows,
     rms_angle_spread,
 )
-from .geometry import _DEG, _US, _half_angle_ratio, _read_only
-from .montecarlo import _eccentricities, _power_scales, _stream_key, generate_chunk
+from .geometry import _DEG, _US, _read_only
+from .montecarlo import _half_angle_ratios, _power_scales, _stream_key, generate_chunk
 
 DEFAULT_PATHS_PER_TAP = 50
 DEFAULT_PROMINENCE_DB = 3.0
@@ -139,7 +140,7 @@ class ScenarioConfig:
     kappa: Rician factor of the zero-delay tap.
     mu: von Mises concentration of the local scattering.
     trials: number of Monte Carlo trials to average.
-    bins: angular histogram resolution over (-pi, pi].
+    bins: angular histogram resolution over (-pi, pi], 8 to 2**20 bins.
     master_seed: seed from which all per-trial streams derive.
     """
 
@@ -162,8 +163,8 @@ class ScenarioConfig:
         self.local  # LocalScattering checks the signs of mu and kappa
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
-        if self.bins < 8:
-            raise ValueError(f"bins must be at least 8, got {self.bins}")
+        if not 8 <= self.bins <= _Bins.MAX_COUNT:
+            raise ValueError(f"bins must be from 8 to {_Bins.MAX_COUNT}, got {self.bins}")
         if not 0 <= self.master_seed < 2 ** 64:
             raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed}")
 
@@ -184,14 +185,10 @@ class ScenarioConfig:
         return _read_only(_power_scales(self))
 
     @cached_property
-    def eccentricities(self):
-        return _read_only(_eccentricities(self))
-
-    @cached_property
     def half_angle_ratios(self):
         # aod_to_aoa's ratio of each delayed path column, its eccentricity
         # checked here once, so the chunks map without checking it again.
-        return _read_only(_half_angle_ratio(self.eccentricities))
+        return _read_only(_half_angle_ratios(self))
 
     @classmethod
     def from_json_dict(cls, doc):
@@ -310,11 +307,9 @@ def _simulate(config, patterns, per_path_spread):
     chunk is drawn once and then generated under one pattern at a time
     (montecarlo.generate_chunk), binned and reduced into that pattern's
     row before the next; the total powers and point masses, which depend
-    on the shared powers alone, are taken once per chunk.  The per-trial
-    spreads are taken per chunk and the density rows added into the
-    pattern's running sum in trial order, so memory stays bounded by the
-    chunk size, whatever the trial and pattern counts.  Every trial
-    reads its own block of the run's random stream, so each report is
+    on the shared powers alone, are taken once per chunk.  How the rows
+    reach the running sum and the spreads: README, Determinism.  Every
+    trial reads its own block of the run's random stream, so each report is
     what config with that pattern gives alone, bit for bit, whatever the
     chunking and the other patterns.  The unbinned per-path spreads are
     taken only when per_path_spread is true; otherwise the reports carry
@@ -322,8 +317,7 @@ def _simulate(config, patterns, per_path_spread):
     """
     trials, step, bins = config.trials, trials_per_chunk(config), config.bins
     density_sum = np.zeros((len(patterns), bins))
-    # Row 0 takes a pattern's running sum, the rows after it a chunk's
-    # density rows, so one reduce adds them in trial order, in place.
+    # Running sum, then a chunk's density rows: see README, Determinism.
     buffer = np.empty((min(step, trials) + 1, bins))
     point_mass = np.empty(trials)
     trial_spreads = np.empty((len(patterns), trials))
@@ -338,13 +332,8 @@ def _simulate(config, patterns, per_path_spread):
                 total, point_mass[first:stop] = power_rows(paths)
             rows[0] = density_sum[point]
             density_rows(paths, bins, total, out=rows[1:])
-            # Reducing the trial axis, which is not the contiguous one, adds
-            # row by row, so the sum is the same for any chunking; summing
-            # the chunk first would change the last bits.
             np.add.reduce(rows, axis=0, out=density_sum[point])
-            # The density rows, added in, are the spreads' scratch.
-            trial_spreads[point, first:stop] = _scratch_spread_rows(rows[1:],
-                                                                    point_mass[first:stop])
+            trial_spreads[point, first:stop] = angle_spread_rows(rows[1:], point_mass[first:stop])
             if per_path_spread:
                 path_spreads[point, first:stop] = path_spread_rows(paths, total)
     # Each report's spreads are read-only rows of these.

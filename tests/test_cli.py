@@ -235,6 +235,17 @@ class TestSimulate:
             assert captured.out == ""
             assert not out.exists()
 
+    @pytest.mark.parametrize("bins", [2**20 + 1, 3_000_000_000])
+    def test_oversized_bins_is_one_error_record(self, scenario_file, tmp_path, capsys, bins):
+        # --bins is checked as the scenario's field, before any allocation
+        out = tmp_path / "never"
+        code = main(["simulate", "--scenario", str(scenario_file), "--bins", str(bins),
+                     "--out", str(out)])
+        assert code == 1
+        assert _error_record(capsys) == {"error": f"bins must be from 8 to {2**20}, got {bins}",
+                                         "type": "ValueError", "command": "simulate"}
+        assert not out.exists()
+
     def test_out_of_memory_is_one_error_record(self, scenario_file, tmp_path, capsys,
                                                monkeypatch):
         def exhausted(config, per_path_spread=False):

@@ -12,16 +12,14 @@ from aoasim import scenario
 from aoasim.angular import GaussianPattern, OmniPattern, Tap, TapProfile
 from aoasim.estimation import (
     AngularSpectrum,
-    _bin_edges,
-    _bin_index,
-    _upper_edges,
+    _bins,
     angle_spread_rows,
+    density_rows,
     estimate_pdf,
     lse,
     path_spread_rows,
     power_rows,
     rms_angle_spread,
-    spectrum_rows,
 )
 from aoasim.montecarlo import PathSet, generate_chunk
 
@@ -123,6 +121,12 @@ class TestEstimatePdf:
         with pytest.raises(ValueError):
             estimate_pdf(_path_set([(0, 0.0, 1.0, False)]), 7)
 
+    @pytest.mark.parametrize("bins", [2**20 + 1, 3_000_000_000])
+    def test_large_bin_count_rejected(self, bins):
+        # rejected before any bin array is built
+        with pytest.raises(ValueError, match=f"bins must be from 8 to {2**20}, got {bins}"):
+            estimate_pdf(_path_set([(0, 0.0, 1.0, False)]), bins)
+
     @pytest.mark.parametrize("entry,message", [
         ((1, 4.0, 1.0, False), r"angles must lie in \(-pi, pi\]"),
         ((1, math.nan, 1.0, False), "angles must be finite"),
@@ -155,9 +159,9 @@ class TestBinIndex:
             edges, stepped, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
             [-math.pi, math.pi],
         ])
-        assert np.array_equal(_bin_index(angles, bins), _searched_bins(angles, bins))
-        assert _bin_index(np.array([math.pi]), bins)[0] == bins - 1
-        assert _bin_index(np.array([np.nextafter(-math.pi, 0.0)]), bins)[0] == 0
+        assert np.array_equal(_bins(bins).index(angles), _searched_bins(angles, bins))
+        assert _bins(bins).index(np.array([math.pi]))[0] == bins - 1
+        assert _bins(bins).index(np.array([np.nextafter(-math.pi, 0.0)]))[0] == 0
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(8, 2**20), st.data())
@@ -165,7 +169,7 @@ class TestBinIndex:
         # edges drawn from the K + 1, each with its 1 to 4 ulp neighbours
         # on either side; every angle kept in (-pi, pi]
         try:
-            edges = _bin_edges(bins)[data.draw(st.lists(st.integers(0, bins), min_size=1,
+            edges = _bins(bins).edges[data.draw(st.lists(st.integers(0, bins), min_size=1,
                                                         max_size=8))]
             angles = [edges, [np.nextafter(-math.pi, 0.0), math.pi]]
             for direction in (-np.inf, np.inf):
@@ -175,17 +179,34 @@ class TestBinIndex:
                     angles.append(neighbour)
             angles = np.concatenate(angles)
             angles = angles[(angles > -math.pi) & (angles <= math.pi)]
-            assert np.array_equal(_bin_index(angles, bins), _searched_bins(angles, bins))
+            assert np.array_equal(_bins(bins).index(angles), _searched_bins(angles, bins))
         finally:
             # a million-bin edge array takes 8 MB; keep no more than one
-            _bin_edges.cache_clear()
-            _upper_edges.cache_clear()
+            _bins.cache_clear()
 
     def test_random_draws(self):
         rng = np.random.default_rng(5)
         for bins in (8, 64, 360, 3600, 4097):
             angles = rng.uniform(-math.pi, math.pi, (4, 25_000))
-            assert np.array_equal(_bin_index(angles, bins), _searched_bins(angles, bins))
+            assert np.array_equal(_bins(bins).index(angles), _searched_bins(angles, bins))
+
+    def test_one_read_only_binning_per_count(self):
+        # the rows of a batch and every spectrum of a count share one _bins
+        _bins.cache_clear()
+        paths = _path_set([(0, -2.0, 1.0, False), (0, 0.5, 2.0, False)])
+        total, _ = power_rows(paths)
+        density_rows(paths, 48, total)
+        spectrum = estimate_pdf(paths, 48)
+        rms_angle_spread(spectrum)
+        bins = _bins(48)
+        assert _bins.cache_info().misses == 1
+        assert spectrum.bin_edges is bins.edges and spectrum.bin_centers is bins.centers
+        assert spectrum._columns_deg[0] is bins.centers_deg
+        for array in (bins.edges, bins.upper, bins.centers):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        with pytest.raises(TypeError):
+            bins.centers_deg[0] = 0.0
 
     def test_density_at_uses_the_same_bins(self):
         spectrum = AngularSpectrum(np.arange(1.0, 37.0) / (666.0 * TWO_PI / 36), 0.0)
@@ -268,6 +289,15 @@ class TestRmsAngleSpread:
         s2 = rms_angle_spread(estimate_pdf(_path_set(scaled), 180))
         assert s1 == pytest.approx(s2, rel=1e-12)
 
+    def test_spectrum_is_left_as_it_was(self):
+        # the spread takes its scratch from a copy of the density
+        paths = _path_set([(0, 0.4, 1.0, False), (0, -0.9, 2.5, False), (0, 0.0, 0.5, True)])
+        spectrum = estimate_pdf(paths, 180)
+        before = spectrum.density.tobytes()
+        rms_angle_spread(spectrum)
+        assert spectrum.density.tobytes() == before
+        assert spectrum.density.tobytes() == estimate_pdf(paths, 180).density.tobytes()
+
     def test_unnormalized_rejected(self):
         broken = AngularSpectrum(np.full(36, 1.0 / TWO_PI), 0.5)
         with pytest.raises(ValueError):
@@ -314,15 +344,17 @@ class TestStackedRows:
         batches = list(generate_chunk(config, patterns, 2, 9))
         assert len(batches) == len(patterns)
         for batch, pattern in zip(batches, patterns):
-            density, point_mass = spectrum_rows(batch, config.bins)
-            spreads = angle_spread_rows(density, point_mass)
+            total, point_mass = power_rows(batch)
+            density = density_rows(batch, config.bins, total)
+            spreads = angle_spread_rows(density.copy(), point_mass)
             path_spreads = _path_spreads(batch)
             assert density.shape == (7, 40) and spreads.shape == path_spreads.shape == (7,)
             # the pattern's own one-pattern chunk, reduced as a batch
             [alone] = generate_chunk(replace(config, pattern=pattern), (pattern,), 2, 9)
             assert np.array_equal(batch.angles, alone.angles)
             assert np.array_equal(batch.powers, alone.powers)
-            layer_density, layer_mass = spectrum_rows(alone, config.bins)
+            layer_total, layer_mass = power_rows(alone)
+            layer_density = density_rows(alone, config.bins, layer_total)
             assert np.array_equal(density, layer_density)
             assert np.array_equal(point_mass, layer_mass)
             assert np.array_equal(spreads, angle_spread_rows(layer_density, layer_mass))
@@ -403,6 +435,20 @@ class TestAngularSpectrumType:
         for density in (np.full(7, 1.0 / TWO_PI), np.full((2, 36), 1.0 / TWO_PI)):
             with pytest.raises(ValueError, match="at least 8 bins"):
                 AngularSpectrum(density, 0.0)
+
+    def test_density_is_a_read_only_copy(self):
+        # an edit to either array would leave the written columns stale
+        original = np.full(36, 1.0 / TWO_PI)
+        spectrum = AngularSpectrum(original, 0.0)
+        columns = spectrum._columns_deg
+        with pytest.raises(ValueError, match="read-only"):
+            spectrum.density[0] = 0.0
+        original *= 2.0
+        assert np.all(spectrum.density == 1.0 / TWO_PI)
+        assert spectrum.density_at(0.1) == 1.0 / TWO_PI
+        assert spectrum._columns_deg is columns
+        assert list(columns[1]) == (spectrum.density * (math.pi / 180.0)).tolist()
+        assert rms_angle_spread(spectrum) == rms_angle_spread(_uniform_spectrum(36))
 
     def test_density_must_be_nonnegative(self):
         density = np.full(36, 1.0 / TWO_PI)

@@ -17,6 +17,7 @@ from aoasim.angular import (
     TabulatedPattern,
     Tap,
     TapProfile,
+    ellipses_for_taps,
 )
 from aoasim.geometry import aod_to_aoa, wrap_angle
 from aoasim.montecarlo import _power_scales, generate_chunk, generate_trial, sample_aod
@@ -228,8 +229,6 @@ class TestGenerateTrial:
         # every delayed-tap arrival must stay within the image of the
         # departure range under its ellipse map
         config = _scenario(kappa=0.0)
-        from aoasim.angular import ellipses_for_taps
-
         ellipses = ellipses_for_taps(config.taps, config.distance)
         for index in range(10):
             paths = generate_trial(config, index)
@@ -246,8 +245,6 @@ class TestGenerateTrial:
     def test_per_tap_arrival_distribution(self):
         # aggregated per-tap arrival angles across trials follow the
         # per-ellipse analytic density (quantile-binned chi-square)
-        from aoasim.angular import ellipses_for_taps
-
         config = _scenario(kappa=0.0, counts=(10, 40, 40))
         ellipses = dict(enumerate(ellipses_for_taps(config.taps, config.distance), start=1))
         collected = {1: [], 2: []}
@@ -300,7 +297,9 @@ class TestGenerateChunk:
         [batch] = generate_chunk(config, (config.pattern,), 0, 4)
         departures = config.pattern.quantile(uniforms[:, 6:18])
         delayed = batch.angles[:, 6:]
-        assert delayed.tobytes() == aod_to_aoa(departures, config.eccentricities).tobytes()
+        eccentricities = np.repeat([e.eccentricity for e in ellipses_for_taps(config.taps, 0.0)],
+                                   config.taps.path_counts[1:])
+        assert delayed.tobytes() == aod_to_aoa(departures, eccentricities).tobytes()
         assert delayed.tobytes() == wrap_angle(departures).tobytes()
         assert np.all(delayed[:, ::5] == math.pi)
 

@@ -23,8 +23,8 @@ from aoasim.angular import (
     json_text,
     pattern_from_json,
 )
-from aoasim.estimation import estimate_pdf, rms_angle_spread, spectrum_rows
-from aoasim.montecarlo import generate_chunk, generate_trial
+from aoasim.estimation import density_rows, estimate_pdf, power_rows, rms_angle_spread
+from aoasim.montecarlo import PathSet, generate_chunk, generate_trial
 from aoasim.scenario import (
     ScenarioConfig,
     extract_taps,
@@ -186,16 +186,15 @@ class TestScenarioConfig:
 
     def test_run_invariants_are_computed_once_and_read_only(self):
         config = _quick_config()
-        for name in ("stream_key", "power_scales", "eccentricities", "half_angle_ratios"):
+        for name in ("stream_key", "power_scales", "half_angle_ratios"):
             value = getattr(config, name)
             assert getattr(config, name) is value
             assert not value.flags.writeable
         assert not config.taps.tap_index.flags.writeable
-        # one eccentricity per delayed path column, in tap order
-        assert config.eccentricities.tolist() == [
+        # one ratio per delayed path column, in tap order, from its ellipse
+        ecc = np.array([
             ellipse.eccentricity for ellipse in ellipses_for_taps(config.taps, config.distance)
-            for _ in range(15)]
-        ecc = config.eccentricities
+            for _ in range(15)])
         assert np.array_equal(config.half_angle_ratios, (1.0 - ecc) / (1.0 + ecc))
 
     def test_powers_normalized_on_load(self):
@@ -230,6 +229,20 @@ class TestScenarioConfig:
         doc = _config_doc({"kind": "parabolic"})
         with pytest.raises(ValueError, match="pattern kind"):
             ScenarioConfig.from_json_dict(doc)
+
+    def test_bin_count_is_capped(self):
+        # the bin index is exact far beyond 2**20 bins, but no further is
+        # tested; only construction is checked, since a run would allocate
+        # gigabytes
+        doc = _config_doc()
+        assert ScenarioConfig.from_json_dict(dict(doc, bins=2**20)).bins == 2**20
+        assert replace(_quick_config(), bins=2**20).bins == 2**20
+        for bad in (2**20 + 1, 3_000_000_000):
+            message = f"bins must be from 8 to {2**20}, got {bad}"
+            with pytest.raises(ValueError, match=message):
+                ScenarioConfig.from_json_dict(dict(doc, bins=bad))
+            with pytest.raises(ValueError, match=message):
+                _quick_config(bins=bad)
 
     def test_validation(self):
         base = _config_doc()
@@ -396,8 +409,9 @@ _CHUNK_PATTERNS = {
 
 
 def _assert_binned_path_by_path(batch, bins):
-    # spectrum_rows of a one-pattern chunk against the loop reference, row by row
-    density, point_mass = spectrum_rows(batch, bins)
+    # the rows of a one-pattern chunk against the loop reference, row by row
+    total, point_mass = power_rows(batch)
+    density = density_rows(batch, bins, total)
     weights = histogram_rows(batch.angles, batch.powers,
                              np.linspace(-math.pi, math.pi, bins + 1))
     totals = np.array([np.sum(row) for row in batch.powers]) + batch.direct_power
@@ -596,21 +610,21 @@ class TestHpbwSweep:
 
         config = _quick_config(trials=40)
         hpbws = [360.0, 180.0, 120.0, 90.0, 60.0]
-        calls = {"_total_power": 0, "_check_point_mass": 0}
+        calls = {"total_power": 0, "_check_point_mass": 0}
 
-        def counting(name):
-            wrapped = getattr(estimation, name)
+        def counting(owner, name):
+            wrapped = getattr(owner, name)
 
             def counted(*args):
                 calls[name] += 1
                 return wrapped(*args)
-            return counted
+            monkeypatch.setattr(owner, name, counted)
 
         monkeypatch.setattr(scenario, "CHUNK_SIZE", 4 * len(hpbws) * (45 + 90))
-        for name in calls:
-            monkeypatch.setattr(estimation, name, counting(name))
+        counting(PathSet, "total_power")
+        counting(estimation, "_check_point_mass")
         hpbw_sweep(config, hpbws)
-        assert calls == {"_total_power": 2, "_check_point_mass": 2 + len(hpbws)}
+        assert calls == {"total_power": 2, "_check_point_mass": 2 + len(hpbws)}
 
     @pytest.mark.parametrize("points", [1, 2, 5, 40])
     def test_sweep_takes_as_many_chunks_as_one_run(self, monkeypatch, points):
