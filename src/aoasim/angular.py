@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, reduce
 
 import numpy as np
@@ -23,9 +23,11 @@ from .geometry import (
     _TWO_PI,
     _US,
     _check_angles,
+    _check_count,
+    _check_eccentricity,
+    _half_angle_map,
+    _jacobian,
     _read_only,
-    aoa_jacobian,
-    aoa_to_aod,
     ellipse_params,
 )
 
@@ -127,12 +129,6 @@ def _uniform_quantile(u):
     return -np.pi + _TWO_PI * u
 
 
-def _clamp(values, lo, hi):
-    # np.clip(values, lo, hi), bit for bit, in place.
-    np.maximum(values, lo, out=values)
-    return np.minimum(values, hi, out=values)
-
-
 # Scenario-file fields are read through these checks, so a missing or
 # unknown key, a bool or a string where a number belongs, or a fractional
 # count is a ValueError naming the field by its JSON path, such as
@@ -154,10 +150,12 @@ def json_object(doc, keys, path=""):
 
 def json_number(value, path, integer=False):
     """value as a float, or as an int when integer; bools are rejected."""
-    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        raise ValueError(f"{path} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    if integer:
+        return _check_count(value, path)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{path} must be a number, got {value!r}")
     try:
-        return value if integer else float(value)
+        return float(value)
     except OverflowError:
         raise ValueError(f"{path} is out of range, got {value}") from None
 
@@ -291,7 +289,9 @@ class GaussianPattern:
         from scipy.special import ndtri
 
         std, lo = self._truncation
-        angles = _clamp(np.asarray(std * ndtri(lo + u * (1.0 - 2.0 * lo))), -np.pi, np.pi)
+        angles = np.asarray(std * ndtri(lo + u * (1.0 - 2.0 * lo)))
+        np.maximum(angles, -np.pi, out=angles)  # np.clip, bit for bit, in place
+        np.minimum(angles, np.pi, out=angles)
         return angles if angles.ndim else angles[()]
 
     def to_json(self):
@@ -406,10 +406,10 @@ class LocalScattering:
     kappa: float = 0.0
 
     def __post_init__(self):
-        if self.mu < 0:
-            raise ValueError(f"mu must be nonnegative, got {self.mu}")
-        if self.kappa < 0:
-            raise ValueError(f"kappa must be nonnegative, got {self.kappa}")
+        for name in ("mu", "kappa"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
     def quantile(self, u):
         """Inverse CDF of the von Mises(0, mu) arrival density at u in [0, 1)."""
@@ -465,7 +465,9 @@ class TapProfile:
     taps: tuple[Tap, ...]
 
     def __post_init__(self):
-        taps = tuple(self.taps)
+        # Path counts are kept as Python ints, which JSON writes.
+        taps = tuple(replace(tap, path_count=_check_count(tap.path_count, "tap path count"))
+                     for tap in self.taps)
         object.__setattr__(self, "taps", taps)
         if not taps:
             raise ValueError("tap profile must contain at least the zero-delay tap")
@@ -480,8 +482,8 @@ class TapProfile:
         for tap in taps:
             if not 0 < tap.power < math.inf:
                 raise ValueError(f"tap powers must be positive and finite, got {tap.power}")
-            if not isinstance(tap.path_count, int) or tap.path_count < 1:
-                raise ValueError(f"tap path counts must be integers >= 1, got {tap.path_count}")
+            if tap.path_count < 1:
+                raise ValueError(f"tap path counts must be at least 1, got {tap.path_count}")
 
     @property
     def total_power(self):
@@ -514,6 +516,13 @@ def ellipses_for_taps(profile, distance):
     return tuple(ellipse_params(distance, tap.delay) for tap in profile.delayed)
 
 
+def _density(phi, kernel, *args):
+    """kernel(angles, *args) on phi checked once: a float for a scalar phi."""
+    angles = _check_angles(phi)
+    out = kernel(angles, *args)
+    return out if angles.ndim else float(out)
+
+
 def aod_pdf(phi_t, pattern):
     """Departure-angle density induced by the transmit power pattern.
 
@@ -522,9 +531,7 @@ def aod_pdf(phi_t, pattern):
     density integrates to one over (-pi, pi].  Tabulated: squared
     interpolated amplitude, normalized by its exact power integral.
     """
-    scalar = np.ndim(phi_t) == 0
-    out = pattern.density(_check_angles(phi_t))
-    return float(out) if scalar else out
+    return _density(phi_t, pattern.density)
 
 
 def von_mises_pdf(phi, mu):
@@ -535,12 +542,16 @@ def von_mises_pdf(phi, mu):
     """
     from scipy.special import i0e
 
-    if mu < 0:
-        raise ValueError(f"mu must be nonnegative, got {mu}")
-    scalar = np.ndim(phi) == 0
-    arr = _check_angles(phi)
-    out = np.exp(mu * (np.cos(arr) - 1.0)) / (_TWO_PI * i0e(mu))
-    return float(out) if scalar else out
+    if not 0.0 <= mu < math.inf:
+        raise ValueError(f"mu must be finite and nonnegative, got {mu}")
+    return _density(phi, lambda angles: np.exp(mu * (np.cos(angles) - 1.0)) / (_TWO_PI * i0e(mu)))
+
+
+def _delayed_density(phi_r, ecc, pattern):
+    # delayed_aoa_pdf on checked angles, which lie on [-pi, pi] and so need
+    # no wrap, and a checked eccentricity.
+    phi_t = _half_angle_map(phi_r, (1.0 + ecc) / (1.0 - ecc))
+    return pattern.density(phi_t) / _jacobian(phi_t, ecc)
 
 
 def delayed_aoa_pdf(phi_r, ellipse, pattern):
@@ -550,12 +561,7 @@ def delayed_aoa_pdf(phi_r, ellipse, pattern):
     map: f(phi_r) = f_T(phi_t) / |d phi_r / d phi_t| at
     phi_t = aoa_to_aod(phi_r).  Integrates to one over (-pi, pi].
     """
-    scalar = np.ndim(phi_r) == 0
-    phi = _check_angles(phi_r)
-    ecc = ellipse.eccentricity
-    phi_t = aoa_to_aod(phi, ecc)
-    out = aod_pdf(phi_t, pattern) / aoa_jacobian(phi_t, ecc)
-    return float(out) if scalar else np.asarray(out)
+    return _density(phi_r, _delayed_density, _check_eccentricity(ellipse.eccentricity), pattern)
 
 
 def composite_aoa_pdf(phi_r, ellipses, taps, pattern, local):
@@ -566,20 +572,24 @@ def composite_aoa_pdf(phi_r, ellipses, taps, pattern, local):
     the local von Mises component (weight P_0 / (P_R * (kappa + 1)));
     the direct path contributes the point mass
     kappa / (kappa + 1) * P_0 / P_R at boresight.  Continuous integral
-    plus point mass equals one.
+    plus point mass equals one.  The angles are checked once, and each
+    ellipse's eccentricity once.
     """
     if len(ellipses) != len(taps.taps) - 1:
         raise ValueError(
             f"need one ellipse per delayed tap: got {len(ellipses)} ellipses "
             f"for {len(taps.taps) - 1} delayed taps"
         )
-    scalar = np.ndim(phi_r) == 0
-    phi = _check_angles(phi_r)
     total = taps.total_power
-    density = np.zeros(phi.shape)
-    for ellipse, tap in zip(ellipses, taps.delayed):
-        density = density + (tap.power / total) * delayed_aoa_pdf(phi, ellipse, pattern)
     local_weight = (taps.taps[0].power / total) / (local.kappa + 1.0)
-    density = density + local_weight * von_mises_pdf(phi, local.mu)
+
+    def mixture(phi):
+        # Zeros, plus each weighted tap in tap order, plus the local term.
+        density = np.zeros(phi.shape)
+        for ellipse, tap in zip(ellipses, taps.delayed):
+            ecc = _check_eccentricity(ellipse.eccentricity)
+            density = density + (tap.power / total) * _delayed_density(phi, ecc, pattern)
+        return density + local_weight * von_mises_pdf(phi, local.mu)
+
     point_mass = (local.kappa / (local.kappa + 1.0)) * (taps.taps[0].power / total)
-    return (float(density) if scalar else density), point_mass
+    return _density(phi_r, mixture), point_mass

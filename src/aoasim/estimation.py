@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .geometry import _DEG, _TWO_PI, _check_angles, _read_only
+from .geometry import _DEG, _TWO_PI, _check_angles, _check_count, _read_only
 
 # Tolerance on sum(probabilities) + point_mass == 1 for a valid spectrum.
 NORMALIZATION_TOL = 1e-9
@@ -199,9 +199,9 @@ def density_rows(paths, bin_count, total, out=None):
     written into out, a (trials, bin_count) float array, when one is
     given, and returned.  See estimate_pdf for the binning convention.
     """
-    if not 8 <= bin_count <= _Bins.MAX_COUNT:
+    if not 8 <= _check_count(bin_count, "bins") <= _Bins.MAX_COUNT:
         raise ValueError(f"bins must be from 8 to {_Bins.MAX_COUNT}, got {bin_count}")
-    bins = _bins(int(bin_count))
+    bins = _bins(bin_count)
     angles = np.atleast_2d(paths.angles)
     rows = angles.shape[0]
     # One histogram for the whole batch: row r owns cells [r*K, (r+1)*K),

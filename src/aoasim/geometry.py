@@ -38,20 +38,13 @@ def wrap_angle(phi):
     """Wrap angle(s) to (-pi, pi].  Accepts scalars or arrays.
 
     Values already inside the interval pass through bit-exactly, so
-    wrapping never perturbs in-range angles.  Angles on [-pi, pi], as
-    every quantile function returns them, take one pass: only -pi moves,
-    to pi.  Anything else (out of range, infinite or NaN) goes through
-    the modulo.
+    wrapping never perturbs in-range angles; -pi moves to pi.
     """
     scalar = np.ndim(phi) == 0
     arr = np.asarray(phi, dtype=float)
-    # min and max propagate NaN, which fails both comparisons.
-    if arr.size and -np.pi <= arr.min() and arr.max() <= np.pi:
-        out = np.where(arr == -np.pi, np.pi, arr)
-    else:
-        wrapped = np.mod(arr, _TWO_PI)
-        wrapped = np.where(wrapped > np.pi, wrapped - _TWO_PI, wrapped)
-        out = np.where((arr > -np.pi) & (arr <= np.pi), arr, wrapped)
+    wrapped = np.mod(arr, _TWO_PI)
+    wrapped = np.where(wrapped > np.pi, wrapped - _TWO_PI, wrapped)
+    out = np.where((arr > -np.pi) & (arr <= np.pi), arr, wrapped)
     return float(out) if scalar else out
 
 
@@ -64,11 +57,18 @@ def _read_only(arr):
 def _check_angles(phi):
     """phi as a float array, checked to be finite and in (-pi, pi]."""
     arr = np.asarray(phi, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("angles must be finite")
-    if np.any(arr <= -np.pi) or np.any(arr > np.pi):
-        raise ValueError("angles must lie in (-pi, pi]")
+    # One pass for both checks: NaN fails every comparison.
+    if not ((arr > -np.pi) & (arr <= np.pi)).all():
+        raise ValueError("angles must lie in (-pi, pi]" if np.isfinite(arr).all()
+                         else "angles must be finite")
     return arr
+
+
+def _check_count(value, name):
+    """value as an int, checked to be a Python or NumPy integer and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def ellipse_params(distance, delay):
@@ -81,12 +81,11 @@ def ellipse_params(distance, delay):
     Returns an EllipseGeometry with major_axis = distance + c * delay
     and eccentricity = distance / major_axis (zero when distance is 0).
     """
-    if distance < 0:
-        raise ValueError(f"distance must be nonnegative, got {distance}")
-    if delay <= 0:
-        raise ValueError(
-            f"delay must be positive (zero delay is the local-scattering tap), got {delay}"
-        )
+    if not 0.0 <= distance < np.inf:
+        raise ValueError(f"distance must be finite and nonnegative, got {distance}")
+    if not 0.0 < delay < np.inf:
+        raise ValueError(f"delay must be positive and finite (zero delay is the "
+                         f"local-scattering tap), got {delay}")
     major_axis = distance + SPEED_OF_LIGHT * delay
     return EllipseGeometry(major_axis=major_axis, eccentricity=distance / major_axis)
 
@@ -96,20 +95,20 @@ def _check_eccentricity(eccentricity):
     # One eccentricity, or one per column; the first bad one is reported.
     ecc = np.asarray(eccentricity, dtype=float)
     valid = (0.0 <= ecc) & (ecc < 1.0)
-    if not np.all(valid):
+    if not valid.all():
         raise ValueError(f"eccentricity must lie in [0, 1), got {ecc.flat[np.argmin(valid)]}")
     return ecc
 
 
 def _half_angle_map(phi, ratio):
     # tan(out/2) = ratio * tan(phi/2) for phi on [-pi, pi], as every
-    # quantile function returns it, so phi is not wrapped here; out is on
-    # (-pi, pi].  ratio is one value or one per column (the last axis of
-    # phi), and each column comes out bit for bit as its own ratio maps it
-    # alone.  The steps run in place on one buffer of phi's size.  They
-    # keep neither a ratio-1 column (a circle: the identity) nor the fixed
-    # point +-pi exact, so both are copied in last: the column from phi,
-    # and +-pi as pi, the wrap of -pi.
+    # quantile function and every angle check returns it, so phi is not
+    # wrapped here; out is on (-pi, pi].  ratio is one value or one per
+    # column (the last axis of phi), and each column comes out bit for bit
+    # as its own ratio maps it alone.  The steps run in place on one
+    # buffer of phi's size.  They keep neither a ratio-1 column (a circle:
+    # the identity) nor the fixed point +-pi exact, so both are copied in
+    # last: the column from phi, and +-pi as pi, the wrap of -pi.
     scalar = np.ndim(phi) == 0
     phi = np.atleast_1d(phi)
     mapped = np.multiply(phi, 0.5)
@@ -158,6 +157,11 @@ def aoa_to_aod(phi_r, eccentricity):
     return _half_angle_map(wrap_angle(phi_r), (1.0 + ecc) / (1.0 - ecc))
 
 
+def _jacobian(phi_t, ecc):
+    # aoa_jacobian's formula, on angles and an eccentricity already checked.
+    return (1.0 - ecc * ecc) / (1.0 + ecc * ecc + 2.0 * ecc * np.cos(phi_t))
+
+
 def aoa_jacobian(phi_t, eccentricity):
     """Derivative |d phi_r / d phi_t| of the departure-to-arrival map.
 
@@ -167,7 +171,5 @@ def aoa_jacobian(phi_t, eccentricity):
     phi_t in {0, +/-pi} limits.  Accepts scalars or arrays.
     """
     ecc = _check_eccentricity(eccentricity)
-    scalar = np.ndim(phi_t) == 0
-    phi = np.asarray(wrap_angle(phi_t), dtype=float)
-    value = (1.0 - ecc * ecc) / (1.0 + ecc * ecc + 2.0 * ecc * np.cos(phi))
-    return float(value) if scalar else value
+    value = _jacobian(np.asarray(wrap_angle(phi_t), dtype=float), ecc)
+    return float(value) if np.ndim(phi_t) == 0 else value

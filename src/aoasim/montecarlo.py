@@ -30,8 +30,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .angular import ellipses_for_taps
-from .geometry import _half_angle_map, _half_angle_ratio, wrap_angle
+from .geometry import _half_angle_map, wrap_angle
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import ScenarioConfig
@@ -72,34 +71,6 @@ def sample_aod(pattern, rng, size):
     return wrap_angle(pattern.quantile(rng.random(size)))
 
 
-# The run invariants below depend on the scenario alone: ScenarioConfig
-# computes each on first use and keeps it read-only (stream_key,
-# power_scales and half_angle_ratios), so a run pays for them once, not
-# once per chunk or pattern.
-
-def _stream_key(scenario):
-    """Key of the run's Philox stream, derived from the master seed."""
-    return np.random.SeedSequence(scenario.master_seed).generate_state(2, np.uint64)
-
-
-def _power_scales(scenario):
-    # Per-path power is uniform on [0, scale): each delayed tap's paths
-    # get 2 P / paths, so the expected tap total is P; the zero-delay
-    # tap's get 2 P_0 / ((1 + kappa) paths), leaving the Rician fraction
-    # kappa / (1 + kappa) of P_0 to the direct path.
-    taps = scenario.taps.taps
-    scales = [2.0 * tap.power / tap.path_count for tap in taps]
-    scales[0] /= 1.0 + scenario.kappa
-    return np.repeat(scales, scenario.taps.path_counts)
-
-
-def _half_angle_ratios(scenario):
-    """(1 - e) / (1 + e) of each delayed path column's ellipse, e checked."""
-    ellipses = ellipses_for_taps(scenario.taps, scenario.distance)
-    return _half_angle_ratio(np.repeat([ellipse.eccentricity for ellipse in ellipses],
-                                       scenario.taps.path_counts[1:]))
-
-
 def draw_uniforms(scenario: "ScenarioConfig", first, stop):
     """The uniforms of trials first..stop-1, one row of W per trial, in one call.
 
@@ -128,7 +99,10 @@ def generate_chunk(scenario: "ScenarioConfig", patterns, first, stop):
     profile = scenario.taps
     local, paths = profile.path_counts[0], profile.tap_index.size
     uniforms = draw_uniforms(scenario, first, stop)
-    local_angles = wrap_angle(scenario.local.quantile(uniforms[:, :local]))
+    # The quantiles lie on [-pi, pi], so wrapping them to (-pi, pi] moves
+    # -pi only.
+    local_angles = scenario.local.quantile(uniforms[:, :local])
+    np.copyto(local_angles, np.pi, where=local_angles == -np.pi)
     powers = uniforms[:, paths:2 * paths] * scenario.power_scales
     direct_power = scenario.kappa * profile.taps[0].power / (1.0 + scenario.kappa)
     for pattern in patterns:

@@ -22,6 +22,7 @@ from .angular import (
     LocalScattering,
     Tap,
     TapProfile,
+    ellipses_for_taps,
     json_field,
     json_object,
     json_pairs,
@@ -37,8 +38,8 @@ from .estimation import (
     power_rows,
     rms_angle_spread,
 )
-from .geometry import _DEG, _US, _read_only
-from .montecarlo import _half_angle_ratios, _power_scales, _stream_key, generate_chunk
+from .geometry import _DEG, _US, _check_count, _half_angle_ratio, _read_only
+from .montecarlo import generate_chunk
 
 DEFAULT_PATHS_PER_TAP = 50
 DEFAULT_PROMINENCE_DB = 3.0
@@ -116,8 +117,8 @@ def extract_taps(raw_pdp, min_prominence_db=DEFAULT_PROMINENCE_DB,
     peaks = _prominent_peaks(level_db, min_prominence_db)
     if peaks.size == 0 and _prominent_peaks(level_db).size == 0 and not powers[0] > powers[1]:
         raise ValueError("PDP has no local maximum (flat or rising profile); cannot extract taps")
-    taps = [Tap(0.0, float(powers[0]), int(paths_per_tap))]
-    taps.extend(Tap(float(delays[k]), float(powers[k]), int(paths_per_tap)) for k in peaks)
+    taps = [Tap(0.0, float(powers[0]), paths_per_tap)]
+    taps.extend(Tap(float(delays[k]), float(powers[k]), paths_per_tap) for k in peaks)
     return TapProfile(tuple(taps))
 
 
@@ -161,6 +162,9 @@ class ScenarioConfig:
         if self.distance < 0:
             raise ValueError(f"distance must be nonnegative, got {self.distance}")
         self.local  # LocalScattering checks the signs of mu and kappa
+        # Counts are kept as Python ints, which JSON writes.
+        for name in ("trials", "bins", "master_seed"):
+            object.__setattr__(self, name, _check_count(getattr(self, name), name))
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if not 8 <= self.bins <= _Bins.MAX_COUNT:
@@ -174,21 +178,29 @@ class ScenarioConfig:
 
     # The run invariants of generation (see montecarlo), computed on first
     # use and kept read-only, so that a run pays for them once and not once
-    # per chunk.
+    # per chunk or pattern.
 
     @cached_property
     def stream_key(self):
-        return _read_only(_stream_key(self))
+        """Key of the run's Philox stream, derived from the master seed."""
+        return _read_only(np.random.SeedSequence(self.master_seed).generate_state(2, np.uint64))
 
     @cached_property
     def power_scales(self):
-        return _read_only(_power_scales(self))
+        # Per-path power is uniform on [0, scale): each delayed tap's paths
+        # get 2 P / paths, so the expected tap total is P; the zero-delay
+        # tap's get 2 P_0 / ((1 + kappa) paths), leaving the Rician fraction
+        # kappa / (1 + kappa) of P_0 to the direct path.
+        scales = [2.0 * tap.power / tap.path_count for tap in self.taps.taps]
+        scales[0] /= 1.0 + self.kappa
+        return _read_only(np.repeat(scales, self.taps.path_counts))
 
     @cached_property
     def half_angle_ratios(self):
         # aod_to_aoa's ratio of each delayed path column, its eccentricity
         # checked here once, so the chunks map without checking it again.
-        return _read_only(_half_angle_ratios(self))
+        eccentricities = [e.eccentricity for e in ellipses_for_taps(self.taps, self.distance)]
+        return _read_only(_half_angle_ratio(np.repeat(eccentricities, self.taps.path_counts[1:])))
 
     @classmethod
     def from_json_dict(cls, doc):

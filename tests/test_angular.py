@@ -1,6 +1,8 @@
 """Tests for the analytic angular densities."""
 
+import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from aoasim import angular, geometry
 from aoasim.angular import (
     _GUIDE_CELLS,
     _CdfTable,
@@ -171,6 +174,12 @@ class TestVonMisesPdf:
         with pytest.raises(ValueError):
             von_mises_pdf(0.0, -0.1)
 
+    @pytest.mark.parametrize("mu", [math.nan, math.inf])
+    def test_non_finite_concentration_rejected(self, mu):
+        # NaN passes a sign check written as mu < 0
+        with pytest.raises(ValueError, match="mu must be finite and nonnegative"):
+            von_mises_pdf(0.1, mu)
+
 
 class TestDelayedAoaPdf:
     def test_zero_eccentricity_reduces_to_departure_density(self):
@@ -259,6 +268,70 @@ class TestCompositeAoaPdf:
         bwd, _ = composite_aoa_pdf(-x, ellipses, taps, pattern, local)
         np.testing.assert_array_equal(fwd, bwd)
 
+    @pytest.mark.parametrize("field", ["mu", "kappa"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_local_scattering_must_be_finite_and_nonnegative(self, field, bad):
+        # NaN passes a sign check written as x < 0, and the mixture of such
+        # a local is NaN
+        with pytest.raises(ValueError, match=f"{field} must be finite and nonnegative"):
+            LocalScattering(**dict({"mu": 1.0, "kappa": 0.0}, **{field: bad}))
+
+    @pytest.mark.parametrize("delayed", range(4))
+    @pytest.mark.parametrize("kind", ["omni", "gaussian", "tabulated"])
+    def test_equals_its_per_tap_definition(self, delayed, kind):
+        # zeros, plus each weighted tap in tap order, plus the local term,
+        # each from its public density: the same bits, and a float for a
+        # scalar angle
+        rng = np.random.default_rng(100 + 10 * delayed + len(kind))
+        taps = make_profile(np.concatenate([[0.0], np.sort(rng.uniform(0.2, 10.0, delayed))]),
+                            rng.uniform(0.1, 1.0, delayed + 1), 5)
+        ellipses = ellipses_for_taps(taps, rng.uniform(0.0, 3000.0))
+        pattern = {"omni": OmniPattern(),
+                   "gaussian": GaussianPattern(rng.uniform(0.3, TWO_PI)),
+                   "tabulated": TabulatedPattern(_GAPPED_SAMPLES)}[kind]
+        phi = np.concatenate([np.linspace(-math.pi, math.pi, 721)[1:],
+                              rng.uniform(-math.pi, math.pi, 200), [0.0, -0.0]])
+        total = taps.total_power
+        for mu_zero, kappa_zero in itertools.product((True, False), repeat=2):
+            local = LocalScattering(mu=0.0 if mu_zero else rng.uniform(0.5, 50.0),
+                                    kappa=0.0 if kappa_zero else rng.uniform(0.1, 3.0))
+
+            def definition(angles):
+                density = np.zeros(np.shape(angles))
+                for ellipse, tap in zip(ellipses, taps.delayed):
+                    term = delayed_aoa_pdf(angles, ellipse, pattern)
+                    density = density + (tap.power / total) * term
+                local_weight = (taps.taps[0].power / total) / (local.kappa + 1.0)
+                return density + local_weight * von_mises_pdf(angles, local.mu)
+
+            density, point_mass = composite_aoa_pdf(phi, ellipses, taps, pattern, local)
+            assert np.array_equal(density, definition(phi))
+            assert point_mass == (local.kappa / (local.kappa + 1.0)) * (taps.taps[0].power / total)
+            for angle in (math.pi, 0.0, float(phi[300]), float(phi[-3])):
+                value, _ = composite_aoa_pdf(angle, ellipses, taps, pattern, local)
+                assert type(value) is float
+                assert value == definition(angle)
+
+    def test_checks_each_input_once(self, monkeypatch):
+        # One scalar call on 4 delayed taps: the angles are checked by the
+        # mixture and by its von Mises term, each eccentricity once, and no
+        # angle is wrapped, as checked angles lie in (-pi, pi] already.
+        calls = dict.fromkeys(("_check_angles", "_check_eccentricity", "wrap_angle"), 0)
+        for module, name in itertools.product((angular, geometry), calls):
+            if hasattr(module, name):
+                def counted(*args, _name=name, _original=getattr(module, name)):
+                    calls[_name] += 1
+                    return _original(*args)
+
+                monkeypatch.setattr(module, name, counted)
+        taps = make_profile([0.0, 0.5, 1.0, 3.0, 7.0], [0.4, 0.2, 0.2, 0.1, 0.1], 5)
+        ellipses = ellipses_for_taps(taps, 1000.0)
+        local = LocalScattering(mu=5.0, kappa=0.5)
+        composite_aoa_pdf(0.3, ellipses, taps, GaussianPattern(1.0), local)
+        assert calls["_check_angles"] <= 2
+        assert calls["_check_eccentricity"] == 4
+        assert calls["wrap_angle"] == 0
+
     def test_ellipse_count_mismatch_rejected(self):
         taps, ellipses, local = self._scenario(kappa=0.0, mu=1.0)
         with pytest.raises(ValueError):
@@ -294,6 +367,13 @@ class TestTapProfile:
     def test_requires_integer_path_count(self):
         with pytest.raises(ValueError):
             TapProfile((Tap(0.0, 1.0, 0),))
+
+    @pytest.mark.parametrize("count", [True, 2.0, np.float64(3.0), "5"])
+    def test_path_count_must_be_an_integer(self, count):
+        # a bool is an int to isinstance
+        with pytest.raises(ValueError,
+                           match=re.escape(f"tap path count must be an integer, got {count!r}")):
+            TapProfile((Tap(0.0, 1.0, count),))
 
     def test_total_power_adds_left_to_right(self):
         # it normalizes every scenario's taps, so it must not depend on

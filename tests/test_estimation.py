@@ -1,6 +1,7 @@
 """Tests for spectrum estimation and dispersion metrics."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -125,6 +126,12 @@ class TestEstimatePdf:
     def test_large_bin_count_rejected(self, bins):
         # rejected before any bin array is built
         with pytest.raises(ValueError, match=f"bins must be from 8 to {2**20}, got {bins}"):
+            estimate_pdf(_path_set([(0, 0.0, 1.0, False)]), bins)
+
+    @pytest.mark.parametrize("bins", [40.7, np.float64(36.0), True])
+    def test_bin_count_must_be_an_integer(self, bins):
+        # not truncated: 40.7 must not bin into 40
+        with pytest.raises(ValueError, match=re.escape(f"bins must be an integer, got {bins!r}")):
             estimate_pdf(_path_set([(0, 0.0, 1.0, False)]), bins)
 
     @pytest.mark.parametrize("entry,message", [

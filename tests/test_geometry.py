@@ -96,6 +96,15 @@ class TestEllipseParams:
         with pytest.raises(ValueError):
             ellipse_params(-1.0, 1e-6)
 
+    @pytest.mark.parametrize("distance,delay,name", [
+        (math.nan, 1e-6, "distance"), (math.inf, 1e-6, "distance"),
+        (100.0, math.nan, "delay"), (100.0, math.inf, "delay"),
+    ])
+    def test_non_finite_input_rejected(self, distance, delay, name):
+        # NaN passes a sign check written as x < 0, giving EllipseGeometry(nan, nan)
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            ellipse_params(distance, delay)
+
     def test_invariants_over_random_inputs(self):
         rng = np.random.default_rng(11)
         for _ in range(500):

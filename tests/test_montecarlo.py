@@ -20,7 +20,7 @@ from aoasim.angular import (
     ellipses_for_taps,
 )
 from aoasim.geometry import aod_to_aoa, wrap_angle
-from aoasim.montecarlo import _power_scales, generate_chunk, generate_trial, sample_aod
+from aoasim.montecarlo import generate_chunk, generate_trial, sample_aod
 from aoasim.scenario import ScenarioConfig
 
 from helpers import (
@@ -152,7 +152,7 @@ class TestSampleLocalPowers:
     """Per-path powers of the zero-delay tap: uniform on [0, 2 P_0 / ((1 + kappa) paths))."""
 
     def test_zero_kappa_matches_tap_power_contract(self):
-        scales = _power_scales(_power_config([(0.5, 20), (0.5, 20)]))
+        scales = _power_config([(0.5, 20), (0.5, 20)]).power_scales
         assert np.array_equal(scales, np.full(40, 2 * 0.5 / 20))
 
     def test_unit_kappa_support_and_mean(self):

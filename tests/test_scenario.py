@@ -37,6 +37,13 @@ from helpers import DELETE, edited_doc, histogram_rows, make_profile
 
 
 class TestExtractTaps:
+    def test_fractional_paths_per_tap_rejected(self):
+        # not truncated: 2.7 must not give 2 paths per tap
+        delays = np.linspace(0, 10e-6, 50)
+        message = "tap path count must be an integer, got 2.7"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            extract_taps(list(zip(delays, np.exp(-delays / 3e-6))), paths_per_tap=2.7)
+
     def test_monotone_decay_gives_single_tap(self):
         delays = np.linspace(0, 10e-6, 50)
         powers = np.exp(-delays / 3e-6)
@@ -243,6 +250,24 @@ class TestScenarioConfig:
                 ScenarioConfig.from_json_dict(dict(doc, bins=bad))
             with pytest.raises(ValueError, match=message):
                 _quick_config(bins=bad)
+
+    @pytest.mark.parametrize("field,bad", [
+        ("trials", 2.5), ("bins", 40.5), ("master_seed", 1.5), ("trials", True),
+    ])
+    def test_counts_must_be_integers(self, field, bad):
+        # the JSON loader checks its own fields; unchecked, a config built
+        # in Python fails deep in the run with a TypeError naming no field
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {bad!r}")):
+            _quick_config(**{field: bad})
+
+    def test_numpy_integer_counts_are_kept_as_python_ints(self):
+        config = _quick_config(trials=np.int64(3), bins=np.int32(16), master_seed=np.uint64(5),
+                               taps=make_profile([0.0, 1.0], [0.5, 0.5], np.int16(4)))
+        for count in (config.trials, config.bins, config.master_seed, *config.taps.path_counts):
+            assert type(count) is int
+        same = _quick_config(trials=3, bins=16, master_seed=5,
+                             taps=make_profile([0.0, 1.0], [0.5, 0.5], 4))
+        assert json_text(config.to_json_dict()) == json_text(same.to_json_dict())
 
     def test_validation(self):
         base = _config_doc()
