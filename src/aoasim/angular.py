@@ -321,8 +321,7 @@ class TabulatedPattern:
         object.__setattr__(self, "samples", entries)
         if len(entries) < 8:
             raise ValueError("tabulated pattern needs at least 8 samples")
-        angles = np.array([a for a, _ in entries])
-        amps = np.array([g for _, g in entries])
+        angles, amps = self._nodes
         if not (np.all(np.isfinite(angles)) and np.all(np.isfinite(amps))):
             raise ValueError("tabulated pattern samples must be finite")
         if np.any(np.diff(angles) <= 0):
@@ -336,9 +335,7 @@ class TabulatedPattern:
 
     @cached_property
     def _nodes(self):
-        angles = np.array([a for a, _ in self.samples])
-        amps = np.array([g for _, g in self.samples])
-        return angles, amps
+        return np.array(self.samples).T
 
     @cached_property
     def _power_integral(self):

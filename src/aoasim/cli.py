@@ -17,7 +17,6 @@ import argparse
 import csv
 import functools
 import json
-import operator
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -53,12 +52,6 @@ def _write_csv(path, header, first, second):
     rows = "".join(f"{a},{b}\r\n" for a, b in zip(_float_reprs(first), _float_reprs(second)))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"{header}\r\n{rows}")
-
-
-def _write_spectrum_csv(path, spectrum):
-    # The columns of report.json's "spectrum", each float's repr taken once
-    # for both files.
-    _write_csv(path, "angle_deg,pdf_per_deg", *spectrum._columns_deg)
 
 
 def _number(field):
@@ -101,13 +94,10 @@ def _cmd_simulate(args):
     out.mkdir(parents=True, exist_ok=True)
     payload = report.to_json_dict()
     payload["version"] = __version__
-    if args.per_path_spread:
-        spreads = report.per_path_spreads.tolist()
-        payload["per_path_spread_deg"] = [s / _DEG for s in spreads]
-        # Added left to right, whatever the Python version's sum() does.
-        total = functools.reduce(operator.add, spreads, 0.0)
-        payload["per_path_spread_mean_deg"] = total / len(spreads) / _DEG
-    _write_spectrum_csv(out / "spectrum.csv", report.averaged_spectrum)
+    # The columns of report.json's "spectrum", each float's repr taken once
+    # for both files.
+    _write_csv(out / "spectrum.csv", "angle_deg,pdf_per_deg",
+               *report.averaged_spectrum._columns_deg)
     _write_json(out / "report.json", payload)
     print(
         f"angle spread: {report.angle_spread / _DEG:.3f} deg "
@@ -187,11 +177,18 @@ def _add_run_options(parser):
                         help="accepted for compatibility; has no effect (trials run serially)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser (and so each subcommand's) whose usage errors raise for main."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 # Built on the first main call and kept for the process: parse_args leaves
 # the parser as it was, so repeated calls in one process build it once.
 @functools.cache
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="aoasim",
         description="Monte Carlo simulator for multipath arrival-angle distributions",
     )
@@ -232,13 +229,20 @@ def _build_parser():
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    # The subcommand is set on args as soon as it is parsed, so a usage
+    # error in its options names it.
+    args = argparse.Namespace(command=None)
     try:
+        _build_parser().parse_args(argv, namespace=args)
         return args.handler(args)
+    except argparse.ArgumentError as exc:
+        record, status = {"error": str(exc), "type": "UsageError"}, 2
     except (ValueError, TypeError, KeyError, OSError, MemoryError) as exc:
-        record = {"error": str(exc), "type": type(exc).__name__, "command": args.command}
-        sys.stderr.write(json.dumps(record) + "\n")
-        return 1
+        record, status = {"error": str(exc), "type": type(exc).__name__}, 1
+    if args.command is not None:
+        record["command"] = args.command
+    sys.stderr.write(json.dumps(record) + "\n")
+    return status
 
 
 if __name__ == "__main__":

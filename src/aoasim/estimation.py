@@ -8,11 +8,12 @@ spread of the binned distribution.
 
 A path set holds one trial or a batch of trials, one row each (see
 montecarlo.generate_chunk, which gives a sweep one batch per pattern):
-power_rows (which the patterns of a chunk share), density_rows,
-angle_spread_rows and path_spread_rows reduce every row at once, and
-the single-trial functions are their one-row case.  Each row's result
-is bit for bit what the same trial gives alone.  How a run keeps its
-rows in one buffer, as running sum and scratch: README, Determinism.
+density_rows, angle_spread_rows and path_spread_rows reduce every row
+at once, given the rows' total powers (PathSet.total_power, which the
+patterns of a chunk share), and the single-trial functions are their
+one-row case.  Each row's result is bit for bit what the same trial
+gives alone.  How a run keeps its rows in one buffer, as running sum
+and scratch: README, Determinism.
 Only estimate_pdf, the public single-trial entry, checks its path set;
 the run builds valid ones.
 """
@@ -36,11 +37,8 @@ def _normalization_defects(probabilities, point_mass):
 
 
 def _check_point_mass(point_mass):
-    # One point mass, or one per trial; the first bad one is reported.
-    point_mass = np.ravel(point_mass)
-    valid = (point_mass >= 0.0) & (point_mass <= 1.0 + NORMALIZATION_TOL)
-    if not np.all(valid):
-        raise ValueError(f"point mass must be a probability, got {point_mass[np.argmin(valid)]}")
+    if not 0.0 <= point_mass <= 1.0 + NORMALIZATION_TOL:
+        raise ValueError(f"point mass must be a probability, got {point_mass}")
 
 
 class _FloatList(tuple):
@@ -176,26 +174,10 @@ class AngularSpectrum:
         return float(out) if np.ndim(phi) == 0 else out
 
 
-def power_rows(paths):
-    """(total power, point mass) of each trial of a path set.
-
-    Both depend on the powers alone, which every pattern's path set of a
-    chunk shares (montecarlo.generate_chunk), so a run takes them once
-    per chunk.  Each total must be positive, and each point mass is
-    checked as AngularSpectrum checks one.
-    """
-    total = np.atleast_1d(paths.total_power())
-    if not np.all(total > 0):
-        raise ValueError("path set must be nonempty and carry positive total power")
-    point_mass = paths.direct_power / total
-    _check_point_mass(point_mass)
-    return total, point_mass
-
-
 def density_rows(paths, bin_count, total, out=None):
     """Bin densities of each trial of a path set, one row per trial.
 
-    total is each trial's total power, from power_rows.  The rows are
+    total is each trial's total power (PathSet.total_power).  The rows are
     written into out, a (trials, bin_count) float array, when one is
     given, and returned.  See estimate_pdf for the binning convention.
     """
@@ -217,23 +199,32 @@ def density_rows(paths, bin_count, total, out=None):
 
 
 def estimate_pdf(paths, bin_count):
-    """Power-weighted angular spectrum of one path set.
+    """Power-weighted angular spectrum of the path set of one trial.
 
     Each bin's probability is the power of the scattered paths landing
     in it divided by the total power of the set (direct path included);
     the direct-path power becomes the point mass at zero.  Bins are
     left-inclusive with the last bin also containing +pi, so every
-    angle in (-pi, pi] lands in exactly one bin.  Angles outside
-    (-pi, pi] or not finite, and powers or a direct power that are
-    negative or not finite, are a ValueError naming the field.
+    angle in (-pi, pi] lands in exactly one bin.  Angles and powers
+    must be 1-d arrays of one length (a batch goes through the row
+    functions), angles finite and in (-pi, pi], powers and the direct
+    power finite and nonnegative, and the total power positive; each
+    failure is a ValueError naming the field.
     """
-    _check_angles(paths.angles)
+    angles = _check_angles(paths.angles)
+    if angles.ndim != 1:
+        raise ValueError(f"angles must be a 1-d array of one trial, got shape {angles.shape}")
+    if np.shape(paths.powers) != angles.shape:
+        raise ValueError(f"powers must be one per angle: {np.shape(paths.powers)} for {angles.shape}")
     for field in ("powers", "direct_power"):
         power = getattr(paths, field)
         if not np.all(np.isfinite(power)) or np.any(power < 0):
             raise ValueError(f"{field} must be finite and nonnegative")
-    total, point_mass = power_rows(paths)
-    return AngularSpectrum(density_rows(paths, bin_count, total)[0], float(point_mass[0]))
+    total = paths.total_power()
+    if not total > 0:
+        raise ValueError("path set must be nonempty and carry positive total power")
+    return AngularSpectrum(density_rows(paths, bin_count, np.atleast_1d(total))[0],
+                           float(paths.direct_power / total))
 
 
 def weighted_spread(values, weights):
@@ -258,16 +249,17 @@ def angle_spread_rows(density, point_mass):
     """Rms angle spread of each row of density_rows, in radians.
 
     density: a 2-d float array, one row of bin densities per trial, and
-    point_mass the trials' point masses (power_rows).  The rows are the
-    spread's scratch and are overwritten: turned into bin probabilities
-    in place, then handed to weighted_spread.  See rms_angle_spread;
-    every row is checked to be normalized.
+    point_mass the trials' point masses.  The rows are the spread's
+    scratch and are overwritten: turned into bin probabilities in place,
+    then handed to weighted_spread.  See rms_angle_spread; every row is
+    checked to be normalized, and a NaN row fails the check.
     """
     bins = _bins(density.shape[-1])
     density *= bins.width
     defects = _normalization_defects(density, point_mass)
-    if np.any(defects > NORMALIZATION_TOL):
-        defect = defects[np.argmax(defects > NORMALIZATION_TOL)]
+    normalized = defects <= NORMALIZATION_TOL
+    if not normalized.all():
+        defect = defects[np.argmin(normalized)]
         raise ValueError(f"spectrum is not normalized (defect {defect:.3e})")
     return weighted_spread(bins.centers, density)
 
@@ -287,7 +279,7 @@ def rms_angle_spread(spectrum):
 def path_spread_rows(paths, total):
     """Unbinned rms angle spread of each trial of a path set.
 
-    total is each trial's total power, from power_rows.  The direct
+    total is each trial's total power (PathSet.total_power).  The direct
     path, at angle zero, adds nothing to either moment; it enters
     through the total power that normalizes the weights.
     """

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -35,7 +36,6 @@ from .estimation import (
     angle_spread_rows,
     density_rows,
     path_spread_rows,
-    power_rows,
     rms_angle_spread,
 )
 from .geometry import _DEG, _US, _check_count, _half_angle_ratio, _read_only
@@ -155,13 +155,9 @@ class ScenarioConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        for name in ("distance", "kappa", "mu"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.distance < 0:
-            raise ValueError(f"distance must be nonnegative, got {self.distance}")
-        self.local  # LocalScattering checks the signs of mu and kappa
+        if not 0.0 <= self.distance < math.inf:
+            raise ValueError(f"distance must be finite and nonnegative, got {self.distance}")
+        self.local  # LocalScattering checks mu and kappa
         # Counts are kept as Python ints, which JSON writes.
         for name in ("trials", "bins", "master_seed"):
             object.__setattr__(self, name, _check_count(getattr(self, name), name))
@@ -273,9 +269,9 @@ class RunReport:
     raw paths (estimation.path_spread_rows), taken in the same pass:
     read-only float64 arrays, one entry per trial.  per_path_spreads is
     None unless the run was asked for it (run_simulation's
-    per_path_spread); to_json_dict leaves it out, and the CLI emits it
-    on request.  The report carries no timing, so emitted reports stay
-    byte-identical across runs.
+    per_path_spread); to_json_dict writes it, with its mean, exactly
+    when it is not None.  The report carries no timing, so emitted
+    reports stay byte-identical across runs.
     """
 
     averaged_spectrum: AngularSpectrum
@@ -294,7 +290,7 @@ class RunReport:
     def to_json_dict(self):
         spectrum = self.averaged_spectrum
         angle_deg, pdf_per_deg = spectrum._columns_deg
-        return {
+        doc = {
             "angle_spread_deg": self.angle_spread / _DEG,
             "angle_spread_rad": self.angle_spread,
             "point_mass_at_zero": spectrum.point_mass_at_zero,
@@ -304,6 +300,13 @@ class RunReport:
             "spectrum": {"angle_deg": angle_deg, "pdf_per_deg": pdf_per_deg},
             "scenario": self.scenario_echo.to_json_dict(),
         }
+        if self.per_path_spreads is not None:
+            spreads = self.per_path_spreads.tolist()
+            doc["per_path_spread_deg"] = [s / _DEG for s in spreads]
+            # Added left to right, whatever the Python version's sum() does.
+            total = reduce(operator.add, spreads, 0.0)
+            doc["per_path_spread_mean_deg"] = total / len(spreads) / _DEG
+        return doc
 
 
 def trials_per_chunk(config):
@@ -341,7 +344,8 @@ def _simulate(config, patterns, per_path_spread):
             if point == 0:
                 # Every pattern's path set shares the chunk's powers, and
                 # with them the total powers and point masses.
-                total, point_mass[first:stop] = power_rows(paths)
+                total = paths.total_power()
+                point_mass[first:stop] = paths.direct_power / total
             rows[0] = density_sum[point]
             density_rows(paths, bins, total, out=rows[1:])
             np.add.reduce(rows, axis=0, out=density_sum[point])

@@ -12,7 +12,7 @@ import pytest
 
 import aoasim
 from aoasim import cli
-from aoasim.angular import Tap, TapProfile
+from aoasim.angular import Tap, TapProfile, json_text
 from aoasim.cli import main
 from aoasim.scenario import ScenarioConfig, extract_taps, run_simulation
 
@@ -107,6 +107,21 @@ class TestSimulate:
                                  per_path_spread=True).per_path_spreads
         expected = left_to_right_sum(spreads) / len(spreads) / (math.pi / 180.0)
         assert report["per_path_spread_mean_deg"] == expected
+
+    def test_report_json_is_the_report_dict(self, scenario_file, tmp_path):
+        # the report writes its per-path fields itself; the CLI only adds
+        # the version
+        assert main(["simulate", "--scenario", str(scenario_file), "--out", str(tmp_path),
+                     "--per-path-spread"]) == 0
+        written = json.loads((tmp_path / "report.json").read_text())
+        assert written.pop("version") == aoasim.__version__
+        config = ScenarioConfig.from_file(scenario_file)
+        doc = run_simulation(config, per_path_spread=True).to_json_dict()
+        assert json.loads(json_text(doc)) == written
+        plain = run_simulation(config).to_json_dict()
+        assert not any(key.startswith("per_path") for key in plain)
+        assert {**plain, "per_path_spread_deg": doc["per_path_spread_deg"],
+                "per_path_spread_mean_deg": doc["per_path_spread_mean_deg"]} == doc
 
     def test_per_path_spread_generates_each_trial_once(self, scenario_file, tmp_path,
                                                         monkeypatch):
@@ -257,6 +272,29 @@ class TestSimulate:
         record = _error_record(capsys)
         assert record == {"error": "Unable to allocate 7.28 TiB for an array",
                           "type": "MemoryError", "command": "simulate"}
+
+
+class TestUsageErrors:
+    """A bad command line is one JSON error record too, with exit status 2."""
+
+    @pytest.mark.parametrize("options, error", [
+        (["--trials", "abc"], "argument --trials: invalid int value: 'abc'"),
+        (["--bogus"], "unrecognized arguments: --bogus"),
+    ], ids=["bad-int", "unknown-flag"])
+    def test_bad_option_names_the_command(self, scenario_file, tmp_path, capsys,
+                                          options, error):
+        out = tmp_path / "never"
+        code = main(["simulate", "--scenario", str(scenario_file), "--out", str(out), *options])
+        assert code == 2
+        assert _error_record(capsys) == {"error": error, "type": "UsageError",
+                                         "command": "simulate"}
+        assert not out.exists()
+
+    def test_missing_subcommand(self, capsys):
+        assert main([]) == 2
+        record = _error_record(capsys)
+        assert record["type"] == "UsageError" and "command" not in record
+        assert "required" in record["error"] and "usage:" not in record["error"]
 
 
 class TestSweep:

@@ -19,7 +19,6 @@ from aoasim.estimation import (
     estimate_pdf,
     lse,
     path_spread_rows,
-    power_rows,
     rms_angle_spread,
 )
 from aoasim.montecarlo import PathSet, generate_chunk
@@ -40,8 +39,7 @@ def _path_set(entries):
 
 def _path_spreads(paths):
     # path_spread_rows with the total powers it is handed in a run
-    total, _ = power_rows(paths)
-    return path_spread_rows(paths, total)
+    return path_spread_rows(paths, np.atleast_1d(paths.total_power()))
 
 
 def _uniform_spectrum(bins=360):
@@ -148,6 +146,25 @@ class TestEstimatePdf:
         with pytest.raises(ValueError, match=message):
             estimate_pdf(paths, 36)
 
+    def test_batch_rejected(self):
+        # a (trials, paths) batch is not one trial: unchecked, it gave
+        # the spectrum of its first row
+        config = scenario.ScenarioConfig(
+            distance=900.0, taps=TapProfile((Tap(0.0, 0.5, 50), Tap(1e-6, 0.5, 200))),
+            pattern=OmniPattern(), kappa=0.0, mu=2.0, trials=3, bins=40)
+        [batch] = generate_chunk(config, (config.pattern,), 0, 3)
+        assert batch.angles.shape == (3, 250)
+        with pytest.raises(ValueError, match=r"angles must be a 1-d array of one trial, "
+                                             r"got shape \(3, 250\)"):
+            estimate_pdf(batch, 40)
+
+    def test_powers_of_another_length_rejected(self):
+        # unchecked, np.bincount failed without naming the field
+        paths = PathSet(angles=np.linspace(-1.0, 1.0, 5), powers=np.ones(4),
+                        tap_index=np.zeros(5, dtype=int))
+        with pytest.raises(ValueError, match=r"powers must be one per angle: \(4,\) for \(5,\)"):
+            estimate_pdf(paths, 36)
+
 
 def _searched_bins(angles, bins):
     # np.histogram's convention: left-inclusive bins, +pi in the last one.
@@ -201,8 +218,7 @@ class TestBinIndex:
         # the rows of a batch and every spectrum of a count share one _bins
         _bins.cache_clear()
         paths = _path_set([(0, -2.0, 1.0, False), (0, 0.5, 2.0, False)])
-        total, _ = power_rows(paths)
-        density_rows(paths, 48, total)
+        density_rows(paths, 48, np.atleast_1d(paths.total_power()))
         spectrum = estimate_pdf(paths, 48)
         rms_angle_spread(spectrum)
         bins = _bins(48)
@@ -351,7 +367,8 @@ class TestStackedRows:
         batches = list(generate_chunk(config, patterns, 2, 9))
         assert len(batches) == len(patterns)
         for batch, pattern in zip(batches, patterns):
-            total, point_mass = power_rows(batch)
+            total = batch.total_power()
+            point_mass = batch.direct_power / total
             density = density_rows(batch, config.bins, total)
             spreads = angle_spread_rows(density.copy(), point_mass)
             path_spreads = _path_spreads(batch)
@@ -360,12 +377,21 @@ class TestStackedRows:
             [alone] = generate_chunk(replace(config, pattern=pattern), (pattern,), 2, 9)
             assert np.array_equal(batch.angles, alone.angles)
             assert np.array_equal(batch.powers, alone.powers)
-            layer_total, layer_mass = power_rows(alone)
+            layer_total = alone.total_power()
+            layer_mass = alone.direct_power / layer_total
             layer_density = density_rows(alone, config.bins, layer_total)
             assert np.array_equal(density, layer_density)
             assert np.array_equal(point_mass, layer_mass)
             assert np.array_equal(spreads, angle_spread_rows(layer_density, layer_mass))
             assert np.array_equal(path_spreads, _path_spreads(alone))
+
+    def test_nan_row_is_not_normalized(self):
+        # NaN fails every comparison, so a check written as defect > tol
+        # let a row with a NaN bin through and returned a NaN spread
+        density = np.full((2, 8), 1.0 / TWO_PI)
+        density[1, 3] = math.nan
+        with pytest.raises(ValueError, match=r"not normalized \(defect nan\)"):
+            angle_spread_rows(density, np.zeros(2))
 
     def test_unnormalized_row_of_a_later_point_is_named(self):
         # the first row past the tolerance is named, not the first row

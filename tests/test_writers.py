@@ -29,7 +29,7 @@ def _reference_json(value):
 
 
 def _reference_spectrum_csv(path, spectrum):
-    # cli._write_spectrum_csv as it was: one csv.writer row per bin
+    # the spectrum.csv writer as it was: one csv.writer row per bin
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["angle_deg", "pdf_per_deg"])
@@ -113,7 +113,7 @@ def test_spectrum_csv_is_the_csv_writer_loop(tmp_path_factory, bins, seed):
     density[rng.random(bins) < 0.2] = 0.0
     spectrum = AngularSpectrum(density, 0.0)
     out = tmp_path_factory.mktemp("csv")
-    cli._write_spectrum_csv(out / "new.csv", spectrum)
+    cli._write_csv(out / "new.csv", "angle_deg,pdf_per_deg", *spectrum._columns_deg)
     _reference_spectrum_csv(out / "old.csv", spectrum)
     assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
 
