@@ -46,6 +46,14 @@ def sigma_from_hpbw(hpbw):
     return hpbw * _HPBW_TO_SIGMA
 
 
+def _check_hpbw_deg(hpbw_deg, name):
+    """hpbw_deg, a beamwidth in degrees as a user gave it, checked to lie in
+    (0, 360]; the error names the field or option and keeps the degrees."""
+    if not 0.0 < hpbw_deg <= 360.0:
+        raise ValueError(f"{name} must lie in (0, 360] degrees, got {hpbw_deg}")
+    return hpbw_deg
+
+
 # Grid samplers tabulate a trapezoid CDF on this many nodes; the guide table
 # splits [0, 1] into this many equal cells of probability.
 _GRID_NODES = (1 << 16) + 1
@@ -127,6 +135,92 @@ def _invert_cdf(table, u):
 
 def _uniform_quantile(u):
     return -np.pi + _TWO_PI * u
+
+
+# The standard normal quantile by Wichura's AS241 (PPND16, Applied
+# Statistics 37, 1988), relative error about 1e-16: a rational function of
+# (p - 1/2)^2 for |p - 1/2| <= 0.425, and of r = sqrt(-log(min(p, 1 - p)))
+# below and above r = 5.  Each pair holds the numerator's and the
+# denominator's coefficients, highest degree first, as NumPy floats (an
+# in-place step with a Python float converts it on every call).
+def _coefficients(numerator, denominator):
+    return tuple(np.array(numerator)), tuple(np.array(denominator))
+
+
+_NDTRI_CENTRAL = _coefficients(
+    (2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
+     4.5921953931549871457e4, 1.3731693765509461125e4, 1.9715909503065514427e3,
+     1.3314166789178437745e2, 3.3871328727963666080e0),
+    (5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4,
+     2.1213794301586595867e4, 5.3941960214247511077e3, 6.8718700749205790830e2,
+     4.2313330701600911252e1, 1.0),
+)
+_NDTRI_NEAR = _coefficients(
+    (7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
+     1.27045825245236838258e0, 3.64784832476320460504e0, 5.76949722146069140550e0,
+     4.63033784615654529590e0, 1.42343711074968357734e0),
+    (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
+     1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e0,
+     2.05319162663775882187e0, 1.0),
+)
+_NDTRI_FAR = _coefficients(
+    (2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
+     2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e0,
+     5.46378491116411436990e0, 6.65790464350110377720e0),
+    (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
+     7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
+     5.99832206555887937690e-1, 1.0),
+)
+
+
+def _rational(x, coefficients):
+    """numerator(x) / denominator(x), each by Horner's rule in place."""
+    def horner(coefs):
+        out = np.multiply(x, coefs[0])
+        for c in coefs[1:-1]:
+            out += c
+            out *= x
+        out += coefs[-1]
+        return out
+
+    numerator, denominator = coefficients
+    out = horner(numerator)
+    out /= horner(denominator)
+    return out
+
+
+def _ndtri(p):
+    """Standard normal quantile at each p of a 1-d array in [0, 1] (AS241).
+
+    The central branch runs over every value; the tail branch takes only
+    the values outside it, by flat index, and computes its log from
+    min(p, 1 - p), which keeps the tail's relative accuracy (1 - p is
+    exact for p >= 1/2; 1/2 - |p - 1/2| is not for p < 1/4).  p = 0 and
+    p = 1 give -inf and inf, without taking log(0).
+    """
+    q = p - 0.5
+    r = np.multiply(q, q)
+    np.subtract(0.180625, r, out=r)
+    # r < 0 exactly where |q| > 0.425, in floating point as well
+    tail = np.flatnonzero(r < 0.0)
+    x = _rational(r, _NDTRI_CENTRAL)
+    x *= q
+    if tail.size:
+        r = p.take(tail)
+        np.minimum(r, 1.0 - r, out=r)
+        ends = np.flatnonzero(r == 0.0)
+        r[ends] = 1.0  # a finite stand-in, overwritten below
+        np.log(r, out=r)
+        np.negative(r, out=r)
+        np.sqrt(r, out=r)
+        far = np.flatnonzero(r > 5.0)
+        values = _rational(r - 1.6, _NDTRI_NEAR)
+        if far.size:
+            values[far] = _rational(r[far] - 5.0, _NDTRI_FAR)
+        values[ends] = np.inf
+        np.copysign(values, q.take(tail), out=values)
+        x[tail] = values
+    return x
 
 
 # Scenario-file fields are read through these checks, so a missing or
@@ -269,27 +363,23 @@ class GaussianPattern:
         norm = 1.0 / (math.sqrt(math.pi) * sigma * math.erf(math.pi / sigma))
         return norm * np.exp(-(phi * phi) / (sigma * sigma))
 
-    # SciPy is imported here and in von_mises_pdf only: it more than
-    # doubles the start-up time of a command, and no other route needs it.
-
     @cached_property
     def _truncation(self):
         # exp(-phi^2 / sigma^2) is a normal density with std sigma / sqrt(2),
-        # truncated to [-pi, pi]: (std, its mass below -pi).
-        from scipy.special import ndtr
-
-        std = self.sigma / math.sqrt(2.0)
-        return std, ndtr(-np.pi / std)
+        # truncated to [-pi, pi]: (std, its mass below -pi), the mass being
+        # ndtr(-pi / std) = erfc(pi / sigma) / 2.
+        return self.sigma / math.sqrt(2.0), 0.5 * math.erfc(math.pi / self.sigma)
 
     def quantile(self, u):
-        # For narrow beams lo underflows to 0 and ndtri(0) is -inf; the clamp
+        # For narrow beams lo underflows to 0 and _ndtri(0) is -inf; the clamp
         # puts that, and any rounding past the ends, back on [-pi, pi].  It
-        # runs in place, so a scalar u goes through a 0-d array and comes
-        # back a scalar.
-        from scipy.special import ndtri
-
+        # runs in place on a flat array, so a scalar u goes through a
+        # 1-element array and comes back a scalar.
         std, lo = self._truncation
-        angles = np.asarray(std * ndtri(lo + u * (1.0 - 2.0 * lo)))
+        p = np.multiply(u, 1.0 - 2.0 * lo)
+        p += lo
+        angles = _ndtri(p.ravel()).reshape(p.shape)
+        angles *= std
         np.maximum(angles, -np.pi, out=angles)  # np.clip, bit for bit, in place
         np.minimum(angles, np.pi, out=angles)
         return angles if angles.ndim else angles[()]
@@ -299,7 +389,8 @@ class GaussianPattern:
 
     @classmethod
     def from_json(cls, doc, path):
-        return cls(hpbw=json_field(doc, "hpbw_deg", path=path) * _DEG)
+        hpbw_deg = json_field(doc, "hpbw_deg", path=path)
+        return cls(hpbw=_check_hpbw_deg(hpbw_deg, _json_path(path, "hpbw_deg")) * _DEG)
 
 
 @dataclass(frozen=True)
@@ -537,11 +628,33 @@ def von_mises_pdf(phi, mu):
     Evaluated in exponentially scaled form, so large concentrations do
     not overflow; mu = 0 degenerates to the uniform density.
     """
-    from scipy.special import i0e
-
     if not 0.0 <= mu < math.inf:
         raise ValueError(f"mu must be finite and nonnegative, got {mu}")
-    return _density(phi, lambda angles: np.exp(mu * (np.cos(angles) - 1.0)) / (_TWO_PI * i0e(mu)))
+    norm = _TWO_PI * _i0e(mu)
+    return _density(phi, lambda angles: np.exp(mu * (np.cos(angles) - 1.0)) / norm)
+
+
+# The tests hold _i0e to scipy.special.i0e: within 7e-16 relative on both
+# sides of mu = 700.  Cached, as np.i0 takes about 0.1 ms for one number,
+# as long as a scalar composite_aoa_pdf call.
+@lru_cache(maxsize=8)
+def _i0e(mu):
+    """exp(-mu) I0(mu), the exponentially scaled modified Bessel function.
+
+    np.i0 overflows past mu = 709, so from mu = 700 on this is the
+    asymptotic series exp(-mu) I0(mu) ~ (1 + sum_k prod_j (2j - 1)^2 / (8 j
+    mu)) / sqrt(2 pi mu), whose terms shrink at least 5,600-fold per step
+    there.
+    """
+    if mu < 700.0:
+        return float(np.i0(mu)) * math.exp(-mu)
+    term = total = 1.0
+    k = 1
+    while term > 1e-17:
+        term *= (2 * k - 1) ** 2 / (8.0 * k * mu)
+        total += term
+        k += 1
+    return total / math.sqrt(_TWO_PI * mu)
 
 
 def _delayed_density(phi_r, ecc, pattern):

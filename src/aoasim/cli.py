@@ -22,7 +22,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .angular import json_text
+from .angular import _check_hpbw_deg, json_text
 from .estimation import _float_reprs, lse
 from .geometry import _DEG, _US
 from .scenario import (
@@ -59,6 +59,14 @@ def _number(field):
         return float(field)
     except ValueError:
         return None
+
+
+def _hpbw_deg(token):
+    """One entry of --hpbw: a number of degrees in (0, 360]."""
+    value = _number(token)
+    if value is None:
+        raise ValueError(f"--hpbw must be comma-separated numbers of degrees, got {token.strip()!r}")
+    return _check_hpbw_deg(value, "--hpbw")
 
 
 def _read_csv_pairs(path):
@@ -108,7 +116,7 @@ def _cmd_simulate(args):
 
 def _cmd_sweep(args):
     config = _load_config(args)
-    hpbws = [float(tok) for tok in args.hpbw.split(",") if tok.strip()]
+    hpbws = [_hpbw_deg(token) for token in args.hpbw.split(",") if token.strip()]
     points = hpbw_sweep(config, hpbws)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -18,6 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .angular import (
+    _check_hpbw_deg,
     AntennaPattern,
     GaussianPattern,
     LocalScattering,
@@ -414,6 +415,7 @@ def hpbw_sweep(config, hpbw_deg_list):
     hpbws = [float(hpbw_deg) for hpbw_deg in hpbw_deg_list]
     if not hpbws:
         raise ValueError("hpbw list must be nonempty")
-    patterns = tuple(GaussianPattern(hpbw=hpbw * _DEG) for hpbw in hpbws)
+    patterns = tuple(GaussianPattern(hpbw=_check_hpbw_deg(hpbw, f"hpbw_deg_list[{i}]") * _DEG)
+                     for i, hpbw in enumerate(hpbws))
     return [SweepPoint(hpbw, report.angle_spread, report)
             for hpbw, report in zip(hpbws, _simulate(config, patterns, per_path_spread=False))]

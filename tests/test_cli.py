@@ -167,9 +167,10 @@ class TestSimulate:
             assert calls == {"generate_chunk": 5, "path_spread_rows": spread_calls}
 
     def test_import_leaves_scipy_signal_alone(self, scenario_file, tmp_path):
-        # SciPy triples the start-up time, so only sampling a Gaussian
-        # pattern loads it (scipy.special), and no route loads scipy.signal.
-        # Each command runs in a fresh process, as a loaded module stays.
+        # SciPy is the tests' oracle only: no command, and no analytic
+        # density, loads any scipy module (scipy.special tripled the
+        # start-up time of a Gaussian run).  Each command runs in a fresh
+        # process, as a loaded module stays.
         doc = json.loads(scenario_file.read_text())
         scenarios = {}
         for name, edits in [
@@ -185,6 +186,7 @@ class TestSimulate:
             scenarios[name].write_text(json.dumps(
                 {k: v for k, v in dict(doc, **edits).items() if v is not None}))
         out = str(tmp_path / "out")
+        gaussian = f"'--scenario', {str(scenario_file)!r}"
         statements = [
             "pass",
             f"assert aoasim.cli.main(['simulate', '--scenario', {str(scenarios['omni'])!r}, "
@@ -193,8 +195,16 @@ class TestSimulate:
             f"'--out', {out!r}]) == 0",
             f"assert aoasim.cli.main(['taps', '--pdp', {str(EXAMPLE_PDP)!r}]) == 0",
             f"aoasim.scenario.ScenarioConfig.from_file({str(scenarios['pdp'])!r})",
-            f"assert aoasim.cli.main(['simulate', '--scenario', {str(scenario_file)!r}, "
+            f"assert aoasim.cli.main(['simulate', {gaussian}, '--out', {out!r}, "
+            "'--per-path-spread']) == 0",
+            f"assert aoasim.cli.main(['sweep', {gaussian}, '--hpbw', '360,60,1', "
             f"'--out', {out!r}]) == 0",
+            # scored against the Gaussian run's own spectrum, written above
+            f"assert aoasim.cli.main(['fit', {gaussian}, '--empirical', "
+            f"{str(tmp_path / 'out' / 'spectrum.csv')!r}]) == 0",
+            f"config = aoasim.scenario.ScenarioConfig.from_file({str(scenario_file)!r})\n"
+            "aoasim.angular.composite_aoa_pdf(0.5, aoasim.angular.ellipses_for_taps("
+            "config.taps, config.distance), config.taps, config.pattern, config.local)",
         ]
         env = dict(os.environ, PYTHONPATH=str(Path(aoasim.__file__).parents[1]))
         loaded = []
@@ -205,9 +215,31 @@ class TestSimulate:
             result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                                     env=env, check=True)
             loaded.append(json.loads(result.stdout.splitlines()[-1]))
-        assert loaded[:-1] == [[]] * 5
-        assert "scipy.special" in loaded[-1]
-        assert not any(name.startswith("scipy.signal") for name in loaded[-1])
+        assert loaded == [[]] * len(statements)
+
+    def test_runs_without_scipy(self, scenario_file, tmp_path):
+        # With scipy unimportable, simulate and sweep write the bytes of a
+        # normal run: the runtime needs NumPy alone.
+        commands = {
+            "simulate": ["simulate", "--scenario", str(scenario_file), "--per-path-spread"],
+            "sweep": ["sweep", "--scenario", str(scenario_file), "--hpbw", "360,60,1"],
+        }
+        bare = [[*argv, "--out", str(tmp_path / "bare" / name)] for name, argv in commands.items()]
+        code = ("import json, sys\n"
+                "sys.modules['scipy'] = None  # any import of scipy now fails\n"
+                "import aoasim.cli\n"
+                "for argv in json.loads(sys.argv[1]):\n"
+                "    assert aoasim.cli.main(argv) == 0\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(aoasim.__file__).parents[1]))
+        subprocess.run([sys.executable, "-c", code, json.dumps(bare)], capture_output=True,
+                       text=True, env=env, check=True)
+        for name, argv in commands.items():
+            assert main([*argv, "--out", str(tmp_path / "normal" / name)]) == 0
+            written = sorted(path.name for path in (tmp_path / "normal" / name).iterdir())
+            assert written == sorted(path.name for path in (tmp_path / "bare" / name).iterdir())
+            for file_name in written:
+                assert ((tmp_path / "bare" / name / file_name).read_bytes()
+                        == (tmp_path / "normal" / name / file_name).read_bytes())
 
     def test_missing_scenario_is_machine_readable_error(self, tmp_path, capsys):
         code = main(["simulate", "--scenario", str(tmp_path / "nope.json"),
@@ -249,6 +281,23 @@ class TestSimulate:
             assert record["type"] == "ValueError" and message in record["error"]
             assert captured.out == ""
             assert not out.exists()
+
+    @pytest.mark.parametrize("hpbw_deg, message", [
+        (400.0, "pattern.hpbw_deg must lie in (0, 360] degrees, got 400.0"),
+        (0.0, "pattern.hpbw_deg must lie in (0, 360] degrees, got 0.0"),
+        (math.nan, "pattern.hpbw_deg must lie in (0, 360] degrees, got nan"),
+        ("abc", "pattern.hpbw_deg must be a number, got 'abc'"),
+    ])
+    def test_bad_hpbw_names_the_field_in_degrees(self, scenario_file, tmp_path, capsys,
+                                                 hpbw_deg, message):
+        doc = edited_doc(json.loads(scenario_file.read_text()), ("pattern", "hpbw_deg"), hpbw_deg)
+        bad_file = tmp_path / "bad.json"
+        bad_file.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "never"
+        assert main(["simulate", "--scenario", str(bad_file), "--out", str(out)]) == 1
+        assert _error_record(capsys) == {"error": message, "type": "ValueError",
+                                         "command": "simulate"}
+        assert not out.exists()
 
     @pytest.mark.parametrize("bins", [2**20 + 1, 3_000_000_000])
     def test_oversized_bins_is_one_error_record(self, scenario_file, tmp_path, capsys, bins):
@@ -353,6 +402,22 @@ class TestSweep:
         assert code != 0
         record = json.loads(capsys.readouterr().err.strip())
         assert "Gaussian" in record["error"]
+
+    @pytest.mark.parametrize("hpbw, message", [
+        ("400", "--hpbw must lie in (0, 360] degrees, got 400.0"),
+        ("60,0", "--hpbw must lie in (0, 360] degrees, got 0.0"),
+        ("nan", "--hpbw must lie in (0, 360] degrees, got nan"),
+        ("60,abc", "--hpbw must be comma-separated numbers of degrees, got 'abc'"),
+    ])
+    def test_bad_hpbw_names_the_option_in_degrees(self, scenario_file, tmp_path, capsys,
+                                                  hpbw, message):
+        out = tmp_path / "never"
+        code = main(["sweep", "--scenario", str(scenario_file), "--hpbw", hpbw,
+                     "--out", str(out)])
+        assert code == 1
+        assert _error_record(capsys) == {"error": message, "type": "ValueError",
+                                         "command": "sweep"}
+        assert not out.exists()
 
 
 class TestFit:

@@ -8,12 +8,16 @@ rounding, key order, formatting) fails here even when the values stay
 statistically sound.  Refactors must keep these digests; a deliberate
 change of output re-records them and says why.
 
-The digests were recorded for stream format v2 (package version 0.2.0):
+The digests were recorded for stream format v2 (package version 0.3.0):
 one Philox stream per run keyed by SeedSequence(seed), a fixed block of
 uniforms per trial, quantile samplers and one bincount per chunk.  They
-depend on NumPy's Philox and SeedSequence, on SciPy's ndtr and ndtri,
-and on the platform's floating-point math library; they were recorded
-with NumPy 2.4, SciPy 1.17 and Python 3.11 on x86-64 Linux.  They also
+depend on NumPy's Philox and SeedSequence, on the package's own normal
+quantile (AS241, in NumPy) and math.erfc, and on the platform's
+floating-point math library; they were recorded with NumPy 2.4 and
+Python 3.11 on x86-64 Linux.  Version 0.3.0 changed the report.json
+digests only: the version key, and two of the Gaussian case's per-path
+spreads in their last bits; every spectrum.csv and sweep.csv digest is
+that of 0.2.0.  They also
 depend on NumPy reducing the trial axis of a (trials, bins) array row by
 row (np.add.reduce over an axis that is not the contiguous one): the
 averaged spectrum is a running sum of the per-trial density rows in
@@ -78,21 +82,21 @@ def _digests(directory, names):
 
 SIMULATE_DIGESTS = {
     "omni": {
-        "report.json": "6d5ca7528d3795aa5e0a9c067fb585619facc2da7d67419e4dbde5fa94b33cee",
+        "report.json": "962a3f255226e14fd038e66cb997a16d70a8678ffa9f44a190addb565fe77a44",
         "spectrum.csv": "9286bb458bb71a1d7ed3010484f21194b7f619c5255762914a280751725e9df9",
     },
     "gaussian": {
-        "report.json": "792c52f97fd10ccb26d8a03fcb6b424fa3198d788f4f78885bfef57c9f36fcac",
+        "report.json": "7ae3225cc1b4d960820a913106b7e4452e4fb3f93dfcf68b7d4f79ace874299f",
         "spectrum.csv": "019d987c0d324370a2c74e82567cf3049a439b5bacaf1077f0c11bfc4b6f0372",
     },
     "tabulated": {
-        "report.json": "b07b38f7f6d28786191362ad4feeda5e28872fadcc2d07a00173ce62f909f294",
+        "report.json": "ae1730f79eb8ebc9d7d744814210294408f58bf770861795d9612386d49018a0",
         "spectrum.csv": "80acecb55667a4517b40220fa161495783e4fa33b4e79d66f7b7bd392059e32d",
     },
 }
 
 WIDE_DIGESTS = {
-    "report.json": "3728161947a8baf93b908fb7c973f954bf5e3102040a2cdd45d3e0d677dca49b",
+    "report.json": "4e0f82cb43be12ccf38fcc9dd7ceaab16147b0a2b2f12b2ae0d6083850ab277f",
     "spectrum.csv": "e1b51f279bcbf4725526983fc5e071ed953ff826ce348d68e53fc732a8f1fee9",
 }
 
@@ -105,7 +109,7 @@ _CHUNKED_TAPS = [
 ]
 
 SWEEP_DIGESTS = {
-    "report.json": "f05a207849f0d7e9586bd68f426ae1b8288040c6e9ef86ec57a2297022d0ff15",
+    "report.json": "3513861127cb86333c97407ab569d4f559457698f896188ef3d456752261e210",
     "sweep.csv": "3f59d8db9d55bfcf7a447394d042af38792c1e83dc2399cd70ca44990cdc8bd0",
 }
 
@@ -140,7 +144,7 @@ def test_sweep_bytes(tmp_path, capsys):
 
 
 CHUNKED_SWEEP_DIGESTS = {
-    "report.json": "27b9a33c8ad81b0a86790ee119e620c827d37a11358212e6b41f174d62eb2af3",
+    "report.json": "fc2250262a39eb7c25c84513656f6a6b41c0848f9d129c838ef06515c1182d01",
     "sweep.csv": "70326e7f77020686e9fcf46949da25bbd3ed29c798624bf947718f74811c58b7",
 }
 

@@ -566,6 +566,12 @@ class TestHpbwSweep:
         _assert_same_report(point.report, direct)
         assert point.angle_spread == direct.angle_spread
 
+    @pytest.mark.parametrize("bad", [400.0, 0.0, math.nan])
+    def test_bad_beamwidth_is_named_in_degrees(self, bad):
+        with pytest.raises(ValueError, match=re.escape(
+                f"hpbw_deg_list[1] must lie in (0, 360] degrees, got {bad}")):
+            hpbw_sweep(_quick_config(), [60.0, bad])
+
     @pytest.mark.parametrize("kappa,mu", [(0.0, 0.0), (0.5, 6.0)])
     def test_stacked_chunks_equal_runs_at_each_beamwidth(self, monkeypatch, kappa, mu):
         # 10 trials in chunks of 3 (a ragged last chunk of 1), each drawn
