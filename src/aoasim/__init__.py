@@ -25,7 +25,7 @@ from .geometry import aoa_jacobian, aoa_to_aod, aod_to_aoa
 from .montecarlo import PathSet, generate_trial, sample_aod
 from .scenario import ScenarioConfig, extract_taps, hpbw_sweep, run_simulation
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "GaussianPattern",

@@ -460,7 +460,13 @@ class TabulatedPattern:
 
     @classmethod
     def from_json(cls, doc, path):
-        return cls(tuple((a * _DEG, g) for a, g in json_pairs(doc, "samples", path)))
+        pairs = json_pairs(doc, "samples", path)
+        for i, (angle_deg, _) in enumerate(pairs):
+            # NaN passes on to the finiteness check
+            if angle_deg <= -180.0 or angle_deg > 180.0:
+                raise ValueError(f"{_json_path(path, 'samples')}[{i}][0] must lie in "
+                                 f"(-180, 180] degrees, got {angle_deg}")
+        return cls(tuple((a * _DEG, g) for a, g in pairs))
 
 
 AntennaPattern = OmniPattern | GaussianPattern | TabulatedPattern
@@ -533,12 +539,16 @@ class Tap:
 
     @classmethod
     def from_json(cls, doc, path, default_paths):
+        """The tap of doc; a bad power or path count names its field."""
         json_object(doc, cls.json_keys, path)
-        return cls(
-            delay=json_field(doc, "delay_us", path=path) * _US,
-            power=json_field(doc, "power", path=path),
-            path_count=json_field(doc, "paths", default_paths, integer=True, path=path),
-        )
+        delay_us = json_field(doc, "delay_us", path=path)
+        power = json_field(doc, "power", path=path)
+        paths = json_field(doc, "paths", default_paths, integer=True, path=path)
+        if not 0.0 < power < math.inf:
+            raise ValueError(f"{path}.power must be positive and finite, got {power}")
+        if paths < 1:
+            raise ValueError(f"{path}.paths must be at least 1, got {paths}")
+        return cls(delay=delay_us * _US, power=power, path_count=paths)
 
 
 @dataclass(frozen=True)

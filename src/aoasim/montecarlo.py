@@ -6,11 +6,12 @@ scattering angles around the receiver from a von Mises distribution,
 and assigns per-path powers so the expected tap powers reproduce the
 delay profile.
 
-Stream format v2: a run reads one Philox stream (Salmon et al.,
-"Parallel random numbers: as easy as 1, 2, 3", SC 2011) keyed by the
-master seed.  Trial i owns the uniforms [i*W, (i+1)*W) of it, W being
-2 x paths rounded up to whole Philox blocks of 4; Philox addresses
-them by its counter, so any subset of trials, in any chunking, reads
+Stream format v3: a run reads one PCG64DXSM stream (O'Neill, "PCG: A
+Family of Simple Fast Space-Efficient Statistically Good Algorithms for
+Random Number Generation", HMC-CS-2014-0905) seeded by
+SeedSequence(seed).  Trial i owns the outputs [i*W, (i+1)*W) of it, one
+uniform each, W being exactly 2 x paths; PCG64DXSM's advance jumps to
+any output directly, so any subset of trials, in any chunking, reads
 the same numbers.  Of a trial's row, columns [0, P) turn into angles
 through the quantile functions (tap order, the zero-delay tap first)
 and columns [P, 2P) into powers.
@@ -34,10 +35,6 @@ from .geometry import _half_angle_map, wrap_angle
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import ScenarioConfig
-
-# Philox4x64 yields 4 doubles per counter step.
-_BLOCK = 4
-
 
 @dataclass(frozen=True, eq=False)
 class PathSet:
@@ -78,8 +75,9 @@ def draw_uniforms(scenario: "ScenarioConfig", first, stop):
     """
     if first < 0:
         raise ValueError(f"trial index must be nonnegative, got {first}")
-    width = _BLOCK * -(-2 * scenario.taps.tap_index.size // _BLOCK)
-    stream = np.random.Philox(key=scenario.stream_key, counter=first * (width // _BLOCK))
+    width = 2 * scenario.taps.tap_index.size
+    stream = np.random.PCG64DXSM(scenario.seed_sequence)
+    stream.advance(first * width)
     return np.random.Generator(stream).random((stop - first, width))
 
 

@@ -143,7 +143,7 @@ class ScenarioConfig:
     mu: von Mises concentration of the local scattering.
     trials: number of Monte Carlo trials to average.
     bins: angular histogram resolution over (-pi, pi], 8 to 2**20 bins.
-    master_seed: seed from which all per-trial streams derive.
+    master_seed: seed of the run's random stream (see montecarlo).
     """
 
     distance: float
@@ -178,9 +178,9 @@ class ScenarioConfig:
     # per chunk or pattern.
 
     @cached_property
-    def stream_key(self):
-        """Key of the run's Philox stream, derived from the master seed."""
-        return _read_only(np.random.SeedSequence(self.master_seed).generate_state(2, np.uint64))
+    def seed_sequence(self):
+        """The SeedSequence of the run's random stream, built once from the master seed."""
+        return np.random.SeedSequence(self.master_seed)
 
     @cached_property
     def power_scales(self):
@@ -212,15 +212,19 @@ class ScenarioConfig:
         if ("taps" in doc) == ("pdp" in doc):
             raise ValueError("scenario must define exactly one of 'taps' or 'pdp'")
         default_paths = json_field(doc, "paths_per_tap", DEFAULT_PATHS_PER_TAP, integer=True)
+        if default_paths < 1:
+            raise ValueError(f"paths_per_tap must be at least 1, got {default_paths}")
         if "taps" in doc:
             if "prominence_db" in doc:
                 raise ValueError("prominence_db applies only to a 'pdp' scenario, not to 'taps'")
             if not isinstance(doc["taps"], list):
                 raise ValueError("taps must be a list of tap objects")
-            profile = TapProfile(tuple(
-                Tap.from_json(entry, f"taps[{index}]", default_paths)
-                for index, entry in enumerate(doc["taps"])
-            ))
+            taps = tuple(Tap.from_json(entry, f"taps[{index}]", default_paths)
+                         for index, entry in enumerate(doc["taps"]))
+            if taps and taps[0].delay != 0.0:
+                raise ValueError("taps[0].delay_us must be 0 (the zero-delay tap), "
+                                 f"got {json_field(doc['taps'][0], 'delay_us')}")
+            profile = TapProfile(taps)
         else:
             profile = extract_taps(
                 [(d * _US, p) for d, p in json_pairs(doc, "pdp")],

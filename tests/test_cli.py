@@ -299,6 +299,29 @@ class TestSimulate:
                                          "command": "simulate"}
         assert not out.exists()
 
+    @pytest.mark.parametrize("path, bad, message", [
+        (("pattern",), {"kind": "tabulated", "samples": [[-180 + 30 * k, 1.0] for k in range(12)]},
+         "pattern.samples[0][0] must lie in (-180, 180] degrees, got -180.0"),
+        (("pattern",), {"kind": "tabulated",
+                        "samples": [[-150 + 30 * k, 1.0] for k in range(11)] + [[180.000001, 1.0]]},
+         "pattern.samples[11][0] must lie in (-180, 180] degrees, got 180.000001"),
+        (("taps", 0, "paths"), 0, "taps[0].paths must be at least 1, got 0"),
+        (("paths_per_tap",), 0, "paths_per_tap must be at least 1, got 0"),
+        (("taps", 0, "delay_us"), 0.5, "taps[0].delay_us must be 0 (the zero-delay tap), got 0.5"),
+        (("taps", 0, "power"), -1, "taps[0].power must be positive and finite, got -1.0"),
+    ])
+    def test_bad_tap_or_sample_names_the_field_in_its_units(self, scenario_file, tmp_path,
+                                                            capsys, path, bad, message):
+        # degrees and microseconds as the scenario file gives them
+        doc = edited_doc(json.loads(scenario_file.read_text()), path, bad)
+        bad_file = tmp_path / "bad.json"
+        bad_file.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "never"
+        assert main(["simulate", "--scenario", str(bad_file), "--out", str(out)]) == 1
+        assert _error_record(capsys) == {"error": message, "type": "ValueError",
+                                         "command": "simulate"}
+        assert not out.exists()
+
     @pytest.mark.parametrize("bins", [2**20 + 1, 3_000_000_000])
     def test_oversized_bins_is_one_error_record(self, scenario_file, tmp_path, capsys, bins):
         # --bins is checked as the scenario's field, before any allocation

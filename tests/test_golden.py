@@ -8,24 +8,24 @@ rounding, key order, formatting) fails here even when the values stay
 statistically sound.  Refactors must keep these digests; a deliberate
 change of output re-records them and says why.
 
-The digests were recorded for stream format v2 (package version 0.3.0):
-one Philox stream per run keyed by SeedSequence(seed), a fixed block of
-uniforms per trial, quantile samplers and one bincount per chunk.  They
-depend on NumPy's Philox and SeedSequence, on the package's own normal
-quantile (AS241, in NumPy) and math.erfc, and on the platform's
-floating-point math library; they were recorded with NumPy 2.4 and
-Python 3.11 on x86-64 Linux.  Version 0.3.0 changed the report.json
-digests only: the version key, and two of the Gaussian case's per-path
-spreads in their last bits; every spectrum.csv and sweep.csv digest is
-that of 0.2.0.  They also
-depend on NumPy reducing the trial axis of a (trials, bins) array row by
-row (np.add.reduce over an axis that is not the contiguous one): the
+The digests were recorded for stream format v3 (package version 0.4.0):
+one PCG64DXSM stream per run seeded by SeedSequence(seed), exactly 2P
+uniforms per trial reached by advance, quantile samplers and one
+bincount per chunk.  They depend on NumPy's PCG64DXSM and SeedSequence,
+on the package's own normal quantile (AS241, in NumPy) and math.erfc,
+and on the platform's floating-point math library; they were recorded
+with NumPy 2.4 and Python 3.11 on x86-64 Linux.  Version 0.4.0 changed
+every digest, since every trial reads other uniforms than under stream
+format v2 (versions 0.2.0 and 0.3.0).  They also depend on NumPy
+reducing the trial axis of a (trials, bins) array row by row
+(np.add.reduce over an axis that is not the contiguous one): the
 averaged spectrum is a running sum of the per-trial density rows in
 trial order.
 
-The chunked sweep case was recorded while hpbw_sweep still ran the
-whole simulation once per point; the one-pass sweep, which draws each
-chunk once and then bins it for one point at a time, must reproduce it.
+The chunked sweep case was first recorded while hpbw_sweep still ran
+the whole simulation once per point; the one-pass sweep, which draws
+each chunk once and then bins it for one point at a time, reproduced it
+under stream format v2, and its v3 digests are the one-pass sweep's.
 """
 
 import hashlib
@@ -82,22 +82,22 @@ def _digests(directory, names):
 
 SIMULATE_DIGESTS = {
     "omni": {
-        "report.json": "962a3f255226e14fd038e66cb997a16d70a8678ffa9f44a190addb565fe77a44",
-        "spectrum.csv": "9286bb458bb71a1d7ed3010484f21194b7f619c5255762914a280751725e9df9",
+        "report.json": "00f1b6e872f3c17e222edaa97ae9e238d7cc158ea13817b6a41358f923e2c290",
+        "spectrum.csv": "2ed8b44ce98636816eddd4f3b7c40761e88fc42a9f2b9a33b71c06ce9c1e112c",
     },
     "gaussian": {
-        "report.json": "7ae3225cc1b4d960820a913106b7e4452e4fb3f93dfcf68b7d4f79ace874299f",
-        "spectrum.csv": "019d987c0d324370a2c74e82567cf3049a439b5bacaf1077f0c11bfc4b6f0372",
+        "report.json": "a743b109107ad20b416752af63b0d8cf00df20fe853b881fe34c86563c90466b",
+        "spectrum.csv": "c61070e71833738b418f84862f819d82a6e846567b2decb5c353052e9646b620",
     },
     "tabulated": {
-        "report.json": "ae1730f79eb8ebc9d7d744814210294408f58bf770861795d9612386d49018a0",
-        "spectrum.csv": "80acecb55667a4517b40220fa161495783e4fa33b4e79d66f7b7bd392059e32d",
+        "report.json": "bd0e2665a8090ecbaa04690ffab7afe5b4ee1ed654f58fbd3ef1dfc1db66fa12",
+        "spectrum.csv": "fd843155d087a2b7bb8adc848be0b32532513482c65afee2302409c86dac3313",
     },
 }
 
 WIDE_DIGESTS = {
-    "report.json": "4e0f82cb43be12ccf38fcc9dd7ceaab16147b0a2b2f12b2ae0d6083850ab277f",
-    "spectrum.csv": "e1b51f279bcbf4725526983fc5e071ed953ff826ce348d68e53fc732a8f1fee9",
+    "report.json": "f9e2771343909c0e4ed8135fd2a14f06fbaacf004a2cf111a6c421b55a33b7ad",
+    "spectrum.csv": "a97d5e8b783e2c02945f0b6ff14d79a995da7cf383bb18c5492d9df73cf468ee",
 }
 
 # 1000 paths and 360 bins per trial over 80 trials: several chunks of
@@ -109,8 +109,8 @@ _CHUNKED_TAPS = [
 ]
 
 SWEEP_DIGESTS = {
-    "report.json": "3513861127cb86333c97407ab569d4f559457698f896188ef3d456752261e210",
-    "sweep.csv": "3f59d8db9d55bfcf7a447394d042af38792c1e83dc2399cd70ca44990cdc8bd0",
+    "report.json": "148094fa6c7893a457e80cf4dca35822de5afbcf62b4020c29edb79569743107",
+    "sweep.csv": "ef16cdfceee24e450a96af36ad4cabad038a41e817814e21be4a5989010f0884",
 }
 
 
@@ -144,8 +144,8 @@ def test_sweep_bytes(tmp_path, capsys):
 
 
 CHUNKED_SWEEP_DIGESTS = {
-    "report.json": "fc2250262a39eb7c25c84513656f6a6b41c0848f9d129c838ef06515c1182d01",
-    "sweep.csv": "70326e7f77020686e9fcf46949da25bbd3ed29c798624bf947718f74811c58b7",
+    "report.json": "6769283c202ab0ade4ae626bfa00e039bed2eabd3c6401550c5267e86d740af6",
+    "sweep.csv": "52e3121962a4713f9147e7af59a8b132ff5c3abd1e98ec7c2b27b58256ad9152",
 }
 
 

@@ -266,6 +266,39 @@ class TestGenerateTrial:
             generate_trial(_scenario(), -1)
 
 
+class TestStreamFormat:
+    """Stream format v3 (README, Determinism) against a serial draw.
+
+    The expected uniforms come from one serial PCG64DXSM draw seeded by
+    SeedSequence(seed), reshaped to one row of W = 2P per trial, with no
+    call into aoasim: the offsets and the width that draw_uniforms
+    reaches by advance are checked, not copied.  11 paths per trial, so
+    W = 22 is no multiple of 4.
+    """
+
+    PATHS, TRIALS, SEED = 11, 10, 2024
+
+    def _config(self):
+        return _scenario(kappa=0.5, seed=self.SEED, counts=(4, 1, 6))
+
+    def _serial(self):
+        width = 2 * self.PATHS
+        stream = np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(self.SEED)))
+        return stream.random(self.TRIALS * width).reshape(self.TRIALS, width)
+
+    @pytest.mark.parametrize("first, stop", [(0, 10), (3, 7), (9, 10), (4, 5)])
+    def test_draw_uniforms_reads_the_serial_rows(self, first, stop):
+        drawn = montecarlo.draw_uniforms(self._config(), first, stop)
+        assert drawn.tobytes() == self._serial()[first:stop].tobytes()
+
+    def test_powers_are_the_power_columns_scaled(self):
+        config, u = self._config(), self._serial()
+        for trial in range(self.TRIALS):
+            powers = generate_trial(config, trial).powers
+            expected = u[trial, self.PATHS:2 * self.PATHS] * config.power_scales
+            assert powers.tobytes() == expected.tobytes()
+
+
 LONG_SPREAD = Path(__file__).parents[1] / "scenarios" / "synthetic_long_spread.json"
 
 

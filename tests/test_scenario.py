@@ -193,7 +193,9 @@ class TestScenarioConfig:
 
     def test_run_invariants_are_computed_once_and_read_only(self):
         config = _quick_config()
-        for name in ("stream_key", "power_scales", "half_angle_ratios"):
+        seeds = config.seed_sequence
+        assert config.seed_sequence is seeds and seeds.entropy == config.master_seed
+        for name in ("power_scales", "half_angle_ratios"):
             value = getattr(config, name)
             assert getattr(config, name) is value
             assert not value.flags.writeable
@@ -286,7 +288,8 @@ class TestScenarioConfig:
                     ScenarioConfig.from_json_dict(doc)
         for tap_key, bad, message in [("delay_us", math.nan, "tap delays must be finite"),
                                       ("delay_us", math.inf, "tap delays must be finite"),
-                                      ("power", math.inf, "tap powers must be positive and finite")]:
+                                      ("power", math.inf,
+                                       r"taps\[2\]\.power must be positive and finite, got inf")]:
             doc = dict(base)
             doc["taps"] = [dict(tap) for tap in base["taps"]]
             doc["taps"][-1][tap_key] = bad
@@ -455,7 +458,7 @@ def _assert_same_rows(batch, first, part):
     assert part.direct_power == batch.direct_power
 
 
-# 11 paths: 22 uniforms per trial, padded to 24 (whole Philox blocks of 4)
+# 11 paths: 22 uniforms per trial (W = 2P, no multiple of 4)
 def _chunk_config(pattern, kappa, mu, counts=(4, 1, 6), trials=10, bins=48):
     taps = make_profile([0.0, 0.8, 2.6], [0.45, 0.35, 0.2]).taps
     return _quick_config(
@@ -607,8 +610,8 @@ class TestHpbwSweep:
         assert drawn == [(0, 20), (20, 40)]
 
     def test_fixed_costs_are_paid_once_per_run_or_per_chunk(self, monkeypatch):
-        # 40 trials in 2 chunks of 20 for 5 points: the run's stream key is
-        # derived once, and each chunk maps every delayed path of each
+        # 40 trials in 2 chunks of 20 for 5 points: the run's SeedSequence
+        # is built once, and each chunk maps every delayed path of each
         # point through its ellipse in one call per point
         from aoasim import montecarlo
 
