@@ -6,6 +6,9 @@ angle-of-arrival distribution; and quantifies angular dispersion (rms
 angle spread) as a function of antenna beamwidth.
 """
 
+# Set before the imports: aoasim.writers reads it while the package loads.
+__version__ = "0.4.0"
+
 # The names the command line, the acceptance tests and the benchmark use;
 # everything else is imported from its module.
 from .angular import (
@@ -24,8 +27,6 @@ from .estimation import estimate_pdf, lse, rms_angle_spread
 from .geometry import aoa_jacobian, aoa_to_aod, aod_to_aoa
 from .montecarlo import PathSet, generate_trial, sample_aod
 from .scenario import ScenarioConfig, extract_taps, hpbw_sweep, run_simulation
-
-__version__ = "0.4.0"
 
 __all__ = [
     "GaussianPattern",

@@ -9,7 +9,6 @@ carrying the Rician fraction of the zero-delay power.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -17,7 +16,7 @@ from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
-from .estimation import _float_reprs, weighted_spread
+from .estimation import weighted_spread
 from .geometry import (
     _DEG,
     _TWO_PI,
@@ -277,41 +276,6 @@ def json_pairs(doc, key, path=""):
     return pairs
 
 
-def json_text(value, pad=""):
-    """json.dumps(value, indent=2, sort_keys=True), byte for byte.
-
-    The one writer of the package's indented JSON (pad is the indent of
-    the line value starts on).  A list or tuple of finite floats is one
-    join of float reprs, taken once for an estimation._FloatList; dicts
-    and other sequences are walked here; every other value goes to
-    json.dumps.  Keys must be str: any other key is a TypeError, where
-    json.dumps would turn a number into a string.
-    """
-    inner = pad + "  "
-    separator = ",\n" + inner
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        for key in value:
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be str, got {key!r}")
-        body = separator.join(f"{json.dumps(key)}: {json_text(value[key], inner)}"
-                              for key in sorted(value))
-        return f"{{\n{inner}{body}\n{pad}}}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        try:
-            body = separator.join(_float_reprs(value))
-        except TypeError:  # not all floats
-            body = None
-        # Only nan and inf have an n in their repr; JSON spells them otherwise.
-        if body is None or "n" in body:
-            body = separator.join(json_text(item, inner) for item in value)
-        return f"[\n{inner}{body}\n{pad}]"
-    return json.dumps(value)
-
-
 # Each pattern kind owns its departure density(phi) on angles in (-pi, pi],
 # its quantile(u), the inverse of the density's CDF on [-pi, pi] at
 # uniforms u in [0, 1), and its scenario-file form: to_json(),
@@ -460,12 +424,20 @@ class TabulatedPattern:
 
     @classmethod
     def from_json(cls, doc, path):
+        """The pattern of doc; a bad sample names its field, in degrees."""
+        where = _json_path(path, "samples")
         pairs = json_pairs(doc, "samples", path)
-        for i, (angle_deg, _) in enumerate(pairs):
-            # NaN passes on to the finiteness check
-            if angle_deg <= -180.0 or angle_deg > 180.0:
-                raise ValueError(f"{_json_path(path, 'samples')}[{i}][0] must lie in "
-                                 f"(-180, 180] degrees, got {angle_deg}")
+        for i, (angle_deg, amplitude) in enumerate(pairs):
+            # NaN fails both range checks, and names its field there
+            if not -180.0 < angle_deg <= 180.0:
+                raise ValueError(f"{where}[{i}][0] must lie in (-180, 180] degrees, "
+                                 f"got {angle_deg}")
+            if i and not angle_deg > pairs[i - 1][0]:
+                raise ValueError(f"{where}[{i}][0] must be greater than {where}[{i - 1}][0], "
+                                 f"got {angle_deg} after {pairs[i - 1][0]}")
+            if not 0.0 <= amplitude < math.inf:
+                raise ValueError(f"{where}[{i}][1] must be finite and nonnegative, "
+                                 f"got {amplitude}")
         return cls(tuple((a * _DEG, g) for a, g in pairs))
 
 
@@ -539,11 +511,13 @@ class Tap:
 
     @classmethod
     def from_json(cls, doc, path, default_paths):
-        """The tap of doc; a bad power or path count names its field."""
+        """The tap of doc; a bad delay, power or path count names its field."""
         json_object(doc, cls.json_keys, path)
         delay_us = json_field(doc, "delay_us", path=path)
         power = json_field(doc, "power", path=path)
         paths = json_field(doc, "paths", default_paths, integer=True, path=path)
+        if not math.isfinite(delay_us):
+            raise ValueError(f"{path}.delay_us must be finite, got {delay_us}")
         if not 0.0 < power < math.inf:
             raise ValueError(f"{path}.power must be positive and finite, got {power}")
         if paths < 1:

@@ -19,20 +19,13 @@ import functools
 import json
 import sys
 from dataclasses import replace
-from pathlib import Path
 
-from . import __version__
-from .angular import _check_hpbw_deg, json_text
-from .estimation import _float_reprs, lse
+from . import __version__, writers
+from .angular import _check_hpbw_deg
+from .estimation import lse
 from .geometry import _DEG, _US
-from .scenario import (
-    DEFAULT_PATHS_PER_TAP,
-    DEFAULT_PROMINENCE_DB,
-    ScenarioConfig,
-    extract_taps,
-    hpbw_sweep,
-    run_simulation,
-)
+from .scenario import (DEFAULT_PATHS_PER_TAP, DEFAULT_PROMINENCE_DB, ScenarioConfig,
+                       extract_taps, hpbw_sweep, run_simulation)
 
 
 def _load_config(args):
@@ -40,18 +33,6 @@ def _load_config(args):
     overrides = {"trials": args.trials, "bins": args.bins, "master_seed": args.seed}
     return replace(config, **{name: value for name, value in overrides.items()
                               if value is not None})
-
-
-def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json_text(payload) + "\n")
-
-
-def _write_csv(path, header, first, second):
-    """Two columns of floats as csv.writer writes their reprs, in one join."""
-    rows = "".join(f"{a},{b}\r\n" for a, b in zip(_float_reprs(first), _float_reprs(second)))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"{header}\r\n{rows}")
 
 
 def _number(field):
@@ -98,19 +79,9 @@ def _read_csv_pairs(path):
 def _cmd_simulate(args):
     config = _load_config(args)
     report = run_simulation(config, per_path_spread=args.per_path_spread)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    payload = report.to_json_dict()
-    payload["version"] = __version__
-    # The columns of report.json's "spectrum", each float's repr taken once
-    # for both files.
-    _write_csv(out / "spectrum.csv", "angle_deg,pdf_per_deg",
-               *report.averaged_spectrum._columns_deg)
-    _write_json(out / "report.json", payload)
-    print(
-        f"angle spread: {report.angle_spread / _DEG:.3f} deg "
-        f"({config.trials} trials, {config.bins} bins)"
-    )
+    writers.write_simulate(args.out, report)
+    print(f"angle spread: {report.angle_spread / _DEG:.3f} deg "
+          f"({config.trials} trials, {config.bins} bins)")
     return 0
 
 
@@ -118,23 +89,7 @@ def _cmd_sweep(args):
     config = _load_config(args)
     hpbws = [_hpbw_deg(token) for token in args.hpbw.split(",") if token.strip()]
     points = hpbw_sweep(config, hpbws)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "sweep.csv", "hpbw_deg,as_deg", [point.hpbw_deg for point in points],
-               [point.angle_spread / _DEG for point in points])
-    payload = {
-        "version": __version__,
-        "scenario": config.to_json_dict(),
-        "points": [
-            {
-                "hpbw_deg": point.hpbw_deg,
-                "angle_spread_deg": point.angle_spread / _DEG,
-                "report": point.report.to_json_dict(),
-            }
-            for point in points
-        ],
-    }
-    _write_json(out / "report.json", payload)
+    writers.write_sweep(args.out, config, points)
     for point in points:
         print(f"hpbw {point.hpbw_deg:7.1f} deg -> angle spread {point.angle_spread / _DEG:.3f} deg")
     return 0
@@ -154,7 +109,7 @@ def _cmd_fit(args):
         "bins": config.bins,
         "angle_spread_deg": report.angle_spread / _DEG,
     }
-    print(json_text(result))
+    print(writers.json_text(result))
     return 0
 
 
@@ -169,11 +124,10 @@ def _cmd_taps(args):
         "taps": [tap.to_json() for tap in profile.taps],
         "rms_delay_spread_us": profile.rms_delay_spread() / _US,
     }
-    text = json_text(payload)
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        writers.write_json(args.out, payload)
     else:
-        print(text)
+        print(writers.json_text(payload))
     return 0
 
 

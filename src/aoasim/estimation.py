@@ -21,11 +21,11 @@ the run builds valid ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
-from .geometry import _DEG, _TWO_PI, _check_angles, _check_count, _read_only
+from .geometry import _TWO_PI, _check_angles, _check_count, _read_only
 
 # Tolerance on sum(probabilities) + point_mass == 1 for a valid spectrum.
 NORMALIZATION_TOL = 1e-9
@@ -39,25 +39,6 @@ def _normalization_defects(probabilities, point_mass):
 def _check_point_mass(point_mass):
     if not 0.0 <= point_mass <= 1.0 + NORMALIZATION_TOL:
         raise ValueError(f"point mass must be a probability, got {point_mass}")
-
-
-class _FloatList(tuple):
-    """Floats whose reprs are taken once, however many files carry them.
-
-    The writers read one through _float_reprs, which takes the reprs on
-    the first read.  A tuple, so the floats cannot change after it: an
-    edit raises instead of leaving stale reprs, and one such column can
-    be shared by every spectrum that carries it.
-    """
-
-    @cached_property
-    def reprs(self):
-        return list(map(float.__repr__, self))
-
-
-def _float_reprs(values):
-    """float.__repr__ of each of values: a TypeError if one is not a float."""
-    return values.reprs if isinstance(values, _FloatList) else list(map(float.__repr__, values))
 
 
 class _Bins:
@@ -78,11 +59,6 @@ class _Bins:
         self.edges = _read_only(np.linspace(-np.pi, np.pi, count + 1))
         self.upper = _read_only(np.append(self.edges[1:-1], np.inf))
         self.centers = _read_only(0.5 * (self.edges[:-1] + self.edges[1:]))
-
-    @cached_property
-    def centers_deg(self):
-        # The angle_deg column of spectrum.csv and report.json.
-        return _FloatList((self.centers / _DEG).tolist())
 
     def index(self, angles):
         """Bin of each angle in (-pi, pi]: searchsorted(edges, angle, "right") - 1, clipped.
@@ -114,8 +90,8 @@ class AngularSpectrum:
 
     density: per-bin density in 1/radian over K uniform bins spanning
     (-pi, pi]; the bin count K is the only statement of the binning.
-    The spectrum keeps a read-only copy, so its written columns
-    (_columns_deg) cannot go stale.
+    The spectrum keeps a read-only copy, so no later edit of the array
+    it was given, or of its own, changes it.
     point_mass_at_zero: probability carried by the direct path.
     """
 
@@ -136,28 +112,12 @@ class AngularSpectrum:
         return self.density.size
 
     @property
-    def bin_edges(self):
-        return _bins(self.density.size).edges
-
-    @property
     def bin_width(self):
         return _bins(self.density.size).width
 
     @property
-    def bin_centers(self):
-        return _bins(self.density.size).centers
-
-    @property
     def probabilities(self):
         return self.density * self.bin_width
-
-    @cached_property
-    def _columns_deg(self):
-        # The bin centers in degrees and the density per degree, as
-        # spectrum.csv and report.json both carry them; every caller gets
-        # these same two columns, and every spectrum of a bin count the
-        # same centers.
-        return _bins(self.density.size).centers_deg, _FloatList((self.density * _DEG).tolist())
 
     def normalization_defect(self):
         """|sum of bin probabilities + point mass - 1|."""

@@ -10,37 +10,20 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass, replace
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .angular import (
-    _check_hpbw_deg,
-    AntennaPattern,
-    GaussianPattern,
-    LocalScattering,
-    Tap,
-    TapProfile,
-    ellipses_for_taps,
-    json_field,
-    json_object,
-    json_pairs,
-    json_text,
-    pattern_from_json,
-)
-from .estimation import (
-    AngularSpectrum,
-    _Bins,
-    angle_spread_rows,
-    density_rows,
-    path_spread_rows,
-    rms_angle_spread,
-)
+from .angular import (_check_hpbw_deg, AntennaPattern, GaussianPattern, LocalScattering, Tap,
+                      TapProfile, ellipses_for_taps, json_field, json_object, json_pairs,
+                      pattern_from_json)
+from .estimation import (AngularSpectrum, _Bins, angle_spread_rows, density_rows,
+                         path_spread_rows, rms_angle_spread)
 from .geometry import _DEG, _US, _check_count, _half_angle_ratio, _read_only
 from .montecarlo import generate_chunk
+from .writers import write_json
 
 DEFAULT_PATHS_PER_TAP = 50
 DEFAULT_PROMINENCE_DB = 3.0
@@ -221,9 +204,14 @@ class ScenarioConfig:
                 raise ValueError("taps must be a list of tap objects")
             taps = tuple(Tap.from_json(entry, f"taps[{index}]", default_paths)
                          for index, entry in enumerate(doc["taps"]))
+            delays_us = [json_field(entry, "delay_us") for entry in doc["taps"]]
             if taps and taps[0].delay != 0.0:
                 raise ValueError("taps[0].delay_us must be 0 (the zero-delay tap), "
-                                 f"got {json_field(doc['taps'][0], 'delay_us')}")
+                                 f"got {delays_us[0]}")
+            for i in range(1, len(taps)):
+                if not delays_us[i] > delays_us[i - 1]:
+                    raise ValueError(f"taps[{i}].delay_us must be greater than taps[{i - 1}]"
+                                     f".delay_us, got {delays_us[i]} after {delays_us[i - 1]}")
             profile = TapProfile(taps)
         else:
             profile = extract_taps(
@@ -260,8 +248,7 @@ class ScenarioConfig:
             return cls.from_json_dict(json.load(fh))
 
     def to_file(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json_text(self.to_json_dict()) + "\n")
+        write_json(path, self.to_json_dict())
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,9 +261,9 @@ class RunReport:
     raw paths (estimation.path_spread_rows), taken in the same pass:
     read-only float64 arrays, one entry per trial.  per_path_spreads is
     None unless the run was asked for it (run_simulation's
-    per_path_spread); to_json_dict writes it, with its mean, exactly
-    when it is not None.  The report carries no timing, so emitted
-    reports stay byte-identical across runs.
+    per_path_spread).  Its report.json form is writers.simulate_report's.
+    The report carries no timing, so emitted reports stay byte-identical
+    across runs.
     """
 
     averaged_spectrum: AngularSpectrum
@@ -291,27 +278,6 @@ class RunReport:
         if spreads.size < 2:
             return float("inf")
         return float(np.std(spreads, ddof=1) / math.sqrt(spreads.size))
-
-    def to_json_dict(self):
-        spectrum = self.averaged_spectrum
-        angle_deg, pdf_per_deg = spectrum._columns_deg
-        doc = {
-            "angle_spread_deg": self.angle_spread / _DEG,
-            "angle_spread_rad": self.angle_spread,
-            "point_mass_at_zero": spectrum.point_mass_at_zero,
-            "bins": spectrum.bin_count,
-            "trials": self.scenario_echo.trials,
-            "per_trial_spread_deg": (self.per_trial_spreads / _DEG).tolist(),
-            "spectrum": {"angle_deg": angle_deg, "pdf_per_deg": pdf_per_deg},
-            "scenario": self.scenario_echo.to_json_dict(),
-        }
-        if self.per_path_spreads is not None:
-            spreads = self.per_path_spreads.tolist()
-            doc["per_path_spread_deg"] = [s / _DEG for s in spreads]
-            # Added left to right, whatever the Python version's sum() does.
-            total = reduce(operator.add, spreads, 0.0)
-            doc["per_path_spread_mean_deg"] = total / len(spreads) / _DEG
-        return doc
 
 
 def trials_per_chunk(config):

@@ -12,9 +12,10 @@ import pytest
 
 import aoasim
 from aoasim import cli
-from aoasim.angular import Tap, TapProfile, json_text
+from aoasim.angular import Tap, TapProfile
 from aoasim.cli import main
 from aoasim.scenario import ScenarioConfig, extract_taps, run_simulation
+from aoasim.writers import json_text, simulate_report
 
 from helpers import edited_doc, left_to_right_sum
 
@@ -109,16 +110,16 @@ class TestSimulate:
         assert report["per_path_spread_mean_deg"] == expected
 
     def test_report_json_is_the_report_dict(self, scenario_file, tmp_path):
-        # the report writes its per-path fields itself; the CLI only adds
-        # the version
+        # report.json is the writers' simulate form, version included; the
+        # per-path fields are there exactly when the run took them
         assert main(["simulate", "--scenario", str(scenario_file), "--out", str(tmp_path),
                      "--per-path-spread"]) == 0
         written = json.loads((tmp_path / "report.json").read_text())
-        assert written.pop("version") == aoasim.__version__
+        assert written["version"] == aoasim.__version__
         config = ScenarioConfig.from_file(scenario_file)
-        doc = run_simulation(config, per_path_spread=True).to_json_dict()
+        doc = simulate_report(run_simulation(config, per_path_spread=True))
         assert json.loads(json_text(doc)) == written
-        plain = run_simulation(config).to_json_dict()
+        plain = simulate_report(run_simulation(config))
         assert not any(key.startswith("per_path") for key in plain)
         assert {**plain, "per_path_spread_deg": doc["per_path_spread_deg"],
                 "per_path_spread_mean_deg": doc["per_path_spread_mean_deg"]} == doc

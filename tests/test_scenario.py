@@ -20,7 +20,6 @@ from aoasim.angular import (
     Tap,
     TapProfile,
     ellipses_for_taps,
-    json_text,
     pattern_from_json,
 )
 from aoasim.estimation import density_rows, estimate_pdf, rms_angle_spread
@@ -32,6 +31,7 @@ from aoasim.scenario import (
     run_simulation,
     trials_per_chunk,
 )
+from aoasim.writers import json_text
 
 from helpers import DELETE, edited_doc, histogram_rows, make_profile
 
@@ -286,8 +286,10 @@ class TestScenarioConfig:
                 doc[key] = bad
                 with pytest.raises(ValueError, match=f"{field} must be finite"):
                     ScenarioConfig.from_json_dict(doc)
-        for tap_key, bad, message in [("delay_us", math.nan, "tap delays must be finite"),
-                                      ("delay_us", math.inf, "tap delays must be finite"),
+        for tap_key, bad, message in [("delay_us", math.nan,
+                                       r"taps\[2\]\.delay_us must be finite, got nan"),
+                                      ("delay_us", math.inf,
+                                       r"taps\[2\]\.delay_us must be finite, got inf"),
                                       ("power", math.inf,
                                        r"taps\[2\]\.power must be positive and finite, got inf")]:
             doc = dict(base)
@@ -295,11 +297,13 @@ class TestScenarioConfig:
             doc["taps"][-1][tap_key] = bad
             with pytest.raises(ValueError, match=message):
                 ScenarioConfig.from_json_dict(doc)
-        for column in (0, 1):
+        for column, message in [(0, "must lie in (-180, 180] degrees, got nan"),
+                                (1, "must be finite and nonnegative, got nan")]:
             samples = [[a, 1.0] for a in range(-165, 180, 30)]
             samples[3][column] = math.nan
             doc = _config_doc({"kind": "tabulated", "samples": samples})
-            with pytest.raises(ValueError, match="tabulated pattern samples must be finite"):
+            with pytest.raises(ValueError,
+                               match=re.escape(f"pattern.samples[3][{column}] {message}")):
                 ScenarioConfig.from_json_dict(doc)
         # mistyped, misspelled and missing fields are rejected at load,
         # each error naming the field by its JSON path
@@ -339,6 +343,14 @@ class TestScenarioConfig:
             (base, ("mu",), DELETE, "mu is required"),
             (base, ("taps", 1, "power"), DELETE, "taps[1].power is required"),
             (base, ("taps",), {}, "taps must be a list"),
+            # out of order or negative, in the file's units
+            (base, ("taps", 2, "delay_us"), 0.5,
+             "taps[2].delay_us must be greater than taps[1].delay_us, got 0.5 after 1.0"),
+            (tabulated, ("pattern", "samples", 4, 0), -150.0,
+             "pattern.samples[4][0] must be greater than pattern.samples[3][0], "
+             "got -150.0 after -75.0"),
+            (tabulated, ("pattern", "samples", 5, 1), -0.5,
+             "pattern.samples[5][1] must be finite and nonnegative, got -0.5"),
         ]:
             with pytest.raises(ValueError, match=re.escape(message)):
                 ScenarioConfig.from_json_dict(edited_doc(doc, path, bad))
@@ -726,26 +738,3 @@ class TestHpbwSweep:
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             hpbw_sweep(_quick_config(), [])
-
-
-class TestRunReportSerialization:
-    def test_json_dict_has_no_timing(self):
-        report = run_simulation(_quick_config(trials=3))
-        payload = report.to_json_dict()
-        assert "elapsed" not in json.dumps(payload)
-        assert payload["angle_spread_deg"] == pytest.approx(
-            math.degrees(report.angle_spread)
-        )
-        assert len(payload["spectrum"]["angle_deg"]) == report.scenario_echo.bins
-
-    def test_spectrum_columns_cannot_go_stale(self):
-        # The columns keep their reprs once written, and a bin count's
-        # centers are shared by every spectrum: an edit raises, so neither
-        # this payload nor a later one writes a number the report lacks.
-        report = run_simulation(_quick_config(trials=3))
-        payload = report.to_json_dict()
-        text = json_text(payload)
-        for column in payload["spectrum"].values():
-            with pytest.raises(TypeError):
-                column[0] = 123.0
-        assert json_text(payload) == text == json_text(report.to_json_dict())

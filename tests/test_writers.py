@@ -1,10 +1,11 @@
-"""The package's output writers against the standard library routes.
+"""The package's output writers (aoasim.writers) against the standard library routes.
 
-Every indented JSON the package writes goes through angular.json_text,
+Every indented JSON the package writes goes through writers.json_text,
 and the CSV files through one join of float reprs.  Both must give the
 bytes of the routes they replace, which are kept here as the reference:
 json.dumps(value, indent=2, sort_keys=True), and a csv.writer loop over
-the repr of each value.
+the repr of each value.  The float columns take their reprs once, and
+the report forms are built from a RunReport alone.
 """
 
 import csv
@@ -17,11 +18,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aoasim import cli
-from aoasim.angular import json_text
+from aoasim import writers
+from aoasim.angular import GaussianPattern
 from aoasim.cli import main
-from aoasim.estimation import AngularSpectrum
+from aoasim.estimation import AngularSpectrum, _bins
 from aoasim.geometry import _DEG
+from aoasim.scenario import ScenarioConfig, run_simulation
+from aoasim.writers import json_text, simulate_report, spectrum_columns, write_csv
+
+from helpers import make_profile
 
 
 def _reference_json(value):
@@ -33,7 +38,7 @@ def _reference_spectrum_csv(path, spectrum):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["angle_deg", "pdf_per_deg"])
-        for center, density in zip(spectrum.bin_centers, spectrum.density):
+        for center, density in zip(_bins(spectrum.bin_count).centers, spectrum.density):
             writer.writerow([repr(float(center) / _DEG), repr(float(density) * _DEG)])
 
 
@@ -113,7 +118,7 @@ def test_spectrum_csv_is_the_csv_writer_loop(tmp_path_factory, bins, seed):
     density[rng.random(bins) < 0.2] = 0.0
     spectrum = AngularSpectrum(density, 0.0)
     out = tmp_path_factory.mktemp("csv")
-    cli._write_csv(out / "new.csv", "angle_deg,pdf_per_deg", *spectrum._columns_deg)
+    write_csv(out / "new.csv", "angle_deg,pdf_per_deg", *spectrum_columns(spectrum))
     _reference_spectrum_csv(out / "old.csv", spectrum)
     assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
 
@@ -123,9 +128,74 @@ def test_spectrum_csv_is_the_csv_writer_loop(tmp_path_factory, bins, seed):
 def test_csv_is_the_csv_writer_loop(tmp_path_factory, rows):
     first, second = [a for a, _ in rows], [b for _, b in rows]
     out = tmp_path_factory.mktemp("csv")
-    cli._write_csv(out / "new.csv", "hpbw_deg,as_deg", first, second)
+    write_csv(out / "new.csv", "hpbw_deg,as_deg", first, second)
     _reference_csv(out / "old.csv", "hpbw_deg,as_deg", first, second)
     assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
+
+
+def _uniform_spectrum(bins):
+    return AngularSpectrum(np.full(bins, 1.0 / (2 * math.pi)), 0.0)
+
+
+def test_center_column_is_one_per_bin_count():
+    # every spectrum of a count shares one centers column, its reprs taken
+    # once; the columns are tuples, so an edit raises and cannot go stale
+    first, second = _uniform_spectrum(48), AngularSpectrum(np.arange(48.0), 0.0)
+    centers = spectrum_columns(first)[0]
+    assert centers is spectrum_columns(second)[0] is writers._centers_deg(48)
+    assert centers.reprs is spectrum_columns(second)[0].reprs
+    assert list(centers) == (_bins(48).centers / _DEG).tolist()
+    for column in spectrum_columns(first):
+        with pytest.raises(TypeError):
+            column[0] = 0.0
+
+
+def test_density_column_is_the_density_per_degree():
+    spectrum = _uniform_spectrum(36)
+    _, density = spectrum_columns(spectrum)
+    assert list(density) == (spectrum.density * (math.pi / 180.0)).tolist()
+    assert density.reprs == list(map(repr, density))
+
+
+def _run_report():
+    taps = make_profile([0.0, 1.0, 3.0], [0.3, 0.4, 0.3], 15)
+    return run_simulation(ScenarioConfig(distance=1000.0, taps=taps,
+                                         pattern=GaussianPattern(math.radians(120.0)),
+                                         kappa=0.3, mu=8.0, trials=3, bins=90, master_seed=11))
+
+
+def test_simulate_report_has_no_timing():
+    report = _run_report()
+    payload = simulate_report(report)
+    assert "elapsed" not in json.dumps(payload)
+    assert payload["angle_spread_deg"] == pytest.approx(math.degrees(report.angle_spread))
+    assert len(payload["spectrum"]["angle_deg"]) == report.scenario_echo.bins
+
+
+def test_spectrum_columns_cannot_go_stale():
+    # The columns keep their reprs once written, and a bin count's
+    # centers are shared by every spectrum: an edit raises, so neither
+    # this payload nor a later one writes a number the report lacks.
+    report = _run_report()
+    payload = simulate_report(report)
+    text = json_text(payload)
+    for column in payload["spectrum"].values():
+        with pytest.raises(TypeError):
+            column[0] = 123.0
+    assert json_text(payload) == text == json_text(simulate_report(report))
+
+
+def test_simulate_takes_the_spectrum_columns_once(scenario_file, tmp_path, monkeypatch):
+    # spectrum.csv and report.json share one pair of columns, so the
+    # density's reprs are taken once per run
+    taken = []
+    columns = writers.spectrum_columns
+    monkeypatch.setattr(writers, "spectrum_columns", lambda s: taken.append(s) or columns(s))
+    assert main(["simulate", "--scenario", str(scenario_file), "--out", str(tmp_path)]) == 0
+    assert len(taken) == 1
+    angle_deg, pdf_per_deg = columns(taken[0])
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert report["spectrum"] == {"angle_deg": list(angle_deg), "pdf_per_deg": list(pdf_per_deg)}
 
 
 @pytest.fixture
