@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
 import numpy as np
@@ -493,12 +493,31 @@ def _von_mises_table(mu):
     return _CdfTable(grid, np.exp(mu * (np.cos(grid) - 1.0)))
 
 
+def _check_taps(taps, delay, power, paths):
+    """The tap rules on each tap's (delay, power, path count), naming taps[i].<field>."""
+    if not taps:
+        raise ValueError("taps must hold at least the zero-delay tap")
+    for i, (d, p, n) in enumerate(taps):
+        if not math.isfinite(d):
+            raise ValueError(f"taps[{i}].{delay} must be finite, got {d}")
+        if not 0.0 < p < math.inf:
+            raise ValueError(f"taps[{i}].{power} must be positive and finite, got {p}")
+        if n < 1:
+            raise ValueError(f"taps[{i}].{paths} must be at least 1, got {n}")
+    if taps[0][0] != 0.0:
+        raise ValueError(f"taps[0].{delay} must be 0 (the zero-delay tap), got {taps[0][0]}")
+    for i in range(1, len(taps)):
+        if not taps[i][0] > taps[i - 1][0]:
+            raise ValueError(f"taps[{i}].{delay} must be greater than taps[{i - 1}].{delay}, "
+                             f"got {taps[i][0]} after {taps[i - 1][0]}")
+
+
 @dataclass(frozen=True)
 class Tap:
     """One delay tap: excess delay (seconds), mean linear power, path count.
 
     Owns its scenario-file form, {"delay_us", "power", "paths"}, as each
-    pattern kind owns its own.
+    pattern kind owns its own, and checks only that its path count is an integer.
     """
 
     delay: float
@@ -506,56 +525,39 @@ class Tap:
     path_count: int
     json_keys = ("delay_us", "power", "paths")
 
+    def __post_init__(self):
+        # Path counts are kept as Python ints, which JSON writes.
+        object.__setattr__(self, "path_count", _check_count(self.path_count, "tap path count"))
+
     def to_json(self):
         return {"delay_us": self.delay / _US, "power": self.power, "paths": self.path_count}
 
     @classmethod
     def from_json(cls, doc, path, default_paths):
-        """The tap of doc; a bad delay, power or path count names its field."""
+        """The tap of doc, its keys and number types checked (its values: _check_taps)."""
         json_object(doc, cls.json_keys, path)
         delay_us = json_field(doc, "delay_us", path=path)
         power = json_field(doc, "power", path=path)
         paths = json_field(doc, "paths", default_paths, integer=True, path=path)
-        if not math.isfinite(delay_us):
-            raise ValueError(f"{path}.delay_us must be finite, got {delay_us}")
-        if not 0.0 < power < math.inf:
-            raise ValueError(f"{path}.power must be positive and finite, got {power}")
-        if paths < 1:
-            raise ValueError(f"{path}.paths must be at least 1, got {paths}")
         return cls(delay=delay_us * _US, power=power, path_count=paths)
 
 
 @dataclass(frozen=True)
 class TapProfile:
-    """Delay taps extracted from a power delay profile.
+    """Delay taps extracted from a power delay profile, kept as a tuple.
 
     Tap 0 must sit at zero delay (local scattering plus any direct
-    path); delays strictly increase, powers are positive, and every tap
-    carries at least one path.
+    path); delays strictly increase, powers are positive and finite, and
+    every tap carries at least one path.  An error names the tap's field,
+    delays in seconds: taps[2].delay, taps[2].power or taps[2].path_count.
     """
 
     taps: tuple[Tap, ...]
 
     def __post_init__(self):
-        # Path counts are kept as Python ints, which JSON writes.
-        taps = tuple(replace(tap, path_count=_check_count(tap.path_count, "tap path count"))
-                     for tap in self.taps)
-        object.__setattr__(self, "taps", taps)
-        if not taps:
-            raise ValueError("tap profile must contain at least the zero-delay tap")
-        for tap in taps:
-            if not math.isfinite(tap.delay):
-                raise ValueError(f"tap delays must be finite, got {tap.delay}")
-        if taps[0].delay != 0.0:
-            raise ValueError("first tap must have zero delay")
-        delays = [t.delay for t in taps]
-        if any(b <= a for a, b in zip(delays, delays[1:])):
-            raise ValueError("tap delays must be strictly increasing")
-        for tap in taps:
-            if not 0 < tap.power < math.inf:
-                raise ValueError(f"tap powers must be positive and finite, got {tap.power}")
-            if tap.path_count < 1:
-                raise ValueError(f"tap path counts must be at least 1, got {tap.path_count}")
+        object.__setattr__(self, "taps", tuple(self.taps))
+        _check_taps([(t.delay, t.power, t.path_count) for t in self.taps],
+                   "delay", "power", "path_count")
 
     @property
     def total_power(self):

@@ -79,9 +79,9 @@ def _read_csv_pairs(path):
 def _cmd_simulate(args):
     config = _load_config(args)
     report = run_simulation(config, per_path_spread=args.per_path_spread)
-    writers.write_simulate(args.out, report)
-    print(f"angle spread: {report.angle_spread / _DEG:.3f} deg "
-          f"({config.trials} trials, {config.bins} bins)")
+    doc = writers.write_simulate(args.out, report)
+    print(f"angle spread: {doc['angle_spread_deg']:.3f} deg "
+          f"({doc['trials']} trials, {doc['bins']} bins)")
     return 0
 
 
@@ -89,9 +89,9 @@ def _cmd_sweep(args):
     config = _load_config(args)
     hpbws = [_hpbw_deg(token) for token in args.hpbw.split(",") if token.strip()]
     points = hpbw_sweep(config, hpbws)
-    writers.write_sweep(args.out, config, points)
-    for point in points:
-        print(f"hpbw {point.hpbw_deg:7.1f} deg -> angle spread {point.angle_spread / _DEG:.3f} deg")
+    doc = writers.write_sweep(args.out, config, points)
+    for p in doc["points"]:
+        print(f"hpbw {p['hpbw_deg']:7.1f} deg -> angle spread {p['angle_spread_deg']:.3f} deg")
     return 0
 
 

@@ -16,9 +16,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .angular import (_check_hpbw_deg, AntennaPattern, GaussianPattern, LocalScattering, Tap,
-                      TapProfile, ellipses_for_taps, json_field, json_object, json_pairs,
-                      pattern_from_json)
+from .angular import (_check_hpbw_deg, _check_taps, AntennaPattern, GaussianPattern,
+                      LocalScattering, Tap, TapProfile, ellipses_for_taps, json_field,
+                      json_object, json_pairs, pattern_from_json)
 from .estimation import (AngularSpectrum, _Bins, angle_spread_rows, density_rows,
                          path_spread_rows, rms_angle_spread)
 from .geometry import _DEG, _US, _check_count, _half_angle_ratio, _read_only
@@ -204,14 +204,8 @@ class ScenarioConfig:
                 raise ValueError("taps must be a list of tap objects")
             taps = tuple(Tap.from_json(entry, f"taps[{index}]", default_paths)
                          for index, entry in enumerate(doc["taps"]))
-            delays_us = [json_field(entry, "delay_us") for entry in doc["taps"]]
-            if taps and taps[0].delay != 0.0:
-                raise ValueError("taps[0].delay_us must be 0 (the zero-delay tap), "
-                                 f"got {delays_us[0]}")
-            for i in range(1, len(taps)):
-                if not delays_us[i] > delays_us[i - 1]:
-                    raise ValueError(f"taps[{i}].delay_us must be greater than taps[{i - 1}]"
-                                     f".delay_us, got {delays_us[i]} after {delays_us[i - 1]}")
+            _check_taps([(json_field(entry, "delay_us"), tap.power, tap.path_count)
+                         for entry, tap in zip(doc["taps"], taps)], "delay_us", "power", "paths")
             profile = TapProfile(taps)
         else:
             profile = extract_taps(
@@ -362,14 +356,18 @@ def run_simulation(config, per_path_spread=False):
 
 class SweepPoint(NamedTuple):
     hpbw_deg: float
-    angle_spread: float
     report: RunReport
+
+    @property
+    def angle_spread(self):
+        """The point's rms angle spread in radians: its report's."""
+        return self.report.angle_spread
 
 
 def hpbw_sweep(config, hpbw_deg_list):
     """Angle spread versus half-power beamwidth.
 
-    Returns one (hpbw_deg, angle_spread, report) point per beamwidth
+    Returns one SweepPoint (hpbw_deg, report) per beamwidth
     (degrees), each equal bit for bit to run_simulation at that
     beamwidth.  All points run in one pass, in chunks as large as one
     run_simulation takes: each chunk of trials draws its uniforms, local
@@ -387,5 +385,5 @@ def hpbw_sweep(config, hpbw_deg_list):
         raise ValueError("hpbw list must be nonempty")
     patterns = tuple(GaussianPattern(hpbw=_check_hpbw_deg(hpbw, f"hpbw_deg_list[{i}]") * _DEG)
                      for i, hpbw in enumerate(hpbws))
-    return [SweepPoint(hpbw, report.angle_spread, report)
+    return [SweepPoint(hpbw, report)
             for hpbw, report in zip(hpbws, _simulate(config, patterns, per_path_spread=False))]

@@ -86,10 +86,10 @@ def write_csv(path, header, first, second):
         fh.write(f"{header}\r\n{rows}")
 
 
-def _run_fields(report, columns=None):
+def _run_fields(report):
     # A RunReport's fields: simulate's report.json but the version, and
     # each sweep point's "report".
-    angle_deg, pdf_per_deg = columns or spectrum_columns(report.averaged_spectrum)
+    angle_deg, pdf_per_deg = spectrum_columns(report.averaged_spectrum)
     doc = {
         "angle_spread_deg": report.angle_spread / _DEG,
         "angle_spread_rad": report.angle_spread,
@@ -113,33 +113,39 @@ def _versioned(fields):
     return {**fields, "version": __version__}
 
 
-def simulate_report(report, columns=None):
-    """simulate's report.json of a RunReport, its spectrum columns taken here
-    unless given; the per-path fields are there exactly when its spreads are."""
-    return _versioned(_run_fields(report, columns))
+def simulate_report(report):
+    """simulate's report.json of a RunReport; the per-path fields are there
+    exactly when its spreads are."""
+    return _versioned(_run_fields(report))
 
 
 def sweep_report(config, points):
     """sweep's report.json: the scenario and one entry per hpbw_sweep point."""
+    runs = [_run_fields(point.report) for point in points]
     return _versioned({"scenario": config.to_json_dict(), "points": [
-        {"hpbw_deg": point.hpbw_deg, "angle_spread_deg": point.angle_spread / _DEG,
-         "report": _run_fields(point.report)} for point in points]})
+        {"hpbw_deg": point.hpbw_deg, "angle_spread_deg": run["angle_spread_deg"], "report": run}
+        for point, run in zip(points, runs)]})
 
 
 def write_simulate(out, report):
-    """spectrum.csv and report.json of a run, in the directory out (made if
-    missing); the spectrum's columns are taken once, for both files."""
+    """simulate_report(report), returned, and the spectrum.csv and report.json
+    rendered from it, in the directory out (made if missing)."""
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
-    columns = spectrum_columns(report.averaged_spectrum)
-    write_csv(out / "spectrum.csv", "angle_deg,pdf_per_deg", *columns)
-    write_json(out / "report.json", simulate_report(report, columns))
+    doc = simulate_report(report)
+    spectrum = doc["spectrum"]
+    write_csv(out / "spectrum.csv", ",".join(spectrum), *spectrum.values())
+    write_json(out / "report.json", doc)
+    return doc
 
 
 def write_sweep(out, config, points):
-    """sweep.csv and report.json of a sweep, in the directory out (made if missing)."""
+    """sweep_report(config, points), returned, and the sweep.csv and report.json
+    rendered from it, in the directory out (made if missing)."""
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
-    write_csv(out / "sweep.csv", "hpbw_deg,as_deg", [point.hpbw_deg for point in points],
-              [point.angle_spread / _DEG for point in points])
-    write_json(out / "report.json", sweep_report(config, points))
+    doc = sweep_report(config, points)
+    write_csv(out / "sweep.csv", "hpbw_deg,as_deg", [p["hpbw_deg"] for p in doc["points"]],
+              [p["angle_spread_deg"] for p in doc["points"]])
+    write_json(out / "report.json", doc)
+    return doc

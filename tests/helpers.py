@@ -105,34 +105,36 @@ def tabulated_pattern_cdf(samples, xs):
 
     samples: the (angle, amplitude) nodes of a tabulated pattern.
     Independent of the library's grid-based normalization: uses the
-    cubic antiderivative of each linear segment.
+    cubic antiderivative of each linear segment, for all of xs at once.
     """
     angles = np.array([a for a, _ in samples])
     amps = np.array([g for _, g in samples])
     # extend with the wrap segment so [-pi, pi] is fully covered
     x_ext = np.concatenate([[angles[-1] - 2.0 * np.pi], angles, [angles[0] + 2.0 * np.pi]])
     y_ext = np.concatenate([[amps[-1]], amps, [amps[0]]])
+    slope = np.diff(y_ext) / np.diff(x_ext)
+    # where each segment's part of [-pi, pi] starts
+    starts = np.maximum(x_ext[:-1], -np.pi)
 
-    def segment_integral(x0, y0, x1, y1, lo, hi):
-        lo = max(lo, x0)
-        hi = min(hi, x1)
-        if hi <= lo:
-            return 0.0
-        slope = (y1 - y0) / (x1 - x0)
-        if slope == 0.0:
-            return y0 * y0 * (hi - lo)
-        g_lo = y0 + slope * (lo - x0)
-        g_hi = y0 + slope * (hi - x0)
-        return (g_hi ** 3 - g_lo ** 3) / (3.0 * slope)
+    def segment_integral(k, hi):
+        # the squared amplitude of segment k integrated from starts[k] to hi
+        x0, y0, lo = x_ext[k], y_ext[k], starts[k]
+        flat = slope[k] == 0.0
+        g_lo = y0 + slope[k] * (lo - x0)
+        g_hi = y0 + slope[k] * (hi - x0)
+        cubic = (g_hi ** 3 - g_lo ** 3) / (3.0 * np.where(flat, 1.0, slope[k]))
+        return np.where(flat, y0 * y0 * (hi - lo), cubic)
+
+    # the integral up to each segment's start, segments added left to right
+    segments = np.arange(slope.size)
+    before = np.concatenate([[0.0], np.cumsum(segment_integral(segments, x_ext[1:]))])
 
     def integral_up_to(x):
-        total = 0.0
-        for x0, y0, x1, y1 in zip(x_ext[:-1], y_ext[:-1], x_ext[1:], y_ext[1:]):
-            total += segment_integral(x0, y0, x1, y1, -np.pi, x)
-        return total
+        k = np.clip(np.searchsorted(x_ext, x, side="right") - 1, 0, slope.size - 1)
+        return before[k] + segment_integral(k, np.maximum(x, starts[k]))
 
-    norm = integral_up_to(np.pi)
-    return np.array([integral_up_to(float(x)) / norm for x in np.atleast_1d(xs)])
+    norm = integral_up_to(np.array([np.pi]))[0]
+    return integral_up_to(np.atleast_1d(np.asarray(xs, dtype=float))) / norm
 
 
 def ellipse_with_eccentricity(ecc):

@@ -440,6 +440,28 @@ class TestTapProfile:
         with pytest.raises(ValueError):
             TapProfile((Tap(0.0, 1.0, 0),))
 
+    @pytest.mark.parametrize("index, tap, message", [
+        (None, None, "taps must hold at least the zero-delay tap"),
+        (2, Tap(math.nan, 0.5, 5), "taps[2].delay must be finite, got nan"),
+        (2, Tap(2e-6, math.inf, 5), "taps[2].power must be positive and finite, got inf"),
+        (2, Tap(2e-6, 0.5, 0), "taps[2].path_count must be at least 1, got 0"),
+        (0, Tap(5e-7, 1.0, 5), "taps[0].delay must be 0 (the zero-delay tap), got 5e-07"),
+        (2, Tap(5e-7, 0.5, 5),
+         "taps[2].delay must be greater than taps[1].delay, got 5e-07 after 1e-06"),
+    ])
+    def test_each_tap_rule_names_the_tap_in_seconds(self, index, tap, message):
+        taps = [Tap(0.0, 1.0, 5), Tap(1e-6, 0.5, 5), Tap(2e-6, 0.5, 5)]
+        if index is None:
+            taps = []
+        else:
+            taps[index] = tap
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TapProfile(taps)
+
+    def test_keeps_a_list_of_taps_as_a_tuple(self):
+        taps = [Tap(0.0, 0.5, 5), Tap(1e-6, 0.5, 5)]
+        assert TapProfile(taps).taps == tuple(taps)
+
     @pytest.mark.parametrize("count", [True, 2.0, np.float64(3.0), "5"])
     def test_path_count_must_be_an_integer(self, count):
         # a bool is an int to isinstance

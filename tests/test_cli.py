@@ -371,7 +371,7 @@ class TestUsageErrors:
 
 
 class TestSweep:
-    def test_outputs(self, scenario_file, tmp_path):
+    def test_outputs(self, scenario_file, tmp_path, capsys):
         out = tmp_path / "sweep"
         code = main(["sweep", "--scenario", str(scenario_file),
                      "--hpbw", "360,120,60", "--trials", "10", "--out", str(out)])
@@ -382,6 +382,16 @@ class TestSweep:
         assert list(rows[:, 0]) == [360.0, 120.0, 60.0]
         report = json.loads((out / "report.json").read_text())
         assert len(report["points"]) == 3
+        # sweep.csv, the printed lines and each point's spread are all
+        # rendered from the points of report.json
+        points = report["points"]
+        csv_rows = (out / "sweep.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert csv_rows == [f"{p['hpbw_deg']!r},{p['angle_spread_deg']!r}" for p in points]
+        for point in points:
+            assert point["angle_spread_deg"] == point["report"]["angle_spread_deg"]
+        assert capsys.readouterr().out.splitlines() == [
+            f"hpbw {p['hpbw_deg']:7.1f} deg -> angle spread {p['angle_spread_deg']:.3f} deg"
+            for p in points]
 
     def test_byte_identical_reruns_with_workers(self, scenario_file, tmp_path):
         out_a = tmp_path / "a"

@@ -26,6 +26,7 @@ from aoasim.estimation import density_rows, estimate_pdf, rms_angle_spread
 from aoasim.montecarlo import PathSet, generate_chunk, generate_trial
 from aoasim.scenario import (
     ScenarioConfig,
+    SweepPoint,
     extract_taps,
     hpbw_sweep,
     run_simulation,
@@ -343,6 +344,7 @@ class TestScenarioConfig:
             (base, ("mu",), DELETE, "mu is required"),
             (base, ("taps", 1, "power"), DELETE, "taps[1].power is required"),
             (base, ("taps",), {}, "taps must be a list"),
+            (base, ("taps",), [], "taps must hold at least the zero-delay tap"),
             # out of order or negative, in the file's units
             (base, ("taps", 2, "delay_us"), 0.5,
              "taps[2].delay_us must be greater than taps[1].delay_us, got 0.5 after 1.0"),
@@ -729,6 +731,13 @@ class TestHpbwSweep:
         config = _quick_config(trials=60, kappa=0.0, mu=2.0)
         points = hpbw_sweep(config, [360.0, 60.0])
         assert points[0].angle_spread > points[1].angle_spread
+
+    def test_point_spread_is_its_report_spread(self):
+        # a point holds its beamwidth and report; its spread is read from
+        # the report, never stored beside it
+        assert SweepPoint._fields == ("hpbw_deg", "report")
+        for point in hpbw_sweep(_quick_config(trials=4), [360.0, 60.0]):
+            assert point.angle_spread is point.report.angle_spread
 
     def test_requires_gaussian_pattern(self):
         config = _quick_config(pattern=OmniPattern())
