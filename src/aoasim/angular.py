@@ -393,6 +393,18 @@ class TabulatedPattern:
         return np.array(self.samples).T
 
     @cached_property
+    def _periodic_nodes(self):
+        # The nodes np.interp(..., period=2*pi) builds on every call, built
+        # once: the angles taken mod 2*pi and sorted, with the last node
+        # repeated one period below and the first one period above.
+        angles, amps = self._nodes
+        wrapped = angles % _TWO_PI
+        order = np.argsort(wrapped)
+        angles, amps = wrapped[order], amps[order]
+        return (np.concatenate((angles[-1:] - _TWO_PI, angles, angles[:1] + _TWO_PI)),
+                np.concatenate((amps[-1:], amps, amps[:1])))
+
+    @cached_property
     def _power_integral(self):
         # Exact integral of the squared piecewise-linear amplitude over one
         # period: each segment contributes h * (y0^2 + y0*y1 + y1^2) / 3.
@@ -404,8 +416,15 @@ class TabulatedPattern:
         return float(np.sum(h * (y0 * y0 + y0 * y1 + y1 * y1)) / 3.0)
 
     def amplitude(self, phi):
-        angles, amps = self._nodes
-        return np.interp(phi, angles, amps, period=_TWO_PI)
+        """The interpolated amplitude at angles phi on [-pi, pi].
+
+        Bit for bit np.interp(phi, angles, amps, period=2*pi): on [-pi, pi]
+        phi mod 2*pi is phi + 2*pi where phi is negative and phi elsewhere
+        (-0.0 and 0.0 interpolate alike).
+        """
+        angles, amps = self._periodic_nodes
+        phi = np.asarray(phi, dtype=float)
+        return np.interp(np.where(phi < 0.0, phi + _TWO_PI, phi), angles, amps)
 
     def density(self, phi):
         amp = self.amplitude(phi)
@@ -493,6 +512,14 @@ def _von_mises_table(mu):
     return _CdfTable(grid, np.exp(mu * (np.cos(grid) - 1.0)))
 
 
+def _check_path_count(count, name):
+    """count, a tap's path count, checked to be at least 1; the error names
+    the field or option."""
+    if count < 1:
+        raise ValueError(f"{name} must be at least 1, got {count}")
+    return count
+
+
 def _check_taps(taps, delay, power, paths):
     """The tap rules on each tap's (delay, power, path count), naming taps[i].<field>."""
     if not taps:
@@ -502,8 +529,7 @@ def _check_taps(taps, delay, power, paths):
             raise ValueError(f"taps[{i}].{delay} must be finite, got {d}")
         if not 0.0 < p < math.inf:
             raise ValueError(f"taps[{i}].{power} must be positive and finite, got {p}")
-        if n < 1:
-            raise ValueError(f"taps[{i}].{paths} must be at least 1, got {n}")
+        _check_path_count(n, f"taps[{i}].{paths}")
     if taps[0][0] != 0.0:
         raise ValueError(f"taps[0].{delay} must be 0 (the zero-delay tap), got {taps[0][0]}")
     for i in range(1, len(taps)):
@@ -533,13 +559,12 @@ class Tap:
         return {"delay_us": self.delay / _US, "power": self.power, "paths": self.path_count}
 
     @classmethod
-    def from_json(cls, doc, path, default_paths):
-        """The tap of doc, its keys and number types checked (its values: _check_taps)."""
+    def json_row(cls, doc, path, default_paths):
+        """(delay_us, power, paths) of doc, each read once, in the file's units;
+        its keys and number types checked (its values: _check_taps)."""
         json_object(doc, cls.json_keys, path)
-        delay_us = json_field(doc, "delay_us", path=path)
-        power = json_field(doc, "power", path=path)
-        paths = json_field(doc, "paths", default_paths, integer=True, path=path)
-        return cls(delay=delay_us * _US, power=power, path_count=paths)
+        return (json_field(doc, "delay_us", path=path), json_field(doc, "power", path=path),
+                json_field(doc, "paths", default_paths, integer=True, path=path))
 
 
 @dataclass(frozen=True)

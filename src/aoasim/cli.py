@@ -21,11 +21,11 @@ import sys
 from dataclasses import replace
 
 from . import __version__, writers
-from .angular import _check_hpbw_deg
+from .angular import _check_hpbw_deg, _check_path_count
 from .estimation import lse
 from .geometry import _DEG, _US
 from .scenario import (DEFAULT_PATHS_PER_TAP, DEFAULT_PROMINENCE_DB, ScenarioConfig,
-                       extract_taps, hpbw_sweep, run_simulation)
+                       _check_prominence_db, extract_taps, hpbw_sweep, run_simulation)
 
 
 def _load_config(args):
@@ -114,11 +114,14 @@ def _cmd_fit(args):
 
 
 def _cmd_taps(args):
+    # The options are checked under their own names, before the file is read.
+    min_prominence_db = _check_prominence_db(args.prominence, "--prominence")
+    paths_per_tap = _check_path_count(args.paths, "--paths")
     samples_us = _read_csv_pairs(args.pdp)
     profile = extract_taps(
         [(d * _US, p) for d, p in samples_us],
-        min_prominence_db=args.prominence,
-        paths_per_tap=args.paths,
+        min_prominence_db=min_prominence_db,
+        paths_per_tap=paths_per_tap,
     )
     payload = {
         "taps": [tap.to_json() for tap in profile.taps],

@@ -16,9 +16,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .angular import (_check_hpbw_deg, _check_taps, AntennaPattern, GaussianPattern,
-                      LocalScattering, Tap, TapProfile, ellipses_for_taps, json_field,
-                      json_object, json_pairs, pattern_from_json)
+from .angular import (_check_hpbw_deg, _check_path_count, _check_taps, AntennaPattern,
+                      GaussianPattern, LocalScattering, Tap, TapProfile, ellipses_for_taps,
+                      json_field, json_object, json_pairs, pattern_from_json)
 from .estimation import (AngularSpectrum, _Bins, angle_spread_rows, density_rows,
                          path_spread_rows, rms_angle_spread)
 from .geometry import _DEG, _US, _check_count, _half_angle_ratio, _read_only
@@ -28,11 +28,13 @@ from .writers import write_json
 DEFAULT_PATHS_PER_TAP = 50
 DEFAULT_PROMINENCE_DB = 3.0
 
-# run_simulation and hpbw_sweep take their trials in chunks of at most
-# this many path and bin entries (paths plus bins per trial, times trials;
-# one trial at least).  The batch buffers of a chunk grow with both, and a
-# sweep builds them for one point at a time, so this bounds them whatever
-# the trial and point counts; the chunking changes no number.
+# run_simulation and hpbw_sweep take their trials in chunks: trials times
+# the larger of paths and bins per trial is at most this many entries (one
+# trial at least).  So each (trials, paths) array of a chunk and its
+# (trials, bins) density rows hold at most this many, its (trials, 2P)
+# uniforms at most twice that, and a sweep builds them for one point at a
+# time: this bounds them whatever the trial and point counts.  The chunking
+# changes no number.
 CHUNK_SIZE = 1 << 15
 
 _SCENARIO_KEYS = ("distance_m", "kappa", "mu", "trials", "bins", "seed", "pattern",
@@ -67,6 +69,14 @@ def _prominent_peaks(x, min_prominence=0.0):
     return np.array(kept, dtype=np.intp)
 
 
+def _check_prominence_db(value, name):
+    """value, a peak prominence threshold in dB, checked to be finite and
+    nonnegative; the error names the field or option."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+    return value
+
+
 def extract_taps(raw_pdp, min_prominence_db=DEFAULT_PROMINENCE_DB,
                  paths_per_tap=DEFAULT_PATHS_PER_TAP):
     """Extract delay taps from raw power-delay-profile samples.
@@ -79,9 +89,7 @@ def extract_taps(raw_pdp, min_prominence_db=DEFAULT_PROMINENCE_DB,
     scenario field prominence_db).  Rejects profiles with no local
     maximum anywhere (flat or monotonically rising).
     """
-    if not 0.0 <= min_prominence_db < math.inf:
-        raise ValueError(
-            f"prominence_db must be finite and nonnegative, got {min_prominence_db}")
+    _check_prominence_db(min_prominence_db, "prominence_db")
     samples = [(float(d), float(p)) for d, p in raw_pdp]
     if len(samples) < 3:
         raise ValueError(f"need at least 3 PDP samples, got {len(samples)}")
@@ -194,19 +202,18 @@ class ScenarioConfig:
         json_object(doc, _SCENARIO_KEYS)
         if ("taps" in doc) == ("pdp" in doc):
             raise ValueError("scenario must define exactly one of 'taps' or 'pdp'")
-        default_paths = json_field(doc, "paths_per_tap", DEFAULT_PATHS_PER_TAP, integer=True)
-        if default_paths < 1:
-            raise ValueError(f"paths_per_tap must be at least 1, got {default_paths}")
+        default_paths = _check_path_count(
+            json_field(doc, "paths_per_tap", DEFAULT_PATHS_PER_TAP, integer=True), "paths_per_tap")
         if "taps" in doc:
             if "prominence_db" in doc:
                 raise ValueError("prominence_db applies only to a 'pdp' scenario, not to 'taps'")
             if not isinstance(doc["taps"], list):
                 raise ValueError("taps must be a list of tap objects")
-            taps = tuple(Tap.from_json(entry, f"taps[{index}]", default_paths)
-                         for index, entry in enumerate(doc["taps"]))
-            _check_taps([(json_field(entry, "delay_us"), tap.power, tap.path_count)
-                         for entry, tap in zip(doc["taps"], taps)], "delay_us", "power", "paths")
-            profile = TapProfile(taps)
+            rows = [Tap.json_row(entry, f"taps[{index}]", default_paths)
+                    for index, entry in enumerate(doc["taps"])]
+            _check_taps(rows, "delay_us", "power", "paths")
+            profile = TapProfile(tuple(Tap(delay_us * _US, power, paths)
+                                       for delay_us, power, paths in rows))
         else:
             profile = extract_taps(
                 [(d * _US, p) for d, p in json_pairs(doc, "pdp")],
@@ -275,9 +282,13 @@ class RunReport:
 
 
 def trials_per_chunk(config):
-    """Trials that one chunk generates and bins as one batch, for any pattern count."""
-    per_trial = sum(tap.path_count for tap in config.taps.taps) + config.bins
-    return max(1, CHUNK_SIZE // per_trial)
+    """Trials that one chunk generates and bins as one batch, for any pattern count.
+
+    CHUNK_SIZE over the wider of a trial's path count and bin count, one
+    trial at least: a chunk's fixed NumPy calls are spread over as many
+    trials as its largest array allows.
+    """
+    return max(1, CHUNK_SIZE // max(config.taps.tap_index.size, config.bins))
 
 
 def _simulate(config, patterns, per_path_spread):

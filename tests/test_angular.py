@@ -146,6 +146,26 @@ class TestAodPdf:
         ratio = dens / amp2
         assert np.allclose(ratio, ratio[0], rtol=1e-12)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tabulated_amplitude_is_the_periodic_interpolation(self, seed):
+        # bit for bit np.interp with period=2*pi, on the CDF table's grid and
+        # on random angles with both ends, 0.0 and -0.0; every other pattern
+        # has nodes at 0 and pi, and some amplitudes are zero
+        rng = np.random.default_rng(seed)
+        angles = rng.uniform(-math.pi, math.pi, int(rng.integers(8, 73)))
+        if seed % 2:
+            angles = np.append(angles, [0.0, math.pi])
+        angles = np.unique(angles[angles > -math.pi])
+        amps = rng.uniform(0.0, 2.0, angles.size) * (rng.random(angles.size) > 0.2)
+        amps[0] = 1.0
+        pattern = TabulatedPattern(tuple(zip(angles.tolist(), amps.tolist())))
+        phi = np.concatenate([np.linspace(-math.pi, math.pi, angular._GRID_NODES),
+                              rng.uniform(-math.pi, math.pi, 10_000),
+                              [-math.pi, math.pi, 0.0, -0.0]])
+        expected = np.interp(phi, angles, amps, period=TWO_PI)
+        np.testing.assert_array_equal(pattern.amplitude(phi).view(np.uint64),
+                                      expected.view(np.uint64))
+
 
 class TestVonMisesPdf:
     def test_zero_concentration_is_uniform(self):

@@ -567,8 +567,21 @@ class TestTaps:
         assert main(["taps", "--pdp", str(path), f"--prominence={prominence}"]) == 1
         record = _error_record(capsys)
         assert record["type"] == "ValueError"
-        assert record["error"] == ("prominence_db must be finite and nonnegative, "
+        assert record["error"] == ("--prominence must be finite and nonnegative, "
                                    f"got {float(prominence)}")
+
+    @pytest.mark.parametrize("option, message", [
+        ("--paths=0", "--paths must be at least 1, got 0"),
+        ("--prominence=-1", "--prominence must be finite and nonnegative, got -1.0"),
+    ])
+    def test_bad_option_is_named_as_typed(self, tmp_path, capsys, option, message):
+        # the rule is the scenario field's (paths_per_tap, prominence_db),
+        # the name the option's; nothing is printed or written
+        out = tmp_path / "never.json"
+        assert main(["taps", "--pdp", str(EXAMPLE_PDP), option, "--out", str(out)]) == 1
+        assert _error_record(capsys) == {"error": message, "type": "ValueError",
+                                         "command": "taps"}
+        assert not out.exists()
 
     @MALFORMED_ROWS
     def test_malformed_row_names_file_and_row(self, tmp_path, capsys, row, fields):
@@ -586,7 +599,8 @@ class TestTaps:
         printed = json.loads(capsys.readouterr().out)["taps"]
         samples = [(d * 1e-6, p) for d, p in cli._read_csv_pairs(EXAMPLE_PDP)]
         extracted = extract_taps(samples)
-        assert TapProfile(tuple(Tap.from_json(tap, "taps", 50) for tap in printed)) == extracted
+        rows = [Tap.json_row(tap, "taps", 50) for tap in printed]
+        assert TapProfile(tuple(Tap(d * 1e-6, p, n) for d, p, n in rows)) == extracted
         doc = {"distance_m": 1000.0, "kappa": 0.0, "mu": 1.0, "pattern": {"kind": "omni"}}
         loaded = ScenarioConfig.from_json_dict(dict(doc, taps=printed)).taps
         total = extracted.total_power

@@ -491,7 +491,7 @@ class TestChunkedTrials:
         config = _chunk_config(_CHUNK_PATTERNS[kind], kappa, mu)
         [batch] = generate_chunk(config, (config.pattern,), 0, config.trials)
         density, point_mass = _assert_binned_path_by_path(batch, config.bins)
-        per_trial = 11 + 48     # paths and bins
+        per_trial = max(11, 48)     # the wider of paths and bins
         reports = []
         default = scenario.CHUNK_SIZE
         # one trial per chunk, 7 + 3 (a ragged last chunk), all 10 at once
@@ -515,6 +515,25 @@ class TestChunkedTrials:
             [part] = generate_chunk(config, (config.pattern,), first, stop)
             _assert_same_rows(batch, first, part)
 
+    @pytest.mark.parametrize("paths_per_tap, bins, step", [
+        (50, 360, 91),      # the shipped scenario's 250 paths, as sweep_paper runs it
+        (4, 64, 512),       # 20 paths, as simulate_many runs it
+        (5000, 3600, 1),    # 25,000 paths, as simulate_wide runs it
+    ])
+    def test_chunk_is_sized_by_its_widest_row(self, paths_per_tap, bins, step):
+        taps = make_profile([0.0, 1.0, 2.0, 3.0, 4.0], [0.3, 0.25, 0.2, 0.15, 0.1], paths_per_tap)
+        assert trials_per_chunk(_quick_config(taps=taps, bins=bins)) == step
+
+    @settings(max_examples=200, deadline=None)
+    @given(paths=st.integers(1, 70_000), bins=st.integers(8, 70_000))
+    def test_chunk_takes_as_many_trials_as_its_widest_row_allows(self, paths, bins):
+        # each (trials, paths) array and the (trials, bins) rows hold at
+        # most CHUNK_SIZE entries, unless one trial alone is wider
+        step = trials_per_chunk(_quick_config(taps=make_profile([0.0], [1.0], paths), bins=bins))
+        widest = max(paths, bins)
+        assert step == 1 or step * widest <= scenario.CHUNK_SIZE
+        assert (step + 1) * widest > scenario.CHUNK_SIZE
+
     def test_trial_wider_than_a_chunk(self, monkeypatch):
         # 33,001 paths per trial (66,002 uniforms, padded to 66,004): more
         # than a default chunk holds, so each trial is a chunk of its own;
@@ -523,7 +542,7 @@ class TestChunkedTrials:
                                counts=(11_000, 11_000, 11_001), trials=2, bins=360)
         assert trials_per_chunk(config) == 1
         alone = run_simulation(config, per_path_spread=True)
-        monkeypatch.setattr(scenario, "CHUNK_SIZE", 2 * (33_001 + 360))
+        monkeypatch.setattr(scenario, "CHUNK_SIZE", 2 * max(33_001, 360))
         assert trials_per_chunk(config) == 2
         _assert_same_report(alone, run_simulation(config, per_path_spread=True))
         [batch] = generate_chunk(config, (config.pattern,), 0, 2)
@@ -548,7 +567,7 @@ class TestChunkedTrials:
         # pattern, so that no first SciPy import is counted.
         config = _quick_config(taps=make_profile([0.0, 1.0], [0.5, 0.5], 2),
                                pattern=OmniPattern(), trials=64, bins=2048)
-        monkeypatch.setattr(scenario, "CHUNK_SIZE", 64 * (4 + 2048))
+        monkeypatch.setattr(scenario, "CHUNK_SIZE", 64 * max(4, 2048))
         assert trials_per_chunk(config) == config.trials
         _, peak = _traced_memory(lambda: run_simulation(config), config)
         assert peak <= 2.25 * config.trials * config.bins * 8
@@ -595,7 +614,7 @@ class TestHpbwSweep:
         # once for the three points; tap 1 has a single path
         config = _chunk_config(_CHUNK_PATTERNS["gaussian"], kappa, mu)
         hpbws = [360.0, 75.0, 12.5]
-        monkeypatch.setattr(scenario, "CHUNK_SIZE", 3 * (11 + 48))
+        monkeypatch.setattr(scenario, "CHUNK_SIZE", 3 * max(11, 48))
         assert trials_per_chunk(config) == 3
         points = hpbw_sweep(config, hpbws)
         assert [point.hpbw_deg for point in points] == hpbws
@@ -616,7 +635,7 @@ class TestHpbwSweep:
             drawn.append((first, stop))
             return draw(config, first, stop)
 
-        monkeypatch.setattr(scenario, "CHUNK_SIZE", 4 * len(hpbws) * (45 + 90))
+        monkeypatch.setattr(scenario, "CHUNK_SIZE", 4 * len(hpbws) * max(45, 90))
         monkeypatch.setattr(montecarlo, "draw_uniforms", counting_draw)
         hpbw_sweep(config, hpbws)
         # 40 trials in 2 chunks of 20, as one run takes them, each drawn
@@ -642,7 +661,7 @@ class TestHpbwSweep:
             mapped.append(np.shape(phi))
             return ellipse_map(phi, ratio)
 
-        monkeypatch.setattr(scenario, "CHUNK_SIZE", 4 * len(hpbws) * (45 + 90))
+        monkeypatch.setattr(scenario, "CHUNK_SIZE", 4 * len(hpbws) * max(45, 90))
         monkeypatch.setattr(np.random, "SeedSequence", counting_seed_sequence)
         monkeypatch.setattr(montecarlo, "_half_angle_map", counting_map)
         hpbw_sweep(config, hpbws)
@@ -669,7 +688,7 @@ class TestHpbwSweep:
                 return wrapped(*args)
             monkeypatch.setattr(owner, name, counted)
 
-        monkeypatch.setattr(scenario, "CHUNK_SIZE", 4 * len(hpbws) * (45 + 90))
+        monkeypatch.setattr(scenario, "CHUNK_SIZE", 4 * len(hpbws) * max(45, 90))
         counting(PathSet, "total_power")
         counting(estimation, "_check_point_mass")
         hpbw_sweep(config, hpbws)
@@ -689,7 +708,7 @@ class TestHpbwSweep:
             drawn.append((first, stop))
             return draw(config, first, stop)
 
-        monkeypatch.setattr(scenario, "CHUNK_SIZE", 4 * (45 + 90))
+        monkeypatch.setattr(scenario, "CHUNK_SIZE", 4 * max(45, 90))
         monkeypatch.setattr(montecarlo, "draw_uniforms", counting_draw)
         run_simulation(config)
         alone = drawn[:]
