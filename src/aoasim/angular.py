@@ -62,6 +62,12 @@ _GUIDE_CELLS = 1 << 16
 class _CdfTable:
     """Normalized trapezoid CDF of a density on a grid, ready for inversion.
 
+    The grid is np.linspace(-half, half, count), and density(grid) returns
+    a new array of the density on it, which the build then reuses.  The
+    table keeps only what _invert_cdf reads: half, the cdf (float64) and
+    the guide (int32), 12 bytes a node and no grid; _invert_cdf rebuilds
+    the nodes it needs with linspace's own arithmetic (_grid_nodes).
+
     guide[k] is the number of CDF nodes at or below k / _GUIDE_CELLS, so
     the node count of a u in cell k lies within [guide[k], guide[k + 1]],
     and the node guide[k + 1], where there is one, lies above the cell's
@@ -69,42 +75,75 @@ class _CdfTable:
     upper bound.  G = _GUIDE_CELLS is a power of two, so c * G is exact
     and a node c is at or below k / G exactly when ceil(c * G) <= k: the
     guide is a running count of those ceilings (the indexed search of
-    Chen and Asau, 1974).
+    Chen and Asau, 1974).  Its counts are at most count, so they fit in
+    32 bits.
     """
 
-    def __init__(self, grid, density):
-        # Summed and counted in place: a table is 65,537 nodes, and a copy
-        # kept alive during the build lifts the peak memory of a run.
-        cdf = np.zeros(len(grid))
-        np.cumsum(0.5 * (density[1:] + density[:-1]) * np.diff(grid), out=cdf[1:])
+    def __init__(self, half, density, count=_GRID_NODES):
+        # Summed and counted in place, each node-sized array dropped once its
+        # step is done: a table is 65,537 nodes, and every array kept alive
+        # during the build lifts the peak memory of a run.
+        grid = np.linspace(-half, half, count)
+        weights = density(grid)
+        cdf = np.empty(count)
+        cdf[0] = 0.0
+        np.add(weights[1:], weights[:-1], out=cdf[1:])
+        cdf[1:] *= 0.5
+        np.subtract(grid[1:], grid[:-1], out=weights[1:])
+        del grid
+        cdf[1:] *= weights[1:]
+        del weights
+        np.cumsum(cdf[1:], out=cdf[1:])
         cdf /= cdf[-1]
-        self.grid, self.cdf = grid, cdf
-        counts = np.bincount(np.ceil(cdf * _GUIDE_CELLS).astype(np.intp), minlength=_GUIDE_CELLS + 1)
-        self.guide = np.cumsum(counts, out=counts)
+        cells = np.multiply(cdf, _GUIDE_CELLS)
+        np.ceil(cells, out=cells)
+        cells = cells.astype(np.intp)
+        counts = np.bincount(cells, minlength=_GUIDE_CELLS + 1)
+        del cells
+        self.half, self.cdf = half, cdf
+        self.guide = np.cumsum(counts, dtype=np.int32)
+
+
+def _grid_nodes(table, index, out):
+    """The nodes at index of the table's grid into out, as np.linspace
+    computes them: index * step + start, step = (stop - start) / (count - 1).
+    Every node but the last: linspace sets that one to stop, which is half."""
+    start, stop = -table.half, table.half
+    # Converted by a copy, then scaled in place: an int-by-float multiply
+    # would cast through a buffer of its own.
+    np.copyto(out, index)
+    out *= (stop - start) / (table.cdf.size - 1)
+    out += start
+    return out
 
 
 def _invert_cdf(table, u):
     """Linear interpolation of the inverse CDF at u in [0, 1).
 
     Bit for bit the route through np.searchsorted(cdf, u, "right"), the
-    node count c of u.  One guide lookup starts each value at the count
-    of its guide cell's lower end; two probe steps close most values and
-    one edge search closes the rest.  The probes need no upper bound: the
-    node that ends u's guide cell already lies above u (see _CdfTable),
-    so a probe steps only while it is below c, and c is at most
-    len(cdf) - 1 as u < 1 = cdf[-1].  The cdf[lo] the last probe took is
-    the interpolation's upper CDF value.  Each table lookup is one take,
-    and the steps run in place, so at most four arrays of u's size are
-    live at once (lo, c1, out and one scratch array).  u may be a number
-    or an array of any shape.
+    node count c of u, on the grid np.linspace(-half, half, len(cdf)).
+    One guide lookup starts each value at the count of its guide cell's
+    lower end; two probe steps close most values and one edge search
+    closes the rest.  The probes need no upper bound: the node that ends
+    u's guide cell already lies above u (see _CdfTable), so a probe steps
+    only while it is below c, and c is at most len(cdf) - 1 as
+    u < 1 = cdf[-1].  The cdf[lo] the last probe took is the
+    interpolation's upper CDF value.  The two grid nodes are rebuilt as
+    np.linspace computes them, i * step + start, with stop at the last
+    node; the lower node c - 1 is never the last, so only the upper one
+    needs that.  Each table lookup is one take, and the steps run in
+    place, so at most four arrays of u's size are live at once (lo, c1,
+    out and one scratch array).  u may be a number or an array of any
+    shape.
     """
-    grid, cdf = table.grid, table.cdf
+    cdf = table.cdf
     u = np.asarray(u, dtype=float)
     # Arrays even for a scalar u, so that the steps below can write into
-    # them.  lo stays within [0, len(cdf) - 1], so the takes by lo clip
-    # nothing: mode="clip" only spares the copy that a take into out
-    # makes in the default mode.
-    lo = np.asarray(table.guide.take((u * _GUIDE_CELLS).astype(np.intp)))
+    # them; the int32 guide counts are widened once, as every take converts
+    # its indices to intp.  lo stays within [0, len(cdf) - 1], so the takes
+    # by lo clip nothing: mode="clip" only spares the copy that a take into
+    # out makes in the default mode.
+    lo = np.asarray(table.guide.take((u * _GUIDE_CELLS).astype(np.intp)), dtype=np.intp)
     c1 = np.asarray(cdf.take(lo))
     for _ in range(2):
         lo += c1 <= u
@@ -114,6 +153,9 @@ def _invert_cdf(table, u):
     still_open = np.flatnonzero(c1 <= u)
     np.put(lo, still_open, np.searchsorted(cdf, u.take(still_open), side="right"))
     np.put(c1, still_open, cdf.take(lo.take(still_open)))
+    # The values whose upper node is the last, by flat index, found while
+    # only lo and c1 are live: a u above cdf[-2], so few or none.
+    at_stop = np.flatnonzero(lo == cdf.size - 1)
     del still_open  # not live beside the four arrays below
     # Now c0 = cdf[lo - 1] <= u < cdf[lo] = c1, with 1 <= lo, so the span
     # is positive: g0 + (u - c0) / (c1 - c0) * (g1 - g0), one operation at
@@ -123,9 +165,10 @@ def _invert_cdf(table, u):
     out = np.subtract(u, scratch)
     c1 -= scratch
     out /= c1
-    grid.take(lo, out=scratch, mode="clip")
+    _grid_nodes(table, lo, scratch)
     lo += 1
-    grid.take(lo, out=c1, mode="clip")
+    _grid_nodes(table, lo, c1)
+    np.put(c1, at_stop, table.half)
     c1 -= scratch
     out *= c1
     out += scratch
@@ -424,16 +467,20 @@ class TabulatedPattern:
         """
         angles, amps = self._periodic_nodes
         phi = np.asarray(phi, dtype=float)
-        return np.interp(np.where(phi < 0.0, phi + _TWO_PI, phi), angles, amps)
+        wrapped = np.asarray(phi + _TWO_PI)  # an array even for a scalar phi
+        np.copyto(wrapped, phi, where=phi >= 0.0)
+        return np.interp(wrapped, angles, amps)
 
     def density(self, phi):
+        # amp * amp / I, in place on the array amplitude returns
         amp = self.amplitude(phi)
-        return amp * amp / self._power_integral
+        amp *= amp
+        amp /= self._power_integral
+        return amp
 
     @cached_property
     def _cdf_table(self):
-        grid = np.linspace(-np.pi, np.pi, _GRID_NODES)
-        return _CdfTable(grid, self.density(grid))
+        return _CdfTable(np.pi, self.density)
 
     def quantile(self, u):
         return _invert_cdf(self._cdf_table, u)
@@ -507,9 +554,14 @@ def _von_mises_table(mu):
     # tends to exp(-72) as mu grows: a normal of std 1 / sqrt(mu) cut at 12
     # std), so the grid covers only that range and stays dense where the
     # mass is; a full-circle grid misses the CDF by 5e-6 at mu = 1e4.
-    half = min(np.pi, 12.0 / math.sqrt(mu))
-    grid = np.linspace(-half, half, _GRID_NODES)
-    return _CdfTable(grid, np.exp(mu * (np.cos(grid) - 1.0)))
+    def density(grid):
+        # exp(mu * (cos(grid) - 1)), in place
+        out = np.cos(grid)
+        out -= 1.0
+        out *= mu
+        return np.exp(out, out=out)
+
+    return _CdfTable(min(np.pi, 12.0 / math.sqrt(mu)), density)
 
 
 def _check_path_count(count, name):

@@ -87,9 +87,13 @@ def extract_taps(raw_pdp, min_prominence_db=DEFAULT_PROMINENCE_DB,
     maxima whose prominence on the dB trace exceeds min_prominence_db
     become the delayed taps; it must be finite and nonnegative (the
     scenario field prominence_db).  Rejects profiles with no local
-    maximum anywhere (flat or monotonically rising).
+    maximum anywhere (flat or monotonically rising).  paths_per_tap must
+    be at least 1 (the scenario field paths_per_tap).
     """
     _check_prominence_db(min_prominence_db, "prominence_db")
+    # an integer first, as each Tap checks it, so that None or a string is a
+    # ValueError too
+    _check_path_count(_check_count(paths_per_tap, "tap path count"), "paths_per_tap")
     samples = [(float(d), float(p)) for d, p in raw_pdp]
     if len(samples) < 3:
         raise ValueError(f"need at least 3 PDP samples, got {len(samples)}")

@@ -14,8 +14,10 @@ from scipy.special import i0e, ndtri
 
 from aoasim import angular, geometry
 from aoasim.angular import (
+    _GRID_NODES,
     _GUIDE_CELLS,
     _CdfTable,
+    _grid_nodes,
     _invert_cdf,
     _von_mises_table,
     GaussianPattern,
@@ -584,9 +586,15 @@ class TestQuantiles:
 def _spiked_table():
     # zero stretches (flat CDF segments) and one narrow spike, whose guide
     # cells span many nodes
-    grid = np.linspace(-math.pi, math.pi, 4097)
-    density = np.where(np.abs(grid) < 1.0, 0.2, 0.0) + np.where(np.abs(grid - 2.0) < 0.01, 50.0, 0.0)
-    return _CdfTable(grid, density)
+    def density(grid):
+        return np.where(np.abs(grid) < 1.0, 0.2, 0.0) + np.where(np.abs(grid - 2.0) < 0.01, 50.0, 0.0)
+
+    return _CdfTable(math.pi, density, 4097)
+
+
+def _grid(table):
+    # the grid a table's nodes are rebuilt on
+    return np.linspace(-table.half, table.half, table.cdf.size)
 
 
 @st.composite
@@ -625,7 +633,7 @@ def _table_from_spec(spec):
             ramp = np.linspace(0.0, size, nodes - start)
             density[start:] *= 10.0 ** -(ramp[::-1] if flip else ramp)
     density[spec["peak"]] += 1.0
-    return _CdfTable(np.linspace(-spec["half"], spec["half"], nodes), density)
+    return _CdfTable(spec["half"], lambda grid: density, nodes)
 
 
 def _probe_values(table, seed):
@@ -672,7 +680,7 @@ class TestInvertCdf:
             table.cdf[table.cdf < 1.0], np.nextafter(table.cdf[1:], 0.0),
             np.random.default_rng(9).random(200_000),
         ])
-        assert np.array_equal(_invert_cdf(table, u), invert_cdf_searched(table.grid, table.cdf, u))
+        assert np.array_equal(_invert_cdf(table, u), invert_cdf_searched(_grid(table), table.cdf, u))
         assert np.array_equal(table.guide, guide_searched(table.cdf, _GUIDE_CELLS))
 
     @settings(max_examples=150, deadline=None)
@@ -682,7 +690,7 @@ class TestInvertCdf:
         assert np.array_equal(table.guide, guide_searched(table.cdf, _GUIDE_CELLS))
         _assert_guide_bounds_the_probes(table)
         u = _probe_values(table, spec["seed"])
-        assert np.array_equal(_invert_cdf(table, u), invert_cdf_searched(table.grid, table.cdf, u))
+        assert np.array_equal(_invert_cdf(table, u), invert_cdf_searched(_grid(table), table.cdf, u))
 
     def test_batch_shape_is_kept(self):
         # uniforms anywhere, and a 2-d batch inside the guide cells that span
@@ -695,7 +703,7 @@ class TestInvertCdf:
         batch = (cells + 0.999 * rng.random(cells.shape)) / _GUIDE_CELLS
         for u in [rng.random((3, 7)), batch, *batch[0], *map(np.array, batch[0])]:
             assert np.array_equal(_invert_cdf(table, u),
-                                  invert_cdf_searched(table.grid, table.cdf, u))
+                                  invert_cdf_searched(_grid(table), table.cdf, u))
 
     @_TABLES
     def test_at_most_four_arrays_of_the_input_size_are_live(self, table):
@@ -711,3 +719,39 @@ class TestInvertCdf:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * u.nbytes + 4096
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(1e-3, math.pi), st.one_of(st.integers(9, 4097), st.just(_GRID_NODES)))
+    def test_rebuilt_nodes_are_linspace_bit_for_bit(self, half, count):
+        # every node as _grid_nodes rebuilds it, and the last as _invert_cdf
+        # puts it (half itself), against the grid the table was built on
+        table = _CdfTable(half, np.ones_like, count)
+        grid = np.linspace(-half, half, count)
+        nodes = _grid_nodes(table, np.arange(count), np.empty(count))
+        nodes[-1] = table.half
+        assert nodes.tobytes() == grid.tobytes()
+
+    def test_table_keeps_twelve_bytes_a_node(self):
+        # the CDF and the int32 guide, each its own buffer, and no other
+        # node-sized array (no stored grid)
+        table = TabulatedPattern(_GAPPED_SAMPLES)._cdf_table
+        count = table.cdf.size
+        assert count == _GRID_NODES
+        assert table.cdf.dtype == np.float64 and table.guide.dtype == np.int32
+        assert table.cdf.nbytes + table.guide.nbytes == 12 * count
+        arrays = {name for name, value in vars(table).items() if isinstance(value, np.ndarray)}
+        assert arrays == {"cdf", "guide"}
+        assert table.cdf.base is None and table.guide.base is None
+
+    def test_tabulated_build_peaks_under_four_and_a_half_node_arrays(self):
+        # the grid, the density and the sums and counts in place; a build
+        # that kept the grid and its temporaries peaked at 5 (2,565 KiB)
+        TabulatedPattern(_GAPPED_SAMPLES)._cdf_table  # imports and caches warmed
+        pattern = TabulatedPattern(_GAPPED_SAMPLES)
+        tracemalloc.start()
+        try:
+            pattern._cdf_table
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * _GRID_NODES * 8
