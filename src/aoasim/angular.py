@@ -24,6 +24,7 @@ from .geometry import (
     _check_angles,
     _check_count,
     _check_eccentricity,
+    _check_nonnegative,
     _half_angle_map,
     _jacobian,
     _read_only,
@@ -319,6 +320,59 @@ def json_pairs(doc, key, path=""):
     return pairs
 
 
+# One rule function per kind of input record, called at each boundary with
+# its names and units: field(i, j) names column j of row i ("pdp[2][0]").  A
+# value is checked as it is kept, times scale, and reported as written.
+
+def _check_increasing(rows, field, scale=1.0):
+    """Column 0 of rows checked to increase strictly once multiplied by scale."""
+    for i in range(1, len(rows)):
+        before, value = rows[i - 1][0], rows[i][0]
+        if not value * scale > before * scale:
+            converted = " (equal once converted)" if value > before else ""
+            raise ValueError(f"{field(i, 0)} must be greater than {field(i - 1, 0)}, "
+                             f"got {value} after {before}{converted}")
+
+
+def _check_profile(rows, field, scale=1.0):
+    """The rules of a PDP's (delay, power) rows and a tap list's (delay, power,
+    paths): delays finite, the first 0 and the rest increasing; powers
+    positive and finite; paths at least 1."""
+    for i, (delay, power, *paths) in enumerate(rows):
+        if not math.isfinite(delay):
+            raise ValueError(f"{field(i, 0)} must be finite, got {delay}")
+        if not 0.0 < power < math.inf:
+            raise ValueError(f"{field(i, 1)} must be positive and finite, got {power}")
+        for count in paths:
+            _check_count(count, field(i, 2), 1)
+    if rows and rows[0][0] != 0.0:
+        raise ValueError(f"{field(0, 0)} must be 0 (the zero-delay tap), got {rows[0][0]}")
+    _check_increasing(rows, field, scale)
+
+
+def _check_taps(taps, names, scale=1.0):
+    """The profile rules on each tap's (delay, power, path count), named taps[i].<names[j]>."""
+    if not taps:
+        raise ValueError("taps must hold at least the zero-delay tap")
+    _check_profile(taps, lambda i, j: f"taps[{i}].{names[j]}", scale)
+
+
+def _check_samples(samples, where, degrees=False):
+    """The rules of a tabulated pattern's (angle, amplitude) rows, named where[i][j]: at
+    least 8; angles in the turn, increasing; amplitudes finite, nonnegative, not all 0."""
+    if len(samples) < 8:
+        raise ValueError(f"{where} must hold at least 8 samples, got {len(samples)}")
+    scale, turn = (_DEG, "(-180, 180] degrees") if degrees else (1.0, "(-pi, pi]")
+    field = (where + "[{}][{}]").format
+    for i, (angle, amplitude) in enumerate(samples):
+        if not -np.pi < angle * scale <= np.pi:  # NaN fails it too
+            raise ValueError(f"{field(i, 0)} must lie in {turn}, got {angle}")
+        _check_nonnegative(amplitude, field(i, 1))
+    _check_increasing(samples, field, scale)
+    if not any(amplitude > 0.0 for _, amplitude in samples):
+        raise ValueError(f"{where} must hold a positive amplitude, got all 0")
+
+
 # Each pattern kind owns its departure density(phi) on angles in (-pi, pi],
 # its quantile(u), the inverse of the density's CDF on [-pi, pi] at
 # uniforms u in [0, 1), and its scenario-file form: to_json(),
@@ -406,8 +460,8 @@ class TabulatedPattern:
 
     samples: ordered (angle, amplitude) pairs; angles strictly increasing
     within (-pi, pi], amplitudes nonnegative and not all zero, at least
-    8 entries.  The pattern is treated as periodic, so the gap between
-    the last and first sample is interpolated across +/-pi.
+    8 entries (_check_samples, naming samples[i][j]).  The pattern is
+    periodic: the last and first samples are interpolated across +/-pi.
     """
 
     samples: tuple[tuple[float, float], ...]
@@ -417,19 +471,7 @@ class TabulatedPattern:
     def __post_init__(self):
         entries = tuple((float(a), float(g)) for a, g in self.samples)
         object.__setattr__(self, "samples", entries)
-        if len(entries) < 8:
-            raise ValueError("tabulated pattern needs at least 8 samples")
-        angles, amps = self._nodes
-        if not (np.all(np.isfinite(angles)) and np.all(np.isfinite(amps))):
-            raise ValueError("tabulated pattern samples must be finite")
-        if np.any(np.diff(angles) <= 0):
-            raise ValueError("tabulated pattern angles must be strictly increasing")
-        if angles[0] <= -np.pi or angles[-1] > np.pi:
-            raise ValueError("tabulated pattern angles must lie in (-pi, pi]")
-        if np.any(amps < 0):
-            raise ValueError("tabulated pattern amplitudes must be nonnegative")
-        if not np.any(amps > 0):
-            raise ValueError("tabulated pattern is identically zero")
+        _check_samples(entries, "samples")
 
     @cached_property
     def _nodes(self):
@@ -491,19 +533,8 @@ class TabulatedPattern:
     @classmethod
     def from_json(cls, doc, path):
         """The pattern of doc; a bad sample names its field, in degrees."""
-        where = _json_path(path, "samples")
         pairs = json_pairs(doc, "samples", path)
-        for i, (angle_deg, amplitude) in enumerate(pairs):
-            # NaN fails both range checks, and names its field there
-            if not -180.0 < angle_deg <= 180.0:
-                raise ValueError(f"{where}[{i}][0] must lie in (-180, 180] degrees, "
-                                 f"got {angle_deg}")
-            if i and not angle_deg > pairs[i - 1][0]:
-                raise ValueError(f"{where}[{i}][0] must be greater than {where}[{i - 1}][0], "
-                                 f"got {angle_deg} after {pairs[i - 1][0]}")
-            if not 0.0 <= amplitude < math.inf:
-                raise ValueError(f"{where}[{i}][1] must be finite and nonnegative, "
-                                 f"got {amplitude}")
+        _check_samples(pairs, _json_path(path, "samples"), degrees=True)
         return cls(tuple((a * _DEG, g) for a, g in pairs))
 
 
@@ -538,10 +569,8 @@ class LocalScattering:
     kappa: float = 0.0
 
     def __post_init__(self):
-        for name in ("mu", "kappa"):
-            value = getattr(self, name)
-            if not 0.0 <= value < math.inf:
-                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+        _check_nonnegative(self.mu, "mu")
+        _check_nonnegative(self.kappa, "kappa")
 
     def quantile(self, u):
         """Inverse CDF of the von Mises(0, mu) arrival density at u in [0, 1)."""
@@ -562,32 +591,6 @@ def _von_mises_table(mu):
         return np.exp(out, out=out)
 
     return _CdfTable(min(np.pi, 12.0 / math.sqrt(mu)), density)
-
-
-def _check_path_count(count, name):
-    """count, a tap's path count, checked to be at least 1; the error names
-    the field or option."""
-    if count < 1:
-        raise ValueError(f"{name} must be at least 1, got {count}")
-    return count
-
-
-def _check_taps(taps, delay, power, paths):
-    """The tap rules on each tap's (delay, power, path count), naming taps[i].<field>."""
-    if not taps:
-        raise ValueError("taps must hold at least the zero-delay tap")
-    for i, (d, p, n) in enumerate(taps):
-        if not math.isfinite(d):
-            raise ValueError(f"taps[{i}].{delay} must be finite, got {d}")
-        if not 0.0 < p < math.inf:
-            raise ValueError(f"taps[{i}].{power} must be positive and finite, got {p}")
-        _check_path_count(n, f"taps[{i}].{paths}")
-    if taps[0][0] != 0.0:
-        raise ValueError(f"taps[0].{delay} must be 0 (the zero-delay tap), got {taps[0][0]}")
-    for i in range(1, len(taps)):
-        if not taps[i][0] > taps[i - 1][0]:
-            raise ValueError(f"taps[{i}].{delay} must be greater than taps[{i - 1}].{delay}, "
-                             f"got {taps[i][0]} after {taps[i - 1][0]}")
 
 
 @dataclass(frozen=True)
@@ -634,7 +637,7 @@ class TapProfile:
     def __post_init__(self):
         object.__setattr__(self, "taps", tuple(self.taps))
         _check_taps([(t.delay, t.power, t.path_count) for t in self.taps],
-                   "delay", "power", "path_count")
+                    ("delay", "power", "path_count"))
 
     @property
     def total_power(self):
@@ -691,8 +694,7 @@ def von_mises_pdf(phi, mu):
     Evaluated in exponentially scaled form, so large concentrations do
     not overflow; mu = 0 degenerates to the uniform density.
     """
-    if not 0.0 <= mu < math.inf:
-        raise ValueError(f"mu must be finite and nonnegative, got {mu}")
+    _check_nonnegative(mu, "mu")
     norm = _TWO_PI * _i0e(mu)
     return _density(phi, lambda angles: np.exp(mu * (np.cos(angles) - 1.0)) / norm)
 

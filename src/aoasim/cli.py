@@ -21,18 +21,20 @@ import sys
 from dataclasses import replace
 
 from . import __version__, writers
-from .angular import _check_hpbw_deg, _check_path_count
+from .angular import _check_hpbw_deg, _check_profile
 from .estimation import lse
-from .geometry import _DEG, _US
-from .scenario import (DEFAULT_PATHS_PER_TAP, DEFAULT_PROMINENCE_DB, ScenarioConfig,
-                       _check_prominence_db, extract_taps, hpbw_sweep, run_simulation)
+from .geometry import _DEG, _US, _check_count, _check_nonnegative
+from .scenario import (_COUNT_RANGES, DEFAULT_PATHS_PER_TAP, DEFAULT_PROMINENCE_DB,
+                       ScenarioConfig, extract_taps, hpbw_sweep, run_simulation)
 
 
 def _load_config(args):
-    config = ScenarioConfig.from_file(args.scenario)
-    overrides = {"trials": args.trials, "bins": args.bins, "master_seed": args.seed}
-    return replace(config, **{name: value for name, value in overrides.items()
-                              if value is not None})
+    # Each override is checked under its option's name, before the file is read.
+    options = (("trials", "--trials", args.trials), ("bins", "--bins", args.bins),
+               ("master_seed", "--seed", args.seed))
+    overrides = {name: _check_count(value, option, *_COUNT_RANGES[name])
+                 for name, option, value in options if value is not None}
+    return replace(ScenarioConfig.from_file(args.scenario), **overrides)
 
 
 def _number(field):
@@ -115,9 +117,11 @@ def _cmd_fit(args):
 
 def _cmd_taps(args):
     # The options are checked under their own names, before the file is read.
-    min_prominence_db = _check_prominence_db(args.prominence, "--prominence")
-    paths_per_tap = _check_path_count(args.paths, "--paths")
+    min_prominence_db = _check_nonnegative(args.prominence, "--prominence")
+    paths_per_tap = _check_count(args.paths, "--paths", 1)
     samples_us = _read_csv_pairs(args.pdp)
+    # Named as a scenario's pdp rows: row i of the file's numbers is pdp[i].
+    _check_profile(samples_us, "pdp[{}][{}]".format, _US)
     profile = extract_taps(
         [(d * _US, p) for d, p in samples_us],
         min_prominence_db=min_prominence_db,

@@ -141,8 +141,7 @@ def density_rows(paths, bin_count, total, out=None):
     written into out, a (trials, bin_count) float array, when one is
     given, and returned.  See estimate_pdf for the binning convention.
     """
-    if not 8 <= _check_count(bin_count, "bins") <= _Bins.MAX_COUNT:
-        raise ValueError(f"bins must be from 8 to {_Bins.MAX_COUNT}, got {bin_count}")
+    _check_count(bin_count, "bins", 8, _Bins.MAX_COUNT)
     bins = _bins(bin_count)
     angles = np.atleast_2d(paths.angles)
     rows = angles.shape[0]

@@ -64,11 +64,22 @@ def _check_angles(phi):
     return arr
 
 
-def _check_count(value, name):
-    """value as an int, checked to be a Python or NumPy integer and not a bool."""
+def _check_count(value, name, least=None, most=None):
+    """value as an int, checked to be a Python or NumPy integer and not a bool,
+    and to lie in [least, most] where they are given."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least or most is not None and value > most:
+        bounds = f"at least {least}" if most is None else f"from {least} to {most}"
+        raise ValueError(f"{name} must be {bounds}, got {value}")
     return int(value)
+
+
+def _check_nonnegative(value, name):
+    """value, checked to be finite and nonnegative (NaN fails); the error names name."""
+    if not 0.0 <= value < np.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+    return value
 
 
 def ellipse_params(distance, delay):
@@ -81,8 +92,7 @@ def ellipse_params(distance, delay):
     Returns an EllipseGeometry with major_axis = distance + c * delay
     and eccentricity = distance / major_axis (zero when distance is 0).
     """
-    if not 0.0 <= distance < np.inf:
-        raise ValueError(f"distance must be finite and nonnegative, got {distance}")
+    _check_nonnegative(distance, "distance")
     if not 0.0 < delay < np.inf:
         raise ValueError(f"delay must be positive and finite (zero delay is the "
                          f"local-scattering tap), got {delay}")

@@ -16,12 +16,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .angular import (_check_hpbw_deg, _check_path_count, _check_taps, AntennaPattern,
+from .angular import (_check_hpbw_deg, _check_profile, _check_taps, AntennaPattern,
                       GaussianPattern, LocalScattering, Tap, TapProfile, ellipses_for_taps,
                       json_field, json_object, json_pairs, pattern_from_json)
 from .estimation import (AngularSpectrum, _Bins, angle_spread_rows, density_rows,
                          path_spread_rows, rms_angle_spread)
-from .geometry import _DEG, _US, _check_count, _half_angle_ratio, _read_only
+from .geometry import _DEG, _US, _check_count, _check_nonnegative, _half_angle_ratio, _read_only
 from .montecarlo import generate_chunk
 from .writers import write_json
 
@@ -69,45 +69,27 @@ def _prominent_peaks(x, min_prominence=0.0):
     return np.array(kept, dtype=np.intp)
 
 
-def _check_prominence_db(value, name):
-    """value, a peak prominence threshold in dB, checked to be finite and
-    nonnegative; the error names the field or option."""
-    if not 0.0 <= value < math.inf:
-        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
-    return value
-
-
 def extract_taps(raw_pdp, min_prominence_db=DEFAULT_PROMINENCE_DB,
                  paths_per_tap=DEFAULT_PATHS_PER_TAP):
     """Extract delay taps from raw power-delay-profile samples.
 
-    raw_pdp: sequence of (delay_seconds, linear_power) with finite,
-    strictly increasing delays starting at zero and finite positive
-    powers.  The first sample always becomes tap 0; interior local
+    raw_pdp: sequence of (delay_seconds, linear_power), at least 3, held
+    to the tap delay and power rules (angular._check_profile, naming
+    raw_pdp[i][j]).  The first sample always becomes tap 0; interior local
     maxima whose prominence on the dB trace exceeds min_prominence_db
     become the delayed taps; it must be finite and nonnegative (the
     scenario field prominence_db).  Rejects profiles with no local
     maximum anywhere (flat or monotonically rising).  paths_per_tap must
-    be at least 1 (the scenario field paths_per_tap).
+    be an integer of at least 1 (the scenario field paths_per_tap).
     """
-    _check_prominence_db(min_prominence_db, "prominence_db")
-    # an integer first, as each Tap checks it, so that None or a string is a
-    # ValueError too
-    _check_path_count(_check_count(paths_per_tap, "tap path count"), "paths_per_tap")
+    _check_nonnegative(min_prominence_db, "prominence_db")
+    _check_count(paths_per_tap, "paths_per_tap", 1)
     samples = [(float(d), float(p)) for d, p in raw_pdp]
     if len(samples) < 3:
         raise ValueError(f"need at least 3 PDP samples, got {len(samples)}")
+    _check_profile(samples, "raw_pdp[{}][{}]".format)
     delays = np.array([d for d, _ in samples])
     powers = np.array([p for _, p in samples])
-    for name, values in (("delays", delays), ("powers", powers)):
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"PDP {name} must be finite")
-    if np.any(np.diff(delays) <= 0):
-        raise ValueError("PDP delays must be strictly increasing")
-    if delays[0] != 0.0:
-        raise ValueError("PDP must start at zero delay")
-    if np.any(powers <= 0):
-        raise ValueError("PDP powers must be positive")
 
     level_db = 10.0 * np.log10(powers)
     peaks = _prominent_peaks(level_db, min_prominence_db)
@@ -116,6 +98,12 @@ def extract_taps(raw_pdp, min_prominence_db=DEFAULT_PROMINENCE_DB,
     taps = [Tap(0.0, float(powers[0]), paths_per_tap)]
     taps.extend(Tap(float(delays[k]), float(powers[k]), paths_per_tap) for k in peaks)
     return TapProfile(tuple(taps))
+
+
+# The range of each count of a ScenarioConfig, which the scenario reader and
+# the command line also check under their own names for it (seed, --seed).
+_COUNT_RANGES = {"trials": (1, None), "bins": (8, _Bins.MAX_COUNT),
+                 "master_seed": (0, 2 ** 64 - 1)}
 
 
 def _normalized_profile(profile):
@@ -151,18 +139,11 @@ class ScenarioConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.distance < math.inf:
-            raise ValueError(f"distance must be finite and nonnegative, got {self.distance}")
+        _check_nonnegative(self.distance, "distance")
         self.local  # LocalScattering checks mu and kappa
         # Counts are kept as Python ints, which JSON writes.
-        for name in ("trials", "bins", "master_seed"):
-            object.__setattr__(self, name, _check_count(getattr(self, name), name))
-        if self.trials < 1:
-            raise ValueError(f"trials must be at least 1, got {self.trials}")
-        if not 8 <= self.bins <= _Bins.MAX_COUNT:
-            raise ValueError(f"bins must be from 8 to {_Bins.MAX_COUNT}, got {self.bins}")
-        if not 0 <= self.master_seed < 2 ** 64:
-            raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed}")
+        for name, bounds in _COUNT_RANGES.items():
+            object.__setattr__(self, name, _check_count(getattr(self, name), name, *bounds))
 
     @cached_property
     def local(self):
@@ -201,13 +182,13 @@ class ScenarioConfig:
         Counts (trials, bins, seed, paths_per_tap, taps[i].paths) must be
         JSON integers and every other number a JSON number, never a bool;
         unknown keys, and prominence_db beside taps, are rejected.  Each
-        error is a ValueError naming the field by its JSON path.
+        error is a ValueError naming the field by its JSON path, in the file's units.
         """
         json_object(doc, _SCENARIO_KEYS)
         if ("taps" in doc) == ("pdp" in doc):
             raise ValueError("scenario must define exactly one of 'taps' or 'pdp'")
-        default_paths = _check_path_count(
-            json_field(doc, "paths_per_tap", DEFAULT_PATHS_PER_TAP, integer=True), "paths_per_tap")
+        default_paths = _check_count(json_field(doc, "paths_per_tap", DEFAULT_PATHS_PER_TAP,
+                                                integer=True), "paths_per_tap", 1)
         if "taps" in doc:
             if "prominence_db" in doc:
                 raise ValueError("prominence_db applies only to a 'pdp' scenario, not to 'taps'")
@@ -215,24 +196,27 @@ class ScenarioConfig:
                 raise ValueError("taps must be a list of tap objects")
             rows = [Tap.json_row(entry, f"taps[{index}]", default_paths)
                     for index, entry in enumerate(doc["taps"])]
-            _check_taps(rows, "delay_us", "power", "paths")
+            _check_taps(rows, Tap.json_keys, _US)
             profile = TapProfile(tuple(Tap(delay_us * _US, power, paths)
                                        for delay_us, power, paths in rows))
         else:
+            pdp = json_pairs(doc, "pdp")
+            _check_profile(pdp, "pdp[{}][{}]".format, _US)
             profile = extract_taps(
-                [(d * _US, p) for d, p in json_pairs(doc, "pdp")],
+                [(d * _US, p) for d, p in pdp],
                 min_prominence_db=json_field(doc, "prominence_db", DEFAULT_PROMINENCE_DB),
                 paths_per_tap=default_paths,
             )
         return cls(
-            distance=json_field(doc, "distance_m"),
+            distance=_check_nonnegative(json_field(doc, "distance_m"), "distance_m"),
             taps=_normalized_profile(profile),
             pattern=pattern_from_json(doc.get("pattern")),
             kappa=json_field(doc, "kappa"),
             mu=json_field(doc, "mu"),
             trials=json_field(doc, "trials", 500, integer=True),
             bins=json_field(doc, "bins", 360, integer=True),
-            master_seed=json_field(doc, "seed", 0, integer=True),
+            master_seed=_check_count(json_field(doc, "seed", 0, integer=True), "seed",
+                                     *_COUNT_RANGES["master_seed"]),
         )
 
     def to_json_dict(self):

@@ -102,6 +102,22 @@ class TestPatternValidation:
         with pytest.raises(ValueError):
             TabulatedPattern(tuple((x, 0.0) for x in np.linspace(-3, 3, 10)))
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda s: s[:7], "samples must hold at least 8 samples, got 7"),
+        (lambda s: [(-math.pi, 1.0)] + s[1:], "samples[0][0] must lie in (-pi, pi], got -3.14159"),
+        (lambda s: s[:2] + [(-2.75, 1.0)] + s[3:],
+         "samples[2][0] must be greater than samples[1][0], got -2.75 after -2.5"),
+        (lambda s: s[:3] + [(-1.5, -0.2)] + s[4:],
+         "samples[3][1] must be finite and nonnegative, got -0.2"),
+        (lambda s: [(a, 0.0) for a, _ in s], "samples must hold a positive amplitude, got all 0"),
+    ])
+    def test_tabulated_error_names_the_sample_in_radians(self, edit, message):
+        # the rules of a scenario file's pattern.samples, named as the
+        # constructor's argument
+        samples = [(-3.0 + 0.5 * k, 1.0) for k in range(12)]
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            TabulatedPattern(tuple(edit(samples)))
+
 
 class TestAodPdf:
     def test_omni_is_uniform(self):

@@ -325,13 +325,31 @@ class TestSimulate:
 
     @pytest.mark.parametrize("bins", [2**20 + 1, 3_000_000_000])
     def test_oversized_bins_is_one_error_record(self, scenario_file, tmp_path, capsys, bins):
-        # --bins is checked as the scenario's field, before any allocation
+        # --bins is held to the scenario field's rule under its own name,
+        # before any allocation
         out = tmp_path / "never"
         code = main(["simulate", "--scenario", str(scenario_file), "--bins", str(bins),
                      "--out", str(out)])
         assert code == 1
-        assert _error_record(capsys) == {"error": f"bins must be from 8 to {2**20}, got {bins}",
+        assert _error_record(capsys) == {"error": f"--bins must be from 8 to {2**20}, got {bins}",
                                          "type": "ValueError", "command": "simulate"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--seed", "-3", f"--seed must be from 0 to {2**64 - 1}, got -3"),
+        ("--trials", "0", "--trials must be at least 1, got 0"),
+        ("--bins", "4", f"--bins must be from 8 to {2**20}, got 4"),
+    ])
+    def test_bad_override_names_the_option(self, scenario_file, tmp_path, capsys,
+                                           option, value, message):
+        # the scenario field's rule, named as the user typed it, not as the
+        # field it overrides (master_seed)
+        out = tmp_path / "never"
+        code = main(["simulate", "--scenario", str(scenario_file), option, value,
+                     "--out", str(out)])
+        assert code == 1
+        assert _error_record(capsys) == {"error": message, "type": "ValueError",
+                                         "command": "simulate"}
         assert not out.exists()
 
     def test_out_of_memory_is_one_error_record(self, scenario_file, tmp_path, capsys,
@@ -550,15 +568,32 @@ class TestTaps:
         record = json.loads(capsys.readouterr().err.strip())
         assert "no local maximum" in record["error"]
 
-    @pytest.mark.parametrize("row, message", [("3,nan", "PDP powers must be finite"),
-                                              ("nan,0.2", "PDP delays must be finite"),
-                                              ("inf,0.2", "PDP delays must be finite")])
+    @pytest.mark.parametrize("row, message", [
+        pytest.param("3,nan", "pdp[3][1] must be positive and finite, got nan",
+                     id="3,nan-PDP powers must be finite"),
+        pytest.param("nan,0.2", "pdp[3][0] must be finite, got nan",
+                     id="nan,0.2-PDP delays must be finite"),
+        pytest.param("inf,0.2", "pdp[3][0] must be finite, got inf",
+                     id="inf,0.2-PDP delays must be finite")])
     def test_non_finite_pdp_is_one_error_record(self, tmp_path, capsys, row, message):
         path = tmp_path / "pdp.csv"
         path.write_text(f"delay_us,power\n0,1\n1,0.1\n2,0.5\n{row}\n", encoding="utf-8")
         assert main(["taps", "--pdp", str(path)]) == 1
         record = _error_record(capsys)
         assert record["type"] == "ValueError" and message in record["error"]
+
+    @pytest.mark.parametrize("rows, message", [
+        ("0,1\n1,0.1\n0.5,0.5\n", "pdp[2][0] must be greater than pdp[1][0], got 0.5 after 1.0"),
+        ("0.5,1\n1,0.1\n2,0.5\n", "pdp[0][0] must be 0 (the zero-delay tap), got 0.5"),
+        ("0,1\n1,0\n2,0.5\n", "pdp[1][1] must be positive and finite, got 0.0"),
+    ])
+    def test_bad_pdp_row_names_it_in_microseconds(self, tmp_path, capsys, rows, message):
+        # the rows as a scenario's pdp, counted from the first row of numbers
+        path = tmp_path / "pdp.csv"
+        path.write_text(f"# comment\ndelay_us,power\n{rows}", encoding="utf-8")
+        assert main(["taps", "--pdp", str(path)]) == 1
+        assert _error_record(capsys) == {"error": message, "type": "ValueError",
+                                         "command": "taps"}
 
     @pytest.mark.parametrize("prominence", ["nan", "inf", "-inf", "-3.0"])
     def test_bad_prominence_is_one_error_record(self, tmp_path, capsys, prominence):

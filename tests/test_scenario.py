@@ -41,7 +41,7 @@ class TestExtractTaps:
     def test_fractional_paths_per_tap_rejected(self):
         # not truncated: 2.7 must not give 2 paths per tap
         delays = np.linspace(0, 10e-6, 50)
-        message = "tap path count must be an integer, got 2.7"
+        message = "paths_per_tap must be an integer, got 2.7"
         with pytest.raises(ValueError, match=re.escape(message)):
             extract_taps(list(zip(delays, np.exp(-delays / 3e-6))), paths_per_tap=2.7)
 
@@ -100,11 +100,11 @@ class TestExtractTaps:
         assert len(profile.taps) > 1
 
     def test_requires_zero_start(self):
-        with pytest.raises(ValueError, match="zero delay"):
+        with pytest.raises(ValueError, match="zero-delay"):
             extract_taps([(1e-6, 1.0), (2e-6, 0.5), (3e-6, 0.2)])
 
     def test_requires_increasing_delays(self):
-        with pytest.raises(ValueError, match="increasing"):
+        with pytest.raises(ValueError, match="greater than"):
             extract_taps([(0.0, 1.0), (2e-6, 0.5), (1e-6, 0.2)])
 
     def test_requires_three_samples(self):
@@ -289,7 +289,7 @@ class TestScenarioConfig:
             with pytest.raises(ValueError):
                 ScenarioConfig.from_json_dict(doc)
         # non-finite numbers are rejected at load, naming the field
-        for key, field in [("kappa", "kappa"), ("mu", "mu"), ("distance_m", "distance")]:
+        for key, field in [("kappa", "kappa"), ("mu", "mu"), ("distance_m", "distance_m")]:
             for bad in (math.nan, math.inf, -math.inf):
                 doc = dict(base)
                 doc[key] = bad
@@ -340,10 +340,10 @@ class TestScenarioConfig:
             *((base, ("prominence_db",), bad,
                "prominence_db applies only to a 'pdp' scenario, not to 'taps'")
               for bad in (math.nan, 3.0, 0, "abc", None)),
-            (pdp, ("pdp", 1, 1), math.nan, "PDP powers must be finite"),
-            (pdp, ("pdp", 3, 1), math.inf, "PDP powers must be finite"),
-            (pdp, ("pdp", 2, 0), math.nan, "PDP delays must be finite"),
-            (pdp, ("pdp", 3, 0), math.inf, "PDP delays must be finite"),
+            (pdp, ("pdp", 1, 1), math.nan, "pdp[1][1] must be positive and finite, got nan"),
+            (pdp, ("pdp", 3, 1), math.inf, "pdp[3][1] must be positive and finite, got inf"),
+            (pdp, ("pdp", 2, 0), math.nan, "pdp[2][0] must be finite, got nan"),
+            (pdp, ("pdp", 3, 0), math.inf, "pdp[3][0] must be finite, got inf"),
             (base, ("seeds",), 3, "unknown key: seeds"),
             (base, ("taps", 2, "pwr"), 0.25, "unknown key: taps[2].pwr"),
             (base, ("pattern", "hpbw"), 60.0, "unknown key: pattern.hpbw"),
@@ -361,8 +361,29 @@ class TestScenarioConfig:
              "got -150.0 after -75.0"),
             (tabulated, ("pattern", "samples", 5, 1), -0.5,
              "pattern.samples[5][1] must be finite and nonnegative, got -0.5"),
+            # named as the file names them, not as ScenarioConfig does
+            (base, ("distance_m",), -5.0, "distance_m must be finite and nonnegative, got -5.0"),
+            (base, ("seed",), -1, f"seed must be from 0 to {2 ** 64 - 1}, got -1"),
+            (base, ("seed",), 2 ** 64, f"seed must be from 0 to {2 ** 64 - 1}, got {2 ** 64}"),
+            # a PDP's rows by the tap rules, in microseconds
+            (pdp, ("pdp", 2, 0), 0.5,
+             "pdp[2][0] must be greater than pdp[1][0], got 0.5 after 1.0"),
+            (pdp, ("pdp", 0, 0), 0.5, "pdp[0][0] must be 0 (the zero-delay tap), got 0.5"),
+            (pdp, ("pdp", 2, 1), 0.0, "pdp[2][1] must be positive and finite, got 0.0"),
+            (pdp, ("pdp", 2, 1), -0.5, "pdp[2][1] must be positive and finite, got -0.5"),
+            # every sample rule, in degrees
+            (tabulated, ("pattern", "samples"), [[a, 1.0] for a in range(-165, 180, 60)],
+             "pattern.samples must hold at least 8 samples, got 6"),
+            (tabulated, ("pattern", "samples"), [[a, 0.0] for a in range(-165, 180, 30)],
+             "pattern.samples must hold a positive amplitude, got all 0"),
+            # increasing in degrees, equal in radians
+            (tabulated, ("pattern", "samples"),
+             [[a, 1.0] for a in (*range(-165, 120, 30), 120.00000000000003, 120.00000000000004)],
+             "pattern.samples[11][0] must be greater than pattern.samples[10][0], "
+             "got 120.00000000000004 after 120.00000000000003 (equal once converted)"),
         ]:
-            with pytest.raises(ValueError, match=re.escape(message)):
+            # each error starts with the field's path
+            with pytest.raises(ValueError, match="^" + re.escape(message)):
                 ScenarioConfig.from_json_dict(edited_doc(doc, path, bad))
         with pytest.raises(ValueError, match="scenario must be a JSON object"):
             ScenarioConfig.from_json_dict([base])
