@@ -21,11 +21,11 @@ import sys
 from dataclasses import replace
 
 from . import __version__, writers
-from .angular import _check_hpbw_deg, _check_profile
 from .estimation import lse
-from .geometry import _DEG, _US, _check_count, _check_nonnegative
-from .scenario import (_COUNT_RANGES, DEFAULT_PATHS_PER_TAP, DEFAULT_PROMINENCE_DB,
-                       ScenarioConfig, extract_taps, hpbw_sweep, run_simulation)
+from .inputs import (_COUNT_RANGES, _DEG, _US, _check_count, _check_hpbw, _check_nonnegative,
+                     _check_profile)
+from .scenario import (DEFAULT_PATHS_PER_TAP, DEFAULT_PROMINENCE_DB, ScenarioConfig, extract_taps,
+                       hpbw_sweep, run_simulation)
 
 
 def _load_config(args):
@@ -49,7 +49,7 @@ def _hpbw_deg(token):
     value = _number(token)
     if value is None:
         raise ValueError(f"--hpbw must be comma-separated numbers of degrees, got {token.strip()!r}")
-    return _check_hpbw_deg(value, "--hpbw")
+    return _check_hpbw(value, "--hpbw", degrees=True)
 
 
 def _read_csv_pairs(path):

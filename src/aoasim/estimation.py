@@ -25,20 +25,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import _TWO_PI, _check_angles, _check_count, _read_only
-
-# Tolerance on sum(probabilities) + point_mass == 1 for a valid spectrum.
-NORMALIZATION_TOL = 1e-9
+from .geometry import _read_only
+from .inputs import (_COUNT_RANGES, NORMALIZATION_TOL, _check_angles, _check_count,
+                     _check_nonnegative, _check_point_mass)
+from .kernels import _TWO_PI
 
 
 def _normalization_defects(probabilities, point_mass):
     # |sum of bin probabilities + point mass - 1|, per row.
     return np.abs(np.sum(probabilities, axis=-1) + point_mass - 1.0)
-
-
-def _check_point_mass(point_mass):
-    if not 0.0 <= point_mass <= 1.0 + NORMALIZATION_TOL:
-        raise ValueError(f"point mass must be a probability, got {point_mass}")
 
 
 class _Bins:
@@ -48,10 +43,6 @@ class _Bins:
     rows of a count shares its read-only arrays: the edges, the upper
     edge of each bin (the last one +inf: see index) and the centers.
     """
-
-    # index is exact while the count is below 1e9; counts stop at the
-    # largest its tests cover.
-    MAX_COUNT = 2 ** 20
 
     def __init__(self, count):
         self.count = count
@@ -141,7 +132,7 @@ def density_rows(paths, bin_count, total, out=None):
     written into out, a (trials, bin_count) float array, when one is
     given, and returned.  See estimate_pdf for the binning convention.
     """
-    _check_count(bin_count, "bins", 8, _Bins.MAX_COUNT)
+    _check_count(bin_count, "bins", *_COUNT_RANGES["bins"])
     bins = _bins(bin_count)
     angles = np.atleast_2d(paths.angles)
     rows = angles.shape[0]
@@ -175,10 +166,10 @@ def estimate_pdf(paths, bin_count):
         raise ValueError(f"angles must be a 1-d array of one trial, got shape {angles.shape}")
     if np.shape(paths.powers) != angles.shape:
         raise ValueError(f"powers must be one per angle: {np.shape(paths.powers)} for {angles.shape}")
-    for field in ("powers", "direct_power"):
-        power = getattr(paths, field)
-        if not np.all(np.isfinite(power)) or np.any(power < 0):
-            raise ValueError(f"{field} must be finite and nonnegative")
+    valid = (0.0 <= paths.powers) & (paths.powers < np.inf)
+    if not valid.all():  # the first bad power is reported
+        _check_nonnegative(paths.powers[np.argmin(valid)], "powers")
+    _check_nonnegative(paths.direct_power, "direct_power")
     total = paths.total_power()
     if not total > 0:
         raise ValueError("path set must be nonempty and carry positive total power")

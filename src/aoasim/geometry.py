@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact SI value
+from .inputs import _check_eccentricity, _check_nonnegative
+from .kernels import _TWO_PI, _half_angle_map
 
-_TWO_PI = 2.0 * np.pi
-_DEG = np.pi / 180.0  # radians per degree
-_US = 1e-6  # seconds per microsecond
+SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact SI value
 
 
 @dataclass(frozen=True)
@@ -54,34 +53,6 @@ def _read_only(arr):
     return arr
 
 
-def _check_angles(phi):
-    """phi as a float array, checked to be finite and in (-pi, pi]."""
-    arr = np.asarray(phi, dtype=float)
-    # One pass for both checks: NaN fails every comparison.
-    if not ((arr > -np.pi) & (arr <= np.pi)).all():
-        raise ValueError("angles must lie in (-pi, pi]" if np.isfinite(arr).all()
-                         else "angles must be finite")
-    return arr
-
-
-def _check_count(value, name, least=None, most=None):
-    """value as an int, checked to be a Python or NumPy integer and not a bool,
-    and to lie in [least, most] where they are given."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if least is not None and value < least or most is not None and value > most:
-        bounds = f"at least {least}" if most is None else f"from {least} to {most}"
-        raise ValueError(f"{name} must be {bounds}, got {value}")
-    return int(value)
-
-
-def _check_nonnegative(value, name):
-    """value, checked to be finite and nonnegative (NaN fails); the error names name."""
-    if not 0.0 <= value < np.inf:
-        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
-    return value
-
-
 def ellipse_params(distance, delay):
     """Build the ellipse for one excess-delay tap.
 
@@ -98,37 +69,6 @@ def ellipse_params(distance, delay):
                          f"local-scattering tap), got {delay}")
     major_axis = distance + SPEED_OF_LIGHT * delay
     return EllipseGeometry(major_axis=major_axis, eccentricity=distance / major_axis)
-
-
-def _check_eccentricity(eccentricity):
-    # Reject rather than clip: e >= 1 would silently produce garbage angles.
-    # One eccentricity, or one per column; the first bad one is reported.
-    ecc = np.asarray(eccentricity, dtype=float)
-    valid = (0.0 <= ecc) & (ecc < 1.0)
-    if not valid.all():
-        raise ValueError(f"eccentricity must lie in [0, 1), got {ecc.flat[np.argmin(valid)]}")
-    return ecc
-
-
-def _half_angle_map(phi, ratio):
-    # tan(out/2) = ratio * tan(phi/2) for phi on [-pi, pi], as every
-    # quantile function and every angle check returns it, so phi is not
-    # wrapped here; out is on (-pi, pi].  ratio is one value or one per
-    # column (the last axis of phi), and each column comes out bit for bit
-    # as its own ratio maps it alone.  The steps run in place on one
-    # buffer of phi's size.  They keep neither a ratio-1 column (a circle:
-    # the identity) nor the fixed point +-pi exact, so both are copied in
-    # last: the column from phi, and +-pi as pi, the wrap of -pi.
-    scalar = np.ndim(phi) == 0
-    phi = np.atleast_1d(phi)
-    mapped = np.multiply(phi, 0.5)
-    np.tan(mapped, out=mapped)
-    mapped *= ratio
-    np.arctan(mapped, out=mapped)
-    mapped *= 2.0
-    np.copyto(mapped, phi, where=ratio == 1.0)
-    np.copyto(mapped, np.pi, where=(phi == np.pi) | (phi == -np.pi))
-    return float(mapped[0]) if scalar else mapped
 
 
 def _half_angle_ratio(eccentricity):

@@ -31,7 +31,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geometry import _half_angle_map, wrap_angle
+from .geometry import wrap_angle
+from .kernels import _half_angle_map
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import ScenarioConfig

@@ -16,12 +16,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .angular import (_check_hpbw_deg, _check_profile, _check_taps, AntennaPattern,
-                      GaussianPattern, LocalScattering, Tap, TapProfile, ellipses_for_taps,
-                      json_field, json_object, json_pairs, pattern_from_json)
-from .estimation import (AngularSpectrum, _Bins, angle_spread_rows, density_rows,
-                         path_spread_rows, rms_angle_spread)
-from .geometry import _DEG, _US, _check_count, _check_nonnegative, _half_angle_ratio, _read_only
+from .angular import (AntennaPattern, GaussianPattern, LocalScattering, Tap, TapProfile,
+                      ellipses_for_taps, pattern_from_json)
+from .estimation import (AngularSpectrum, angle_spread_rows, density_rows, path_spread_rows,
+                         rms_angle_spread)
+from .geometry import _half_angle_ratio, _read_only
+from .inputs import (_COUNT_RANGES, _DEG, _US, _check_count, _check_hpbw, _check_nonnegative,
+                     _check_profile, _check_taps, json_field, json_object, json_pairs)
 from .montecarlo import generate_chunk
 from .writers import write_json
 
@@ -74,7 +75,7 @@ def extract_taps(raw_pdp, min_prominence_db=DEFAULT_PROMINENCE_DB,
     """Extract delay taps from raw power-delay-profile samples.
 
     raw_pdp: sequence of (delay_seconds, linear_power), at least 3, held
-    to the tap delay and power rules (angular._check_profile, naming
+    to the tap delay and power rules (inputs._check_profile, naming
     raw_pdp[i][j]).  The first sample always becomes tap 0; interior local
     maxima whose prominence on the dB trace exceeds min_prominence_db
     become the delayed taps; it must be finite and nonnegative (the
@@ -98,12 +99,6 @@ def extract_taps(raw_pdp, min_prominence_db=DEFAULT_PROMINENCE_DB,
     taps = [Tap(0.0, float(powers[0]), paths_per_tap)]
     taps.extend(Tap(float(delays[k]), float(powers[k]), paths_per_tap) for k in peaks)
     return TapProfile(tuple(taps))
-
-
-# The range of each count of a ScenarioConfig, which the scenario reader and
-# the command line also check under their own names for it (seed, --seed).
-_COUNT_RANGES = {"trials": (1, None), "bins": (8, _Bins.MAX_COUNT),
-                 "master_seed": (0, 2 ** 64 - 1)}
 
 
 def _normalized_profile(profile):
@@ -382,7 +377,7 @@ def hpbw_sweep(config, hpbw_deg_list):
     hpbws = [float(hpbw_deg) for hpbw_deg in hpbw_deg_list]
     if not hpbws:
         raise ValueError("hpbw list must be nonempty")
-    patterns = tuple(GaussianPattern(hpbw=_check_hpbw_deg(hpbw, f"hpbw_deg_list[{i}]") * _DEG)
+    patterns = tuple(GaussianPattern(_check_hpbw(hpbw, f"hpbw_deg_list[{i}]", degrees=True) * _DEG)
                      for i, hpbw in enumerate(hpbws))
     return [SweepPoint(hpbw, report)
             for hpbw, report in zip(hpbws, _simulate(config, patterns, per_path_spread=False))]

@@ -11,7 +11,7 @@ from pathlib import Path
 
 from . import __version__
 from .estimation import _bins
-from .geometry import _DEG
+from .inputs import _DEG
 
 
 class _FloatList(tuple):

@@ -12,13 +12,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import i0e, ndtri
 
-from aoasim import angular, geometry
+from aoasim import angular, geometry, kernels
 from aoasim.angular import (
-    _GRID_NODES,
-    _GUIDE_CELLS,
-    _CdfTable,
-    _grid_nodes,
-    _invert_cdf,
     _von_mises_table,
     GaussianPattern,
     LocalScattering,
@@ -34,6 +29,7 @@ from aoasim.angular import (
     von_mises_pdf,
 )
 from aoasim.geometry import ellipse_params, wrap_angle
+from aoasim.kernels import _GRID_NODES, _GUIDE_CELLS, _CdfTable, _grid_nodes, _invert_cdf
 
 from helpers import (
     bessel_i0_series,
@@ -177,7 +173,7 @@ class TestAodPdf:
         amps = rng.uniform(0.0, 2.0, angles.size) * (rng.random(angles.size) > 0.2)
         amps[0] = 1.0
         pattern = TabulatedPattern(tuple(zip(angles.tolist(), amps.tolist())))
-        phi = np.concatenate([np.linspace(-math.pi, math.pi, angular._GRID_NODES),
+        phi = np.concatenate([np.linspace(-math.pi, math.pi, kernels._GRID_NODES),
                               rng.uniform(-math.pi, math.pi, 10_000),
                               [-math.pi, math.pi, 0.0, -0.0]])
         expected = np.interp(phi, angles, amps, period=TWO_PI)
@@ -222,7 +218,7 @@ class TestVonMisesPdf:
 
 
 class TestScaledBessel:
-    """angular._i0e, the von Mises normalization, against scipy.special.i0e."""
+    """kernels._i0e, the von Mises normalization, against scipy.special.i0e."""
 
     def test_matches_scipy_from_zero_to_a_million(self):
         # np.i0 below mu = 700 and the asymptotic series from there on;
@@ -231,7 +227,7 @@ class TestScaledBessel:
             np.linspace(0.0, 50.0, 501), np.geomspace(50.0, 1e6, 500),
             np.linspace(690.0, 710.0, 201), 700.0 + np.spacing(700.0) * np.arange(-3, 4),
         ])
-        ours = np.array([angular._i0e(float(m)) for m in mu])
+        ours = np.array([kernels._i0e(float(m)) for m in mu])
         np.testing.assert_allclose(ours, i0e(mu), rtol=1e-15, atol=0.0)
 
 
@@ -241,7 +237,7 @@ def _ulps(actual, expected):
 
 
 class TestNormalQuantile:
-    """angular._ndtri (AS241 in NumPy) against scipy.special.ndtri.
+    """kernels._ndtri (AS241 in NumPy) against scipy.special.ndtri.
 
     Both err by a few ulps, by different routes; over 4e7 draws across
     [1e-300, 1) they differed by at most 8 ulps.
@@ -256,11 +252,11 @@ class TestNormalQuantile:
             rng.random(100_000), tails, 1.0 - tails[tails > 1e-15],
             1.0 - 2.0 ** -53 * np.arange(1, 1000), [1e-300, 0.075, 0.5, 0.925],
         ])
-        assert _ulps(angular._ndtri(p), ndtri(p)).max() <= self.MAX_ULPS
+        assert _ulps(kernels._ndtri(p), ndtri(p)).max() <= self.MAX_ULPS
 
     @given(st.floats(min_value=1e-300, max_value=1.0, exclude_max=True))
     def test_within_the_bound_anywhere(self, p):
-        [x] = angular._ndtri(np.array([p]))
+        [x] = kernels._ndtri(np.array([p]))
         assert _ulps(x, ndtri(p)) <= self.MAX_ULPS
 
     @pytest.mark.parametrize("switch", [0.075, 0.925, math.exp(-25.0), -math.expm1(-25.0)],
@@ -278,7 +274,7 @@ class TestNormalQuantile:
         r = np.sqrt(-np.log(np.minimum(p, 1.0 - p)))
         branch = np.where(np.abs(p - 0.5) <= 0.425, 0, np.where(r <= 5.0, 1, 2))
         assert len(set(branch)) == 2  # the grid straddles the switch
-        assert np.all(np.diff(angular._ndtri(p)) > 0)
+        assert np.all(np.diff(kernels._ndtri(p)) > 0)
 
     def test_zero_probability_is_minus_pi_without_log_of_zero(self):
         # a 1-degree beam's truncation mass underflows to 0, so u = 0 is
@@ -288,7 +284,7 @@ class TestNormalQuantile:
             assert pattern._truncation[1] == 0.0
             assert pattern.quantile(0.0) == -math.pi
             assert pattern.quantile(np.array([0.0, 0.5])).tolist() == [-math.pi, 0.0]
-            assert angular._ndtri(np.array([0.0, 1.0])).tolist() == [-math.inf, math.inf]
+            assert kernels._ndtri(np.array([0.0, 1.0])).tolist() == [-math.inf, math.inf]
 
 
 class TestDelayedAoaPdf:

@@ -287,6 +287,7 @@ class TestSimulate:
         (400.0, "pattern.hpbw_deg must lie in (0, 360] degrees, got 400.0"),
         (0.0, "pattern.hpbw_deg must lie in (0, 360] degrees, got 0.0"),
         (math.nan, "pattern.hpbw_deg must lie in (0, 360] degrees, got nan"),
+        (5e-324, "pattern.hpbw_deg must lie in (0, 360] degrees, got 5e-324"),
         ("abc", "pattern.hpbw_deg must be a number, got 'abc'"),
     ])
     def test_bad_hpbw_names_the_field_in_degrees(self, scenario_file, tmp_path, capsys,
@@ -459,6 +460,7 @@ class TestSweep:
         ("400", "--hpbw must lie in (0, 360] degrees, got 400.0"),
         ("60,0", "--hpbw must lie in (0, 360] degrees, got 0.0"),
         ("nan", "--hpbw must lie in (0, 360] degrees, got nan"),
+        ("90,5e-324", "--hpbw must lie in (0, 360] degrees, got 5e-324"),
         ("60,abc", "--hpbw must be comma-separated numbers of degrees, got 'abc'"),
     ])
     def test_bad_hpbw_names_the_option_in_degrees(self, scenario_file, tmp_path, capsys,

@@ -136,9 +136,13 @@ class TestEstimatePdf:
     @pytest.mark.parametrize("entry,message", [
         ((1, 4.0, 1.0, False), r"angles must lie in \(-pi, pi\]"),
         ((1, math.nan, 1.0, False), "angles must be finite"),
-        ((1, 1.0, -0.5, False), "powers must be finite and nonnegative"),
-        ((1, 1.0, math.inf, False), "powers must be finite and nonnegative"),
-        ((0, 0.0, math.nan, True), "direct_power must be finite and nonnegative"),
+        # ids kept from before the messages gave the value
+        pytest.param((1, 1.0, -0.5, False), "powers must be finite and nonnegative, got -0.5",
+                     id="entry2-powers must be finite and nonnegative"),
+        pytest.param((1, 1.0, math.inf, False), "powers must be finite and nonnegative, got inf",
+                     id="entry3-powers must be finite and nonnegative"),
+        pytest.param((0, 0.0, math.nan, True), "direct_power must be finite and nonnegative, got nan",
+                     id="entry4-direct_power must be finite and nonnegative"),
     ])
     def test_invalid_path_set_rejected(self, entry, message):
         # unchecked, the bin index would put 4.0 in the last bin and NaN

@@ -9,7 +9,6 @@ from scipy.integrate import quad
 
 from aoasim.geometry import (
     SPEED_OF_LIGHT,
-    _half_angle_map,
     _half_angle_ratio,
     aoa_jacobian,
     aoa_to_aod,
@@ -17,6 +16,7 @@ from aoasim.geometry import (
     ellipse_params,
     wrap_angle,
 )
+from aoasim.kernels import _half_angle_map
 
 
 class TestWrapAngle:

@@ -632,7 +632,7 @@ class TestHpbwSweep:
         _assert_same_report(point.report, direct)
         assert point.angle_spread == direct.angle_spread
 
-    @pytest.mark.parametrize("bad", [400.0, 0.0, math.nan])
+    @pytest.mark.parametrize("bad", [400.0, 0.0, math.nan, 5e-324])
     def test_bad_beamwidth_is_named_in_degrees(self, bad):
         with pytest.raises(ValueError, match=re.escape(
                 f"hpbw_deg_list[1] must lie in (0, 360] degrees, got {bad}")):

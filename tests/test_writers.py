@@ -22,7 +22,7 @@ from aoasim import writers
 from aoasim.angular import GaussianPattern
 from aoasim.cli import main
 from aoasim.estimation import AngularSpectrum, _bins
-from aoasim.geometry import _DEG
+from aoasim.inputs import _DEG
 from aoasim.scenario import ScenarioConfig, run_simulation
 from aoasim.writers import json_text, simulate_report, spectrum_columns, write_csv
 
