@@ -7,7 +7,7 @@ angle spread) as a function of antenna beamwidth.
 """
 
 # Set before the imports: aoasim.writers reads it while the package loads.
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 # The names the command line, the acceptance tests and the benchmark use;
 # everything else is imported from its module.

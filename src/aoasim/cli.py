@@ -93,7 +93,8 @@ def _cmd_sweep(args):
     points = hpbw_sweep(config, hpbws)
     doc = writers.write_sweep(args.out, config, points)
     for p in doc["points"]:
-        print(f"hpbw {p['hpbw_deg']:7.1f} deg -> angle spread {p['angle_spread_deg']:.3f} deg")
+        print(f"hpbw {p['hpbw_deg']:7.1f} deg -> angle spread "
+              f"{p['report']['angle_spread_deg']:.3f} deg")
     return 0
 
 

@@ -6,14 +6,11 @@ over K uniform bins, the bin count being the only statement of the
 binning (_Bins), and angular dispersion is summarized by the rms angle
 spread of the binned distribution.
 
-A path set holds one trial or a batch of trials, one row each (see
-montecarlo.generate_chunk, which gives a sweep one batch per pattern):
-density_rows, angle_spread_rows and path_spread_rows reduce every row
-at once, given the rows' total powers (PathSet.total_power, which the
-patterns of a chunk share), and the single-trial functions are their
-one-row case.  Each row's result is bit for bit what the same trial
-gives alone.  How a run keeps its rows in one buffer, as running sum
-and scratch: README, Determinism.
+A path's weight is its power over its trial's total power, direct path
+included; each path adds its weight to the bin its angle falls in.  A run
+bins its paths straight into the averaged spectrum's running sum and takes
+each trial's spread from the moments of its own paths, no density row per
+trial being built (scenario._simulate; README, Determinism).
 Only estimate_pdf, the public single-trial entry, checks its path set;
 the run builds valid ones.
 """
@@ -26,22 +23,23 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import _read_only
+# NORMALIZATION_TOL stays importable from here: bench/measure.py reads it.
 from .inputs import (_COUNT_RANGES, NORMALIZATION_TOL, _check_angles, _check_count,
-                     _check_nonnegative, _check_point_mass)
+                     _check_nonnegative, _check_normalized, _check_point_mass)
 from .kernels import _TWO_PI
 
 
 def _normalization_defects(probabilities, point_mass):
-    # |sum of bin probabilities + point mass - 1|, per row.
+    # |sum of bin probabilities, or of path weights, + point mass - 1|, per row.
     return np.abs(np.sum(probabilities, axis=-1) + point_mass - 1.0)
 
 
 class _Bins:
     """The binning of count uniform bins spanning exactly (-pi, pi].
 
-    One object per count (_bins), so every spectrum and every batch of
-    rows of a count shares its read-only arrays: the edges, the upper
-    edge of each bin (the last one +inf: see index) and the centers.
+    One object per count (_bins), so every spectrum and every run of a
+    count shares its read-only arrays: the edges, the upper edge of each
+    bin (the last one +inf: see index) and the centers.
     """
 
     def __init__(self, count):
@@ -125,29 +123,6 @@ class AngularSpectrum:
         return float(out) if np.ndim(phi) == 0 else out
 
 
-def density_rows(paths, bin_count, total, out=None):
-    """Bin densities of each trial of a path set, one row per trial.
-
-    total is each trial's total power (PathSet.total_power).  The rows are
-    written into out, a (trials, bin_count) float array, when one is
-    given, and returned.  See estimate_pdf for the binning convention.
-    """
-    _check_count(bin_count, "bins", *_COUNT_RANGES["bins"])
-    bins = _bins(bin_count)
-    angles = np.atleast_2d(paths.angles)
-    rows = angles.shape[0]
-    # One histogram for the whole batch: row r owns cells [r*K, (r+1)*K),
-    # and each cell adds its paths in column order, as a histogram of
-    # that row alone would.
-    cells = bins.index(angles)
-    cells += bins.count * np.arange(rows)[:, None]
-    weights = np.bincount(cells.ravel(), weights=np.ravel(paths.powers),
-                          minlength=rows * bins.count)
-    density = np.divide(weights.reshape(rows, bins.count), total[:, None], out=out)
-    density /= bins.width
-    return density
-
-
 def estimate_pdf(paths, bin_count):
     """Power-weighted angular spectrum of the path set of one trial.
 
@@ -156,10 +131,9 @@ def estimate_pdf(paths, bin_count):
     the direct-path power becomes the point mass at zero.  Bins are
     left-inclusive with the last bin also containing +pi, so every
     angle in (-pi, pi] lands in exactly one bin.  Angles and powers
-    must be 1-d arrays of one length (a batch goes through the row
-    functions), angles finite and in (-pi, pi], powers and the direct
-    power finite and nonnegative, and the total power positive; each
-    failure is a ValueError naming the field.
+    must be 1-d arrays of one length, angles finite and in (-pi, pi],
+    powers and the direct power finite and nonnegative, and the total
+    power positive; each failure is a ValueError naming the field.
     """
     angles = _check_angles(paths.angles)
     if angles.ndim != 1:
@@ -173,8 +147,9 @@ def estimate_pdf(paths, bin_count):
     total = paths.total_power()
     if not total > 0:
         raise ValueError("path set must be nonempty and carry positive total power")
-    return AngularSpectrum(density_rows(paths, bin_count, np.atleast_1d(total))[0],
-                           float(paths.direct_power / total))
+    bins = _bins(_check_count(bin_count, "bins", *_COUNT_RANGES["bins"]))
+    weights = np.bincount(bins.index(angles), weights=paths.powers / total, minlength=bins.count)
+    return AngularSpectrum(weights / bins.width, float(paths.direct_power / total))
 
 
 def weighted_spread(values, weights):
@@ -184,34 +159,16 @@ def weighted_spread(values, weights):
     at zero against rounding; a float for 1-d inputs, one spread per
     row otherwise (values broadcast against weights).  Each row is
     reduced on its own, so its spread does not depend on the other
-    rows.  Callers normalize their own weights, and hand them over as
-    scratch: weights is overwritten with weights * values**2.
+    rows.  Callers normalize their own weights, which are left as they
+    are: the moments are sums of one product array, weights * values,
+    then that times values again.
     """
-    weights *= values
-    mean = np.sum(weights, axis=-1)
-    weights *= values
-    second = np.sum(weights, axis=-1)
+    product = weights * values
+    mean = np.sum(product, axis=-1)
+    product *= values
+    second = np.sum(product, axis=-1)
     spread = np.sqrt(np.maximum(second - mean * mean, 0.0))
     return float(spread) if spread.ndim == 0 else spread
-
-
-def angle_spread_rows(density, point_mass):
-    """Rms angle spread of each row of density_rows, in radians.
-
-    density: a 2-d float array, one row of bin densities per trial, and
-    point_mass the trials' point masses.  The rows are the spread's
-    scratch and are overwritten: turned into bin probabilities in place,
-    then handed to weighted_spread.  See rms_angle_spread; every row is
-    checked to be normalized, and a NaN row fails the check.
-    """
-    bins = _bins(density.shape[-1])
-    density *= bins.width
-    defects = _normalization_defects(density, point_mass)
-    normalized = defects <= NORMALIZATION_TOL
-    if not normalized.all():
-        defect = defects[np.argmin(normalized)]
-        raise ValueError(f"spectrum is not normalized (defect {defect:.3e})")
-    return weighted_spread(bins.centers, density)
 
 
 def rms_angle_spread(spectrum):
@@ -221,20 +178,9 @@ def rms_angle_spread(spectrum):
     probability, with the point mass contributing at angle zero.  Linear
     (non-circular) moments.  Rejects spectra that are not normalized.
     """
-    [spread] = angle_spread_rows(np.array(spectrum.density, ndmin=2),
-                                 spectrum.point_mass_at_zero)
-    return float(spread)
-
-
-def path_spread_rows(paths, total):
-    """Unbinned rms angle spread of each trial of a path set.
-
-    total is each trial's total power (PathSet.total_power).  The direct
-    path, at angle zero, adds nothing to either moment; it enters
-    through the total power that normalizes the weights.
-    """
-    weights = np.atleast_2d(paths.powers) / total[:, None]
-    return weighted_spread(np.atleast_2d(paths.angles), weights)
+    probabilities = spectrum.probabilities
+    _check_normalized(_normalization_defects(probabilities, spectrum.point_mass_at_zero))
+    return weighted_spread(_bins(spectrum.bin_count).centers, probabilities)
 
 
 def lse(spectrum, empirical):
@@ -252,4 +198,4 @@ def lse(spectrum, empirical):
     if not np.all(np.isfinite(values)):
         raise ValueError("empirical densities must be finite")
     residual = spectrum.density_at(np.array([a for a, _ in empirical], dtype=float)) - values
-    return float(np.dot(residual, residual))
+    return float(np.sum(residual * residual))

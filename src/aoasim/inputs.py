@@ -64,6 +64,16 @@ def _check_point_mass(point_mass):
         raise ValueError(f"point mass must be a probability, got {point_mass}")
 
 
+def _check_normalized(defects):
+    """Each of defects, |sum of a spectrum's probabilities or of a trial's path
+    weights + point mass - 1|, within NORMALIZATION_TOL; the first that is not,
+    NaN included, is named."""
+    normalized = defects <= NORMALIZATION_TOL
+    if not np.all(normalized):
+        defect = np.ravel(defects)[np.argmin(normalized)]
+        raise ValueError(f"spectrum is not normalized (defect {defect:.3e})")
+
+
 def _check_hpbw(value, name, degrees=False):
     """value, a beamwidth in radians or, if degrees, in degrees, checked as it is
     kept, 0 < value * scale <= 2*pi radians; the error names name in its unit."""

@@ -246,8 +246,16 @@ def _i0e(mu):
 
 
 def _gaussian_shape(phi, sigma):
-    """exp(-phi^2 / sigma^2), the Gaussian pattern's density up to its norm."""
-    return np.exp(-(phi * phi) / (sigma * sigma))
+    """exp(-(phi / sigma)^2), the Gaussian pattern's density up to its norm.
+
+    The ratio is squared, not sigma: sigma * sigma underflows to 0 for a
+    beamwidth below about 2.6e-162 rad, and phi^2 / 0 is 0/0 at phi = 0.
+    A square that overflows is inf, and exp(-inf) the 0 that exp(-q^2)
+    rounds to for any |q| above 28, so the overflow is not reported.
+    """
+    q = phi / sigma
+    with np.errstate(over="ignore"):
+        return np.exp(-(q * q))
 
 
 def _von_mises_shape(phi, mu):

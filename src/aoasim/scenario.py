@@ -18,11 +18,12 @@ import numpy as np
 
 from .angular import (AntennaPattern, GaussianPattern, LocalScattering, Tap, TapProfile,
                       ellipses_for_taps, pattern_from_json)
-from .estimation import (AngularSpectrum, angle_spread_rows, density_rows, path_spread_rows,
-                         rms_angle_spread)
+from .estimation import (AngularSpectrum, _bins, _normalization_defects, rms_angle_spread,
+                         weighted_spread)
 from .geometry import _half_angle_ratio, _read_only
 from .inputs import (_COUNT_RANGES, _DEG, _US, _check_count, _check_hpbw, _check_nonnegative,
-                     _check_profile, _check_taps, json_field, json_object, json_pairs)
+                     _check_normalized, _check_profile, _check_taps, json_field, json_object,
+                     json_pairs)
 from .montecarlo import generate_chunk
 from .writers import write_json
 
@@ -31,11 +32,13 @@ DEFAULT_PROMINENCE_DB = 3.0
 
 # run_simulation and hpbw_sweep take their trials in chunks: trials times
 # the larger of paths and bins per trial is at most this many entries (one
-# trial at least).  So each (trials, paths) array of a chunk and its
-# (trials, bins) density rows hold at most this many, its (trials, 2P)
-# uniforms at most twice that, and a sweep builds them for one point at a
-# time: this bounds them whatever the trial and point counts.  The chunking
-# changes no number.
+# trial at least).  So each (trials, paths) array of a chunk holds at most
+# this many, its (trials, 2P) uniforms at most twice that, and a sweep builds
+# them for one point at a time: this bounds them whatever the trial and point
+# counts.  No array of a chunk is bins wide; the bins still size the chunk,
+# as a rule by paths alone measured more peak memory on bench/'s
+# simulate_many (1.8 MB) and sweep_paper (1.0 MB).  The chunking changes no
+# number.
 CHUNK_SIZE = 1 << 15
 
 _SCENARIO_KEYS = ("distance_m", "kappa", "mu", "trials", "bins", "seed", "pattern",
@@ -242,7 +245,7 @@ class RunReport:
     angle_spread is the rms angle spread of the averaged spectrum, in
     radians; per_trial_spreads holds the spread of each single-trial
     spectrum, and per_path_spreads the unbinned spread of each trial's
-    raw paths (estimation.path_spread_rows), taken in the same pass:
+    raw paths, taken in the same pass:
     read-only float64 arrays, one entry per trial.  per_path_spreads is
     None unless the run was asked for it (run_simulation's
     per_path_spread).  Its report.json form is writers.simulate_report's.
@@ -269,7 +272,7 @@ def trials_per_chunk(config):
 
     CHUNK_SIZE over the wider of a trial's path count and bin count, one
     trial at least: a chunk's fixed NumPy calls are spread over as many
-    trials as its largest array allows.
+    trials as CHUNK_SIZE allows (see there for why the bins count).
     """
     return max(1, CHUNK_SIZE // max(config.taps.tap_index.size, config.bins))
 
@@ -279,38 +282,38 @@ def _simulate(config, patterns, per_path_spread):
 
     Trials run in chunks of consecutive trials (trials_per_chunk).  Each
     chunk is drawn once and then generated under one pattern at a time
-    (montecarlo.generate_chunk), binned and reduced into that pattern's
-    row before the next; the total powers and point masses, which depend
-    on the shared powers alone, are taken once per chunk.  How the rows
-    reach the running sum and the spreads: README, Determinism.  Every
-    trial reads its own block of the run's random stream, so each report is
+    (montecarlo.generate_chunk), binned and reduced for that pattern
+    before the next; the path weights (each path's power over its trial's
+    total power) and point masses, which depend on the shared powers
+    alone, are taken and checked once per chunk.  How the weights reach
+    the running sum and the spreads: README, Determinism.  Every trial
+    reads its own block of the run's random stream, so each report is
     what config with that pattern gives alone, bit for bit, whatever the
     chunking and the other patterns.  The unbinned per-path spreads are
     taken only when per_path_spread is true; otherwise the reports carry
     None.
     """
-    trials, step, bins = config.trials, trials_per_chunk(config), config.bins
-    density_sum = np.zeros((len(patterns), bins))
-    # Running sum, then a chunk's density rows: see README, Determinism.
-    buffer = np.empty((min(step, trials) + 1, bins))
+    trials, step, bins = config.trials, trials_per_chunk(config), _bins(config.bins)
+    weight_sums = np.zeros((len(patterns), bins.count))
     point_mass = np.empty(trials)
     trial_spreads = np.empty((len(patterns), trials))
     path_spreads = np.empty((len(patterns), trials)) if per_path_spread else None
     for first in range(0, trials, step):
         stop = min(first + step, trials)
-        rows = buffer[:stop - first + 1]
         for point, paths in enumerate(generate_chunk(config, patterns, first, stop)):
             if point == 0:
                 # Every pattern's path set shares the chunk's powers, and
-                # with them the total powers and point masses.
+                # with them the weights and point masses.
                 total = paths.total_power()
                 point_mass[first:stop] = paths.direct_power / total
-            rows[0] = density_sum[point]
-            density_rows(paths, bins, total, out=rows[1:])
-            np.add.reduce(rows, axis=0, out=density_sum[point])
-            trial_spreads[point, first:stop] = angle_spread_rows(rows[1:], point_mass[first:stop])
+                weights = paths.powers / total[:, None]
+                _check_normalized(_normalization_defects(weights, point_mass[first:stop]))
+            cells = bins.index(paths.angles)
+            # add.at adds one path at a time, in trial order across chunks.
+            np.add.at(weight_sums[point], cells.ravel(), weights.ravel())
+            trial_spreads[point, first:stop] = weighted_spread(bins.centers.take(cells), weights)
             if per_path_spread:
-                path_spreads[point, first:stop] = path_spread_rows(paths, total)
+                path_spreads[point, first:stop] = weighted_spread(paths.angles, weights)
     # Each report's spreads are read-only rows of these.
     trial_spreads.flags.writeable = False
     path_rows = [None] * len(patterns)
@@ -320,9 +323,9 @@ def _simulate(config, patterns, per_path_spread):
     # np.mean over the point masses adds pairwise, so they are all kept.
     mean_point_mass = float(np.mean(point_mass))
     reports = []
-    for pattern, running, trial_row, path_row in zip(patterns, density_sum, trial_spreads,
-                                                     path_rows):
-        averaged = AngularSpectrum(running / trials, mean_point_mass)
+    for pattern, weight_sum, trial_row, path_row in zip(patterns, weight_sums, trial_spreads,
+                                                        path_rows):
+        averaged = AngularSpectrum(weight_sum / bins.width / trials, mean_point_mass)
         reports.append(RunReport(
             averaged_spectrum=averaged,
             angle_spread=rms_angle_spread(averaged),

@@ -121,10 +121,8 @@ def simulate_report(report):
 
 def sweep_report(config, points):
     """sweep's report.json: the scenario and one entry per hpbw_sweep point."""
-    runs = [_run_fields(point.report) for point in points]
     return _versioned({"scenario": config.to_json_dict(), "points": [
-        {"hpbw_deg": point.hpbw_deg, "angle_spread_deg": run["angle_spread_deg"], "report": run}
-        for point, run in zip(points, runs)]})
+        {"hpbw_deg": point.hpbw_deg, "report": _run_fields(point.report)} for point in points]})
 
 
 def write_simulate(out, report):
@@ -146,6 +144,6 @@ def write_sweep(out, config, points):
     out.mkdir(parents=True, exist_ok=True)
     doc = sweep_report(config, points)
     write_csv(out / "sweep.csv", "hpbw_deg,as_deg", [p["hpbw_deg"] for p in doc["points"]],
-              [p["angle_spread_deg"] for p in doc["points"]])
+              [p["report"]["angle_spread_deg"] for p in doc["points"]])
     write_json(out / "report.json", doc)
     return doc

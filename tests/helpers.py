@@ -195,17 +195,53 @@ def left_to_right_sum(values):
     return functools.reduce(operator.add, [float(v) for v in values], 0.0)
 
 
-def histogram_rows(angles, powers, edges):
-    """Power in each bin of each row, added one path at a time in column order.
+def _moment_spread(values, weights):
+    # sqrt(E[x^2] - E[x]^2) of one trial, each moment one np.sum of its row
+    product = weights * values
+    mean = np.sum(product)
+    second = np.sum(product * values)
+    return math.sqrt(max(second - mean * mean, 0.0))
 
-    Bins follow np.histogram's convention (left-inclusive, the last bin
-    also holding the right edge), found by searching the edges.
+
+def trial_ordered_run(angles, powers, direct_power, bins):
+    """A run's reductions of (trials, paths) angles and powers, by their definition.
+
+    Each path's weight is its power over its trial's total power (the row's
+    np.sum plus direct_power).  The weights are added into their bins one path
+    at a time, trial after trial, in a Python loop.  Each trial's spread is the
+    moments of its paths' bin centers, and its per-path spread those of its
+    angles, under its weights.  Bins follow np.histogram's convention, found by
+    searching the edges.  Returns (weight sums, point masses, per-trial spreads,
+    per-path spreads).
     """
-    bins = len(edges) - 1
-    out = np.zeros((len(angles), bins))
-    for row, a, w in zip(out, angles, powers):
-        np.add.at(row, np.clip(np.searchsorted(edges, a, side="right") - 1, 0, bins - 1), w)
-    return out
+    edges = np.linspace(-math.pi, math.pi, bins + 1)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    sums = [0.0] * bins
+    point_mass, trial_spreads, path_spreads = [], [], []
+    for row_angles, row_powers in zip(angles, powers):
+        total = np.sum(row_powers) + direct_power
+        weights = row_powers / total
+        cells = np.clip(np.searchsorted(edges, row_angles, side="right") - 1, 0, bins - 1)
+        for cell, weight in zip(cells.tolist(), weights.tolist()):
+            sums[cell] += weight
+        point_mass.append(direct_power / total)
+        trial_spreads.append(_moment_spread(centers[cells], weights))
+        path_spreads.append(_moment_spread(row_angles, weights))
+    return np.array(sums), np.array(point_mass), np.array(trial_spreads), np.array(path_spreads)
+
+
+def nan_power_in_trial(trial):
+    """A stand-in for montecarlo.generate_chunk whose path sets give trial a NaN power."""
+    from aoasim import montecarlo
+
+    def generate_chunk(config, patterns, first, stop):
+        for paths in montecarlo.generate_chunk(config, patterns, first, stop):
+            powers = paths.powers.copy()
+            if first <= trial < stop:
+                powers[trial - first, 0] = math.nan
+            yield montecarlo.PathSet(paths.angles, powers, paths.tap_index, paths.direct_power)
+
+    return generate_chunk
 
 
 def invert_cdf_searched(grid, cdf, u):

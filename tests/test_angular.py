@@ -4,6 +4,7 @@ import itertools
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,19 @@ class TestAodPdf:
     def test_gaussian_normalizes(self, hpbw_deg):
         pattern = GaussianPattern(math.radians(hpbw_deg))
         assert quad_over_circle(lambda x: aod_pdf(x, pattern)) == pytest.approx(1.0, abs=1e-9)
+
+    def test_gaussian_narrowest_beam_is_finite_at_boresight(self):
+        # sigma * sigma underflows to 0 for such a beam; (phi / sigma)^2 does not
+        pattern = GaussianPattern(1e-300)
+        sigma = pattern.sigma
+        norm = 1.0 / (math.sqrt(math.pi) * sigma * math.erf(math.pi / sigma))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = aod_pdf(0.0, pattern)
+            # off boresight (phi / sigma)^2 overflows to inf, and the density is 0
+            away = aod_pdf(np.array([math.pi, -0.1, 1e-150, -2.0]), pattern)
+        assert math.isfinite(value) and value == norm
+        assert np.array_equal(away, np.zeros(4))
 
     def test_gaussian_even_symmetry(self):
         pattern = GaussianPattern(math.radians(90.0))

@@ -17,7 +17,7 @@ from aoasim.cli import main
 from aoasim.scenario import ScenarioConfig, extract_taps, run_simulation
 from aoasim.writers import json_text, simulate_report
 
-from helpers import edited_doc, left_to_right_sum
+from helpers import edited_doc, left_to_right_sum, nan_power_in_trial
 
 TWO_PI = 2 * math.pi
 EXAMPLE_PDP = Path(__file__).parents[1] / "scenarios" / "example_pdp.csv"
@@ -92,6 +92,34 @@ class TestSimulate:
         _, rows_b = _read_csv(out_b / "spectrum.csv")
         assert not np.array_equal(rows_a, rows_b)
 
+    def test_narrowest_beam_runs(self, scenario_file, tmp_path, capsys):
+        # sigma * sigma underflowed to 0 below about 2.6e-162 rad, so the
+        # Gaussian density was 0/0 at boresight; a scenario whose beamwidth
+        # is 1e-300 degrees loads and runs
+        doc = edited_doc(json.loads(scenario_file.read_text()), ("pattern", "hpbw_deg"), 1e-300)
+        narrow = tmp_path / "narrow.json"
+        narrow.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(["simulate", "--scenario", str(narrow), "--out", str(out),
+                     "--per-path-spread"]) == 0
+        capsys.readouterr()
+        report = json.loads((out / "report.json").read_text())
+        assert math.isfinite(report["angle_spread_deg"])
+        assert all(map(math.isfinite, report["per_path_spread_deg"]))
+
+    def test_nan_power_is_a_json_error_record(self, scenario_file, tmp_path, capsys,
+                                              monkeypatch):
+        # the run's per-trial normalization check, reached from the command
+        # line: one JSON error record, no traceback and no output files
+        from aoasim import scenario
+
+        monkeypatch.setattr(scenario, "generate_chunk", nan_power_in_trial(2))
+        out = tmp_path / "never"
+        assert main(["simulate", "--scenario", str(scenario_file), "--out", str(out)]) == 1
+        assert _error_record(capsys) == {"error": "spectrum is not normalized (defect nan)",
+                                         "type": "ValueError", "command": "simulate"}
+        assert not out.exists()
+
     def test_per_path_spread_flag(self, scenario_file, tmp_path):
         out = tmp_path / "raw"
         assert main(["simulate", "--scenario", str(scenario_file), "--out", str(out),
@@ -141,11 +169,12 @@ class TestSimulate:
         assert generated == [0, 1, 2, 3, 4]
 
     def test_per_path_spreads_only_on_request(self, scenario_file, tmp_path, monkeypatch):
-        # one path_spread_rows call per chunk with --per-path-spread, and
-        # none for a plain simulate or a sweep
+        # one weighted_spread call per chunk and point for the per-trial
+        # spreads, one more per chunk with --per-path-spread, and none more
+        # for a plain simulate or a sweep
         from aoasim import scenario
 
-        calls = {"generate_chunk": 0, "path_spread_rows": 0}
+        calls = {"generate_chunk": 0, "weighted_spread": 0}
 
         def counting(name):
             original = getattr(scenario, name)
@@ -160,12 +189,12 @@ class TestSimulate:
             monkeypatch.setattr(scenario, name, counting(name))
         monkeypatch.setattr(scenario, "CHUNK_SIZE", 1)    # one trial per chunk
         run = ["--scenario", str(scenario_file), "--out", str(tmp_path), "--trials", "5"]
-        for argv, spread_calls in ((["simulate", *run], 0),
-                                   (["simulate", *run, "--per-path-spread"], 5),
-                                   (["sweep", *run, "--hpbw", "360,60"], 0)):
+        for argv, spread_calls in ((["simulate", *run], 5),
+                                   (["simulate", *run, "--per-path-spread"], 10),
+                                   (["sweep", *run, "--hpbw", "360,60"], 10)):
             calls.update(dict.fromkeys(calls, 0))
             assert main(argv) == 0
-            assert calls == {"generate_chunk": 5, "path_spread_rows": spread_calls}
+            assert calls == {"generate_chunk": 5, "weighted_spread": spread_calls}
 
     def test_import_leaves_scipy_signal_alone(self, scenario_file, tmp_path):
         # SciPy is the tests' oracle only: no command, and no analytic
@@ -401,16 +430,16 @@ class TestSweep:
         assert list(rows[:, 0]) == [360.0, 120.0, 60.0]
         report = json.loads((out / "report.json").read_text())
         assert len(report["points"]) == 3
-        # sweep.csv, the printed lines and each point's spread are all
-        # rendered from the points of report.json
+        # sweep.csv and the printed lines are rendered from the points of
+        # report.json, each point's spread read from its own report
         points = report["points"]
+        assert all(sorted(point) == ["hpbw_deg", "report"] for point in points)
+        spreads = [p["report"]["angle_spread_deg"] for p in points]
         csv_rows = (out / "sweep.csv").read_text(encoding="utf-8").splitlines()[1:]
-        assert csv_rows == [f"{p['hpbw_deg']!r},{p['angle_spread_deg']!r}" for p in points]
-        for point in points:
-            assert point["angle_spread_deg"] == point["report"]["angle_spread_deg"]
+        assert csv_rows == [f"{p['hpbw_deg']!r},{s!r}" for p, s in zip(points, spreads)]
         assert capsys.readouterr().out.splitlines() == [
-            f"hpbw {p['hpbw_deg']:7.1f} deg -> angle spread {p['angle_spread_deg']:.3f} deg"
-            for p in points]
+            f"hpbw {p['hpbw_deg']:7.1f} deg -> angle spread {s:.3f} deg"
+            for p, s in zip(points, spreads)]
 
     def test_byte_identical_reruns_with_workers(self, scenario_file, tmp_path):
         out_a = tmp_path / "a"

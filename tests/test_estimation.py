@@ -3,6 +3,7 @@
 import math
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,14 +15,16 @@ from aoasim.angular import GaussianPattern, OmniPattern, Tap, TapProfile
 from aoasim.estimation import (
     AngularSpectrum,
     _bins,
-    angle_spread_rows,
-    density_rows,
+    _normalization_defects,
     estimate_pdf,
     lse,
-    path_spread_rows,
     rms_angle_spread,
+    weighted_spread,
 )
+from aoasim.inputs import _check_normalized
 from aoasim.montecarlo import PathSet, generate_chunk
+
+from helpers import trial_ordered_run
 
 TWO_PI = 2 * math.pi
 
@@ -38,8 +41,10 @@ def _path_set(entries):
 
 
 def _path_spreads(paths):
-    # path_spread_rows with the total powers it is handed in a run
-    return path_spread_rows(paths, np.atleast_1d(paths.total_power()))
+    # the unbinned spread of each trial as a run takes it: the moments of
+    # the angles under the path weights, each power over its trial's total
+    total = np.atleast_1d(paths.total_power())
+    return weighted_spread(np.atleast_2d(paths.angles), np.atleast_2d(paths.powers) / total[:, None])
 
 
 def _uniform_spectrum(bins=360):
@@ -219,11 +224,11 @@ class TestBinIndex:
             angles = rng.uniform(-math.pi, math.pi, (4, 25_000))
             assert np.array_equal(_bins(bins).index(angles), _searched_bins(angles, bins))
 
-    def test_one_read_only_binning_per_count(self):
-        # the rows of a batch and every spectrum of a count share one _bins
+    def test_one_read_only_binning_per_count(self, monkeypatch):
+        # a run and every spectrum of a count share one _bins
         _bins.cache_clear()
         paths = _path_set([(0, -2.0, 1.0, False), (0, 0.5, 2.0, False)])
-        density_rows(paths, 48, np.atleast_1d(paths.total_power()))
+        _averaged(monkeypatch, [paths], 48)
         spectrum = estimate_pdf(paths, 48)
         rms_angle_spread(spectrum)
         bins = _bins(48)
@@ -365,41 +370,125 @@ class TestStackedRows:
             pattern=OmniPattern(), kappa=0.6, mu=4.0, trials=9, bins=40, master_seed=8)
         patterns = (OmniPattern(), GaussianPattern(math.radians(90.0)),
                     GaussianPattern(math.radians(10.0)))
-        batches = list(generate_chunk(config, patterns, 2, 9))
+        batches = list(generate_chunk(config, patterns, 0, 9))
         assert len(batches) == len(patterns)
-        for batch, pattern in zip(batches, patterns):
-            total = batch.total_power()
-            point_mass = batch.direct_power / total
-            density = density_rows(batch, config.bins, total)
-            spreads = angle_spread_rows(density.copy(), point_mass)
-            path_spreads = _path_spreads(batch)
-            assert density.shape == (7, 40) and spreads.shape == path_spreads.shape == (7,)
+        # the stacked run, every pattern reduced from the one chunk
+        reports = scenario._simulate(config, patterns, per_path_spread=True)
+        for batch, pattern, report in zip(batches, patterns, reports):
+            sums, point_mass, spreads, path_spreads = trial_ordered_run(
+                batch.angles, batch.powers, batch.direct_power, config.bins)
+            assert report.averaged_spectrum.density.tobytes() == (
+                sums / (TWO_PI / config.bins) / config.trials).tobytes()
+            assert report.averaged_spectrum.point_mass_at_zero == np.mean(point_mass)
+            assert np.array_equal(report.per_trial_spreads, spreads)
+            assert np.array_equal(report.per_path_spreads, path_spreads)
             # the pattern's own one-pattern chunk, reduced as a batch
             [alone] = generate_chunk(replace(config, pattern=pattern), (pattern,), 2, 9)
-            assert np.array_equal(batch.angles, alone.angles)
-            assert np.array_equal(batch.powers, alone.powers)
-            layer_total = alone.total_power()
-            layer_mass = alone.direct_power / layer_total
-            layer_density = density_rows(alone, config.bins, layer_total)
-            assert np.array_equal(density, layer_density)
-            assert np.array_equal(point_mass, layer_mass)
-            assert np.array_equal(spreads, angle_spread_rows(layer_density, layer_mass))
-            assert np.array_equal(path_spreads, _path_spreads(alone))
+            assert np.array_equal(batch.angles[2:], alone.angles)
+            assert np.array_equal(batch.powers[2:], alone.powers)
+            _, layer_mass, layer_spreads, layer_path_spreads = trial_ordered_run(
+                alone.angles, alone.powers, alone.direct_power, config.bins)
+            assert np.array_equal(point_mass[2:], layer_mass)
+            assert np.array_equal(spreads[2:], layer_spreads)
+            assert np.array_equal(path_spreads[2:], layer_path_spreads)
+            alone_report = scenario.run_simulation(replace(config, pattern=pattern),
+                                                   per_path_spread=True)
+            assert np.array_equal(alone_report.per_trial_spreads, report.per_trial_spreads)
+            assert np.array_equal(alone_report.averaged_spectrum.density,
+                                  report.averaged_spectrum.density)
 
     def test_nan_row_is_not_normalized(self):
         # NaN fails every comparison, so a check written as defect > tol
-        # let a row with a NaN bin through and returned a NaN spread
-        density = np.full((2, 8), 1.0 / TWO_PI)
-        density[1, 3] = math.nan
+        # let a trial with a NaN weight through and returned a NaN spread
+        weights = np.full((2, 8), 1.0 / 8)
+        weights[1, 3] = math.nan
         with pytest.raises(ValueError, match=r"not normalized \(defect nan\)"):
-            angle_spread_rows(density, np.zeros(2))
+            _check_normalized(_normalization_defects(weights, np.zeros(2)))
 
     def test_unnormalized_row_of_a_later_point_is_named(self):
-        # the first row past the tolerance is named, not the first row
-        density = np.full((3, 36), 1.0 / TWO_PI)
-        density[2] *= 1.5
+        # the first trial past the tolerance is named, not the first trial
+        weights = np.full((3, 36), 1.0 / 36)
+        weights[2] *= 1.5
         with pytest.raises(ValueError, match=r"defect 5\.000e-01"):
-            angle_spread_rows(density, np.zeros(3))
+            _check_normalized(_normalization_defects(weights, np.zeros(3)))
+
+
+_SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+def _row_route(batch, bins):
+    """0.4.0's estimator, the independent oracle of the run's.
+
+    One density row per trial: a bincount of the powers over the searched
+    bins, over the trial's total power, over the bin width.  The averaged
+    density is the rows' sum in trial order over the trial count; each
+    trial's spread is the moments of the bin centers under its row's
+    probabilities.  Returns (averaged density, point masses, per-trial
+    spreads, per-path spreads, angle spread of the averaged density).
+    """
+    edges = np.linspace(-math.pi, math.pi, bins + 1)
+    centers, width = 0.5 * (edges[:-1] + edges[1:]), TWO_PI / bins
+    total = np.sum(batch.powers, axis=-1) + batch.direct_power
+    cells = np.clip(np.searchsorted(edges, batch.angles, side="right") - 1, 0, bins - 1)
+    rows = np.array([np.bincount(c, weights=p, minlength=bins)
+                     for c, p in zip(cells, batch.powers)]) / total[:, None] / width
+    running = np.zeros(bins)
+    for row in rows:
+        running += row
+    averaged = running / len(rows)
+
+    def spreads(values, weights):
+        mean = np.sum(weights * values, axis=-1)
+        second = np.sum(weights * values * values, axis=-1)
+        return np.sqrt(np.maximum(second - mean * mean, 0.0))
+
+    return (averaged, batch.direct_power / total, spreads(centers, rows * width),
+            spreads(batch.angles, batch.powers / total[:, None]), spreads(centers, averaged * width))
+
+
+def _assert_matches_row_route(report, batch):
+    config = report.scenario_echo
+    averaged, point_mass, trial_spreads, path_spreads, spread = _row_route(batch, config.bins)
+    density = report.averaged_spectrum.density
+    empty = averaged == 0.0
+    assert np.array_equal(density == 0.0, empty)
+    np.testing.assert_allclose(density[~empty], averaged[~empty], rtol=1e-13, atol=0)
+    np.testing.assert_allclose(report.per_trial_spreads, trial_spreads, rtol=1e-13, atol=0)
+    assert report.angle_spread == pytest.approx(spread, rel=1e-13, abs=0)
+    assert report.averaged_spectrum.point_mass_at_zero == np.mean(point_mass)
+    if report.per_path_spreads is not None:
+        assert np.array_equal(report.per_path_spreads, path_spreads)
+
+
+class TestRowRouteOracle:
+    """The run's estimator (the trial-ordered sum of path weights, the spreads
+    from each trial's paths) against 0.4.0's (trials, bins) density rows:
+    within 1e-13 relative, empty bins exactly 0, per-path spreads and point
+    masses bit for bit."""
+
+    @pytest.mark.parametrize("name", ["synthetic_short_spread", "synthetic_long_spread"])
+    def test_shipped_scenario(self, name):
+        config = scenario.ScenarioConfig.from_file(_SCENARIOS / f"{name}.json")
+        report = scenario.run_simulation(config, per_path_spread=True)
+        [batch] = generate_chunk(config, (config.pattern,), 0, config.trials)
+        _assert_matches_row_route(report, batch)
+
+    def test_five_point_sweep(self):
+        config = scenario.ScenarioConfig.from_file(_SCENARIOS / "synthetic_long_spread.json")
+        hpbws = [360.0, 180.0, 120.0, 90.0, 60.0]
+        points = scenario.hpbw_sweep(config, hpbws)
+        patterns = [GaussianPattern(math.radians(hpbw)) for hpbw in hpbws]
+        for point, batch in zip(points, generate_chunk(config, patterns, 0, config.trials)):
+            _assert_matches_row_route(point.report, batch)
+
+    def test_one_trial_per_chunk(self, monkeypatch):
+        config = scenario.ScenarioConfig.from_file(_SCENARIOS / "synthetic_short_spread.json")
+        config = replace(config, trials=120)
+        monkeypatch.setattr(scenario, "CHUNK_SIZE", 1)
+        assert scenario.trials_per_chunk(config) == 1
+        report = scenario.run_simulation(config, per_path_spread=True)
+        [batch] = generate_chunk(config, (config.pattern,), 0, config.trials)
+        _assert_matches_row_route(report, batch)
 
 
 class TestPooledVersusAveraged:

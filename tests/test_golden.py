@@ -8,19 +8,23 @@ rounding, key order, formatting) fails here even when the values stay
 statistically sound.  Refactors must keep these digests; a deliberate
 change of output re-records them and says why.
 
-The digests were recorded for stream format v3 (package version 0.4.0):
+The digests were recorded for stream format v3 (package version 0.5.0):
 one PCG64DXSM stream per run seeded by SeedSequence(seed), exactly 2P
-uniforms per trial reached by advance, quantile samplers and one
-bincount per chunk.  They depend on NumPy's PCG64DXSM and SeedSequence,
-on the package's own normal quantile (AS241, in NumPy) and math.erfc,
-and on the platform's floating-point math library; they were recorded
-with NumPy 2.4 and Python 3.11 on x86-64 Linux.  Version 0.4.0 changed
-every digest, since every trial reads other uniforms than under stream
-format v2 (versions 0.2.0 and 0.3.0).  They also depend on NumPy
-reducing the trial axis of a (trials, bins) array row by row
-(np.add.reduce over an axis that is not the contiguous one): the
-averaged spectrum is a running sum of the per-trial density rows in
-trial order.
+uniforms per trial reached by advance, and quantile samplers.  They
+depend on NumPy's PCG64DXSM and SeedSequence, on the package's own
+normal quantile (AS241, in NumPy) and math.erfc, and on the platform's
+floating-point math library; they were recorded with NumPy 2.4 and
+Python 3.11 on x86-64 Linux.  Version 0.4.0 changed every digest, since
+every trial reads other uniforms than under stream format v2 (versions
+0.2.0 and 0.3.0).  Version 0.5.0 changed the estimator's summation
+order alone: the averaged spectrum is one running sum of the path
+weights (power over the trial's total power), each added into its bin
+by np.add.at one path at a time in trial order, and each trial's spread
+is the moments of its own paths' bin centers, each summed by NumPy's
+pairwise add along the trial's row.  So the digests depend on both
+orders; angles, powers, per-path spreads and point masses are 0.4.0's,
+and sweep.csv kept both of its digests.  A sweep point no longer repeats
+its report's angle_spread_deg beside it.
 
 The chunked sweep case was first recorded while hpbw_sweep still ran
 the whole simulation once per point; the one-pass sweep, which draws
@@ -51,8 +55,8 @@ _PATTERNS = {
 }
 
 
-# 70,000 paths per trial: long rows for the power sums, the bincount and
-# the unbinned spread's moments.
+# 70,000 paths per trial: long rows for the power sums, the running sum
+# and the spreads' moments.
 _WIDE_TAPS = [
     {"delay_us": delay, "power": power, "paths": 14_000}
     for delay, power in ((0.0, 0.4), (0.8, 0.25), (1.9, 0.15), (3.1, 0.12), (4.6, 0.08))
@@ -82,22 +86,22 @@ def _digests(directory, names):
 
 SIMULATE_DIGESTS = {
     "omni": {
-        "report.json": "00f1b6e872f3c17e222edaa97ae9e238d7cc158ea13817b6a41358f923e2c290",
-        "spectrum.csv": "2ed8b44ce98636816eddd4f3b7c40761e88fc42a9f2b9a33b71c06ce9c1e112c",
+        "report.json": "78204e55f71aa1ae3fa4bbe6e6a5610981df059dff6208e27cc804256c3eaebb",
+        "spectrum.csv": "cb2df730a1545624113a7593f2607282211df6cd252ebee0ca24fac91984ad50",
     },
     "gaussian": {
-        "report.json": "a743b109107ad20b416752af63b0d8cf00df20fe853b881fe34c86563c90466b",
-        "spectrum.csv": "c61070e71833738b418f84862f819d82a6e846567b2decb5c353052e9646b620",
+        "report.json": "45f9885904ff74db1d0485397502ab211a182107ad6085b7ace460240742da5a",
+        "spectrum.csv": "7b7000a5f937bbb0aac2e08b7c6d3d605f274a63d93604ad5c2716da7d4f808d",
     },
     "tabulated": {
-        "report.json": "bd0e2665a8090ecbaa04690ffab7afe5b4ee1ed654f58fbd3ef1dfc1db66fa12",
-        "spectrum.csv": "fd843155d087a2b7bb8adc848be0b32532513482c65afee2302409c86dac3313",
+        "report.json": "7f77079bda279bdee67cb3004f5da2787e7f19c36164e80b2f36c4cb037a66ab",
+        "spectrum.csv": "6aeb11e6b3f09afc90f628892f6cbeb06a6ce509971d4ae7ec1108b8cae5a8e2",
     },
 }
 
 WIDE_DIGESTS = {
-    "report.json": "f9e2771343909c0e4ed8135fd2a14f06fbaacf004a2cf111a6c421b55a33b7ad",
-    "spectrum.csv": "a97d5e8b783e2c02945f0b6ff14d79a995da7cf383bb18c5492d9df73cf468ee",
+    "report.json": "e0cbe971025690cd61b71ad953bcf637791ae95610cd744dcb800e6e9bc60733",
+    "spectrum.csv": "42a14fe3aa175c1d7da69ceea9d9fd379f27b8bfff8ca8c369e662d8de0ed9a3",
 }
 
 # 1000 paths and 360 bins per trial over 80 trials: several chunks of
@@ -109,7 +113,7 @@ _CHUNKED_TAPS = [
 ]
 
 SWEEP_DIGESTS = {
-    "report.json": "148094fa6c7893a457e80cf4dca35822de5afbcf62b4020c29edb79569743107",
+    "report.json": "13bab5351d161dbee7917ac93efbb39506b6194deef2386d4b3f478b9b533036",
     "sweep.csv": "ef16cdfceee24e450a96af36ad4cabad038a41e817814e21be4a5989010f0884",
 }
 
@@ -144,7 +148,7 @@ def test_sweep_bytes(tmp_path, capsys):
 
 
 CHUNKED_SWEEP_DIGESTS = {
-    "report.json": "6769283c202ab0ade4ae626bfa00e039bed2eabd3c6401550c5267e86d740af6",
+    "report.json": "6764c837f7e244ebfb1bd6ce9be905258bda0d3031c2ad9a75a6bbac67fea6b6",
     "sweep.csv": "52e3121962a4713f9147e7af59a8b132ff5c3abd1e98ec7c2b27b58256ad9152",
 }
 

@@ -5,6 +5,9 @@
   "Bits across CPU dispatch"), so a portable replacement has one place to go.
 - Only aoasim.inputs defines an input rule, a function named _check_*.
 - Neither imports another aoasim module, so there is no import cycle.
+- No module reduces through dot, matmul, vecdot, inner, tensordot, einsum or
+  the @ operator: those sum through BLAS or einsum's own kernels, whose order
+  is not NumPy's pairwise add, which the spreads' moments rely on.
 """
 
 import ast
@@ -36,6 +39,24 @@ def _dispatched(tree):
     return found
 
 
+BLAS_REDUCTIONS = {"dot", "matmul", "vecdot", "inner", "tensordot", "einsum"}
+
+
+def _blas_reductions(tree):
+    """The calls of a module to a function named in BLAS_REDUCTIONS, as a name or
+    an attribute of anything, and its uses of the @ operator."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in BLAS_REDUCTIONS:
+                found.add(ast.unparse(func))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.add("@")
+    return found
+
+
 def _rules(tree):
     return {node.name for node in ast.walk(tree)
             if isinstance(node, ast.FunctionDef) and node.name.startswith("_check_")}
@@ -64,3 +85,17 @@ def test_inputs_and_kernels_import_no_other_aoasim_module():
                         or isinstance(node, ast.Import)
                         and any("aoasim" in alias.name for alias in node.names)]
             assert imported == [], name
+
+
+def test_no_module_reduces_through_blas_or_einsum():
+    modules = _modules()
+    assert {name: found for name, tree in modules.items()
+            if (found := _blas_reductions(tree))} == {}
+    # the guard sees a moment taken by einsum, a dot product and the operator
+    source = ast.unparse(modules["estimation"])
+    moment = "np.sum(product, axis=-1)"
+    assert source.count(moment) == 2
+    for edit, seen in (("np.einsum('...i->...', product)", "np.einsum"),
+                       ("product.dot(np.ones(product.shape[-1]))", "product.dot"),
+                       ("product @ np.ones(product.shape[-1])", "@")):
+        assert _blas_reductions(ast.parse(source.replace(moment, edit, 1))) == {seen}

@@ -22,7 +22,7 @@ from aoasim.angular import (
     ellipses_for_taps,
     pattern_from_json,
 )
-from aoasim.estimation import density_rows, estimate_pdf, rms_angle_spread
+from aoasim.estimation import estimate_pdf, rms_angle_spread
 from aoasim.montecarlo import PathSet, generate_chunk, generate_trial
 from aoasim.scenario import (
     ScenarioConfig,
@@ -34,7 +34,7 @@ from aoasim.scenario import (
 )
 from aoasim.writers import json_text
 
-from helpers import DELETE, edited_doc, histogram_rows, make_profile
+from helpers import DELETE, edited_doc, make_profile, nan_power_in_trial, trial_ordered_run
 
 
 class TestExtractTaps:
@@ -479,17 +479,18 @@ _CHUNK_PATTERNS = {
 }
 
 
-def _assert_binned_path_by_path(batch, bins):
-    # the rows of a one-pattern chunk against the loop reference, row by row
-    total = batch.total_power()
-    point_mass = batch.direct_power / total
-    density = density_rows(batch, bins, total)
-    weights = histogram_rows(batch.angles, batch.powers,
-                             np.linspace(-math.pi, math.pi, bins + 1))
-    totals = np.array([np.sum(row) for row in batch.powers]) + batch.direct_power
-    assert np.array_equal(density, weights / totals[:, None] / (2 * math.pi / bins))
-    assert np.array_equal(point_mass, batch.direct_power / totals)
-    return density, point_mass
+def _assert_binned_path_by_path(report, batch):
+    # a one-pattern run over all the trials of batch against the loop
+    # reference: the averaged density is the trial-ordered sum of the path
+    # weights over the bin width and the trial count, bit for bit
+    bins, trials = report.scenario_echo.bins, report.scenario_echo.trials
+    sums, point_mass, spreads, path_spreads = trial_ordered_run(
+        batch.angles, batch.powers, batch.direct_power, bins)
+    averaged = report.averaged_spectrum
+    assert averaged.density.tobytes() == (sums / (2 * math.pi / bins) / trials).tobytes()
+    assert averaged.point_mass_at_zero == float(np.mean(point_mass))
+    assert np.array_equal(report.per_trial_spreads, spreads)
+    assert np.array_equal(report.per_path_spreads, path_spreads)
 
 
 def _assert_same_rows(batch, first, part):
@@ -510,6 +511,22 @@ def _chunk_config(pattern, kappa, mu, counts=(4, 1, 6), trials=10, bins=48):
     )
 
 
+class TestRunNormalizationCheck:
+    """Each trial's path weights and point mass are checked to sum to one, once per chunk."""
+
+    @pytest.mark.parametrize("chunk_size", [1, scenario.CHUNK_SIZE])
+    def test_nan_power_fails_the_run(self, monkeypatch, chunk_size):
+        monkeypatch.setattr(scenario, "CHUNK_SIZE", chunk_size)
+        monkeypatch.setattr(scenario, "generate_chunk", nan_power_in_trial(2))
+        with pytest.raises(ValueError, match=r"^spectrum is not normalized \(defect nan\)$"):
+            run_simulation(_quick_config(trials=5), per_path_spread=True)
+
+    def test_nan_power_fails_the_sweep(self, monkeypatch):
+        monkeypatch.setattr(scenario, "generate_chunk", nan_power_in_trial(2))
+        with pytest.raises(ValueError, match=r"^spectrum is not normalized \(defect nan\)$"):
+            hpbw_sweep(_quick_config(trials=5), [360.0, 60.0])
+
+
 class TestChunkedTrials:
     """Generating and binning trials in chunks changes no number."""
 
@@ -519,7 +536,6 @@ class TestChunkedTrials:
     def test_chunk_size_changes_no_number(self, monkeypatch, kind, kappa, mu):
         config = _chunk_config(_CHUNK_PATTERNS[kind], kappa, mu)
         [batch] = generate_chunk(config, (config.pattern,), 0, config.trials)
-        density, point_mass = _assert_binned_path_by_path(batch, config.bins)
         per_trial = max(11, 48)     # the wider of paths and bins
         reports = []
         default = scenario.CHUNK_SIZE
@@ -528,10 +544,8 @@ class TestChunkedTrials:
             monkeypatch.setattr(scenario, "CHUNK_SIZE", chunk_size)
             assert trials_per_chunk(config) == step
             reports.append(run_simulation(config, per_path_spread=True))
-            # the running sum of the rows is the mean over all trials
-            averaged = reports[-1].averaged_spectrum
-            assert np.array_equal(averaged.density, np.mean(density, axis=0))
-            assert averaged.point_mass_at_zero == float(np.mean(point_mass))
+            # the running sum adds the path weights in trial order
+            _assert_binned_path_by_path(reports[-1], batch)
         for report in reports[1:]:
             _assert_same_report(reports[0], report)
 
@@ -577,7 +591,7 @@ class TestChunkedTrials:
         [batch] = generate_chunk(config, (config.pattern,), 0, 2)
         [part] = generate_chunk(config, (config.pattern,), 1, 2)
         _assert_same_rows(batch, 1, part)
-        _assert_binned_path_by_path(batch, config.bins)
+        _assert_binned_path_by_path(alone, batch)
 
     def test_memory_does_not_grow_with_trials_times_bins(self):
         # each chunk's rows are reduced before the next
@@ -586,20 +600,19 @@ class TestChunkedTrials:
         assert peak < config.trials * config.bins * 8 / 4
 
     def test_chunk_binning_and_reduce_peak_at_two_chunk_arrays(self, monkeypatch):
-        # One chunk of 64 trials over 2048 bins, 4 paths each.  The run's
-        # (rows + 1, bins) buffer and the histogram's (rows, bins) weights
-        # are the only arrays of the chunk's size: the density rows are
-        # reduced and turned into the spreads' scratch in place, so a
-        # copy of them for the reduce, or temporaries for the probabilities
-        # or the moments, would each add one more.  The allowance covers
-        # the few bins-sized arrays, the paths and the generator.  An omni
+        # One chunk of 64 trials over 2048 bins, 4 paths each.  No array
+        # of the chunk is bins wide: the path weights go straight into the
+        # running sum and the spreads come from the paths, so a single
+        # (trials, bins) array, of density rows or of their probabilities,
+        # would take 1 MB and fail the bound.  The allowance covers the
+        # few bins-sized arrays, the paths and the generator.  An omni
         # pattern, so that no first SciPy import is counted.
         config = _quick_config(taps=make_profile([0.0, 1.0], [0.5, 0.5], 2),
                                pattern=OmniPattern(), trials=64, bins=2048)
         monkeypatch.setattr(scenario, "CHUNK_SIZE", 64 * max(4, 2048))
         assert trials_per_chunk(config) == config.trials
         _, peak = _traced_memory(lambda: run_simulation(config), config)
-        assert peak <= 2.25 * config.trials * config.bins * 8
+        assert peak < config.trials * config.bins * 8 / 4
 
 
 def _memory_config():
