@@ -22,7 +22,7 @@ from .inputs import (_DEG, _US, _check_angles, _check_count, _check_eccentricity
                      _check_nonnegative, _check_samples, _check_taps, _json_path, json_field,
                      json_object, json_pairs)
 from .kernels import (_TWO_PI, _CdfTable, _gaussian_shape, _half_angle_map, _i0e, _invert_cdf,
-                      _ndtri, _uniform_quantile, _von_mises_shape)
+                      _ndtri, _table_cdf, _uniform_cdf, _uniform_quantile, _von_mises_shape)
 
 # HPBW is defined on the power pattern: g^2 drops to 1/2 at +/- hpbw/2,
 # so the amplitude-pattern std is hpbw / (2 sqrt(ln 2)).
@@ -39,7 +39,9 @@ def sigma_from_hpbw(hpbw):
 
 # Each pattern kind owns its departure density(phi) on angles in (-pi, pi],
 # its quantile(u), the inverse of the density's CDF on [-pi, pi] at
-# uniforms u in [0, 1), and its scenario-file form: to_json(),
+# uniforms u in [0, 1), that CDF, cdf(phi), on arrays of angles in
+# [-pi, pi] (the one the sampler inverts, which a run's bin-edge
+# thresholds read), and its scenario-file form: to_json(),
 # the json_keys it accepts and the classmethod from_json(doc, path), looked
 # up by kind in PATTERN_KINDS.
 
@@ -56,6 +58,9 @@ class OmniPattern:
 
     def quantile(self, u):
         return _uniform_quantile(u)
+
+    def cdf(self, phi):
+        return _uniform_cdf(phi)
 
     def to_json(self):
         return {"kind": self.kind}
@@ -108,6 +113,18 @@ class GaussianPattern:
         np.maximum(angles, -np.pi, out=angles)  # np.clip, bit for bit, in place
         np.minimum(angles, np.pi, out=angles)
         return angles if angles.ndim else angles[()]
+
+    def cdf(self, phi):
+        # The normal CDF at phi / std is erfc(-phi / sigma) / 2, one
+        # math.erfc call per angle; less the mass below -pi, over the mass
+        # on [-pi, pi], and clipped to [0, 1] against rounding.
+        lo = self._truncation[1]
+        scaled = np.divide(phi, -self.sigma)
+        out = np.fromiter(map(math.erfc, scaled.ravel().tolist()), float, scaled.size)
+        out *= 0.5
+        out -= lo
+        out /= 1.0 - 2.0 * lo
+        return np.clip(out, 0.0, 1.0, out=out).reshape(scaled.shape)
 
     def to_json(self):
         return {"kind": self.kind, "hpbw_deg": self.hpbw / _DEG}
@@ -191,6 +208,9 @@ class TabulatedPattern:
     def quantile(self, u):
         return _invert_cdf(self._cdf_table, u)
 
+    def cdf(self, phi):
+        return _table_cdf(self._cdf_table, phi)
+
     def to_json(self):
         return {"kind": self.kind, "samples": [[a / _DEG, g] for a, g in self.samples]}
 
@@ -239,6 +259,10 @@ class LocalScattering:
     def quantile(self, u):
         """Inverse CDF of the von Mises(0, mu) arrival density at u in [0, 1)."""
         return _uniform_quantile(u) if self.mu == 0 else _invert_cdf(_von_mises_table(self.mu), u)
+
+    def cdf(self, phi):
+        """The CDF that quantile inverts, at angles phi in [-pi, pi]."""
+        return _uniform_cdf(phi) if self.mu == 0 else _table_cdf(_von_mises_table(self.mu), phi)
 
 
 @lru_cache(maxsize=8)

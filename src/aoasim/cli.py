@@ -90,6 +90,8 @@ def _cmd_simulate(args):
 def _cmd_sweep(args):
     config = _load_config(args)
     hpbws = [_hpbw_deg(token) for token in args.hpbw.split(",") if token.strip()]
+    if not hpbws:
+        raise ValueError("--hpbw must list at least one beamwidth")
     points = hpbw_sweep(config, hpbws)
     doc = writers.write_sweep(args.out, config, points)
     for p in doc["points"]:

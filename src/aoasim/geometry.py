@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inputs import _check_eccentricity, _check_nonnegative
-from .kernels import _TWO_PI, _half_angle_map
+from .kernels import _TWO_PI, _ellipse_map, _half_angle_map
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact SI value
 
@@ -105,6 +105,18 @@ def aoa_to_aod(phi_r, eccentricity):
     """
     ecc = _check_eccentricity(eccentricity)
     return _half_angle_map(wrap_angle(phi_r), (1.0 + ecc) / (1.0 - ecc))
+
+
+def _aoa_to_aod_rows(phi_r, eccentricities):
+    """aoa_to_aod of the angles phi_r on each ellipse: one row per eccentricity.
+
+    Each eccentricity is checked.  The angles must lie inside (-pi, pi),
+    as a binning's interior edges do: there they need no wrap and the map
+    keeps no fixed point, so _ellipse_map is all of it.
+    """
+    ecc = _check_eccentricity(eccentricities)[:, None]
+    return _ellipse_map(np.broadcast_to(phi_r, (ecc.shape[0], np.size(phi_r))),
+                        (1.0 + ecc) / (1.0 - ecc))
 
 
 def _jacobian(phi_t, ecc):

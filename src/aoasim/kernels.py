@@ -1,5 +1,6 @@
 """Numerical kernels, and with them every NumPy call whose bits change with CPU
-dispatch (tan, arctan, exp, log): the grid samplers, the uniform and standard
+dispatch (tan, arctan, exp, log): the grid samplers and their CDFs, the guided
+search they share with the bin-edge thresholds, the uniform and standard
 normal (AS241) quantiles, _i0e, the ellipse's half-angle map and the Gaussian
 and von Mises shapes.  Callers check the input.  Imports no other aoasim module.
 """
@@ -21,25 +22,16 @@ class _CdfTable:
 
     The grid is np.linspace(-half, half, count), and density(grid) returns
     a new array of the density on it, which the build then reuses.  The
-    table keeps only what _invert_cdf reads: half, the cdf (float64) and
-    the guide (int32), 12 bytes a node and no grid; _invert_cdf rebuilds
-    the nodes it needs with linspace's own arithmetic (_grid_nodes).
-
-    guide[k] is the number of CDF nodes at or below k / _GUIDE_CELLS, so
-    the node count of a u in cell k lies within [guide[k], guide[k + 1]],
-    and the node guide[k + 1], where there is one, lies above the cell's
-    top (k + 1) / G: _invert_cdf starts each u at guide[k] and needs no
-    upper bound.  G = _GUIDE_CELLS is a power of two, so c * G is exact
-    and a node c is at or below k / G exactly when ceil(c * G) <= k: the
-    guide is a running count of those ceilings (the indexed search of
-    Chen and Asau, 1974).  Its counts are at most count, so they fit in
-    32 bits.
+    table keeps only what _invert_cdf and _table_cdf read: half, the cdf
+    (float64) and its guide over _GUIDE_CELLS cells (_guide, int32: its
+    counts are at most count), 12 bytes a node and no grid; both rebuild
+    the nodes they need with linspace's own arithmetic (_grid_nodes).
     """
 
     def __init__(self, half, density, count=_GRID_NODES):
-        # Summed and counted in place, each node-sized array dropped once its
-        # step is done: a table is 65,537 nodes, and every array kept alive
-        # during the build lifts the peak memory of a run.
+        # Summed in place, each node-sized array dropped once its step is
+        # done: a table is 65,537 nodes, and every array kept alive during
+        # the build lifts the peak memory of a run.
         grid = np.linspace(-half, half, count)
         weights = density(grid)
         cdf = np.empty(count)
@@ -52,13 +44,114 @@ class _CdfTable:
         del weights
         np.cumsum(cdf[1:], out=cdf[1:])
         cdf /= cdf[-1]
-        cells = np.multiply(cdf, _GUIDE_CELLS)
-        np.ceil(cells, out=cells)
-        cells = cells.astype(np.intp)
-        counts = np.bincount(cells, minlength=_GUIDE_CELLS + 1)
-        del cells
         self.half, self.cdf = half, cdf
-        self.guide = np.cumsum(counts, dtype=np.int32)
+        self.guide = _guide(cdf, _GUIDE_CELLS, np.int32)
+
+
+class _SearchRows:
+    """Rows of thresholds on [0, 1], each made nondecreasing, ready for _guided_count.
+
+    Each row gets a last node of 1, above every uniform, so a uniform's
+    count of its row's thresholds at or below it is at most the row's
+    threshold count.  The rows are kept flat, width nodes each, with their
+    guides (_guide) over two cells a node, rounded up to a power of two
+    and at most _GUIDE_CELLS.  So few cells hold more than one threshold,
+    and one probe step, where a CDF table takes two, leaves few values to
+    the edge search: the thresholds crowd only where the bins hold
+    little probability, and there a second probe rarely closes a value.
+    """
+
+    def __init__(self, thresholds):
+        count, width = thresholds.shape[0], thresholds.shape[1] + 1
+        rows = np.ones((count, width))
+        np.maximum.accumulate(thresholds, axis=1, out=rows[:, :-1])
+        np.clip(rows, 0.0, 1.0, out=rows)
+        self.width, self.cells = width, min(1 << (2 * width - 1).bit_length(), _GUIDE_CELLS)
+        self.nodes = rows.ravel()
+        self.guide = _guide(rows, self.cells)
+
+    def count(self, u, rows=0):
+        """Each u's count of the thresholds at or below it in its row: rows,
+        or rows[j] for the u of column j (the last axis)."""
+        found, _ = _guided_count(self.nodes, self.guide, self.cells, u, rows * (self.cells + 1),
+                                 self.width, probes=1)
+        found -= rows * self.width
+        return found
+
+
+def _guide(nodes, cells, dtype=np.intp):
+    """The guide of each row of nodes (its last axis; one row if 1-d), flat:
+    row r's entries from r * (cells + 1) on, each count offset by the nodes
+    of the rows before it, so that it indexes the flat nodes.
+
+    Each row is nondecreasing on [0, 1] and cells is a power of two.
+    Entry k of a row counts its nodes at or below k / cells, so the count
+    of a u in cell k lies within [guide[k], guide[k + 1]], and the node
+    guide[k + 1] ends the cell: it lies above (k + 1) / cells, where there
+    is one.  c * cells is exact, so a node c is at or below k / cells
+    exactly when ceil(c * cells) <= k: the guide is a running count of
+    those ceilings (the indexed search of Chen and Asau, 1974), one
+    bincount and one running sum for every row at once, each row's
+    ceilings shifted to its own block.
+    """
+    index = np.multiply(np.atleast_2d(nodes), cells)
+    np.ceil(index, out=index)
+    index = index.astype(np.intp)
+    blocks = index.shape[0] * (cells + 1)
+    if index.shape[0] > 1:
+        index += np.arange(0, blocks, cells + 1)[:, None]
+    counts = np.bincount(index.ravel(), minlength=blocks)
+    del index
+    return np.cumsum(counts, dtype=dtype)
+
+
+def _guided_count(nodes, guide, cells, u, start=None, width=None, probes=2):
+    """Each u's count of the nodes at or below it in its row, and the node at that count.
+
+    nodes holds rows of width nodes (one row by default), flat, each
+    nondecreasing on [0, 1] and ending above every u searched in it; guide
+    is their _guide over cells cells, and start, where there are rows
+    past the first, each u's row's first guide entry, r * (cells + 1),
+    broadcast against u.  The count is r * width plus searchsorted(row,
+    u, "right"), bit for bit, an index of the flat nodes.  One guide
+    lookup starts each u at the count of its cell's lower end; probes
+    probe steps close most values, and one edge search per row closes
+    the rest.  The probes need no upper bound: the node that ends u's
+    cell, or failing that the row's last node, lies above u, so a probe
+    steps only while it is below the count.  Returns (count, the node at
+    count), arrays of u's shape; the node is the last one a probe read.
+    u is an array of any shape.
+    """
+    cell = (u * cells).astype(np.intp)
+    if start is not None:
+        cell += start
+    # The guide's counts are widened once, as every take converts its
+    # indices to intp; lo stays within the nodes, so the takes by lo clip
+    # nothing: mode="clip" only spares the copy that a take into out makes
+    # in the default mode.
+    lo = np.asarray(guide.take(cell), dtype=np.intp)
+    del cell
+    c1 = np.asarray(nodes.take(lo))
+    for _ in range(probes):
+        lo += c1 <= u
+        nodes.take(lo, out=c1, mode="clip")
+    # Where the nodes are dense one guide cell spans many; the few values
+    # still open there go to one search in their row, by flat index.
+    still_open = np.flatnonzero(c1 <= u)
+    if still_open.size:
+        values = u.take(still_open)
+        if width is None:
+            counts = np.searchsorted(nodes, values, side="right")
+        else:
+            rows = lo.take(still_open) // width
+            counts = np.empty_like(rows)
+            for row in np.flatnonzero(np.bincount(rows)).tolist():
+                first, in_row = row * width, np.flatnonzero(rows == row)
+                counts[in_row] = first + np.searchsorted(nodes[first:first + width],
+                                                         values.take(in_row), side="right")
+        np.put(lo, still_open, counts)
+        np.put(c1, still_open, nodes.take(counts))
+    return lo, c1
 
 
 def _grid_nodes(table, index, out):
@@ -78,42 +171,23 @@ def _invert_cdf(table, u):
     """Linear interpolation of the inverse CDF at u in [0, 1).
 
     Bit for bit the route through np.searchsorted(cdf, u, "right"), the
-    node count c of u, on the grid np.linspace(-half, half, len(cdf)).
-    One guide lookup starts each value at the count of its guide cell's
-    lower end; two probe steps close most values and one edge search
-    closes the rest.  The probes need no upper bound: the node that ends
-    u's guide cell already lies above u (see _CdfTable), so a probe steps
-    only while it is below c, and c is at most len(cdf) - 1 as
-    u < 1 = cdf[-1].  The cdf[lo] the last probe took is the
+    node count c of u (_guided_count over the table's guide), on the grid
+    np.linspace(-half, half, len(cdf)).  c is at most len(cdf) - 1, as
+    u < 1 = cdf[-1], and cdf[c], the node the last probe read, is the
     interpolation's upper CDF value.  The two grid nodes are rebuilt as
     np.linspace computes them, i * step + start, with stop at the last
     node; the lower node c - 1 is never the last, so only the upper one
-    needs that.  Each table lookup is one take, and the steps run in
-    place, so at most four arrays of u's size are live at once (lo, c1,
-    out and one scratch array).  u may be a number or an array of any
-    shape.
+    needs that.  The steps run in place, so at most four arrays of u's
+    size are live at once (lo, c1, out and one scratch array).  u may be
+    a number or an array of any shape.
     """
     cdf = table.cdf
+    # An array even for a scalar u, so that the steps below can write into it.
     u = np.asarray(u, dtype=float)
-    # Arrays even for a scalar u, so that the steps below can write into
-    # them; the int32 guide counts are widened once, as every take converts
-    # its indices to intp.  lo stays within [0, len(cdf) - 1], so the takes
-    # by lo clip nothing: mode="clip" only spares the copy that a take into
-    # out makes in the default mode.
-    lo = np.asarray(table.guide.take((u * _GUIDE_CELLS).astype(np.intp)), dtype=np.intp)
-    c1 = np.asarray(cdf.take(lo))
-    for _ in range(2):
-        lo += c1 <= u
-        cdf.take(lo, out=c1, mode="clip")
-    # Where the density is low one guide cell spans many nodes; the few
-    # values still open there go to one search, by flat index.
-    still_open = np.flatnonzero(c1 <= u)
-    np.put(lo, still_open, np.searchsorted(cdf, u.take(still_open), side="right"))
-    np.put(c1, still_open, cdf.take(lo.take(still_open)))
+    lo, c1 = _guided_count(cdf, table.guide, _GUIDE_CELLS, u)
     # The values whose upper node is the last, by flat index, found while
     # only lo and c1 are live: a u above cdf[-2], so few or none.
     at_stop = np.flatnonzero(lo == cdf.size - 1)
-    del still_open  # not live beside the four arrays below
     # Now c0 = cdf[lo - 1] <= u < cdf[lo] = c1, with 1 <= lo, so the span
     # is positive: g0 + (u - c0) / (c1 - c0) * (g1 - g0), one operation at
     # a time, in place.
@@ -132,8 +206,51 @@ def _invert_cdf(table, u):
     return out
 
 
+def _table_cdf(table, phi):
+    """The table's piecewise-linear CDF at each angle phi: the inverse of _invert_cdf.
+
+    0 up to -half and 1 from half on; between, c0 + (phi - g0) / (g1 - g0)
+    * (c1 - c0) on the grid segment g0 <= phi < g1, its two nodes rebuilt
+    as _grid_nodes builds them, so no grid is built.  The segment is
+    estimated from (phi + half) / step and then moved by one node where
+    the rebuilt nodes disagree with the estimate.
+    """
+    cdf, half = table.cdf, table.half
+    phi = np.asarray(phi, dtype=float)
+    last = cdf.size - 2     # the lower node of the last segment
+    scaled = np.add(phi, half, out=np.empty(phi.shape))
+    scaled /= (half - -half) / (cdf.size - 1)
+    np.clip(scaled, 0, last, out=scaled)
+    lo = scaled.astype(np.intp)
+    g0, g1 = np.empty(phi.shape), np.empty(phi.shape)
+
+    def upper_node():
+        # the node after lo, the last one being half
+        _grid_nodes(table, lo + 1, g1)
+        np.copyto(g1, half, where=lo == last)
+
+    lo -= (_grid_nodes(table, lo, g0) > phi) & (lo > 0)
+    upper_node()
+    lo += (g1 <= phi) & (lo < last)
+    _grid_nodes(table, lo, g0)
+    upper_node()
+    g1 -= g0
+    out = np.subtract(phi, g0, out=g0)
+    out /= g1
+    c0 = cdf.take(lo)
+    out *= cdf.take(lo + 1) - c0
+    out += c0
+    np.copyto(out, 0.0, where=phi <= -half)
+    np.copyto(out, 1.0, where=phi >= half)
+    return out
+
+
 def _uniform_quantile(u):
     return -np.pi + _TWO_PI * u
+
+
+def _uniform_cdf(phi):
+    return (phi + np.pi) / _TWO_PI
 
 
 # The standard normal quantile by Wichura's AS241 (PPND16, Applied
@@ -266,22 +383,31 @@ def _von_mises_shape(phi, mu):
     return np.exp(out, out=out)
 
 
-def _half_angle_map(phi, ratio):
-    # tan(out/2) = ratio * tan(phi/2) for phi on [-pi, pi], as every
-    # quantile function and every angle check returns it, so phi is not
-    # wrapped here; out is on (-pi, pi].  ratio is one value or one per
-    # column (the last axis of phi), and each column comes out bit for bit
-    # as its own ratio maps it alone.  The steps run in place on one
-    # buffer of phi's size.  They keep neither a ratio-1 column (a circle:
-    # the identity) nor the fixed point +-pi exact, so both are copied in
-    # last: the column from phi, and +-pi as pi, the wrap of -pi.
-    scalar = np.ndim(phi) == 0
-    phi = np.atleast_1d(phi)
+def _ellipse_map(phi, ratio):
+    """2 arctan(ratio tan(phi / 2)) of each phi in (-pi, pi), in place on one
+    new buffer of phi's shape; ratio is one value or one per column (the
+    last axis), or broadcast against phi.  A column of ratio 1 (a circle:
+    the identity) comes back as phi, bit for bit, which the steps do not
+    keep exact."""
     mapped = np.multiply(phi, 0.5)
     np.tan(mapped, out=mapped)
     mapped *= ratio
     np.arctan(mapped, out=mapped)
     mapped *= 2.0
     np.copyto(mapped, phi, where=ratio == 1.0)
+    return mapped
+
+
+def _half_angle_map(phi, ratio):
+    # tan(out/2) = ratio * tan(phi/2) for phi on [-pi, pi], as every
+    # quantile function and every angle check returns it, so phi is not
+    # wrapped here; out is on (-pi, pi].  ratio is one value or one per
+    # column (the last axis of phi), and each column comes out bit for bit
+    # as its own ratio maps it alone.  The fixed point +-pi is not kept
+    # exact by _ellipse_map either, so it is copied in last, as pi, the
+    # wrap of -pi.
+    scalar = np.ndim(phi) == 0
+    phi = np.atleast_1d(phi)
+    mapped = _ellipse_map(phi, ratio)
     np.copyto(mapped, np.pi, where=(phi == np.pi) | (phi == -np.pi))
     return float(mapped[0]) if scalar else mapped

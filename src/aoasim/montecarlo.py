@@ -22,6 +22,11 @@ trials under several patterns in turn: the uniforms, local angles and
 powers are drawn once, and each pattern then gets its departure angles,
 their ellipse map and a (trials, paths) path set of its own.  This is
 how an HPBW sweep runs all its points in one pass.
+
+A run that reports no unbinned angle needs only each path's bin, which
+BinSearch finds from the path's uniform alone: the quantile functions and
+the ellipse map are nondecreasing, so the bin is the count of the bin
+edges' CDF values at or below the uniform.
 """
 
 from __future__ import annotations
@@ -31,11 +36,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geometry import wrap_angle
-from .kernels import _half_angle_map
+from .geometry import _aoa_to_aod_rows, wrap_angle
+from .kernels import _half_angle_map, _SearchRows
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import ScenarioConfig
+
 
 @dataclass(frozen=True, eq=False)
 class PathSet:
@@ -45,7 +51,8 @@ class PathSet:
     power of each scattered path, in draw order: the zero-delay tap's
     local paths first, then each delayed tap in profile order.  Shape
     (paths,) for one trial; (trials, paths), one row per trial, for a
-    batch.
+    batch.  angles is None in a batch binned from its uniforms
+    (BinSearch.chunk), which computes no angle.
     tap_index: the tap each scattered path (column) belongs to.
     direct_power: power of the direct path at boresight; 0.0 when
     kappa = 0, in which case the trial has no direct path.
@@ -82,6 +89,35 @@ def draw_uniforms(scenario: "ScenarioConfig", first, stop):
     return np.random.Generator(stream).random((stop - first, width))
 
 
+def _chunk_powers(scenario, uniforms):
+    """The (trials, paths) powers of a chunk's uniforms, and its direct path's power."""
+    profile = scenario.taps
+    paths = profile.tap_index.size
+    return (uniforms[:, paths:2 * paths] * scenario.power_scales,
+            scenario.kappa * profile.taps[0].power / (1.0 + scenario.kappa))
+
+
+def _chunk_angles(scenario, patterns, uniforms):
+    """The (trials, paths) arrival angles of a chunk's uniforms under each pattern in turn.
+
+    The local angles are taken once; each pattern's departure quantiles
+    of every delayed tap are mapped through their ellipses and joined to
+    them only when the previous pattern's angles have been yielded.
+    """
+    local, paths = scenario.taps.path_counts[0], scenario.taps.tap_index.size
+    # The quantiles lie on [-pi, pi], so wrapping them to (-pi, pi] moves
+    # -pi only.
+    local_angles = scenario.local.quantile(uniforms[:, :local])
+    np.copyto(local_angles, np.pi, where=local_angles == -np.pi)
+    for pattern in patterns:
+        # The map takes the quantiles on [-pi, pi] and gives angles on
+        # (-pi, pi], so every angle is wrapped exactly once.  The angles
+        # are joined after the map, so they and the quantile's working
+        # arrays are never live at once.
+        yield np.concatenate((local_angles, _half_angle_map(
+            pattern.quantile(uniforms[:, local:paths]), scenario.half_angle_ratios)), axis=1)
+
+
 def generate_chunk(scenario: "ScenarioConfig", patterns, first, stop):
     """Path sets of trials first..stop-1, one per pattern in turn.
 
@@ -95,23 +131,65 @@ def generate_chunk(scenario: "ScenarioConfig", patterns, first, stop):
     its row k what trial first + k gives alone, whatever first and stop
     are.
     """
-    profile = scenario.taps
-    local, paths = profile.path_counts[0], profile.tap_index.size
     uniforms = draw_uniforms(scenario, first, stop)
-    # The quantiles lie on [-pi, pi], so wrapping them to (-pi, pi] moves
-    # -pi only.
-    local_angles = scenario.local.quantile(uniforms[:, :local])
-    np.copyto(local_angles, np.pi, where=local_angles == -np.pi)
-    powers = uniforms[:, paths:2 * paths] * scenario.power_scales
-    direct_power = scenario.kappa * profile.taps[0].power / (1.0 + scenario.kappa)
-    for pattern in patterns:
-        # The map takes the quantiles on [-pi, pi] and gives angles on
-        # (-pi, pi], so every angle is wrapped exactly once.  The angles
-        # are joined after the map, so they and the quantile's working
-        # arrays are never live at once.
-        angles = np.concatenate((local_angles, _half_angle_map(
-            pattern.quantile(uniforms[:, local:paths]), scenario.half_angle_ratios)), axis=1)
-        yield PathSet(angles, powers, profile.tap_index, direct_power)
+    powers, direct_power = _chunk_powers(scenario, uniforms)
+    for angles in _chunk_angles(scenario, patterns, uniforms):
+        yield PathSet(angles, powers, scenario.taps.tap_index, direct_power)
+
+
+class BinSearch:
+    """Each path's bin straight from its uniform, for a run's patterns and binning.
+
+    Every sampler's quantile is the inverse of its cdf and the ellipse
+    map is increasing, so a path lies at or past interior edge b exactly when
+    its uniform is at or above the edge's threshold cdf(aoa_to_aod(edge
+    b)), and its bin is the count of its row's thresholds at or below
+    its uniform.  The thresholds are built once per run: one row for the
+    local paths (their cdf at the edges) and one per pattern and delayed
+    tap, each made nondecreasing and searched by _guided_count.  So a
+    chunk bins its local columns once and each pattern's delayed columns
+    in one guided search, and no angle is computed.
+
+    A uniform of exactly 0 is the one point where a path's angle is not
+    nondecreasing in its uniform: a quantile of -pi wraps to pi, the
+    last bin.  Such a path takes the bin of its angle, computed for it.
+    A path within a few ulps of an edge may bin otherwise than its
+    angle would.
+    """
+
+    def __init__(self, scenario, patterns, bins):
+        profile = scenario.taps
+        self.scenario, self.patterns, self.bins = scenario, patterns, bins
+        interior = bins.edges[1:-1]
+        self.local = _SearchRows(scenario.local.cdf(interior)[None])
+        departures = _aoa_to_aod_rows(interior, scenario.eccentricities)
+        self.delayed = [_SearchRows(pattern.cdf(departures)) for pattern in patterns]
+        # the threshold row of each delayed column: its tap's
+        self.rows = profile.tap_index[profile.path_counts[0]:] - 1
+
+    def chunk(self, first, stop):
+        """(cells, paths) of trials first..stop-1 under each pattern in turn.
+
+        cells is the (trials, paths) bin of each path; paths is its path
+        set without angles (angles None), the one powers array shared by
+        every pattern.  The cells of patterns[p] are bins.index of
+        generate_chunk's angles, but for a path within a few ulps of an
+        edge.
+        """
+        profile = self.scenario.taps
+        local, paths = profile.path_counts[0], profile.tap_index.size
+        uniforms = draw_uniforms(self.scenario, first, stop)
+        powers, direct_power = _chunk_powers(self.scenario, uniforms)
+        zeros = np.flatnonzero(uniforms[:, :paths] == 0.0)
+        local_cells = self.local.count(uniforms[:, :local])
+        # Copied once, so that every pattern's search reads contiguous rows.
+        delayed = uniforms[:, local:paths].copy()
+        for pattern, search in zip(self.patterns, self.delayed):
+            cells = np.concatenate((local_cells, search.count(delayed, self.rows)), axis=1)
+            if zeros.size:
+                [angles] = _chunk_angles(self.scenario, (pattern,), np.zeros((1, paths)))
+                np.put(cells, zeros, self.bins.index(angles[0]).take(zeros % paths))
+            yield cells, PathSet(None, powers, profile.tap_index, direct_power)
 
 
 def generate_trial(scenario: "ScenarioConfig", trial_index):

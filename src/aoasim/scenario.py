@@ -24,7 +24,7 @@ from .geometry import _half_angle_ratio, _read_only
 from .inputs import (_COUNT_RANGES, _DEG, _US, _check_count, _check_hpbw, _check_nonnegative,
                      _check_normalized, _check_profile, _check_taps, json_field, json_object,
                      json_pairs)
-from .montecarlo import generate_chunk
+from .montecarlo import BinSearch, generate_chunk
 from .writers import write_json
 
 DEFAULT_PATHS_PER_TAP = 50
@@ -167,11 +167,17 @@ class ScenarioConfig:
         return _read_only(np.repeat(scales, self.taps.path_counts))
 
     @cached_property
+    def eccentricities(self):
+        """The eccentricity of each delayed tap's ellipse, in tap order."""
+        return _read_only(np.array([e.eccentricity
+                                    for e in ellipses_for_taps(self.taps, self.distance)]))
+
+    @cached_property
     def half_angle_ratios(self):
         # aod_to_aoa's ratio of each delayed path column, its eccentricity
         # checked here once, so the chunks map without checking it again.
-        eccentricities = [e.eccentricity for e in ellipses_for_taps(self.taps, self.distance)]
-        return _read_only(_half_angle_ratio(np.repeat(eccentricities, self.taps.path_counts[1:])))
+        return _read_only(_half_angle_ratio(np.repeat(self.eccentricities,
+                                                      self.taps.path_counts[1:])))
 
     @classmethod
     def from_json_dict(cls, doc):
@@ -281,26 +287,35 @@ def _simulate(config, patterns, per_path_spread):
     """One report per pattern: config's trials, run once for all patterns.
 
     Trials run in chunks of consecutive trials (trials_per_chunk).  Each
-    chunk is drawn once and then generated under one pattern at a time
-    (montecarlo.generate_chunk), binned and reduced for that pattern
-    before the next; the path weights (each path's power over its trial's
-    total power) and point masses, which depend on the shared powers
-    alone, are taken and checked once per chunk.  How the weights reach
-    the running sum and the spreads: README, Determinism.  Every trial
-    reads its own block of the run's random stream, so each report is
-    what config with that pattern gives alone, bit for bit, whatever the
-    chunking and the other patterns.  The unbinned per-path spreads are
-    taken only when per_path_spread is true; otherwise the reports carry
-    None.
+    chunk draws its uniforms once and then bins its paths under one
+    pattern at a time, reducing them for that pattern before the next;
+    the path weights (each path's power over its trial's total power)
+    and point masses, which depend on the shared powers alone, are taken
+    and checked once per chunk.  Without per_path_spread no angle is
+    computed: each path's bin comes from its uniform, searched among the
+    run's bin-edge thresholds (montecarlo.BinSearch), and the reports'
+    per_path_spreads are None.  With it, the chunk's angles are
+    generated (montecarlo.generate_chunk), binned by bins.index and
+    reduced to the unbinned per-path spreads as well.  How the weights
+    reach the running sum and the spreads: README, Determinism.  Every
+    trial reads its own block of the run's random stream, so each report
+    is what config with that pattern gives alone, bit for bit, whatever
+    the chunking and the other patterns.
     """
     trials, step, bins = config.trials, trials_per_chunk(config), _bins(config.bins)
     weight_sums = np.zeros((len(patterns), bins.count))
     point_mass = np.empty(trials)
     trial_spreads = np.empty((len(patterns), trials))
     path_spreads = np.empty((len(patterns), trials)) if per_path_spread else None
+    search = None if per_path_spread else BinSearch(config, patterns, bins)
     for first in range(0, trials, step):
         stop = min(first + step, trials)
-        for point, paths in enumerate(generate_chunk(config, patterns, first, stop)):
+        if search is None:
+            chunk = ((bins.index(paths.angles), paths)
+                     for paths in generate_chunk(config, patterns, first, stop))
+        else:
+            chunk = search.chunk(first, stop)
+        for point, (cells, paths) in enumerate(chunk):
             if point == 0:
                 # Every pattern's path set shares the chunk's powers, and
                 # with them the weights and point masses.
@@ -308,12 +323,14 @@ def _simulate(config, patterns, per_path_spread):
                 point_mass[first:stop] = paths.direct_power / total
                 weights = paths.powers / total[:, None]
                 _check_normalized(_normalization_defects(weights, point_mass[first:stop]))
-            cells = bins.index(paths.angles)
             # add.at adds one path at a time, in trial order across chunks.
             np.add.at(weight_sums[point], cells.ravel(), weights.ravel())
             trial_spreads[point, first:stop] = weighted_spread(bins.centers.take(cells), weights)
             if per_path_spread:
                 path_spreads[point, first:stop] = weighted_spread(paths.angles, weights)
+        # Dropped before the next chunk is drawn, so that no array of this
+        # chunk is live beside the next one's.
+        del cells, paths, weights
     # Each report's spreads are read-only rows of these.
     trial_spreads.flags.writeable = False
     path_rows = [None] * len(patterns)
@@ -340,12 +357,13 @@ def run_simulation(config, per_path_spread=False):
     """Run the configured number of trials and average their spectra.
 
     The one-pattern case of _simulate: trials run in bounded chunks,
-    each generated, binned and reduced as one batch.  Every trial reads
-    its own block of the run's random stream (see montecarlo), so the
-    output is fully deterministic for a fixed scenario and seed and does
-    not depend on the chunking.  Each trial is generated once, for its
-    spectrum and, with per_path_spread, its unbinned spread alike;
-    without it the report's per_path_spreads is None.
+    each drawn, binned and reduced as one batch.  Every trial reads its
+    own block of the run's random stream (see montecarlo), so the output
+    is fully deterministic for a fixed scenario and seed and does not
+    depend on the chunking.  With per_path_spread each trial's angles
+    are generated once, for its spectrum and its unbinned spread alike;
+    without it no angle is computed, each path being binned from its
+    uniform, and the report's per_path_spreads is None.
     """
     [report] = _simulate(config, (config.pattern,), per_path_spread)
     return report
@@ -367,19 +385,21 @@ def hpbw_sweep(config, hpbw_deg_list):
     Returns one SweepPoint (hpbw_deg, report) per beamwidth
     (degrees), each equal bit for bit to run_simulation at that
     beamwidth.  All points run in one pass, in chunks as large as one
-    run_simulation takes: each chunk of trials draws its uniforms, local
-    angles and powers once, and only the delayed taps' departures, their
-    ellipse map, the binning and the reduce run per point, one point at
-    a time.
+    run_simulation takes, and no angle is computed: each point's
+    bin-edge thresholds are built once per run, each chunk of trials
+    draws its uniforms and powers and bins its local paths once, and
+    only the delayed paths' search among the point's thresholds and the
+    reduce run per point, one point at a time (montecarlo.BinSearch).
     Every point reads the same uniforms, so the points share common
-    random numbers.  Only defined for Gaussian patterns.  The reports
-    carry no per-path spreads (per_path_spreads is None).
+    random numbers.  Only defined for Gaussian patterns, and for at
+    least one beamwidth.  The reports carry no per-path spreads
+    (per_path_spreads is None).
     """
     if not isinstance(config.pattern, GaussianPattern):
         raise ValueError("HPBW sweep requires a Gaussian antenna pattern")
     hpbws = [float(hpbw_deg) for hpbw_deg in hpbw_deg_list]
     if not hpbws:
-        raise ValueError("hpbw list must be nonempty")
+        raise ValueError("hpbw_deg_list must list at least one beamwidth")
     patterns = tuple(GaussianPattern(_check_hpbw(hpbw, f"hpbw_deg_list[{i}]", degrees=True) * _DEG)
                      for i, hpbw in enumerate(hpbws))
     return [SweepPoint(hpbw, report)

@@ -231,17 +231,19 @@ def trial_ordered_run(angles, powers, direct_power, bins):
 
 
 def nan_power_in_trial(trial):
-    """A stand-in for montecarlo.generate_chunk whose path sets give trial a NaN power."""
+    """A stand-in for montecarlo.draw_uniforms that gives trial's first path a
+    NaN power uniform, and so a NaN power, on both routes of a run."""
     from aoasim import montecarlo
 
-    def generate_chunk(config, patterns, first, stop):
-        for paths in montecarlo.generate_chunk(config, patterns, first, stop):
-            powers = paths.powers.copy()
-            if first <= trial < stop:
-                powers[trial - first, 0] = math.nan
-            yield montecarlo.PathSet(paths.angles, powers, paths.tap_index, paths.direct_power)
+    draw = montecarlo.draw_uniforms
 
-    return generate_chunk
+    def draw_uniforms(config, first, stop):
+        uniforms = draw(config, first, stop)
+        if first <= trial < stop:
+            uniforms[trial - first, config.taps.tap_index.size] = math.nan
+        return uniforms
+
+    return draw_uniforms
 
 
 def invert_cdf_searched(grid, cdf, u):

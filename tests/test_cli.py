@@ -111,9 +111,9 @@ class TestSimulate:
                                               monkeypatch):
         # the run's per-trial normalization check, reached from the command
         # line: one JSON error record, no traceback and no output files
-        from aoasim import scenario
+        from aoasim import montecarlo
 
-        monkeypatch.setattr(scenario, "generate_chunk", nan_power_in_trial(2))
+        monkeypatch.setattr(montecarlo, "draw_uniforms", nan_power_in_trial(2))
         out = tmp_path / "never"
         assert main(["simulate", "--scenario", str(scenario_file), "--out", str(out)]) == 1
         assert _error_record(capsys) == {"error": "spectrum is not normalized (defect nan)",
@@ -169,24 +169,25 @@ class TestSimulate:
         assert generated == [0, 1, 2, 3, 4]
 
     def test_per_path_spreads_only_on_request(self, scenario_file, tmp_path, monkeypatch):
-        # one weighted_spread call per chunk and point for the per-trial
-        # spreads, one more per chunk with --per-path-spread, and none more
-        # for a plain simulate or a sweep
-        from aoasim import scenario
+        # one draw per chunk on either route, one weighted_spread call per
+        # chunk and point for the per-trial spreads, one more per chunk
+        # with --per-path-spread, and none more for a plain simulate or a
+        # sweep
+        from aoasim import montecarlo, scenario
 
-        calls = {"generate_chunk": 0, "weighted_spread": 0}
+        calls = {"draw_uniforms": 0, "weighted_spread": 0}
 
-        def counting(name):
-            original = getattr(scenario, name)
+        def counting(owner, name):
+            original = getattr(owner, name)
 
             def counted(*args):
                 calls[name] += 1
                 return original(*args)
 
-            return counted
+            monkeypatch.setattr(owner, name, counted)
 
-        for name in calls:
-            monkeypatch.setattr(scenario, name, counting(name))
+        counting(montecarlo, "draw_uniforms")
+        counting(scenario, "weighted_spread")
         monkeypatch.setattr(scenario, "CHUNK_SIZE", 1)    # one trial per chunk
         run = ["--scenario", str(scenario_file), "--out", str(tmp_path), "--trials", "5"]
         for argv, spread_calls in ((["simulate", *run], 5),
@@ -194,7 +195,7 @@ class TestSimulate:
                                    (["sweep", *run, "--hpbw", "360,60"], 10)):
             calls.update(dict.fromkeys(calls, 0))
             assert main(argv) == 0
-            assert calls == {"generate_chunk": 5, "weighted_spread": spread_calls}
+            assert calls == {"draw_uniforms": 5, "weighted_spread": spread_calls}
 
     def test_import_leaves_scipy_signal_alone(self, scenario_file, tmp_path):
         # SciPy is the tests' oracle only: no command, and no analytic
@@ -491,6 +492,7 @@ class TestSweep:
         ("nan", "--hpbw must lie in (0, 360] degrees, got nan"),
         ("90,5e-324", "--hpbw must lie in (0, 360] degrees, got 5e-324"),
         ("60,abc", "--hpbw must be comma-separated numbers of degrees, got 'abc'"),
+        (",", "--hpbw must list at least one beamwidth"),
     ])
     def test_bad_hpbw_names_the_option_in_degrees(self, scenario_file, tmp_path, capsys,
                                                   hpbw, message):

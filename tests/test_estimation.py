@@ -54,7 +54,8 @@ def _uniform_spectrum(bins=360):
 def _averaged(monkeypatch, path_sets, bins):
     # run_simulation's average over the given path sets, one trial each:
     # one trial per chunk, the chunk's batch being that trial's path set
-    # under the one pattern
+    # under the one pattern.  With per_path_spread the run bins the angles
+    # generate_chunk gives, these path sets' own.
     def chunk(config, patterns, first, stop):
         [paths] = path_sets[first:stop]
         return [PathSet(angles=paths.angles[None], powers=paths.powers[None],
@@ -65,7 +66,7 @@ def _averaged(monkeypatch, path_sets, bins):
     config = scenario.ScenarioConfig(
         distance=1000.0, taps=TapProfile((Tap(0.0, 1.0, 1),)), pattern=OmniPattern(),
         kappa=0.0, mu=0.0, trials=len(path_sets), bins=bins)
-    return scenario.run_simulation(config).averaged_spectrum
+    return scenario.run_simulation(config, per_path_spread=True).averaged_spectrum
 
 
 class TestEstimatePdf:

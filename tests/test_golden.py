@@ -8,7 +8,7 @@ rounding, key order, formatting) fails here even when the values stay
 statistically sound.  Refactors must keep these digests; a deliberate
 change of output re-records them and says why.
 
-The digests were recorded for stream format v3 (package version 0.5.0):
+The digests were recorded for stream format v3 (package versions 0.5.0 and 0.6.0):
 one PCG64DXSM stream per run seeded by SeedSequence(seed), exactly 2P
 uniforms per trial reached by advance, and quantile samplers.  They
 depend on NumPy's PCG64DXSM and SeedSequence, on the package's own
@@ -25,6 +25,12 @@ pairwise add along the trial's row.  So the digests depend on both
 orders; angles, powers, per-path spreads and point masses are 0.4.0's,
 and sweep.csv kept both of its digests.  A sweep point no longer repeats
 its report's angle_spread_deg beside it.
+
+Version 0.6.0 bins the paths of a run without --per-path-spread (the
+sweeps here) from their uniforms, against the CDF values of the bin
+edges, and computes no angle for them: every spectrum.csv and sweep.csv
+kept its digest, and every report.json differs from 0.5.0's in its
+version line alone, so each was re-recorded for that line.
 
 The chunked sweep case was first recorded while hpbw_sweep still ran
 the whole simulation once per point; the one-pass sweep, which draws
@@ -86,21 +92,21 @@ def _digests(directory, names):
 
 SIMULATE_DIGESTS = {
     "omni": {
-        "report.json": "78204e55f71aa1ae3fa4bbe6e6a5610981df059dff6208e27cc804256c3eaebb",
+        "report.json": "42af287f2c378964e7f058c7f15c3f1f07dc0b7ae4ed66fb0d8c8da7e456e092",
         "spectrum.csv": "cb2df730a1545624113a7593f2607282211df6cd252ebee0ca24fac91984ad50",
     },
     "gaussian": {
-        "report.json": "45f9885904ff74db1d0485397502ab211a182107ad6085b7ace460240742da5a",
+        "report.json": "cc07bdefa8a9382040155f1760284fd3a35ced234201b09612fbec1cf3b18754",
         "spectrum.csv": "7b7000a5f937bbb0aac2e08b7c6d3d605f274a63d93604ad5c2716da7d4f808d",
     },
     "tabulated": {
-        "report.json": "7f77079bda279bdee67cb3004f5da2787e7f19c36164e80b2f36c4cb037a66ab",
+        "report.json": "db6e1f84108f44f5feb824871b6e28c70208328f0cba3332af7a32e5b5d66bc1",
         "spectrum.csv": "6aeb11e6b3f09afc90f628892f6cbeb06a6ce509971d4ae7ec1108b8cae5a8e2",
     },
 }
 
 WIDE_DIGESTS = {
-    "report.json": "e0cbe971025690cd61b71ad953bcf637791ae95610cd744dcb800e6e9bc60733",
+    "report.json": "e67e82a51d055a46992edacebf528c0c1391409cb8c5c7c99bf40f5b0c009953",
     "spectrum.csv": "42a14fe3aa175c1d7da69ceea9d9fd379f27b8bfff8ca8c369e662d8de0ed9a3",
 }
 
@@ -113,7 +119,7 @@ _CHUNKED_TAPS = [
 ]
 
 SWEEP_DIGESTS = {
-    "report.json": "13bab5351d161dbee7917ac93efbb39506b6194deef2386d4b3f478b9b533036",
+    "report.json": "06a26d28a4b5882f2566c5ad2b13f743a5b7cd93b89286bf1e115632b5919728",
     "sweep.csv": "ef16cdfceee24e450a96af36ad4cabad038a41e817814e21be4a5989010f0884",
 }
 
@@ -148,7 +154,7 @@ def test_sweep_bytes(tmp_path, capsys):
 
 
 CHUNKED_SWEEP_DIGESTS = {
-    "report.json": "6764c837f7e244ebfb1bd6ce9be905258bda0d3031c2ad9a75a6bbac67fea6b6",
+    "report.json": "8d99b67fcdd2ed02a688de30df45b6aa04c53bfea73b022afb9a5c7a74c4f8a8",
     "sweep.csv": "52e3121962a4713f9147e7af59a8b132ff5c3abd1e98ec7c2b27b58256ad9152",
 }
 

@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +20,10 @@ from aoasim.angular import (
     TapProfile,
     ellipses_for_taps,
 )
+from aoasim.estimation import _bins
 from aoasim.geometry import aod_to_aoa, wrap_angle
 from aoasim.montecarlo import generate_chunk, generate_trial, sample_aod
-from aoasim.scenario import ScenarioConfig
+from aoasim.scenario import ScenarioConfig, trials_per_chunk
 
 from helpers import (
     bessel_i0_series,
@@ -352,3 +354,106 @@ class TestGenerateChunk:
             tracemalloc.stop()
         assert batch.angles.tobytes() == warm.angles.tobytes()
         assert peak <= 1_500_000
+
+
+def _both_routes(config, patterns):
+    """(searched, indexed) cells of every chunk and pattern of a run: BinSearch's
+    from the uniforms, and bins.index of generate_chunk's angles."""
+    bins = _bins(config.bins)
+    search = montecarlo.BinSearch(config, patterns, bins)
+    step = trials_per_chunk(config)
+    searched, indexed = [], []
+    for first in range(0, config.trials, step):
+        stop = min(first + step, config.trials)
+        for (cells, paths), batch in zip(search.chunk(first, stop),
+                                         generate_chunk(config, patterns, first, stop)):
+            assert paths.angles is None and paths.powers.tobytes() == batch.powers.tobytes()
+            searched.append(cells)
+            indexed.append(bins.index(batch.angles))
+    return np.concatenate(searched), np.concatenate(indexed)
+
+
+def _long_spread(**edits):
+    doc = json.loads(LONG_SPREAD.read_text(encoding="utf-8"))
+    doc.update(edits)
+    return ScenarioConfig.from_json_dict(doc)
+
+
+def _benchmark_tabulated(seed=5):
+    # 72 samples every 5 degrees, amplitudes from the seed, as bench/ draws them
+    rng = np.random.default_rng(seed)
+    return {"kind": "tabulated",
+            "samples": [[-175.0 + 5.0 * k, rng.uniform(0.1, 1.0)] for k in range(72)]}
+
+
+SWEEP_HPBWS = (360.0, 180.0, 120.0, 90.0, 60.0)
+
+# Runs shaped like the benchmark's workloads, and the edges of the inputs:
+# each the shipped long-spread scenario with these edits.
+_ROUTE_CASES = {
+    "omni_64_bins": dict(pattern={"kind": "omni"}, bins=64, mu=40.0, kappa=1.0, trials=2000,
+                         taps_paths=4),
+    "tabulated_3600_bins": dict(pattern=_benchmark_tabulated(), bins=3600, kappa=0.0, trials=12,
+                                taps_paths=5000),
+    "gaussian_360_bins": dict(pattern={"kind": "gaussian", "hpbw_deg": 75.0}, bins=360),
+    "beam_0.01_deg": dict(pattern={"kind": "gaussian", "hpbw_deg": 0.01}),
+    "beam_1_deg": dict(pattern={"kind": "gaussian", "hpbw_deg": 1.0}),
+    "distance_0": dict(distance_m=0.0),
+    "kappa_0_mu_0": dict(kappa=0.0, mu=0.0),
+    "mu_1e4_8_bins": dict(mu=1e4, bins=8),
+    "one_path_per_tap": dict(taps_paths=1),
+}
+
+
+class TestBinSearch:
+    """The run's bins from the uniforms against bins.index of the angles, path by path."""
+
+    @pytest.mark.parametrize("seed", [2001, 5, 77])
+    @pytest.mark.parametrize("name", ["synthetic_long_spread", "synthetic_short_spread"])
+    def test_shipped_sweeps(self, name, seed):
+        config = ScenarioConfig.from_file(LONG_SPREAD.with_name(f"{name}.json"))
+        config = replace(config, master_seed=seed)
+        patterns = tuple(GaussianPattern(math.radians(hpbw)) for hpbw in SWEEP_HPBWS)
+        searched, indexed = _both_routes(config, patterns)
+        assert searched.shape == (len(patterns) * config.trials, config.taps.tap_index.size)
+        assert np.array_equal(searched, indexed)
+
+    @pytest.mark.parametrize("case", sorted(_ROUTE_CASES))
+    def test_benchmark_shapes_and_edge_inputs(self, case):
+        edits = dict(_ROUTE_CASES[case])
+        paths = edits.pop("taps_paths", None)
+        config = _long_spread(seed=31, **edits)
+        if paths is not None:
+            config = replace(config, taps=TapProfile(tuple(
+                Tap(tap.delay, tap.power, paths) for tap in config.taps.taps)))
+        searched, indexed = _both_routes(config, (config.pattern,))
+        assert np.array_equal(searched, indexed)
+
+    @pytest.mark.parametrize("mu", [0.0, 6.0, 15.0, 1e4])
+    @pytest.mark.parametrize("pattern", [
+        {"kind": "omni"}, _benchmark_tabulated(),
+        *({"kind": "gaussian", "hpbw_deg": hpbw} for hpbw in (0.01, 1.0, 60.0, 90.0, 360.0)),
+    ], ids=lambda pattern: pattern["kind"] + str(pattern.get("hpbw_deg", "")))
+    def test_a_zero_uniform_bins_as_its_angle(self, monkeypatch, pattern, mu):
+        # Every other trial draws 0 for every path's angle: a quantile of
+        # exactly -pi there wraps to pi, the last bin, where a search
+        # alone would give the count of the zero thresholds; a quantile
+        # just above -pi (a wide Gaussian beam) or the von Mises grid's
+        # lower end (mu 1e4) bins as any other angle.
+        config = _long_spread(pattern=pattern, mu=mu, trials=6, bins=180, seed=4)
+        paths = config.taps.tap_index.size
+        draw = montecarlo.draw_uniforms
+
+        def zero_draw(config, first, stop):
+            uniforms = draw(config, first, stop)
+            uniforms[(first % 2)::2, :paths] = 0.0
+            return uniforms
+
+        monkeypatch.setattr(montecarlo, "draw_uniforms", zero_draw)
+        searched, indexed = _both_routes(config, (config.pattern,))
+        assert np.array_equal(searched, indexed)
+        last = config.bins - 1
+        if mu == 0.0:
+            assert np.all(searched[::2, :config.taps.path_counts[0]] == last)
+        if pattern["kind"] == "omni" or pattern.get("hpbw_deg", 360.0) <= 1.0:
+            assert np.all(searched[::2, config.taps.path_counts[0]:] == last)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aoasim import scenario
+from aoasim import montecarlo, scenario
 from aoasim.angular import (
     PATTERN_KINDS,
     GaussianPattern,
@@ -517,12 +517,12 @@ class TestRunNormalizationCheck:
     @pytest.mark.parametrize("chunk_size", [1, scenario.CHUNK_SIZE])
     def test_nan_power_fails_the_run(self, monkeypatch, chunk_size):
         monkeypatch.setattr(scenario, "CHUNK_SIZE", chunk_size)
-        monkeypatch.setattr(scenario, "generate_chunk", nan_power_in_trial(2))
+        monkeypatch.setattr(montecarlo, "draw_uniforms", nan_power_in_trial(2))
         with pytest.raises(ValueError, match=r"^spectrum is not normalized \(defect nan\)$"):
             run_simulation(_quick_config(trials=5), per_path_spread=True)
 
     def test_nan_power_fails_the_sweep(self, monkeypatch):
-        monkeypatch.setattr(scenario, "generate_chunk", nan_power_in_trial(2))
+        monkeypatch.setattr(montecarlo, "draw_uniforms", nan_power_in_trial(2))
         with pytest.raises(ValueError, match=r"^spectrum is not normalized \(defect nan\)$"):
             hpbw_sweep(_quick_config(trials=5), [360.0, 60.0])
 
@@ -687,30 +687,43 @@ class TestHpbwSweep:
 
     def test_fixed_costs_are_paid_once_per_run_or_per_chunk(self, monkeypatch):
         # 40 trials in 2 chunks of 20 for 5 points: the run's SeedSequence
-        # is built once, and each chunk maps every delayed path of each
-        # point through its ellipse in one call per point
-        from aoasim import montecarlo
+        # is built once, and the bin edges are mapped through the delayed
+        # taps' ellipses once, in one call, as the run's thresholds are
+        # built; no path's angle is mapped.  Each chunk bins its local
+        # paths in one search and each point's delayed paths in one more.
+        from aoasim import geometry, kernels
 
         config = _quick_config(trials=40)
         hpbws = [360.0, 180.0, 120.0, 90.0, 60.0]
-        seed_sequence, ellipse_map = np.random.SeedSequence, montecarlo._half_angle_map
-        seeds, mapped = [], []
+        seed_sequence = np.random.SeedSequence
+        seeds, mapped, angle_maps, searched = [], [], [], []
+
+        def counting(owner, name, shapes, argument=0):
+            # the shape of each call's angles or uniforms
+            wrapped = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                shapes.append(np.shape(args[argument]))
+                return wrapped(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
 
         def counting_seed_sequence(*args, **kwargs):
             seeds.append(args)
             return seed_sequence(*args, **kwargs)
 
-        def counting_map(phi, ratio):
-            mapped.append(np.shape(phi))
-            return ellipse_map(phi, ratio)
-
         monkeypatch.setattr(scenario, "CHUNK_SIZE", 4 * len(hpbws) * max(45, 90))
         monkeypatch.setattr(np.random, "SeedSequence", counting_seed_sequence)
-        monkeypatch.setattr(montecarlo, "_half_angle_map", counting_map)
+        counting(geometry, "_ellipse_map", mapped)
+        counting(montecarlo, "_half_angle_map", angle_maps)
+        counting(kernels, "_guided_count", searched, argument=3)
         hpbw_sweep(config, hpbws)
         assert seeds == [(config.master_seed,)]
-        # 30 delayed paths per trial: taps 1 and 2, 15 paths each
-        assert mapped == [(20, 30)] * 10
+        # the 89 interior edges of 90 bins on taps 1 and 2; 15 local and
+        # 30 delayed paths per trial
+        assert mapped == [(2, 89)]
+        assert angle_maps == []
+        assert searched == ([(20, 15)] + [(20, 30)] * len(hpbws)) * 2
 
     def test_power_work_is_done_once_per_chunk(self, monkeypatch):
         # 40 trials in 2 chunks of 20 for 5 points: the total powers and
@@ -807,5 +820,5 @@ class TestHpbwSweep:
             hpbw_sweep(config, [360.0])
 
     def test_empty_list_rejected(self):
-        with pytest.raises(ValueError, match="nonempty"):
+        with pytest.raises(ValueError, match=r"^hpbw_deg_list must list at least one beamwidth$"):
             hpbw_sweep(_quick_config(), [])

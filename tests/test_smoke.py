@@ -82,3 +82,23 @@ def test_oversized_bin_count_fails_at_load(tmp_path):
 def test_usage_error_is_a_json_record():
     result = _aoasim("simulate", "--scenario", SHORT, "--trials", "abc")
     assert _error_record(result, 2)["type"] == "UsageError"
+
+
+def test_runs_import_no_numpy_ma(tmp_path):
+    # numpy.ma loads on first use (np.unique imports it in NumPy 2.4) and
+    # adds about 1.2 MB to a process's peak memory; neither a sweep, which
+    # bins its paths from their uniforms, nor a run that computes angles
+    # for --per-path-spread needs it
+    code = (
+        "import sys\n"
+        "from aoasim.cli import main\n"
+        f"assert main(['sweep', '--scenario', {LONG!r}, '--hpbw', '360,60', '--trials', '20', "
+        f"'--out', {str(tmp_path / 'sweep')!r}]) == 0\n"
+        f"assert main(['simulate', '--scenario', {LONG!r}, '--per-path-spread', '--trials', '20', "
+        f"'--out', {str(tmp_path / 'simulate')!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(aoasim.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"
