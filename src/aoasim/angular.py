@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache, reduce
 import numpy as np
 
 from .estimation import weighted_spread
-from .geometry import _jacobian, _read_only, ellipse_params
+from .geometry import _inverse_half_angle_ratio, _jacobian, _read_only, ellipse_params
 from .inputs import (_DEG, _US, _check_angles, _check_count, _check_eccentricity, _check_hpbw,
                      _check_nonnegative, _check_samples, _check_taps, _json_path, json_field,
                      json_object, json_pairs)
@@ -383,7 +383,7 @@ def von_mises_pdf(phi, mu):
 def _delayed_density(phi_r, ecc, pattern):
     # delayed_aoa_pdf on checked angles, which lie on [-pi, pi] and so need
     # no wrap, and a checked eccentricity.
-    phi_t = _half_angle_map(phi_r, (1.0 + ecc) / (1.0 - ecc))
+    phi_t = _half_angle_map(phi_r, _inverse_half_angle_ratio(ecc))
     return pattern.density(phi_t) / _jacobian(phi_t, ecc)
 
 

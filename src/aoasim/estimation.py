@@ -8,15 +8,12 @@ spread of the binned distribution.
 
 A path's weight is its power over its trial's total power, direct path
 included; each path adds its weight to the bin its angle falls in.  A run
-bins its paths straight into the averaged spectrum's running sum and takes
-each trial's spread from the moments of its own paths' bin centers, no
-density row per trial being built (scenario._simulate; README,
-Determinism).  Only a run asked for per-path spreads computes the angles
-and bins them here (_Bins.index); every other run finds each path's bin
-from its uniform among the CDF values of the bin edges
-(montecarlo.BinSearch), with no angle computed.
-Only estimate_pdf, the public single-trial entry, checks its path set;
-the run builds valid ones.
+(scenario._simulate; README, Determinism) adds the weights straight into
+the averaged spectrum's running sum and takes each trial's spread from its
+paths' bin centers, with no density row per trial.  It bins angles here
+(_Bins.index) only with per-path spreads, and otherwise each path from
+its uniform (montecarlo.BinSearch).  Only estimate_pdf, the public
+single-trial entry, checks its path set; the run builds valid ones.
 """
 
 from __future__ import annotations

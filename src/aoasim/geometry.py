@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inputs import _check_eccentricity, _check_nonnegative
-from .kernels import _TWO_PI, _ellipse_map, _half_angle_map
+from .inputs import _check_eccentricity, _check_finite_angles, _check_nonnegative
+from .kernels import _TWO_PI, _half_angle_map
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact SI value
 
@@ -78,6 +78,11 @@ def _half_angle_ratio(eccentricity):
     return (1.0 - ecc) / (1.0 + ecc)
 
 
+def _inverse_half_angle_ratio(ecc):
+    # (1+e)/(1-e), the ratio of aoa_to_aod, of eccentricities already checked.
+    return (1.0 + ecc) / (1.0 - ecc)
+
+
 def aod_to_aoa(phi_t, eccentricity):
     """Arrival angle at the receiver for a departure angle on one ellipse.
 
@@ -88,12 +93,13 @@ def aod_to_aoa(phi_t, eccentricity):
     stable near the boresight and back-lobe fixed points for any e < 1.
 
     Odd, strictly increasing, and contracting: |phi_r| <= |phi_t|, with
-    0 and pi as fixed points.  Accepts scalars or arrays, and one
-    eccentricity or an array of them broadcast along the last axis of
-    phi_t (one per column), each checked to lie in [0, 1).  A column
-    with e = 0 comes back unchanged, bit for bit.
+    0 and pi as fixed points.  Accepts finite angles of any turn, as
+    scalars or arrays, and one eccentricity or an array of them broadcast
+    along the last axis of phi_t (one per column), each checked to lie in
+    [0, 1).  A column with e = 0 comes back unchanged, bit for bit.
     """
-    return _half_angle_map(wrap_angle(phi_t), _half_angle_ratio(eccentricity))
+    return _half_angle_map(wrap_angle(_check_finite_angles(phi_t)),
+                           _half_angle_ratio(eccentricity))
 
 
 def aoa_to_aod(phi_r, eccentricity):
@@ -101,22 +107,11 @@ def aoa_to_aod(phi_r, eccentricity):
 
     Algebraic inverse of aod_to_aoa for the same eccentricity:
     tan(phi_t/2) = (1+e)/(1-e) * tan(phi_r/2).  Round-trips with
-    aod_to_aoa to machine precision.  Accepts scalars or arrays.
+    aod_to_aoa to machine precision.  Accepts finite scalars or arrays.
     """
     ecc = _check_eccentricity(eccentricity)
-    return _half_angle_map(wrap_angle(phi_r), (1.0 + ecc) / (1.0 - ecc))
-
-
-def _aoa_to_aod_rows(phi_r, eccentricities):
-    """aoa_to_aod of the angles phi_r on each ellipse: one row per eccentricity.
-
-    Each eccentricity is checked.  The angles must lie inside (-pi, pi),
-    as a binning's interior edges do: there they need no wrap and the map
-    keeps no fixed point, so _ellipse_map is all of it.
-    """
-    ecc = _check_eccentricity(eccentricities)[:, None]
-    return _ellipse_map(np.broadcast_to(phi_r, (ecc.shape[0], np.size(phi_r))),
-                        (1.0 + ecc) / (1.0 - ecc))
+    return _half_angle_map(wrap_angle(_check_finite_angles(phi_r)),
+                           _inverse_half_angle_ratio(ecc))
 
 
 def _jacobian(phi_t, ecc):
@@ -130,8 +125,8 @@ def aoa_jacobian(phi_t, eccentricity):
     Closed form (1 - e^2) / (1 + e^2 + 2e cos(phi_t)), obtained from the
     identity sin(phi_r) = sin(phi_t) (1 - e^2) / (1 + e^2 + 2e cos(phi_t)).
     Strictly positive and continuous on the whole circle, including the
-    phi_t in {0, +/-pi} limits.  Accepts scalars or arrays.
+    phi_t in {0, +/-pi} limits.  Accepts finite scalars or arrays.
     """
     ecc = _check_eccentricity(eccentricity)
-    value = _jacobian(np.asarray(wrap_angle(phi_t), dtype=float), ecc)
+    value = _jacobian(np.asarray(wrap_angle(_check_finite_angles(phi_t)), dtype=float), ecc)
     return float(value) if np.ndim(phi_t) == 0 else value

@@ -21,13 +21,21 @@ _MAX_BINS = 2 ** 20
 _COUNT_RANGES = {"trials": (1, None), "bins": (8, _MAX_BINS), "master_seed": (0, 2 ** 64 - 1)}
 
 
+def _check_finite_angles(phi):
+    """phi as a float array, checked to be finite (of any turn: the caller wraps it)."""
+    arr = np.asarray(phi, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError("angles must be finite")
+    return arr
+
+
 def _check_angles(phi):
     """phi as a float array, checked to be finite and in (-pi, pi]."""
     arr = np.asarray(phi, dtype=float)
     # One pass for both checks: NaN fails every comparison.
     if not ((arr > -np.pi) & (arr <= np.pi)).all():
-        raise ValueError("angles must lie in (-pi, pi]" if np.isfinite(arr).all()
-                         else "angles must be finite")
+        _check_finite_angles(arr)
+        raise ValueError("angles must lie in (-pi, pi]")
     return arr
 
 

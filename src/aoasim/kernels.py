@@ -383,31 +383,20 @@ def _von_mises_shape(phi, mu):
     return np.exp(out, out=out)
 
 
-def _ellipse_map(phi, ratio):
-    """2 arctan(ratio tan(phi / 2)) of each phi in (-pi, pi), in place on one
-    new buffer of phi's shape; ratio is one value or one per column (the
-    last axis), or broadcast against phi.  A column of ratio 1 (a circle:
-    the identity) comes back as phi, bit for bit, which the steps do not
-    keep exact."""
+def _half_angle_map(phi, ratio):
+    """tan(out/2) = ratio * tan(phi/2) of each phi on [-pi, pi] (as every
+    quantile and angle check gives it: no wrap here), out on (-pi, pi];
+    ratio is one value, one per column (the last axis) or broadcast against
+    phi, each column mapped bit for bit as its own ratio maps it alone.  In
+    place on one new buffer; a column of ratio 1 (a circle) and +-pi are
+    copied in last, as phi and as pi, since the steps keep neither exact."""
+    scalar = np.ndim(phi) == 0
+    phi = np.atleast_1d(phi)
     mapped = np.multiply(phi, 0.5)
     np.tan(mapped, out=mapped)
     mapped *= ratio
     np.arctan(mapped, out=mapped)
     mapped *= 2.0
     np.copyto(mapped, phi, where=ratio == 1.0)
-    return mapped
-
-
-def _half_angle_map(phi, ratio):
-    # tan(out/2) = ratio * tan(phi/2) for phi on [-pi, pi], as every
-    # quantile function and every angle check returns it, so phi is not
-    # wrapped here; out is on (-pi, pi].  ratio is one value or one per
-    # column (the last axis of phi), and each column comes out bit for bit
-    # as its own ratio maps it alone.  The fixed point +-pi is not kept
-    # exact by _ellipse_map either, so it is copied in last, as pi, the
-    # wrap of -pi.
-    scalar = np.ndim(phi) == 0
-    phi = np.atleast_1d(phi)
-    mapped = _ellipse_map(phi, ratio)
     np.copyto(mapped, np.pi, where=(phi == np.pi) | (phi == -np.pi))
     return float(mapped[0]) if scalar else mapped

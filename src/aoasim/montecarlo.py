@@ -17,16 +17,12 @@ through the quantile functions (tap order, the zero-delay tap first)
 and columns [P, 2P) into powers.
 
 The row does not depend on the transmit pattern, which only the delayed
-taps' departure quantiles read.  So generate_chunk takes a chunk of
-trials under several patterns in turn: the uniforms, local angles and
-powers are drawn once, and each pattern then gets its departure angles,
-their ellipse map and a (trials, paths) path set of its own.  This is
-how an HPBW sweep runs all its points in one pass.
-
-A run that reports no unbinned angle needs only each path's bin, which
-BinSearch finds from the path's uniform alone: the quantile functions and
-the ellipse map are nondecreasing, so the bin is the count of the bin
-edges' CDF values at or below the uniform.
+taps' departure quantiles read, so a run under several patterns (an HPBW
+sweep) draws and weighs each chunk once (scenario._simulate).  A run that
+reports per-path spreads bins the angles of its one pattern
+(_chunk_angles); every other run bins each path from its uniform alone
+(BinSearch), as the quantile functions and the ellipse map are
+nondecreasing.  generate_chunk and generate_trial give the path sets.
 """
 
 from __future__ import annotations
@@ -36,7 +32,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geometry import _aoa_to_aod_rows, wrap_angle
+from .geometry import aoa_to_aod, wrap_angle
+from .inputs import _check_count
 from .kernels import _half_angle_map, _SearchRows
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -51,8 +48,7 @@ class PathSet:
     power of each scattered path, in draw order: the zero-delay tap's
     local paths first, then each delayed tap in profile order.  Shape
     (paths,) for one trial; (trials, paths), one row per trial, for a
-    batch.  angles is None in a batch binned from its uniforms
-    (BinSearch.chunk), which computes no angle.
+    batch.
     tap_index: the tap each scattered path (column) belongs to.
     direct_power: power of the direct path at boresight; 0.0 when
     kappa = 0, in which case the trial has no direct path.
@@ -64,7 +60,12 @@ class PathSet:
     direct_power: float = 0.0
 
     def total_power(self):
-        return np.sum(self.powers, axis=-1) + self.direct_power
+        return _total_power(self.powers, self.direct_power)
+
+
+def _total_power(powers, direct_power):
+    # Each trial's total power, direct path included; a run builds no path set.
+    return np.sum(powers, axis=-1) + direct_power
 
 
 def sample_aod(pattern, rng, size):
@@ -77,12 +78,9 @@ def sample_aod(pattern, rng, size):
 
 
 def draw_uniforms(scenario: "ScenarioConfig", first, stop):
-    """The uniforms of trials first..stop-1, one row of W per trial, in one call.
-
-    See the module docstring for the stream layout.
+    """The uniforms of trials first..stop-1 (ints, 0 <= first < stop), one
+    row of W per trial, in one call.  The stream layout: the module docstring.
     """
-    if first < 0:
-        raise ValueError(f"trial index must be nonnegative, got {first}")
     width = 2 * scenario.taps.tap_index.size
     stream = np.random.PCG64DXSM(scenario.seed_sequence)
     stream.advance(first * width)
@@ -97,44 +95,31 @@ def _chunk_powers(scenario, uniforms):
             scenario.kappa * profile.taps[0].power / (1.0 + scenario.kappa))
 
 
-def _chunk_angles(scenario, patterns, uniforms):
-    """The (trials, paths) arrival angles of a chunk's uniforms under each pattern in turn.
-
-    The local angles are taken once; each pattern's departure quantiles
-    of every delayed tap are mapped through their ellipses and joined to
-    them only when the previous pattern's angles have been yielded.
-    """
+def _chunk_angles(scenario, pattern, uniforms):
+    """The (trials, paths) arrival angles of a chunk's uniforms under pattern."""
     local, paths = scenario.taps.path_counts[0], scenario.taps.tap_index.size
     # The quantiles lie on [-pi, pi], so wrapping them to (-pi, pi] moves
     # -pi only.
     local_angles = scenario.local.quantile(uniforms[:, :local])
     np.copyto(local_angles, np.pi, where=local_angles == -np.pi)
-    for pattern in patterns:
-        # The map takes the quantiles on [-pi, pi] and gives angles on
-        # (-pi, pi], so every angle is wrapped exactly once.  The angles
-        # are joined after the map, so they and the quantile's working
-        # arrays are never live at once.
-        yield np.concatenate((local_angles, _half_angle_map(
-            pattern.quantile(uniforms[:, local:paths]), scenario.half_angle_ratios)), axis=1)
+    # The map takes the quantiles on [-pi, pi] and gives angles on
+    # (-pi, pi], so every angle is wrapped exactly once.  The angles are
+    # joined after the map, so they and the quantile's working arrays are
+    # never live at once.
+    return np.concatenate((local_angles, _half_angle_map(
+        pattern.quantile(uniforms[:, local:paths]), scenario.half_angle_ratios)), axis=1)
 
 
-def generate_chunk(scenario: "ScenarioConfig", patterns, first, stop):
-    """Path sets of trials first..stop-1, one per pattern in turn.
+def generate_chunk(scenario: "ScenarioConfig", first, stop):
+    """The (trials, paths) path set of trials first..stop-1 under scenario.pattern.
 
-    Draws the trials' uniforms once and takes the local arrival angles
-    and the powers from them once.  Then, for each of patterns, it maps
-    that pattern's departure quantiles of every delayed tap through
-    their ellipses and yields the (trials, paths) path set, before it
-    takes the next pattern: only the path set in hand is built.  Every
-    path set shares the one powers array.  The path set of patterns[p]
-    is bit for bit what the scenario with that pattern gives alone, and
-    its row k what trial first + k gives alone, whatever first and stop
-    are.
+    Its row k is bit for bit what trial first + k gives alone, whatever
+    first and stop are, and what a run with per-path spreads bins.
     """
     uniforms = draw_uniforms(scenario, first, stop)
     powers, direct_power = _chunk_powers(scenario, uniforms)
-    for angles in _chunk_angles(scenario, patterns, uniforms):
-        yield PathSet(angles, powers, scenario.taps.tap_index, direct_power)
+    return PathSet(_chunk_angles(scenario, scenario.pattern, uniforms), powers,
+                   scenario.taps.tap_index, direct_power)
 
 
 class BinSearch:
@@ -146,7 +131,8 @@ class BinSearch:
     b)), and its bin is the count of its row's thresholds at or below
     its uniform.  The thresholds are built once per run: one row for the
     local paths (their cdf at the edges) and one per pattern and delayed
-    tap, each made nondecreasing and searched by _guided_count.  So a
+    tap, each made nondecreasing and searched by _guided_count: (delayed
+    taps x patterns + 1) x bins CDF values, whatever the trial count.  A
     chunk bins its local columns once and each pattern's delayed columns
     in one guided search, and no angle is computed.
 
@@ -162,24 +148,18 @@ class BinSearch:
         self.scenario, self.patterns, self.bins = scenario, patterns, bins
         interior = bins.edges[1:-1]
         self.local = _SearchRows(scenario.local.cdf(interior)[None])
-        departures = _aoa_to_aod_rows(interior, scenario.eccentricities)
+        ecc = scenario.eccentricities  # one row of departures per delayed tap
+        departures = aoa_to_aod(np.broadcast_to(interior, (ecc.size, interior.size)), ecc[:, None])
         self.delayed = [_SearchRows(pattern.cdf(departures)) for pattern in patterns]
         # the threshold row of each delayed column: its tap's
         self.rows = profile.tap_index[profile.path_counts[0]:] - 1
 
-    def chunk(self, first, stop):
-        """(cells, paths) of trials first..stop-1 under each pattern in turn.
-
-        cells is the (trials, paths) bin of each path; paths is its path
-        set without angles (angles None), the one powers array shared by
-        every pattern.  The cells of patterns[p] are bins.index of
-        generate_chunk's angles, but for a path within a few ulps of an
-        edge.
-        """
+    def cells(self, uniforms):
+        """The (trials, paths) bin of each path of a chunk's uniforms under
+        each pattern in turn: bins.index of _chunk_angles' angles under it,
+        but for a path within a few ulps of an edge."""
         profile = self.scenario.taps
         local, paths = profile.path_counts[0], profile.tap_index.size
-        uniforms = draw_uniforms(self.scenario, first, stop)
-        powers, direct_power = _chunk_powers(self.scenario, uniforms)
         zeros = np.flatnonzero(uniforms[:, :paths] == 0.0)
         local_cells = self.local.count(uniforms[:, :local])
         # Copied once, so that every pattern's search reads contiguous rows.
@@ -187,9 +167,9 @@ class BinSearch:
         for pattern, search in zip(self.patterns, self.delayed):
             cells = np.concatenate((local_cells, search.count(delayed, self.rows)), axis=1)
             if zeros.size:
-                [angles] = _chunk_angles(self.scenario, (pattern,), np.zeros((1, paths)))
+                angles = _chunk_angles(self.scenario, pattern, np.zeros((1, paths)))
                 np.put(cells, zeros, self.bins.index(angles[0]).take(zeros % paths))
-            yield cells, PathSet(None, powers, profile.tap_index, direct_power)
+            yield cells
 
 
 def generate_trial(scenario: "ScenarioConfig", trial_index):
@@ -201,9 +181,10 @@ def generate_trial(scenario: "ScenarioConfig", trial_index):
     with the Rician-scaled power draws.  With kappa > 0 a deterministic
     direct path at boresight carries the power kappa * P_0 / (1 + kappa).
 
-    Deterministic in (scenario, trial_index): repeated calls return
-    bitwise-identical arrays.  A view of the one-trial, one-pattern
-    generate_chunk.
+    trial_index must be an integer of at least 0.  Deterministic in
+    (scenario, trial_index): repeated calls return bitwise-identical
+    arrays.  A view of the one-trial generate_chunk.
     """
-    [batch] = generate_chunk(scenario, (scenario.pattern,), trial_index, trial_index + 1)
+    first = _check_count(trial_index, "trial_index", 0)
+    batch = generate_chunk(scenario, first, first + 1)
     return PathSet(batch.angles[0], batch.powers[0], batch.tap_index, batch.direct_power)

@@ -24,7 +24,7 @@ from .geometry import _half_angle_ratio, _read_only
 from .inputs import (_COUNT_RANGES, _DEG, _US, _check_count, _check_hpbw, _check_nonnegative,
                      _check_normalized, _check_profile, _check_taps, json_field, json_object,
                      json_pairs)
-from .montecarlo import BinSearch, generate_chunk
+from .montecarlo import BinSearch, _chunk_angles, _chunk_powers, _total_power, draw_uniforms
 from .writers import write_json
 
 DEFAULT_PATHS_PER_TAP = 50
@@ -286,68 +286,65 @@ def trials_per_chunk(config):
 def _simulate(config, patterns, per_path_spread):
     """One report per pattern: config's trials, run once for all patterns.
 
-    Trials run in chunks of consecutive trials (trials_per_chunk).  Each
-    chunk draws its uniforms once and then bins its paths under one
-    pattern at a time, reducing them for that pattern before the next;
-    the path weights (each path's power over its trial's total power)
-    and point masses, which depend on the shared powers alone, are taken
-    and checked once per chunk.  Without per_path_spread no angle is
-    computed: each path's bin comes from its uniform, searched among the
-    run's bin-edge thresholds (montecarlo.BinSearch), and the reports'
-    per_path_spreads are None.  With it, the chunk's angles are
-    generated (montecarlo.generate_chunk), binned by bins.index and
-    reduced to the unbinned per-path spreads as well.  How the weights
-    reach the running sum and the spreads: README, Determinism.  Every
-    trial reads its own block of the run's random stream, so each report
-    is what config with that pattern gives alone, bit for bit, whatever
-    the chunking and the other patterns.
+    The one owner of a chunk of consecutive trials (trials_per_chunk): it
+    draws the chunk's uniforms (montecarlo.draw_uniforms), and takes its
+    powers, path weights (each path's power over its trial's total power)
+    and point masses once, checked, whatever the pattern count.  Each
+    pattern's cells then come from the uniforms (montecarlo.BinSearch),
+    no angle being computed and per_path_spreads None; or, with
+    per_path_spread and one pattern only, from its angles
+    (montecarlo._chunk_angles), which give the unbinned per-path spreads
+    too.  One pattern's cells are reduced before the next's are found.
+    How the weights reach the running sum and the spreads: README,
+    Determinism.  Every trial reads its own block of the run's random
+    stream, so each report is what config with that pattern gives alone,
+    bit for bit, whatever the chunking and the other patterns.
     """
     trials, step, bins = config.trials, trials_per_chunk(config), _bins(config.bins)
     weight_sums = np.zeros((len(patterns), bins.count))
     point_mass = np.empty(trials)
     trial_spreads = np.empty((len(patterns), trials))
-    path_spreads = np.empty((len(patterns), trials)) if per_path_spread else None
-    search = None if per_path_spread else BinSearch(config, patterns, bins)
+    if per_path_spread:
+        [pattern] = patterns
+        path_spreads = np.empty(trials)
+    else:
+        search, path_spreads = BinSearch(config, patterns, bins), None
     for first in range(0, trials, step):
         stop = min(first + step, trials)
-        if search is None:
-            chunk = ((bins.index(paths.angles), paths)
-                     for paths in generate_chunk(config, patterns, first, stop))
+        uniforms = draw_uniforms(config, first, stop)
+        powers, direct_power = _chunk_powers(config, uniforms)
+        total = _total_power(powers, direct_power)
+        point_mass[first:stop] = direct_power / total
+        weights = powers / total[:, None]
+        _check_normalized(_normalization_defects(weights, point_mass[first:stop]))
+        if per_path_spread:
+            angles = _chunk_angles(config, pattern, uniforms)
+            path_spreads[first:stop] = weighted_spread(angles, weights)
+            chunk = [bins.index(angles)]
+            del angles
         else:
-            chunk = search.chunk(first, stop)
-        for point, (cells, paths) in enumerate(chunk):
-            if point == 0:
-                # Every pattern's path set shares the chunk's powers, and
-                # with them the weights and point masses.
-                total = paths.total_power()
-                point_mass[first:stop] = paths.direct_power / total
-                weights = paths.powers / total[:, None]
-                _check_normalized(_normalization_defects(weights, point_mass[first:stop]))
+            chunk = search.cells(uniforms)
+        for point, cells in enumerate(chunk):
             # add.at adds one path at a time, in trial order across chunks.
             np.add.at(weight_sums[point], cells.ravel(), weights.ravel())
             trial_spreads[point, first:stop] = weighted_spread(bins.centers.take(cells), weights)
-            if per_path_spread:
-                path_spreads[point, first:stop] = weighted_spread(paths.angles, weights)
         # Dropped before the next chunk is drawn, so that no array of this
         # chunk is live beside the next one's.
-        del cells, paths, weights
-    # Each report's spreads are read-only rows of these.
+        del uniforms, powers, weights, chunk, cells
+    # Each report's spreads are read-only.
     trial_spreads.flags.writeable = False
-    path_rows = [None] * len(patterns)
     if per_path_spread:
         path_spreads.flags.writeable = False
-        path_rows = path_spreads
     # np.mean over the point masses adds pairwise, so they are all kept.
     mean_point_mass = float(np.mean(point_mass))
     reports = []
-    for pattern, weight_sum, trial_row, path_row in zip(patterns, weight_sums, trial_spreads,
-                                                        path_rows):
+    for pattern, weight_sum, trial_row in zip(patterns, weight_sums, trial_spreads):
         averaged = AngularSpectrum(weight_sum / bins.width / trials, mean_point_mass)
         reports.append(RunReport(
             averaged_spectrum=averaged,
             angle_spread=rms_angle_spread(averaged),
             per_trial_spreads=trial_row,
-            per_path_spreads=path_row,
+            per_path_spreads=path_spreads,
             scenario_echo=replace(config, pattern=pattern),
         ))
     return reports
@@ -356,14 +353,11 @@ def _simulate(config, patterns, per_path_spread):
 def run_simulation(config, per_path_spread=False):
     """Run the configured number of trials and average their spectra.
 
-    The one-pattern case of _simulate: trials run in bounded chunks,
-    each drawn, binned and reduced as one batch.  Every trial reads its
-    own block of the run's random stream (see montecarlo), so the output
-    is fully deterministic for a fixed scenario and seed and does not
-    depend on the chunking.  With per_path_spread each trial's angles
-    are generated once, for its spectrum and its unbinned spread alike;
-    without it no angle is computed, each path being binned from its
-    uniform, and the report's per_path_spreads is None.
+    The one-pattern case of _simulate, deterministic for a fixed scenario
+    and seed whatever the chunking.  With per_path_spread each trial's
+    angles are computed once, for its spectrum and its unbinned spread
+    alike; without it each path is binned from its uniform, and the
+    report's per_path_spreads is None.
     """
     [report] = _simulate(config, (config.pattern,), per_path_spread)
     return report
@@ -382,18 +376,14 @@ class SweepPoint(NamedTuple):
 def hpbw_sweep(config, hpbw_deg_list):
     """Angle spread versus half-power beamwidth.
 
-    Returns one SweepPoint (hpbw_deg, report) per beamwidth
-    (degrees), each equal bit for bit to run_simulation at that
-    beamwidth.  All points run in one pass, in chunks as large as one
-    run_simulation takes, and no angle is computed: each point's
-    bin-edge thresholds are built once per run, each chunk of trials
-    draws its uniforms and powers and bins its local paths once, and
-    only the delayed paths' search among the point's thresholds and the
-    reduce run per point, one point at a time (montecarlo.BinSearch).
-    Every point reads the same uniforms, so the points share common
-    random numbers.  Only defined for Gaussian patterns, and for at
-    least one beamwidth.  The reports carry no per-path spreads
-    (per_path_spreads is None).
+    Returns one SweepPoint (hpbw_deg, report) per beamwidth (degrees),
+    each equal bit for bit to run_simulation at that beamwidth.  All
+    points run in one pass (_simulate) and compute no angle: each chunk
+    of trials is drawn and weighed once, and only the delayed paths'
+    search among each point's bin-edge thresholds and the reduce run per
+    point.  Every point reads the same uniforms, so the points share
+    common random numbers.  Only defined for Gaussian patterns, and for
+    at least one beamwidth.  The reports carry no per-path spreads.
     """
     if not isinstance(config.pattern, GaussianPattern):
         raise ValueError("HPBW sweep requires a Gaussian antenna pattern")

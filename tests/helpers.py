@@ -231,8 +231,9 @@ def trial_ordered_run(angles, powers, direct_power, bins):
 
 
 def nan_power_in_trial(trial):
-    """A stand-in for montecarlo.draw_uniforms that gives trial's first path a
-    NaN power uniform, and so a NaN power, on both routes of a run."""
+    """A stand-in for montecarlo.draw_uniforms, as a run calls it
+    (scenario.draw_uniforms), that gives trial's first path a NaN power
+    uniform, and so a NaN power, on both routes of a run."""
     from aoasim import montecarlo
 
     draw = montecarlo.draw_uniforms

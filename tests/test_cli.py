@@ -111,9 +111,9 @@ class TestSimulate:
                                               monkeypatch):
         # the run's per-trial normalization check, reached from the command
         # line: one JSON error record, no traceback and no output files
-        from aoasim import montecarlo
+        from aoasim import scenario
 
-        monkeypatch.setattr(montecarlo, "draw_uniforms", nan_power_in_trial(2))
+        monkeypatch.setattr(scenario, "draw_uniforms", nan_power_in_trial(2))
         out = tmp_path / "never"
         assert main(["simulate", "--scenario", str(scenario_file), "--out", str(out)]) == 1
         assert _error_record(capsys) == {"error": "spectrum is not normalized (defect nan)",
@@ -156,24 +156,30 @@ class TestSimulate:
                                                         monkeypatch):
         from aoasim import montecarlo, scenario
 
-        generated = []
+        drawn, generated = [], []
 
-        def counting_generate_chunk(config, patterns, first, stop):
-            for batch in montecarlo.generate_chunk(config, patterns, first, stop):
-                generated.extend(range(first, first + len(batch.angles)))
-                yield batch
+        def counting_draw(config, first, stop):
+            drawn.extend(range(first, stop))
+            return montecarlo.draw_uniforms(config, first, stop)
 
-        monkeypatch.setattr(scenario, "generate_chunk", counting_generate_chunk)
+        def counting_chunk_angles(config, pattern, uniforms):
+            generated.append(len(uniforms))
+            return montecarlo._chunk_angles(config, pattern, uniforms)
+
+        monkeypatch.setattr(scenario, "draw_uniforms", counting_draw)
+        monkeypatch.setattr(scenario, "_chunk_angles", counting_chunk_angles)
         assert main(["simulate", "--scenario", str(scenario_file), "--out", str(tmp_path),
                      "--trials", "5", "--per-path-spread"]) == 0
-        assert generated == [0, 1, 2, 3, 4]
+        # the 5 trials in one chunk: drawn once, their angles taken once
+        assert drawn == [0, 1, 2, 3, 4]
+        assert generated == [5]
 
     def test_per_path_spreads_only_on_request(self, scenario_file, tmp_path, monkeypatch):
         # one draw per chunk on either route, one weighted_spread call per
         # chunk and point for the per-trial spreads, one more per chunk
         # with --per-path-spread, and none more for a plain simulate or a
         # sweep
-        from aoasim import montecarlo, scenario
+        from aoasim import scenario
 
         calls = {"draw_uniforms": 0, "weighted_spread": 0}
 
@@ -186,7 +192,7 @@ class TestSimulate:
 
             monkeypatch.setattr(owner, name, counted)
 
-        counting(montecarlo, "draw_uniforms")
+        counting(scenario, "draw_uniforms")
         counting(scenario, "weighted_spread")
         monkeypatch.setattr(scenario, "CHUNK_SIZE", 1)    # one trial per chunk
         run = ["--scenario", str(scenario_file), "--out", str(tmp_path), "--trials", "5"]

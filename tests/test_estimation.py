@@ -53,16 +53,23 @@ def _uniform_spectrum(bins=360):
 
 def _averaged(monkeypatch, path_sets, bins):
     # run_simulation's average over the given path sets, one trial each:
-    # one trial per chunk, the chunk's batch being that trial's path set
-    # under the one pattern.  With per_path_spread the run bins the angles
-    # generate_chunk gives, these path sets' own.
-    def chunk(config, patterns, first, stop):
-        [paths] = path_sets[first:stop]
-        return [PathSet(angles=paths.angles[None], powers=paths.powers[None],
-                        tap_index=paths.tap_index, direct_power=paths.direct_power)]
+    # one trial per chunk, whose "uniforms" are that trial's index, and
+    # whose powers and angles are that trial's path set's.  With
+    # per_path_spread the run bins the angles _chunk_angles gives, these
+    # path sets' own.
+    def powers(config, trial):
+        [[index]] = trial
+        paths = path_sets[index]
+        return paths.powers[None], paths.direct_power
+
+    def angles(config, pattern, trial):
+        [[index]] = trial
+        return path_sets[index].angles[None]
 
     monkeypatch.setattr(scenario, "CHUNK_SIZE", 1)
-    monkeypatch.setattr(scenario, "generate_chunk", chunk)
+    monkeypatch.setattr(scenario, "draw_uniforms", lambda config, first, stop: [[first]])
+    monkeypatch.setattr(scenario, "_chunk_powers", powers)
+    monkeypatch.setattr(scenario, "_chunk_angles", angles)
     config = scenario.ScenarioConfig(
         distance=1000.0, taps=TapProfile((Tap(0.0, 1.0, 1),)), pattern=OmniPattern(),
         kappa=0.0, mu=0.0, trials=len(path_sets), bins=bins)
@@ -163,7 +170,7 @@ class TestEstimatePdf:
         config = scenario.ScenarioConfig(
             distance=900.0, taps=TapProfile((Tap(0.0, 0.5, 50), Tap(1e-6, 0.5, 200))),
             pattern=OmniPattern(), kappa=0.0, mu=2.0, trials=3, bins=40)
-        [batch] = generate_chunk(config, (config.pattern,), 0, 3)
+        batch = generate_chunk(config, 0, 3)
         assert batch.angles.shape == (3, 250)
         with pytest.raises(ValueError, match=r"angles must be a 1-d array of one trial, "
                                              r"got shape \(3, 250\)"):
@@ -362,7 +369,7 @@ class TestRawPathSpread:
 
 
 class TestStackedRows:
-    """A sweep's chunk: each pattern's batch reduces as that pattern's own chunk."""
+    """A sweep's chunk: each pattern's cells reduce as that pattern's own chunk."""
 
     def test_each_layer_equals_its_own_batch(self):
         config = scenario.ScenarioConfig(
@@ -371,10 +378,10 @@ class TestStackedRows:
             pattern=OmniPattern(), kappa=0.6, mu=4.0, trials=9, bins=40, master_seed=8)
         patterns = (OmniPattern(), GaussianPattern(math.radians(90.0)),
                     GaussianPattern(math.radians(10.0)))
-        batches = list(generate_chunk(config, patterns, 0, 9))
-        assert len(batches) == len(patterns)
-        # the stacked run, every pattern reduced from the one chunk
-        reports = scenario._simulate(config, patterns, per_path_spread=True)
+        batches = [generate_chunk(replace(config, pattern=pattern), 0, 9) for pattern in patterns]
+        # the stacked run, every pattern binned from the one chunk's uniforms
+        reports = scenario._simulate(config, patterns, per_path_spread=False)
+        assert len(reports) == len(patterns)
         for batch, pattern, report in zip(batches, patterns, reports):
             sums, point_mass, spreads, path_spreads = trial_ordered_run(
                 batch.angles, batch.powers, batch.direct_power, config.bins)
@@ -382,9 +389,9 @@ class TestStackedRows:
                 sums / (TWO_PI / config.bins) / config.trials).tobytes()
             assert report.averaged_spectrum.point_mass_at_zero == np.mean(point_mass)
             assert np.array_equal(report.per_trial_spreads, spreads)
-            assert np.array_equal(report.per_path_spreads, path_spreads)
-            # the pattern's own one-pattern chunk, reduced as a batch
-            [alone] = generate_chunk(replace(config, pattern=pattern), (pattern,), 2, 9)
+            assert report.per_path_spreads is None
+            # the pattern's own chunk of trials 2.., reduced as a batch
+            alone = generate_chunk(replace(config, pattern=pattern), 2, 9)
             assert np.array_equal(batch.angles[2:], alone.angles)
             assert np.array_equal(batch.powers[2:], alone.powers)
             _, layer_mass, layer_spreads, layer_path_spreads = trial_ordered_run(
@@ -394,6 +401,7 @@ class TestStackedRows:
             assert np.array_equal(path_spreads[2:], layer_path_spreads)
             alone_report = scenario.run_simulation(replace(config, pattern=pattern),
                                                    per_path_spread=True)
+            assert np.array_equal(alone_report.per_path_spreads, path_spreads)
             assert np.array_equal(alone_report.per_trial_spreads, report.per_trial_spreads)
             assert np.array_equal(alone_report.averaged_spectrum.density,
                                   report.averaged_spectrum.density)
@@ -471,15 +479,15 @@ class TestRowRouteOracle:
     def test_shipped_scenario(self, name):
         config = scenario.ScenarioConfig.from_file(_SCENARIOS / f"{name}.json")
         report = scenario.run_simulation(config, per_path_spread=True)
-        [batch] = generate_chunk(config, (config.pattern,), 0, config.trials)
-        _assert_matches_row_route(report, batch)
+        _assert_matches_row_route(report, generate_chunk(config, 0, config.trials))
 
     def test_five_point_sweep(self):
         config = scenario.ScenarioConfig.from_file(_SCENARIOS / "synthetic_long_spread.json")
         hpbws = [360.0, 180.0, 120.0, 90.0, 60.0]
         points = scenario.hpbw_sweep(config, hpbws)
         patterns = [GaussianPattern(math.radians(hpbw)) for hpbw in hpbws]
-        for point, batch in zip(points, generate_chunk(config, patterns, 0, config.trials)):
+        for point, pattern in zip(points, patterns):
+            batch = generate_chunk(replace(config, pattern=pattern), 0, config.trials)
             _assert_matches_row_route(point.report, batch)
 
     def test_one_trial_per_chunk(self, monkeypatch):
@@ -488,8 +496,7 @@ class TestRowRouteOracle:
         monkeypatch.setattr(scenario, "CHUNK_SIZE", 1)
         assert scenario.trials_per_chunk(config) == 1
         report = scenario.run_simulation(config, per_path_spread=True)
-        [batch] = generate_chunk(config, (config.pattern,), 0, config.trials)
-        _assert_matches_row_route(report, batch)
+        _assert_matches_row_route(report, generate_chunk(config, 0, config.trials))
 
 
 class TestPooledVersusAveraged:
@@ -508,7 +515,7 @@ class TestPooledVersusAveraged:
             master_seed=123,
         )
         averaged = scenario.run_simulation(config).averaged_spectrum
-        [batch] = generate_chunk(config, (config.pattern,), 0, config.trials)
+        batch = generate_chunk(config, 0, config.trials)
         pooled = estimate_pdf(PathSet(
             angles=batch.angles.ravel(),
             powers=batch.powers.ravel(),

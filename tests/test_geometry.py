@@ -278,3 +278,14 @@ class TestAoaJacobian:
         ecc = rng.uniform(0, 0.999999, 1000)
         for x, e in zip(phi, ecc):
             assert aoa_jacobian(x, e) > 0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("function", [aod_to_aoa, aoa_to_aod, aoa_jacobian],
+                         ids=lambda function: function.__name__)
+def test_non_finite_angle_rejected(function, bad):
+    # unchecked, aoa_to_aod(nan, 0.5) returned nan, and aod_to_aoa and
+    # aoa_jacobian of inf warned of an invalid value in NumPy
+    for phi in (bad, np.array([0.5, bad, -1.0])):
+        with pytest.raises(ValueError, match="^angles must be finite$"):
+            function(phi, 0.5)

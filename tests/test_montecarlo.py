@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -122,7 +123,7 @@ def _power_config(taps, kappa=0.0):
 
 def _tap_powers(config, tap, trials):
     # per-path powers of one tap, one row per trial
-    [batch] = generate_chunk(config, (config.pattern,), 0, trials)
+    batch = generate_chunk(config, 0, trials)
     return batch.powers[:, batch.tap_index == tap]
 
 
@@ -267,6 +268,17 @@ class TestGenerateTrial:
         with pytest.raises(ValueError):
             generate_trial(_scenario(), -1)
 
+    @pytest.mark.parametrize("trial_index, message", [
+        (1.5, "trial_index must be an integer, got 1.5"),
+        (True, "trial_index must be an integer, got True"),
+        (-1, "trial_index must be at least 0, got -1"),
+    ])
+    def test_trial_index_checked_at_the_boundary(self, trial_index, message):
+        # unchecked, 1.5 failed in NumPy's advance with a TypeError and True
+        # ran as trial 1
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            generate_trial(_scenario(), trial_index)
+
 
 class TestStreamFormat:
     """Stream format v3 (README, Determinism) against a serial draw.
@@ -329,7 +341,7 @@ class TestGenerateChunk:
         uniforms = montecarlo.draw_uniforms(config, 0, 4)
         uniforms[:, 6:18:5] = 0.0
         monkeypatch.setattr(montecarlo, "draw_uniforms", lambda *args: uniforms)
-        [batch] = generate_chunk(config, (config.pattern,), 0, 4)
+        batch = generate_chunk(config, 0, 4)
         departures = config.pattern.quantile(uniforms[:, 6:18])
         delayed = batch.angles[:, 6:]
         eccentricities = np.repeat([e.eccentricity for e in ellipses_for_taps(config.taps, 0.0)],
@@ -344,11 +356,10 @@ class TestGenerateChunk:
         # arrays of the 20,000 departures (640 kB), stay under 1.5 MB
         config = _wide_config()
         assert config.taps.tap_index.size == 25_000
-        chunk = (config.pattern,), 0, 1
-        [warm] = generate_chunk(config, *chunk)  # both CDF tables built before tracing
+        warm = generate_chunk(config, 0, 1)  # both CDF tables built before tracing
         tracemalloc.start()
         try:
-            [batch] = generate_chunk(config, *chunk)
+            batch = generate_chunk(config, 0, 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -357,19 +368,20 @@ class TestGenerateChunk:
 
 
 def _both_routes(config, patterns):
-    """(searched, indexed) cells of every chunk and pattern of a run: BinSearch's
-    from the uniforms, and bins.index of generate_chunk's angles."""
+    """(searched, indexed) cells of every chunk and pattern of a run, each
+    from the chunk's one draw: BinSearch's from the uniforms, and bins.index
+    of _chunk_angles' angles."""
     bins = _bins(config.bins)
     search = montecarlo.BinSearch(config, patterns, bins)
     step = trials_per_chunk(config)
     searched, indexed = [], []
     for first in range(0, config.trials, step):
-        stop = min(first + step, config.trials)
-        for (cells, paths), batch in zip(search.chunk(first, stop),
-                                         generate_chunk(config, patterns, first, stop)):
-            assert paths.angles is None and paths.powers.tobytes() == batch.powers.tobytes()
-            searched.append(cells)
-            indexed.append(bins.index(batch.angles))
+        uniforms = montecarlo.draw_uniforms(config, first, min(first + step, config.trials))
+        cells = list(search.cells(uniforms))
+        assert len(cells) == len(patterns)
+        for pattern, pattern_cells in zip(patterns, cells):
+            searched.append(pattern_cells)
+            indexed.append(bins.index(montecarlo._chunk_angles(config, pattern, uniforms)))
     return np.concatenate(searched), np.concatenate(indexed)
 
 

@@ -517,12 +517,12 @@ class TestRunNormalizationCheck:
     @pytest.mark.parametrize("chunk_size", [1, scenario.CHUNK_SIZE])
     def test_nan_power_fails_the_run(self, monkeypatch, chunk_size):
         monkeypatch.setattr(scenario, "CHUNK_SIZE", chunk_size)
-        monkeypatch.setattr(montecarlo, "draw_uniforms", nan_power_in_trial(2))
+        monkeypatch.setattr(scenario, "draw_uniforms", nan_power_in_trial(2))
         with pytest.raises(ValueError, match=r"^spectrum is not normalized \(defect nan\)$"):
             run_simulation(_quick_config(trials=5), per_path_spread=True)
 
     def test_nan_power_fails_the_sweep(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "draw_uniforms", nan_power_in_trial(2))
+        monkeypatch.setattr(scenario, "draw_uniforms", nan_power_in_trial(2))
         with pytest.raises(ValueError, match=r"^spectrum is not normalized \(defect nan\)$"):
             hpbw_sweep(_quick_config(trials=5), [360.0, 60.0])
 
@@ -535,7 +535,7 @@ class TestChunkedTrials:
     @pytest.mark.parametrize("kind", sorted(_CHUNK_PATTERNS))
     def test_chunk_size_changes_no_number(self, monkeypatch, kind, kappa, mu):
         config = _chunk_config(_CHUNK_PATTERNS[kind], kappa, mu)
-        [batch] = generate_chunk(config, (config.pattern,), 0, config.trials)
+        batch = generate_chunk(config, 0, config.trials)
         per_trial = max(11, 48)     # the wider of paths and bins
         reports = []
         default = scenario.CHUNK_SIZE
@@ -555,7 +555,7 @@ class TestChunkedTrials:
             assert np.array_equal(batch.angles[k], single.angles)
             assert np.array_equal(batch.powers[k], single.powers)
         for first, stop in ((0, 1), (3, 7), (2, 10), (9, 10)):
-            [part] = generate_chunk(config, (config.pattern,), first, stop)
+            part = generate_chunk(config, first, stop)
             _assert_same_rows(batch, first, part)
 
     @pytest.mark.parametrize("paths_per_tap, bins, step", [
@@ -588,8 +588,8 @@ class TestChunkedTrials:
         monkeypatch.setattr(scenario, "CHUNK_SIZE", 2 * max(33_001, 360))
         assert trials_per_chunk(config) == 2
         _assert_same_report(alone, run_simulation(config, per_path_spread=True))
-        [batch] = generate_chunk(config, (config.pattern,), 0, 2)
-        [part] = generate_chunk(config, (config.pattern,), 1, 2)
+        batch = generate_chunk(config, 0, 2)
+        part = generate_chunk(config, 1, 2)
         _assert_same_rows(batch, 1, part)
         _assert_binned_path_by_path(alone, batch)
 
@@ -679,7 +679,7 @@ class TestHpbwSweep:
             return draw(config, first, stop)
 
         monkeypatch.setattr(scenario, "CHUNK_SIZE", 4 * len(hpbws) * max(45, 90))
-        monkeypatch.setattr(montecarlo, "draw_uniforms", counting_draw)
+        monkeypatch.setattr(scenario, "draw_uniforms", counting_draw)
         hpbw_sweep(config, hpbws)
         # 40 trials in 2 chunks of 20, as one run takes them, each drawn
         # once for all 5 points
@@ -688,9 +688,10 @@ class TestHpbwSweep:
     def test_fixed_costs_are_paid_once_per_run_or_per_chunk(self, monkeypatch):
         # 40 trials in 2 chunks of 20 for 5 points: the run's SeedSequence
         # is built once, and the bin edges are mapped through the delayed
-        # taps' ellipses once, in one call, as the run's thresholds are
-        # built; no path's angle is mapped.  Each chunk bins its local
-        # paths in one search and each point's delayed paths in one more.
+        # taps' ellipses once, in one call of the one map (by aoa_to_aod),
+        # as the run's thresholds are built; no path's angle is mapped.
+        # Each chunk bins its local paths in one search and each point's
+        # delayed paths in one more.
         from aoasim import geometry, kernels
 
         config = _quick_config(trials=40)
@@ -714,7 +715,7 @@ class TestHpbwSweep:
 
         monkeypatch.setattr(scenario, "CHUNK_SIZE", 4 * len(hpbws) * max(45, 90))
         monkeypatch.setattr(np.random, "SeedSequence", counting_seed_sequence)
-        counting(geometry, "_ellipse_map", mapped)
+        counting(geometry, "_half_angle_map", mapped)
         counting(montecarlo, "_half_angle_map", angle_maps)
         counting(kernels, "_guided_count", searched, argument=3)
         hpbw_sweep(config, hpbws)
@@ -734,7 +735,7 @@ class TestHpbwSweep:
 
         config = _quick_config(trials=40)
         hpbws = [360.0, 180.0, 120.0, 90.0, 60.0]
-        calls = {"total_power": 0, "_check_point_mass": 0}
+        calls = {"_total_power": 0, "_check_point_mass": 0}
 
         def counting(owner, name):
             wrapped = getattr(owner, name)
@@ -745,10 +746,10 @@ class TestHpbwSweep:
             monkeypatch.setattr(owner, name, counted)
 
         monkeypatch.setattr(scenario, "CHUNK_SIZE", 4 * len(hpbws) * max(45, 90))
-        counting(PathSet, "total_power")
+        counting(scenario, "_total_power")
         counting(estimation, "_check_point_mass")
         hpbw_sweep(config, hpbws)
-        assert calls == {"total_power": 2, "_check_point_mass": len(hpbws)}
+        assert calls == {"_total_power": 2, "_check_point_mass": len(hpbws)}
 
     @pytest.mark.parametrize("points", [1, 2, 5, 40])
     def test_sweep_takes_as_many_chunks_as_one_run(self, monkeypatch, points):
@@ -765,7 +766,7 @@ class TestHpbwSweep:
             return draw(config, first, stop)
 
         monkeypatch.setattr(scenario, "CHUNK_SIZE", 4 * max(45, 90))
-        monkeypatch.setattr(montecarlo, "draw_uniforms", counting_draw)
+        monkeypatch.setattr(scenario, "draw_uniforms", counting_draw)
         run_simulation(config)
         alone = drawn[:]
         drawn.clear()
@@ -795,8 +796,8 @@ class TestHpbwSweep:
     def test_points_share_common_random_numbers(self):
         # only the delayed taps' departure angles depend on the beamwidth
         config = _quick_config(trials=6)
-        [wide], [narrow] = (generate_chunk(config, (GaussianPattern(math.radians(h)),),
-                                           0, config.trials) for h in (200.0, 45.0))
+        wide, narrow = (generate_chunk(replace(config, pattern=GaussianPattern(math.radians(h))),
+                                       0, config.trials) for h in (200.0, 45.0))
         local = wide.tap_index == 0
         assert np.array_equal(wide.powers, narrow.powers)
         assert np.array_equal(wide.angles[..., local], narrow.angles[..., local])

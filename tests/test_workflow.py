@@ -80,7 +80,7 @@ def test_numpy_only_step_passes_as_written(tmp_path):
     assert result.returncode == 0, result.stdout + result.stderr
     assert "Traceback" not in result.stderr
     # what the step made: every command's files, and the seed error record
-    for made in ("bare-sim/report.json", "bare-sweep/sweep.csv", "bare-tabulated/report.json",
-                 "bare-tabulated-binned/spectrum.csv"):
+    for made in ("bare-sim/report.json", "bare-sim-paths/spectrum.csv", "bare-sweep/sweep.csv",
+                 "bare-tabulated/report.json", "bare-tabulated-binned/spectrum.csv"):
         assert (tmp_path / made).is_file(), made
     assert '"error": "seed ' in (tmp_path / "bad_seed.err").read_text(encoding="utf-8")
