@@ -21,8 +21,8 @@ from .geometry import _inverse_half_angle_ratio, _jacobian, _read_only, ellipse_
 from .inputs import (_DEG, _US, _check_angles, _check_count, _check_eccentricity, _check_hpbw,
                      _check_nonnegative, _check_samples, _check_taps, _json_path, json_field,
                      json_object, json_pairs)
-from .kernels import (_TWO_PI, _CdfTable, _gaussian_shape, _half_angle_map, _i0e, _invert_cdf,
-                      _ndtri, _table_cdf, _uniform_cdf, _uniform_quantile, _von_mises_shape)
+from .kernels import (_TWO_PI, _CdfTable, _gaussian_shape, _half_angle_map, _i0e, _ndtri,
+                      _von_mises_shape)
 
 # HPBW is defined on the power pattern: g^2 drops to 1/2 at +/- hpbw/2,
 # so the amplitude-pattern std is hpbw / (2 sqrt(ln 2)).
@@ -57,10 +57,10 @@ class OmniPattern:
         return np.full(np.shape(phi), 1.0 / _TWO_PI)
 
     def quantile(self, u):
-        return _uniform_quantile(u)
+        return -np.pi + _TWO_PI * u
 
     def cdf(self, phi):
-        return _uniform_cdf(phi)
+        return (phi + np.pi) / _TWO_PI
 
     def to_json(self):
         return {"kind": self.kind}
@@ -206,10 +206,10 @@ class TabulatedPattern:
         return _CdfTable(np.pi, self.density)
 
     def quantile(self, u):
-        return _invert_cdf(self._cdf_table, u)
+        return self._cdf_table.quantile(u)
 
     def cdf(self, phi):
-        return _table_cdf(self._cdf_table, phi)
+        return self._cdf_table.cdf(phi)
 
     def to_json(self):
         return {"kind": self.kind, "samples": [[a / _DEG, g] for a, g in self.samples]}
@@ -256,13 +256,18 @@ class LocalScattering:
         _check_nonnegative(self.mu, "mu")
         _check_nonnegative(self.kappa, "kappa")
 
+    @cached_property
+    def _sampler(self):
+        # The von Mises(0, mu) arrival density's sampler: uniform at mu = 0.
+        return OmniPattern() if self.mu == 0 else _von_mises_table(self.mu)
+
     def quantile(self, u):
         """Inverse CDF of the von Mises(0, mu) arrival density at u in [0, 1)."""
-        return _uniform_quantile(u) if self.mu == 0 else _invert_cdf(_von_mises_table(self.mu), u)
+        return self._sampler.quantile(u)
 
     def cdf(self, phi):
         """The CDF that quantile inverts, at angles phi in [-pi, pi]."""
-        return _uniform_cdf(phi) if self.mu == 0 else _table_cdf(_von_mises_table(self.mu), phi)
+        return self._sampler.cdf(phi)
 
 
 @lru_cache(maxsize=8)

@@ -24,8 +24,8 @@ from . import __version__, writers
 from .estimation import lse
 from .inputs import (_COUNT_RANGES, _DEG, _US, _check_count, _check_hpbw, _check_nonnegative,
                      _check_profile)
-from .scenario import (DEFAULT_PATHS_PER_TAP, DEFAULT_PROMINENCE_DB, ScenarioConfig, extract_taps,
-                       hpbw_sweep, run_simulation)
+from .scenario import (DEFAULT_PATHS_PER_TAP, DEFAULT_PROMINENCE_DB, ScenarioConfig,
+                       _extract_taps, hpbw_sweep, run_simulation)
 
 
 def _load_config(args):
@@ -125,11 +125,8 @@ def _cmd_taps(args):
     samples_us = _read_csv_pairs(args.pdp)
     # Named as a scenario's pdp rows: row i of the file's numbers is pdp[i].
     _check_profile(samples_us, "pdp[{}][{}]".format, _US)
-    profile = extract_taps(
-        [(d * _US, p) for d, p in samples_us],
-        min_prominence_db=min_prominence_db,
-        paths_per_tap=paths_per_tap,
-    )
+    profile = _extract_taps([(d * _US, p) for d, p in samples_us], "pdp", min_prominence_db,
+                            paths_per_tap)
     payload = {
         "taps": [tap.to_json() for tap in profile.taps],
         "rms_delay_spread_us": profile.rms_delay_spread() / _US,

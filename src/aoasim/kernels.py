@@ -1,9 +1,9 @@
 """Numerical kernels, and with them every NumPy call whose bits change with CPU
-dispatch (tan, arctan, exp, log): the grid samplers and their CDFs, the guided
-search they share with the bin-edge thresholds, the uniform and standard
-normal (AS241) quantiles, _i0e, the ellipse's half-angle map and the Gaussian
-and von Mises shapes.  Callers check the input.  Imports no other aoasim module.
-"""
+dispatch (tan, arctan, exp, log, log10): the grid sampler _CdfTable, the
+guided search it shares with the bin-edge thresholds, the AS241 normal
+quantile, _i0e, the ellipse's half-angle map, the Gaussian and von Mises
+shapes and the dB level of a power.  Callers check the input; imports no
+other aoasim module."""
 
 import math
 from functools import lru_cache
@@ -18,14 +18,14 @@ _GUIDE_CELLS = 1 << 16
 
 
 class _CdfTable:
-    """Normalized trapezoid CDF of a density on a grid, ready for inversion.
+    """A grid sampler: the normalized trapezoid CDF of a density on a grid,
+    its inverse (quantile) and its piecewise-linear interpolation (cdf).
 
     The grid is np.linspace(-half, half, count), and density(grid) returns
-    a new array of the density on it, which the build then reuses.  The
-    table keeps only what _invert_cdf and _table_cdf read: half, the cdf
-    (float64) and its guide over _GUIDE_CELLS cells (_guide, int32: its
-    counts are at most count), 12 bytes a node and no grid; both rebuild
-    the nodes they need with linspace's own arithmetic (_grid_nodes).
+    a new array of the density on it, which the build reuses.  The table
+    keeps half, the step, the CDF at the nodes (cumulative, float64) and
+    its int32 guide over _GUIDE_CELLS cells (_guide): 12 bytes a node and
+    no grid, whose nodes the methods rebuild as linspace does (_nodes).
     """
 
     def __init__(self, half, density, count=_GRID_NODES):
@@ -34,31 +34,108 @@ class _CdfTable:
         # the build lifts the peak memory of a run.
         grid = np.linspace(-half, half, count)
         weights = density(grid)
-        cdf = np.empty(count)
-        cdf[0] = 0.0
-        np.add(weights[1:], weights[:-1], out=cdf[1:])
-        cdf[1:] *= 0.5
+        cumulative = np.empty(count)
+        cumulative[0] = 0.0
+        np.add(weights[1:], weights[:-1], out=cumulative[1:])
+        cumulative[1:] *= 0.5
         np.subtract(grid[1:], grid[:-1], out=weights[1:])
         del grid
-        cdf[1:] *= weights[1:]
+        cumulative[1:] *= weights[1:]
         del weights
-        np.cumsum(cdf[1:], out=cdf[1:])
-        cdf /= cdf[-1]
-        self.half, self.cdf = half, cdf
-        self.guide = _guide(cdf, _GUIDE_CELLS, np.int32)
+        np.cumsum(cumulative[1:], out=cumulative[1:])
+        cumulative /= cumulative[-1]
+        # linspace's own step, (stop - start) / (count - 1)
+        self.half, self.step, self.cumulative = half, (half - -half) / (count - 1), cumulative
+        self.guide = _guide(cumulative, _GUIDE_CELLS, np.int32)
+
+    def _nodes(self, index, out):
+        """The grid nodes at index into out, index * step + start as linspace
+        computes them, but for the last, which linspace sets to half."""
+        # Converted by a copy, then scaled in place: an int-by-float multiply
+        # would cast through a buffer of its own.
+        np.copyto(out, index)
+        out *= self.step
+        out += -self.half
+        return out
+
+    def quantile(self, u):
+        """Linear interpolation of the inverse CDF at u in [0, 1), a number or
+        an array of any shape, bit for bit the route through c =
+        np.searchsorted(cumulative, u, "right") (_guided_count): c is at most
+        count - 1, as u < 1, and cumulative[c], the node the last probe read,
+        is the upper CDF value.  At most four arrays of u's size are live at
+        once: lo, c1, out and one scratch array."""
+        cumulative = self.cumulative
+        # An array even for a scalar u, so that the steps below can write into it.
+        u = np.asarray(u, dtype=float)
+        lo, c1 = _guided_count(cumulative, self.guide, _GUIDE_CELLS, u,
+                               width=cumulative.size, probes=2)
+        # The values whose upper node is the last, by flat index, found while
+        # only lo and c1 are live: a u above cumulative[-2], so few or none.
+        at_stop = np.flatnonzero(lo == cumulative.size - 1)
+        # Now c0 = cumulative[lo - 1] <= u < cumulative[lo] = c1, with
+        # 1 <= lo, so the span is positive: g0 + (u - c0) / (c1 - c0) *
+        # (g1 - g0), one operation at a time, in place.
+        lo -= 1
+        scratch = np.asarray(cumulative.take(lo))
+        out = np.subtract(u, scratch)
+        c1 -= scratch
+        out /= c1
+        self._nodes(lo, scratch)
+        lo += 1
+        self._nodes(lo, c1)
+        np.put(c1, at_stop, self.half)
+        c1 -= scratch
+        out *= c1
+        out += scratch
+        return out
+
+    def cdf(self, phi):
+        """The piecewise-linear CDF at each angle phi: the inverse of quantile.
+
+        0 up to -half and 1 from half on; between, c0 + (phi - g0) / (g1 -
+        g0) * (c1 - c0) on the grid segment g0 <= phi < g1, found from
+        (phi + half) / step and moved by one node where the rebuilt nodes
+        disagree with that estimate.
+        """
+        cumulative, half = self.cumulative, self.half
+        phi = np.asarray(phi, dtype=float)
+        last = cumulative.size - 2     # the lower node of the last segment
+        scaled = np.add(phi, half, out=np.empty(phi.shape))
+        scaled /= self.step
+        np.clip(scaled, 0, last, out=scaled)
+        lo = scaled.astype(np.intp)
+        g0, g1 = np.empty(phi.shape), np.empty(phi.shape)
+
+        def upper_node():
+            # the node after lo, the last one being half
+            self._nodes(lo + 1, g1)
+            np.copyto(g1, half, where=lo == last)
+
+        lo -= (self._nodes(lo, g0) > phi) & (lo > 0)
+        upper_node()
+        lo += (g1 <= phi) & (lo < last)
+        self._nodes(lo, g0)
+        upper_node()
+        g1 -= g0
+        out = np.subtract(phi, g0, out=g0)
+        out /= g1
+        c0 = cumulative.take(lo)
+        out *= cumulative.take(lo + 1) - c0
+        out += c0
+        np.copyto(out, 0.0, where=phi <= -half)
+        np.copyto(out, 1.0, where=phi >= half)
+        return out
 
 
 class _SearchRows:
     """Rows of thresholds on [0, 1], each made nondecreasing, ready for _guided_count.
 
-    Each row gets a last node of 1, above every uniform, so a uniform's
-    count of its row's thresholds at or below it is at most the row's
-    threshold count.  The rows are kept flat, width nodes each, with their
-    guides (_guide) over two cells a node, rounded up to a power of two
-    and at most _GUIDE_CELLS.  So few cells hold more than one threshold,
-    and one probe step, where a CDF table takes two, leaves few values to
-    the edge search: the thresholds crowd only where the bins hold
-    little probability, and there a second probe rarely closes a value.
+    Each row gets a last node of 1, above every uniform, and is kept flat,
+    width nodes each, with its guide (_guide) over two cells a node,
+    rounded up to a power of two and at most _GUIDE_CELLS.  So one probe
+    step, where a CDF table takes two, leaves few values to the edge
+    search: thresholds crowd only where the bins hold little probability.
     """
 
     def __init__(self, thresholds):
@@ -74,7 +151,7 @@ class _SearchRows:
         """Each u's count of the thresholds at or below it in its row: rows,
         or rows[j] for the u of column j (the last axis)."""
         found, _ = _guided_count(self.nodes, self.guide, self.cells, u, rows * (self.cells + 1),
-                                 self.width, probes=1)
+                                 width=self.width, probes=1)
         found -= rows * self.width
         return found
 
@@ -84,43 +161,38 @@ def _guide(nodes, cells, dtype=np.intp):
     row r's entries from r * (cells + 1) on, each count offset by the nodes
     of the rows before it, so that it indexes the flat nodes.
 
-    Each row is nondecreasing on [0, 1] and cells is a power of two.
-    Entry k of a row counts its nodes at or below k / cells, so the count
-    of a u in cell k lies within [guide[k], guide[k + 1]], and the node
-    guide[k + 1] ends the cell: it lies above (k + 1) / cells, where there
-    is one.  c * cells is exact, so a node c is at or below k / cells
-    exactly when ceil(c * cells) <= k: the guide is a running count of
-    those ceilings (the indexed search of Chen and Asau, 1974), one
-    bincount and one running sum for every row at once, each row's
-    ceilings shifted to its own block.
+    Each row is nondecreasing on [0, 1] and cells is a power of two.  Entry
+    k of a row counts its nodes at or below k / cells, so the count of a u
+    in cell k lies within [guide[k], guide[k + 1]], and the node guide[k +
+    1] ends the cell, lying above (k + 1) / cells where there is one.  As
+    c * cells is exact, a node c is at or below k / cells exactly when
+    ceil(c * cells) <= k: the guide is a running count of those ceilings
+    (the indexed search of Chen and Asau, 1974), one bincount and one
+    running sum for all rows, each row's ceilings shifted to its own block.
     """
     index = np.multiply(np.atleast_2d(nodes), cells)
     np.ceil(index, out=index)
     index = index.astype(np.intp)
     blocks = index.shape[0] * (cells + 1)
-    if index.shape[0] > 1:
-        index += np.arange(0, blocks, cells + 1)[:, None]
+    index += np.arange(0, blocks, cells + 1)[:, None]
     counts = np.bincount(index.ravel(), minlength=blocks)
     del index
     return np.cumsum(counts, dtype=dtype)
 
 
-def _guided_count(nodes, guide, cells, u, start=None, width=None, probes=2):
+def _guided_count(nodes, guide, cells, u, start=None, *, width, probes):
     """Each u's count of the nodes at or below it in its row, and the node at that count.
 
-    nodes holds rows of width nodes (one row by default), flat, each
-    nondecreasing on [0, 1] and ending above every u searched in it; guide
-    is their _guide over cells cells, and start, where there are rows
-    past the first, each u's row's first guide entry, r * (cells + 1),
-    broadcast against u.  The count is r * width plus searchsorted(row,
-    u, "right"), bit for bit, an index of the flat nodes.  One guide
-    lookup starts each u at the count of its cell's lower end; probes
-    probe steps close most values, and one edge search per row closes
-    the rest.  The probes need no upper bound: the node that ends u's
-    cell, or failing that the row's last node, lies above u, so a probe
-    steps only while it is below the count.  Returns (count, the node at
+    nodes holds rows of width nodes, flat, each nondecreasing on [0, 1] and
+    ending above every u searched in it; guide is their _guide over cells
+    cells, and start, where there are rows past the first, each u's row's
+    first guide entry, r * (cells + 1), broadcast against u (an array of
+    any shape).  The count is r * width plus searchsorted(row, u, "right"),
+    bit for bit.  A guide lookup starts each u at the count of its cell's
+    lower end, probes probe steps close most values, and one edge search
+    per row the rest; a probe needs no upper bound, as the node that ends
+    u's cell, or the row's last, lies above u.  Returns (count, the node at
     count), arrays of u's shape; the node is the last one a probe read.
-    u is an array of any shape.
     """
     cell = (u * cells).astype(np.intp)
     if start is not None:
@@ -140,117 +212,15 @@ def _guided_count(nodes, guide, cells, u, start=None, width=None, probes=2):
     still_open = np.flatnonzero(c1 <= u)
     if still_open.size:
         values = u.take(still_open)
-        if width is None:
-            counts = np.searchsorted(nodes, values, side="right")
-        else:
-            rows = lo.take(still_open) // width
-            counts = np.empty_like(rows)
-            for row in np.flatnonzero(np.bincount(rows)).tolist():
-                first, in_row = row * width, np.flatnonzero(rows == row)
-                counts[in_row] = first + np.searchsorted(nodes[first:first + width],
-                                                         values.take(in_row), side="right")
+        rows = lo.take(still_open) // width
+        counts = np.empty_like(rows)
+        for row in np.flatnonzero(np.bincount(rows)).tolist():
+            first, in_row = row * width, np.flatnonzero(rows == row)
+            counts[in_row] = first + np.searchsorted(nodes[first:first + width],
+                                                     values.take(in_row), side="right")
         np.put(lo, still_open, counts)
         np.put(c1, still_open, nodes.take(counts))
     return lo, c1
-
-
-def _grid_nodes(table, index, out):
-    """The nodes at index of the table's grid into out, as np.linspace
-    computes them: index * step + start, step = (stop - start) / (count - 1).
-    Every node but the last: linspace sets that one to stop, which is half."""
-    start, stop = -table.half, table.half
-    # Converted by a copy, then scaled in place: an int-by-float multiply
-    # would cast through a buffer of its own.
-    np.copyto(out, index)
-    out *= (stop - start) / (table.cdf.size - 1)
-    out += start
-    return out
-
-
-def _invert_cdf(table, u):
-    """Linear interpolation of the inverse CDF at u in [0, 1).
-
-    Bit for bit the route through np.searchsorted(cdf, u, "right"), the
-    node count c of u (_guided_count over the table's guide), on the grid
-    np.linspace(-half, half, len(cdf)).  c is at most len(cdf) - 1, as
-    u < 1 = cdf[-1], and cdf[c], the node the last probe read, is the
-    interpolation's upper CDF value.  The two grid nodes are rebuilt as
-    np.linspace computes them, i * step + start, with stop at the last
-    node; the lower node c - 1 is never the last, so only the upper one
-    needs that.  The steps run in place, so at most four arrays of u's
-    size are live at once (lo, c1, out and one scratch array).  u may be
-    a number or an array of any shape.
-    """
-    cdf = table.cdf
-    # An array even for a scalar u, so that the steps below can write into it.
-    u = np.asarray(u, dtype=float)
-    lo, c1 = _guided_count(cdf, table.guide, _GUIDE_CELLS, u)
-    # The values whose upper node is the last, by flat index, found while
-    # only lo and c1 are live: a u above cdf[-2], so few or none.
-    at_stop = np.flatnonzero(lo == cdf.size - 1)
-    # Now c0 = cdf[lo - 1] <= u < cdf[lo] = c1, with 1 <= lo, so the span
-    # is positive: g0 + (u - c0) / (c1 - c0) * (g1 - g0), one operation at
-    # a time, in place.
-    lo -= 1
-    scratch = np.asarray(cdf.take(lo))
-    out = np.subtract(u, scratch)
-    c1 -= scratch
-    out /= c1
-    _grid_nodes(table, lo, scratch)
-    lo += 1
-    _grid_nodes(table, lo, c1)
-    np.put(c1, at_stop, table.half)
-    c1 -= scratch
-    out *= c1
-    out += scratch
-    return out
-
-
-def _table_cdf(table, phi):
-    """The table's piecewise-linear CDF at each angle phi: the inverse of _invert_cdf.
-
-    0 up to -half and 1 from half on; between, c0 + (phi - g0) / (g1 - g0)
-    * (c1 - c0) on the grid segment g0 <= phi < g1, its two nodes rebuilt
-    as _grid_nodes builds them, so no grid is built.  The segment is
-    estimated from (phi + half) / step and then moved by one node where
-    the rebuilt nodes disagree with the estimate.
-    """
-    cdf, half = table.cdf, table.half
-    phi = np.asarray(phi, dtype=float)
-    last = cdf.size - 2     # the lower node of the last segment
-    scaled = np.add(phi, half, out=np.empty(phi.shape))
-    scaled /= (half - -half) / (cdf.size - 1)
-    np.clip(scaled, 0, last, out=scaled)
-    lo = scaled.astype(np.intp)
-    g0, g1 = np.empty(phi.shape), np.empty(phi.shape)
-
-    def upper_node():
-        # the node after lo, the last one being half
-        _grid_nodes(table, lo + 1, g1)
-        np.copyto(g1, half, where=lo == last)
-
-    lo -= (_grid_nodes(table, lo, g0) > phi) & (lo > 0)
-    upper_node()
-    lo += (g1 <= phi) & (lo < last)
-    _grid_nodes(table, lo, g0)
-    upper_node()
-    g1 -= g0
-    out = np.subtract(phi, g0, out=g0)
-    out /= g1
-    c0 = cdf.take(lo)
-    out *= cdf.take(lo + 1) - c0
-    out += c0
-    np.copyto(out, 0.0, where=phi <= -half)
-    np.copyto(out, 1.0, where=phi >= half)
-    return out
-
-
-def _uniform_quantile(u):
-    return -np.pi + _TWO_PI * u
-
-
-def _uniform_cdf(phi):
-    return (phi + np.pi) / _TWO_PI
 
 
 # The standard normal quantile by Wichura's AS241 (PPND16, Applied
@@ -400,3 +370,8 @@ def _half_angle_map(phi, ratio):
     np.copyto(mapped, phi, where=ratio == 1.0)
     np.copyto(mapped, np.pi, where=(phi == np.pi) | (phi == -np.pi))
     return float(mapped[0]) if scalar else mapped
+
+
+def _decibels(power):
+    """10 log10(power), the dB level of each linear power."""
+    return 10.0 * np.log10(power)

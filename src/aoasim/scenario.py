@@ -24,6 +24,7 @@ from .geometry import _half_angle_ratio, _read_only
 from .inputs import (_COUNT_RANGES, _DEG, _US, _check_count, _check_hpbw, _check_nonnegative,
                      _check_normalized, _check_profile, _check_taps, json_field, json_object,
                      json_pairs)
+from .kernels import _decibels
 from .montecarlo import BinSearch, _chunk_angles, _chunk_powers, _total_power, draw_uniforms
 from .writers import write_json
 
@@ -86,19 +87,26 @@ def extract_taps(raw_pdp, min_prominence_db=DEFAULT_PROMINENCE_DB,
     maximum anywhere (flat or monotonically rising).  paths_per_tap must
     be an integer of at least 1 (the scenario field paths_per_tap).
     """
+    return _extract_taps(raw_pdp, "raw_pdp", min_prominence_db, paths_per_tap)
+
+
+def _extract_taps(raw_pdp, field, min_prominence_db, paths_per_tap):
+    # extract_taps, its errors naming the profile field: raw_pdp, or pdp
+    # for a scenario's and `aoasim taps --pdp`'s rows.
     _check_nonnegative(min_prominence_db, "prominence_db")
     _check_count(paths_per_tap, "paths_per_tap", 1)
     samples = [(float(d), float(p)) for d, p in raw_pdp]
     if len(samples) < 3:
-        raise ValueError(f"need at least 3 PDP samples, got {len(samples)}")
-    _check_profile(samples, "raw_pdp[{}][{}]".format)
+        raise ValueError(f"{field} must hold at least 3 samples, got {len(samples)}")
+    _check_profile(samples, (field + "[{}][{}]").format)
     delays = np.array([d for d, _ in samples])
     powers = np.array([p for _, p in samples])
 
-    level_db = 10.0 * np.log10(powers)
+    level_db = _decibels(powers)
     peaks = _prominent_peaks(level_db, min_prominence_db)
     if peaks.size == 0 and _prominent_peaks(level_db).size == 0 and not powers[0] > powers[1]:
-        raise ValueError("PDP has no local maximum (flat or rising profile); cannot extract taps")
+        raise ValueError(f"{field} has no local maximum (flat or rising profile); "
+                         "cannot extract taps")
     taps = [Tap(0.0, float(powers[0]), paths_per_tap)]
     taps.extend(Tap(float(delays[k]), float(powers[k]), paths_per_tap) for k in peaks)
     return TapProfile(tuple(taps))
@@ -206,11 +214,9 @@ class ScenarioConfig:
         else:
             pdp = json_pairs(doc, "pdp")
             _check_profile(pdp, "pdp[{}][{}]".format, _US)
-            profile = extract_taps(
-                [(d * _US, p) for d, p in pdp],
-                min_prominence_db=json_field(doc, "prominence_db", DEFAULT_PROMINENCE_DB),
-                paths_per_tap=default_paths,
-            )
+            profile = _extract_taps([(d * _US, p) for d, p in pdp], "pdp",
+                                    json_field(doc, "prominence_db", DEFAULT_PROMINENCE_DB),
+                                    default_paths)
         return cls(
             distance=_check_nonnegative(json_field(doc, "distance_m"), "distance_m"),
             taps=_normalized_profile(profile),
@@ -238,7 +244,11 @@ class ScenarioConfig:
     @classmethod
     def from_file(cls, path):
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+            try:
+                doc = json.load(fh)
+            except RecursionError:
+                raise ValueError(f"{path}: JSON nested too deeply to load") from None
+        return cls.from_json_dict(doc)
 
     def to_file(self, path):
         write_json(path, self.to_json_dict())

@@ -30,7 +30,7 @@ from aoasim.angular import (
     von_mises_pdf,
 )
 from aoasim.geometry import ellipse_params, wrap_angle
-from aoasim.kernels import _GRID_NODES, _GUIDE_CELLS, _CdfTable, _grid_nodes, _invert_cdf
+from aoasim.kernels import _GRID_NODES, _GUIDE_CELLS, _CdfTable
 
 from helpers import (
     bessel_i0_series,
@@ -676,7 +676,7 @@ def _spiked_table():
 
 def _grid(table):
     # the grid a table's nodes are rebuilt on
-    return np.linspace(-table.half, table.half, table.cdf.size)
+    return np.linspace(-table.half, table.half, table.cumulative.size)
 
 
 @st.composite
@@ -721,7 +721,7 @@ def _table_from_spec(spec):
 def _probe_values(table, seed):
     # 0, the largest double below 1, every node below 1, the double just
     # below each node, and uniforms
-    cdf = table.cdf
+    cdf = table.cumulative
     return np.concatenate([
         [0.0, np.nextafter(1.0, 0.0)],
         cdf[cdf < 1.0], np.nextafter(cdf[1:], 0.0),
@@ -733,9 +733,9 @@ def _assert_guide_bounds_the_probes(table):
     # the node guide[k + 1] lies above the top of guide cell k, so the
     # probes of a u in cell k stop there without a bound of their own
     upper = table.guide[1:]
-    inside = upper < table.cdf.size
+    inside = upper < table.cumulative.size
     tops = np.arange(1, _GUIDE_CELLS + 1) / _GUIDE_CELLS
-    assert np.all(table.cdf[upper[inside]] > tops[inside])
+    assert np.all(table.cumulative[upper[inside]] > tops[inside])
 
 
 @st.composite
@@ -803,20 +803,22 @@ class TestInvertCdf:
         u = np.concatenate([
             [0.0, np.nextafter(1.0, 0.0)],
             np.arange(_GUIDE_CELLS) / _GUIDE_CELLS,
-            table.cdf[table.cdf < 1.0], np.nextafter(table.cdf[1:], 0.0),
+            table.cumulative[table.cumulative < 1.0], np.nextafter(table.cumulative[1:], 0.0),
             np.random.default_rng(9).random(200_000),
         ])
-        assert np.array_equal(_invert_cdf(table, u), invert_cdf_searched(_grid(table), table.cdf, u))
-        assert np.array_equal(table.guide, guide_searched(table.cdf, _GUIDE_CELLS))
+        assert np.array_equal(table.quantile(u),
+                              invert_cdf_searched(_grid(table), table.cumulative, u))
+        assert np.array_equal(table.guide, guide_searched(table.cumulative, _GUIDE_CELLS))
 
     @settings(max_examples=150, deadline=None)
     @given(_table_specs())
     def test_random_tables_match_searchsorted(self, spec):
         table = _table_from_spec(spec)
-        assert np.array_equal(table.guide, guide_searched(table.cdf, _GUIDE_CELLS))
+        assert np.array_equal(table.guide, guide_searched(table.cumulative, _GUIDE_CELLS))
         _assert_guide_bounds_the_probes(table)
         u = _probe_values(table, spec["seed"])
-        assert np.array_equal(_invert_cdf(table, u), invert_cdf_searched(_grid(table), table.cdf, u))
+        assert np.array_equal(table.quantile(u),
+                              invert_cdf_searched(_grid(table), table.cumulative, u))
 
     def test_batch_shape_is_kept(self):
         # uniforms anywhere, and a 2-d batch inside the guide cells that span
@@ -828,8 +830,8 @@ class TestInvertCdf:
         cells = rng.choice(wide, size=(4, 50))
         batch = (cells + 0.999 * rng.random(cells.shape)) / _GUIDE_CELLS
         for u in [rng.random((3, 7)), batch, *batch[0], *map(np.array, batch[0])]:
-            assert np.array_equal(_invert_cdf(table, u),
-                                  invert_cdf_searched(_grid(table), table.cdf, u))
+            assert np.array_equal(table.quantile(u),
+                                  invert_cdf_searched(_grid(table), table.cumulative, u))
 
     @_TABLES
     def test_at_most_four_arrays_of_the_input_size_are_live(self, table):
@@ -837,10 +839,10 @@ class TestInvertCdf:
         # allowance is for array headers and the call's frame, a few
         # hundred bytes whatever the size
         u = np.random.default_rng(11).random(20_000)
-        _invert_cdf(table, u[:1])
+        table.quantile(u[:1])
         tracemalloc.start()
         try:
-            _invert_cdf(table, u)
+            table.quantile(u)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -849,11 +851,11 @@ class TestInvertCdf:
     @settings(max_examples=100, deadline=None)
     @given(st.floats(1e-3, math.pi), st.one_of(st.integers(9, 4097), st.just(_GRID_NODES)))
     def test_rebuilt_nodes_are_linspace_bit_for_bit(self, half, count):
-        # every node as _grid_nodes rebuilds it, and the last as _invert_cdf
+        # every node as _nodes rebuilds it, and the last as quantile
         # puts it (half itself), against the grid the table was built on
         table = _CdfTable(half, np.ones_like, count)
         grid = np.linspace(-half, half, count)
-        nodes = _grid_nodes(table, np.arange(count), np.empty(count))
+        nodes = table._nodes(np.arange(count), np.empty(count))
         nodes[-1] = table.half
         assert nodes.tobytes() == grid.tobytes()
 
@@ -861,13 +863,13 @@ class TestInvertCdf:
         # the CDF and the int32 guide, each its own buffer, and no other
         # node-sized array (no stored grid)
         table = TabulatedPattern(_GAPPED_SAMPLES)._cdf_table
-        count = table.cdf.size
+        count = table.cumulative.size
         assert count == _GRID_NODES
-        assert table.cdf.dtype == np.float64 and table.guide.dtype == np.int32
-        assert table.cdf.nbytes + table.guide.nbytes == 12 * count
+        assert table.cumulative.dtype == np.float64 and table.guide.dtype == np.int32
+        assert table.cumulative.nbytes + table.guide.nbytes == 12 * count
         arrays = {name for name, value in vars(table).items() if isinstance(value, np.ndarray)}
-        assert arrays == {"cdf", "guide"}
-        assert table.cdf.base is None and table.guide.base is None
+        assert arrays == {"cumulative", "guide"}
+        assert table.cumulative.base is None and table.guide.base is None
 
     def test_tabulated_build_peaks_under_four_and_a_half_node_arrays(self):
         # the grid, the density and the sums and counts in place; a build

@@ -293,6 +293,17 @@ class TestSimulate:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["type"] in ("ValueError", "KeyError")
 
+    def test_deeply_nested_scenario_is_one_error_record(self, tmp_path, capsys):
+        # past the JSON decoder's recursion limit: a record naming the file,
+        # not a RecursionError traceback
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000, encoding="utf-8")
+        out = tmp_path / "never"
+        assert main(["simulate", "--scenario", str(deep), "--out", str(out)]) == 1
+        assert _error_record(capsys) == {"error": f"{deep}: JSON nested too deeply to load",
+                                         "type": "ValueError", "command": "simulate"}
+        assert not out.exists()
+
     def test_non_finite_scenario_is_one_error_record(self, scenario_file, tmp_path, capsys):
         # a non-finite, mistyped or misspelled field fails at load with one
         # JSON error record naming the field; nothing is written or printed
@@ -625,9 +636,13 @@ class TestTaps:
         ("0,1\n1,0.1\n0.5,0.5\n", "pdp[2][0] must be greater than pdp[1][0], got 0.5 after 1.0"),
         ("0.5,1\n1,0.1\n2,0.5\n", "pdp[0][0] must be 0 (the zero-delay tap), got 0.5"),
         ("0,1\n1,0\n2,0.5\n", "pdp[1][1] must be positive and finite, got 0.0"),
+        ("0,1\n1,0.5\n", "pdp must hold at least 3 samples, got 2"),
+        ("0,0.1\n1,0.5\n2,0.9\n",
+         "pdp has no local maximum (flat or rising profile); cannot extract taps"),
     ])
     def test_bad_pdp_row_names_it_in_microseconds(self, tmp_path, capsys, rows, message):
-        # the rows as a scenario's pdp, counted from the first row of numbers
+        # the rows as a scenario's pdp, counted from the first row of numbers;
+        # a profile-wide error names pdp, not extract_taps' raw_pdp
         path = tmp_path / "pdp.csv"
         path.write_text(f"# comment\ndelay_us,power\n{rows}", encoding="utf-8")
         assert main(["taps", "--pdp", str(path)]) == 1

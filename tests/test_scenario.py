@@ -233,6 +233,24 @@ class TestScenarioConfig:
         assert len(config.taps.taps) == 1
         assert config.taps.taps[0].path_count == 9
 
+    @pytest.mark.parametrize("pdp, message", [
+        ([[0.0, 1.0], [1.0, 0.5]], "pdp must hold at least 3 samples, got 2"),
+        ([[0.0, 1.0], [1.0, 1.0], [2.0, 1.0]],
+         "pdp has no local maximum (flat or rising profile); cannot extract taps"),
+        ([[0.0, 0.1], [1.0, 0.5], [2.0, 0.9]],
+         "pdp has no local maximum (flat or rising profile); cannot extract taps"),
+    ], ids=["two-rows", "flat", "rising"])
+    def test_pdp_error_names_the_field(self, pdp, message):
+        # a scenario's pdp is named as the file names it; extract_taps called
+        # from Python names its own argument
+        doc = _config_doc()
+        del doc["taps"]
+        doc["pdp"] = pdp
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ScenarioConfig.from_json_dict(doc)
+        with pytest.raises(ValueError, match=f"^raw_{re.escape(message)}$"):
+            extract_taps([(d * 1e-6, p) for d, p in pdp])
+
     def test_taps_and_pdp_mutually_exclusive(self):
         doc = _config_doc()
         doc["pdp"] = [[0.0, 1.0], [1.0, 0.5], [2.0, 0.2]]

@@ -16,6 +16,7 @@ substitutions and no others:
   --noprofile --norc -eo pipefail.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -79,8 +80,10 @@ def test_numpy_only_step_passes_as_written(tmp_path):
     result = run_numpy_only_step(WORKFLOW, tmp_path)
     assert result.returncode == 0, result.stdout + result.stderr
     assert "Traceback" not in result.stderr
-    # what the step made: every command's files, and the seed error record
+    # what the step made: every command's files, and the two error records
     for made in ("bare-sim/report.json", "bare-sim-paths/spectrum.csv", "bare-sweep/sweep.csv",
                  "bare-tabulated/report.json", "bare-tabulated-binned/spectrum.csv"):
         assert (tmp_path / made).is_file(), made
     assert '"error": "seed ' in (tmp_path / "bad_seed.err").read_text(encoding="utf-8")
+    [record] = (tmp_path / "deep.err").read_text(encoding="utf-8").splitlines()
+    assert json.loads(record)["error"] == f"{tmp_path / 'deep.json'}: JSON nested too deeply to load"
