@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import sys
 from dataclasses import replace
@@ -23,7 +24,7 @@ from dataclasses import replace
 from . import __version__, writers
 from .estimation import lse
 from .inputs import (_COUNT_RANGES, _DEG, _US, _check_count, _check_hpbw, _check_nonnegative,
-                     _check_profile)
+                     _check_profile, _read_text)
 from .scenario import (DEFAULT_PATHS_PER_TAP, DEFAULT_PROMINENCE_DB, ScenarioConfig,
                        _extract_taps, hpbw_sweep, run_simulation)
 
@@ -60,19 +61,18 @@ def _read_csv_pairs(path):
     header).  Every other row must be exactly two numbers.
     """
     rows, first = [], True
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            values = [_number(field) for field in row]
-            header, first = first and values[0] is None, False
-            if header:
-                continue
-            if len(values) != 2 or None in values:
-                raise ValueError(f"malformed CSV row {reader.line_num} in {path}: {row!r} "
-                                 "(expected two numbers)")
-            rows.append(tuple(values))
+    reader = csv.reader(io.StringIO(_read_text(path, newline=""), newline=""))
+    for row in reader:
+        if not row or row[0].lstrip().startswith("#"):
+            continue
+        values = [_number(field) for field in row]
+        header, first = first and values[0] is None, False
+        if header:
+            continue
+        if len(values) != 2 or None in values:
+            raise ValueError(f"malformed CSV row {reader.line_num} in {path}: {row!r} "
+                             "(expected two numbers)")
+        rows.append(tuple(values))
     if not rows:
         raise ValueError(f"no numeric rows found in {path}")
     return rows

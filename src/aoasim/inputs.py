@@ -1,4 +1,4 @@
-"""Input rules: the scenario-file readers (json_*), one rule function per kind of
+"""Input rules: the file readers (_read_text, json_*), one rule function per kind of
 input record (_check_*), the range of each count and the file units (_DEG, _US).
 Each rule is called at every boundary with its names and units.  Imports no other
 aoasim module.
@@ -19,6 +19,16 @@ NORMALIZATION_TOL = 1e-9
 # Bins stop at the largest count the tests cover (_Bins.index is exact below 1e9).
 _MAX_BINS = 2 ** 20
 _COUNT_RANGES = {"trials": (1, None), "bins": (8, _MAX_BINS), "master_seed": (0, 2 ** 64 - 1)}
+
+
+def _read_text(path, newline=None):
+    """The text of the UTF-8 file at path, read with open's newline; bytes
+    that are not UTF-8 are a ValueError that names the path."""
+    with open(path, "r", encoding="utf-8", newline=newline) as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _check_finite_angles(phi):

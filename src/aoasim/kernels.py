@@ -147,11 +147,18 @@ class _SearchRows:
         self.nodes = rows.ravel()
         self.guide = _guide(rows, self.cells)
 
-    def count(self, u, rows=0):
-        """Each u's count of the thresholds at or below it in its row: rows,
-        or rows[j] for the u of column j (the last axis)."""
+    def position(self, u, rows=0):
+        """Each u's count of the thresholds at or below it in its row (rows,
+        or rows[j] for the u of column j, the last axis), plus the nodes of
+        the rows before it: row * width + count, its index into the flat
+        nodes."""
         found, _ = _guided_count(self.nodes, self.guide, self.cells, u, rows * (self.cells + 1),
                                  width=self.width, probes=1)
+        return found
+
+    def count(self, u, rows=0):
+        """Each u's count of the thresholds at or below it in its row."""
+        found = self.position(u, rows)
         found -= rows * self.width
         return found
 

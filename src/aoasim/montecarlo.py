@@ -39,6 +39,18 @@ from .kernels import _half_angle_map, _SearchRows
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import ScenarioConfig
 
+# A run and a sweep take their trials in chunks (scenario.trials_per_chunk):
+# trials times the larger of paths and bins per trial is at most this many
+# entries (one trial at least).  So each (trials, paths) array of a chunk
+# holds at most this many, its (trials, 2P) uniforms at most twice that,
+# and a sweep builds them for one point at a time: this bounds them whatever
+# the trial and point counts.  No array of a chunk is bins wide; the bins
+# still size the chunk, as a rule by paths alone measured more peak memory
+# on bench/'s simulate_many (1.8 MB) and sweep_paper (1.0 MB).  A run's
+# BinSearch rank tables hold at most twice this many entries in all, as
+# many as a chunk's uniforms (_group_size).  Neither changes a number.
+CHUNK_SIZE = 1 << 15
+
 
 @dataclass(frozen=True, eq=False)
 class PathSet:
@@ -131,10 +143,21 @@ class BinSearch:
     b)), and its bin is the count of its row's thresholds at or below
     its uniform.  The thresholds are built once per run: one row for the
     local paths (their cdf at the edges) and one per pattern and delayed
-    tap, each made nondecreasing and searched by _guided_count: (delayed
-    taps x patterns + 1) x bins CDF values, whatever the trial count.  A
-    chunk bins its local columns once and each pattern's delayed columns
-    in one guided search, and no angle is computed.
+    tap, each made nondecreasing: (delayed taps x patterns + 1) x bins CDF
+    values, whatever the trial count.
+
+    The patterns are taken in groups of consecutive ones (_group_size).
+    A group's rows of each delayed tap are merged into one sorted row,
+    searched by _guided_count, and each pattern of the group keeps a rank
+    row per tap: its rank[m], the count of its thresholds among the first m
+    merged values, is the count of its thresholds at or below any u whose
+    merged count is m, ties or not, as m ends a run of equal values (one
+    search in the union of sorted lists, then a rank in each: the plain
+    form of what fractional cascading refines, Chazelle and Guibas,
+    Algorithmica 1(2), 1986).  So a chunk bins its local columns in one
+    search, each group's delayed columns in one more, and each pattern's
+    by one take of its ranks; a group of one pattern is its own merged
+    row, and takes no rank.  No angle is computed.
 
     A uniform of exactly 0 is the one point where a path's angle is not
     nondecreasing in its uniform: a quantile of -pi wraps to pi, the
@@ -145,12 +168,16 @@ class BinSearch:
 
     def __init__(self, scenario, patterns, bins):
         profile = scenario.taps
-        self.scenario, self.patterns, self.bins = scenario, patterns, bins
+        self.scenario, self.bins = scenario, bins
         interior = bins.edges[1:-1]
         self.local = _SearchRows(scenario.local.cdf(interior)[None])
         ecc = scenario.eccentricities  # one row of departures per delayed tap
         departures = aoa_to_aod(np.broadcast_to(interior, (ecc.size, interior.size)), ecc[:, None])
-        self.delayed = [_SearchRows(pattern.cdf(departures)) for pattern in patterns]
+        size = _group_size(len(patterns), ecc.size, interior.size)
+        groups = (patterns[first:first + size] for first in range(0, len(patterns), size))
+        # (patterns, search, ranks) of each group
+        self.groups = [(group, *_merged_rows([pattern.cdf(departures) for pattern in group]))
+                       for group in groups]
         # the threshold row of each delayed column: its tap's
         self.rows = profile.tap_index[profile.path_counts[0]:] - 1
 
@@ -162,14 +189,63 @@ class BinSearch:
         local, paths = profile.path_counts[0], profile.tap_index.size
         zeros = np.flatnonzero(uniforms[:, :paths] == 0.0)
         local_cells = self.local.count(uniforms[:, :local])
-        # Copied once, so that every pattern's search reads contiguous rows.
+        # Copied once, so that every search reads contiguous rows: short
+        # strided rows slow the search down.
         delayed = uniforms[:, local:paths].copy()
-        for pattern, search in zip(self.patterns, self.delayed):
-            cells = np.concatenate((local_cells, search.count(delayed, self.rows)), axis=1)
+
+        def joined(pattern, delayed_cells):
+            cells = np.concatenate((local_cells, delayed_cells), axis=1)
             if zeros.size:
                 angles = _chunk_angles(self.scenario, pattern, np.zeros((1, paths)))
                 np.put(cells, zeros, self.bins.index(angles[0]).take(zeros % paths))
-            yield cells
+            return cells
+
+        last = len(self.groups) - 1
+        for index, (group, search, ranks) in enumerate(self.groups):
+            if ranks is None:
+                [pattern] = group
+                yield joined(pattern, search.count(delayed, self.rows))
+            else:
+                # each u's merged count, as an index into its tap's rank row
+                found = search.position(delayed, self.rows)
+                if index == last:
+                    del delayed  # searched for the last time: not kept beside the points' cells
+                for pattern, rank in zip(group, ranks):
+                    yield joined(pattern, rank.take(found))
+
+
+def _group_size(patterns, taps, thresholds):
+    """Patterns per BinSearch group: as many as keep the run's rank tables
+    within 2 * CHUNK_SIZE entries, one at least.
+
+    With groups of g, each of a run's patterns keeps taps rank rows of g x
+    thresholds + 1 entries; g = 1 keeps none.  Without a delayed tap no
+    pattern keeps a rank row, and the patterns make one group.
+    """
+    if taps == 0:
+        return patterns
+    return max(1, min(patterns, (2 * CHUNK_SIZE // (patterns * taps) - 1) // thresholds))
+
+
+def _merged_rows(thresholds):
+    """(search, ranks) of a group's threshold rows, one (taps, edges) array
+    per pattern: the _SearchRows of their merged rows, and each pattern's
+    flat int32 rank rows, its tap t's rank[m] at t * search.width + m; or,
+    for one pattern, its own _SearchRows and no ranks."""
+    if len(thresholds) == 1:
+        return _SearchRows(thresholds[0]), None
+    rows = np.stack(thresholds)
+    # each pattern's row as _SearchRows makes it
+    np.maximum.accumulate(rows, axis=2, out=rows)
+    np.clip(rows, 0.0, 1.0, out=rows)
+    merged = np.concatenate(rows, axis=1)
+    merged.sort(axis=1)
+    search = _SearchRows(merged)
+    ranks = np.zeros((rows.shape[0], rows.shape[1], search.width), dtype=np.int32)
+    for rank, own in zip(ranks, rows):
+        for rank_row, row, values in zip(rank, own, merged):
+            rank_row[1:] = np.searchsorted(row, values, side="right")
+    return search, ranks.reshape(rows.shape[0], -1)
 
 
 def generate_trial(scenario: "ScenarioConfig", trial_index):

@@ -22,25 +22,15 @@ from .estimation import (AngularSpectrum, _bins, _normalization_defects, rms_ang
                          weighted_spread)
 from .geometry import _half_angle_ratio, _read_only
 from .inputs import (_COUNT_RANGES, _DEG, _US, _check_count, _check_hpbw, _check_nonnegative,
-                     _check_normalized, _check_profile, _check_taps, json_field, json_object,
-                     json_pairs)
+                     _check_normalized, _check_profile, _check_taps, _read_text, json_field,
+                     json_object, json_pairs)
 from .kernels import _decibels
-from .montecarlo import BinSearch, _chunk_angles, _chunk_powers, _total_power, draw_uniforms
+from .montecarlo import (CHUNK_SIZE, BinSearch, _chunk_angles, _chunk_powers, _total_power,
+                         draw_uniforms)
 from .writers import write_json
 
 DEFAULT_PATHS_PER_TAP = 50
 DEFAULT_PROMINENCE_DB = 3.0
-
-# run_simulation and hpbw_sweep take their trials in chunks: trials times
-# the larger of paths and bins per trial is at most this many entries (one
-# trial at least).  So each (trials, paths) array of a chunk holds at most
-# this many, its (trials, 2P) uniforms at most twice that, and a sweep builds
-# them for one point at a time: this bounds them whatever the trial and point
-# counts.  No array of a chunk is bins wide; the bins still size the chunk,
-# as a rule by paths alone measured more peak memory on bench/'s
-# simulate_many (1.8 MB) and sweep_paper (1.0 MB).  The chunking changes no
-# number.
-CHUNK_SIZE = 1 << 15
 
 _SCENARIO_KEYS = ("distance_m", "kappa", "mu", "trials", "bins", "seed", "pattern",
                   "taps", "pdp", "paths_per_tap", "prominence_db")
@@ -87,18 +77,20 @@ def extract_taps(raw_pdp, min_prominence_db=DEFAULT_PROMINENCE_DB,
     maximum anywhere (flat or monotonically rising).  paths_per_tap must
     be an integer of at least 1 (the scenario field paths_per_tap).
     """
-    return _extract_taps(raw_pdp, "raw_pdp", min_prominence_db, paths_per_tap)
+    samples = [(float(d), float(p)) for d, p in raw_pdp]
+    _check_profile(samples, "raw_pdp[{}][{}]".format)
+    return _extract_taps(samples, "raw_pdp", min_prominence_db, paths_per_tap)
 
 
-def _extract_taps(raw_pdp, field, min_prominence_db, paths_per_tap):
-    # extract_taps, its errors naming the profile field: raw_pdp, or pdp
-    # for a scenario's and `aoasim taps --pdp`'s rows.
+def _extract_taps(samples, field, min_prominence_db, paths_per_tap):
+    # extract_taps of (delay, power) float rows already held to the profile
+    # rules, its errors naming the profile field: raw_pdp, or pdp for a
+    # scenario's and `aoasim taps --pdp`'s rows, which their readers check
+    # in microseconds, naming each row as written.
     _check_nonnegative(min_prominence_db, "prominence_db")
     _check_count(paths_per_tap, "paths_per_tap", 1)
-    samples = [(float(d), float(p)) for d, p in raw_pdp]
     if len(samples) < 3:
         raise ValueError(f"{field} must hold at least 3 samples, got {len(samples)}")
-    _check_profile(samples, (field + "[{}][{}]").format)
     delays = np.array([d for d, _ in samples])
     powers = np.array([p for _, p in samples])
 
@@ -243,11 +235,15 @@ class ScenarioConfig:
 
     @classmethod
     def from_file(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except RecursionError:
-                raise ValueError(f"{path}: JSON nested too deeply to load") from None
+        """The scenario of the JSON file at path; a file that is not UTF-8
+        JSON is a ValueError that names it."""
+        text = _read_text(path)
+        try:
+            doc = json.loads(text)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to load") from None
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         return cls.from_json_dict(doc)
 
     def to_file(self, path):
@@ -389,11 +385,13 @@ def hpbw_sweep(config, hpbw_deg_list):
     Returns one SweepPoint (hpbw_deg, report) per beamwidth (degrees),
     each equal bit for bit to run_simulation at that beamwidth.  All
     points run in one pass (_simulate) and compute no angle: each chunk
-    of trials is drawn and weighed once, and only the delayed paths'
-    search among each point's bin-edge thresholds and the reduce run per
-    point.  Every point reads the same uniforms, so the points share
-    common random numbers.  Only defined for Gaussian patterns, and for
-    at least one beamwidth.  The reports carry no per-path spreads.
+    of trials is drawn and weighed once, its delayed paths are searched
+    once per group of points in their merged bin-edge thresholds
+    (montecarlo.BinSearch), and only each point's rank lookup and the
+    reduce run per point.  Every point reads the same uniforms, so the
+    points share common random numbers.  Only defined for Gaussian
+    patterns, and for at least one beamwidth.  The reports carry no
+    per-path spreads.
     """
     if not isinstance(config.pattern, GaussianPattern):
         raise ValueError("HPBW sweep requires a Gaussian antenna pattern")

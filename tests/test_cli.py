@@ -304,6 +304,22 @@ class TestSimulate:
                                          "type": "ValueError", "command": "simulate"}
         assert not out.exists()
 
+    @pytest.mark.parametrize("content, message", [
+        (b'{"distance_m": 1,',
+         "Expecting property name enclosed in double quotes: line 1 column 18 (char 17)"),
+        (b'{"distance_m": 1}\xff',
+         "'utf-8' codec can't decode byte 0xff in position 17: invalid start byte"),
+    ], ids=["truncated", "not-utf-8"])
+    def test_unreadable_scenario_record_names_the_file(self, tmp_path, capsys, content, message):
+        # a truncated or non-UTF-8 file: one record naming it, as a ValueError
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        out = tmp_path / "never"
+        assert main(["simulate", "--scenario", str(bad), "--out", str(out)]) == 1
+        assert _error_record(capsys) == {"error": f"{bad}: {message}", "type": "ValueError",
+                                         "command": "simulate"}
+        assert not out.exists()
+
     def test_non_finite_scenario_is_one_error_record(self, scenario_file, tmp_path, capsys):
         # a non-finite, mistyped or misspelled field fails at load with one
         # JSON error record naming the field; nothing is written or printed
@@ -582,6 +598,17 @@ class TestFit:
         assert json.loads(capsys.readouterr().out)["points"] == 2
 
 
+    def test_non_utf8_empirical_record_names_the_file(self, scenario_file, tmp_path, capsys):
+        csv_path = tmp_path / "empirical.csv"
+        csv_path.write_bytes(b"angle_deg,density_per_deg\n0,0.003\n\xe9,1\n")
+        assert main(["fit", "--scenario", str(scenario_file), "--empirical", str(csv_path),
+                     "--trials", "2"]) == 1
+        assert _error_record(capsys) == {
+            "error": f"{csv_path}: 'utf-8' codec can't decode byte 0xe9 in position 34: "
+                     "invalid continuation byte",
+            "type": "ValueError", "command": "fit"}
+
+
 class TestTaps:
     def _write_pdp(self, tmp_path):
         delays = np.linspace(0, 5, 251)
@@ -648,6 +675,42 @@ class TestTaps:
         assert main(["taps", "--pdp", str(path)]) == 1
         assert _error_record(capsys) == {"error": message, "type": "ValueError",
                                          "command": "taps"}
+
+    def test_non_utf8_pdp_record_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "pdp.csv"
+        path.write_bytes(b"delay_us,power\r\n0,1\r\n\xff,0.5\r\n")
+        assert main(["taps", "--pdp", str(path)]) == 1
+        assert _error_record(capsys) == {
+            "error": f"{path}: 'utf-8' codec can't decode byte 0xff in position 21: "
+                     "invalid start byte",
+            "type": "ValueError", "command": "taps"}
+
+    def test_crlf_rows_read_as_lf_rows(self, tmp_path, capsys):
+        rows = "delay_us,power\n0,1\n1,0.1\n2,0.5\n3,0.1\n"
+        printed = []
+        for newline in ("\n", "\r\n"):
+            path = tmp_path / "pdp.csv"
+            path.write_bytes(rows.replace("\n", newline).encode("utf-8"))
+            assert main(["taps", "--pdp", str(path)]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert len(json.loads(printed[0])["taps"]) == 2
+
+    def test_each_row_is_held_to_the_profile_rules_once(self, monkeypatch, tmp_path, capsys):
+        # at the boundary, in microseconds, and not again in seconds
+        from aoasim import cli, scenario
+
+        checked = []
+        for owner in (cli, scenario):
+            wrapped = owner._check_profile
+
+            def counted(rows, *args, wrapped=wrapped):
+                checked.append(len(rows))
+                return wrapped(rows, *args)
+            monkeypatch.setattr(owner, "_check_profile", counted)
+        path = self._write_pdp(tmp_path)
+        assert main(["taps", "--pdp", str(path)]) == 0
+        assert len(checked) == 1
 
     @pytest.mark.parametrize("prominence", ["nan", "inf", "-inf", "-3.0"])
     def test_bad_prominence_is_one_error_record(self, tmp_path, capsys, prominence):

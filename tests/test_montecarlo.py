@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from aoasim import montecarlo
@@ -22,7 +24,7 @@ from aoasim.angular import (
     ellipses_for_taps,
 )
 from aoasim.estimation import _bins
-from aoasim.geometry import aod_to_aoa, wrap_angle
+from aoasim.geometry import aoa_to_aod, aod_to_aoa, wrap_angle
 from aoasim.montecarlo import generate_chunk, generate_trial, sample_aod
 from aoasim.scenario import ScenarioConfig, trials_per_chunk
 
@@ -469,3 +471,137 @@ class TestBinSearch:
             assert np.all(searched[::2, :config.taps.path_counts[0]] == last)
         if pattern["kind"] == "omni" or pattern.get("hpbw_deg", 360.0) <= 1.0:
             assert np.all(searched[::2, config.taps.path_counts[0]:] == last)
+
+
+def _merged_config(beams, delayed_paths, bins):
+    # A 3-path zero-delay tap and one delayed tap per entry of
+    # delayed_paths, 1 us apart, under the first of the beams (degrees).
+    counts = [3, *delayed_paths]
+    taps = make_profile([float(k) for k in range(len(counts))], [1.0] * len(counts))
+    return ScenarioConfig(distance=300.0, pattern=GaussianPattern(math.radians(beams[0])),
+                          taps=TapProfile(tuple(Tap(t.delay, t.power, n)
+                                                for t, n in zip(taps.taps, counts))),
+                          kappa=0.5, mu=6.0, trials=7, bins=bins, master_seed=3)
+
+
+def _threshold_row(config, pattern, tap):
+    """Delayed tap tap's thresholds under pattern by their definition: the
+    running maximum of cdf(aoa_to_aod(edge)) over the interior edges, clipped."""
+    interior = _bins(config.bins).edges[1:-1]
+    row = pattern.cdf(aoa_to_aod(interior, config.eccentricities[tap]))
+    return np.clip(np.maximum.accumulate(row), 0.0, 1.0)
+
+
+def _merged_uniforms(config, patterns, seed):
+    """The config's first trials' uniforms, some delayed ones set to a
+    threshold of their tap's rows (ties across patterns included) or to 0."""
+    uniforms = montecarlo.draw_uniforms(config, 0, config.trials)
+    local, paths = config.taps.path_counts[0], config.taps.tap_index.size
+    rng = np.random.default_rng(seed)
+    for column in range(local, paths):
+        tap = config.taps.tap_index[column] - 1
+        values = np.concatenate([_threshold_row(config, p, tap) for p in patterns])
+        values = values[values < 1.0]
+        rows = rng.permutation(config.trials)[:3]
+        if values.size:
+            uniforms[rows[:2], column] = rng.choice(values, 2)
+        uniforms[rows[2], column] = 0.0
+    return uniforms
+
+
+def _assert_cells_by_definition(config, patterns, uniforms):
+    """Each pattern's cells from one BinSearch: a one-pattern BinSearch's,
+    and in each delayed column, but where u is 0, the count of its tap's
+    thresholds at or below u."""
+    bins = _bins(config.bins)
+    search = montecarlo.BinSearch(config, patterns, bins)
+    entries = sum(ranks.size for _, _, ranks in search.groups if ranks is not None)
+    assert entries <= 2 * montecarlo.CHUNK_SIZE
+    local, paths = config.taps.path_counts[0], config.taps.tap_index.size
+    all_cells = list(search.cells(uniforms))
+    assert len(all_cells) == len(patterns)
+    for pattern, cells in zip(patterns, all_cells):
+        [alone] = montecarlo.BinSearch(config, (pattern,), bins).cells(uniforms)
+        assert np.array_equal(cells, alone)
+        for column in range(local, paths):
+            u = uniforms[:, column]
+            row = _threshold_row(config, pattern, config.taps.tap_index[column] - 1)
+            expected = np.searchsorted(row, u, "right")
+            assert np.array_equal(cells[u != 0.0, column], expected[u != 0.0])
+    return search
+
+
+_BEAMS = st.one_of(st.sampled_from([360.0, 180.0, 90.0, 60.0, 12.5, 1.0]),
+                   st.floats(0.5, 360.0))
+
+
+class TestMergedSearch:
+    """Each group's one search and each pattern's rank lookup, against the
+    count of the pattern's own thresholds."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(beams=st.lists(_BEAMS, min_size=1, max_size=7),
+           delayed_paths=st.lists(st.integers(1, 6), min_size=0, max_size=2),
+           bins=st.integers(8, 720), seed=st.integers(0, 2 ** 32 - 1))
+    # whole rows tie: repeated beams, and the plain rows of 360 degrees
+    @example(beams=[360.0, 60.0, 60.0, 360.0, 12.5, 60.0, 1.0], delayed_paths=[4, 2],
+             bins=720, seed=0)
+    @example(beams=[60.0, 60.0], delayed_paths=[], bins=8, seed=1)
+    def test_each_pattern_counts_its_own_thresholds(self, beams, delayed_paths, bins, seed):
+        # 1-3 delayed taps, the first of one path
+        config = _merged_config(beams, [1, *delayed_paths], bins)
+        patterns = tuple(GaussianPattern(math.radians(beam)) for beam in beams)
+        search = _assert_cells_by_definition(config, patterns,
+                                             _merged_uniforms(config, patterns, seed))
+        # consecutive groups, as large as the rank budget allows
+        size = montecarlo._group_size(len(patterns), len(config.taps.taps) - 1, bins - 1)
+        assert [len(group) for group, _, _ in search.groups] == [
+            len(patterns[first:first + size]) for first in range(0, len(patterns), size)]
+        assert [pattern for group, _, _ in search.groups for pattern in group] == list(patterns)
+
+    def test_a_smaller_budget_splits_the_patterns(self, monkeypatch):
+        # 5 patterns on 2 delayed taps over 90 bins: a budget of exactly two
+        # patterns' rank rows each makes groups of 2, 2 and 1, whose cells
+        # are the one-group run's
+        beams = [360.0, 120.0, 120.0, 45.0, 10.0]
+        config = _merged_config(beams, [1, 5], 90)
+        patterns = tuple(GaussianPattern(math.radians(beam)) for beam in beams)
+        uniforms = _merged_uniforms(config, patterns, 9)
+        [whole] = montecarlo.BinSearch(config, patterns, _bins(90)).groups
+        assert len(whole[0]) == 5
+        one_group = list(montecarlo.BinSearch(config, patterns, _bins(90)).cells(uniforms))
+        monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 5 * 2 * (2 * 89 + 1) // 2)
+        search = _assert_cells_by_definition(config, patterns, uniforms)
+        assert [len(group) for group, _, _ in search.groups] == [2, 2, 1]
+        assert [ranks is None for _, _, ranks in search.groups] == [False, False, True]
+        for split, whole_cells in zip(search.cells(uniforms), one_group):
+            assert np.array_equal(split, whole_cells)
+
+    def test_without_a_delayed_tap_the_patterns_make_one_group(self):
+        # no rank row at all: the group rule must not divide by the tap count
+        config = _merged_config([360.0], [], 64)
+        patterns = tuple(GaussianPattern(math.radians(beam)) for beam in (360.0, 90.0, 90.0))
+        assert montecarlo._group_size(3, 0, 63) == 3
+        search = _assert_cells_by_definition(config, patterns,
+                                             _merged_uniforms(config, patterns, 2))
+        [(group, _, ranks)] = search.groups
+        assert group == patterns and ranks.size == 0
+
+    @pytest.mark.parametrize("points, bins, sizes", [
+        # sweep_paper: 5 patterns x 4 taps x (5 x 359 + 1) = 35,920 entries
+        (5, 360, [5]),
+        # 5 + 4: 5 x 4 x (5 x 359 + 1) + 4 x 4 x (4 x 359 + 1) = 58,912
+        (9, 360, [5, 4]),
+        (40, 360, [1] * 40),
+        (5, 2048, [1] * 5),
+    ])
+    def test_rank_tables_keep_to_twice_a_chunk(self, points, bins, sizes):
+        config = replace(ScenarioConfig.from_file(LONG_SPREAD), bins=bins)
+        patterns = tuple(GaussianPattern(math.radians(beam))
+                         for beam in np.linspace(20.0, 360.0, points))
+        search = montecarlo.BinSearch(config, patterns, _bins(bins))
+        assert [len(group) for group, _, _ in search.groups] == sizes
+        entries = sum(ranks.size for _, _, ranks in search.groups if ranks is not None)
+        assert entries <= 2 * montecarlo.CHUNK_SIZE == 1 << 16
+        for group, _, ranks in search.groups:
+            assert ranks is None if len(group) == 1 else ranks.dtype == np.int32

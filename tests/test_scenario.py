@@ -251,6 +251,26 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match=f"^raw_{re.escape(message)}$"):
             extract_taps([(d * 1e-6, p) for d, p in pdp])
 
+    def test_pdp_rows_are_held_to_the_profile_rules_once(self, monkeypatch):
+        # a scenario's rows at load, in microseconds; extract_taps' rows in
+        # extract_taps itself, so that a caller from Python keeps the check
+        import aoasim.scenario as module
+
+        checked = []
+        wrapped = module._check_profile
+
+        def counted(rows, field, *args):
+            checked.append(field(0, 0))
+            return wrapped(rows, field, *args)
+
+        monkeypatch.setattr(module, "_check_profile", counted)
+        doc = _config_doc()
+        del doc["taps"]
+        doc["pdp"] = [[0.0, 1.0], [1.0, 0.2], [2.0, 0.5], [3.0, 0.1]]
+        ScenarioConfig.from_json_dict(doc)
+        extract_taps([(d * 1e-6, p) for d, p in doc["pdp"]])
+        assert checked == ["pdp[0][0]", "raw_pdp[0][0]"]
+
     def test_taps_and_pdp_mutually_exclusive(self):
         doc = _config_doc()
         doc["pdp"] = [[0.0, 1.0], [1.0, 0.5], [2.0, 0.2]]
@@ -708,8 +728,8 @@ class TestHpbwSweep:
         # is built once, and the bin edges are mapped through the delayed
         # taps' ellipses once, in one call of the one map (by aoa_to_aod),
         # as the run's thresholds are built; no path's angle is mapped.
-        # Each chunk bins its local paths in one search and each point's
-        # delayed paths in one more.
+        # Each chunk bins its local paths in one search and the delayed
+        # paths of all 5 points, one group of patterns, in one more.
         from aoasim import geometry, kernels
 
         config = _quick_config(trials=40)
@@ -742,7 +762,7 @@ class TestHpbwSweep:
         # 30 delayed paths per trial
         assert mapped == [(2, 89)]
         assert angle_maps == []
-        assert searched == ([(20, 15)] + [(20, 30)] * len(hpbws)) * 2
+        assert searched == [(20, 15), (20, 30)] * 2
 
     def test_power_work_is_done_once_per_chunk(self, monkeypatch):
         # 40 trials in 2 chunks of 20 for 5 points: the total powers and
