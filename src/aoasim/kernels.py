@@ -46,7 +46,7 @@ class _CdfTable:
         cumulative /= cumulative[-1]
         # linspace's own step, (stop - start) / (count - 1)
         self.half, self.step, self.cumulative = half, (half - -half) / (count - 1), cumulative
-        self.guide = _guide(cumulative, _GUIDE_CELLS, np.int32)
+        self.guide = _guide(cumulative, _GUIDE_CELLS)
 
     def _nodes(self, index, out):
         """The grid nodes at index into out, index * step + start as linspace
@@ -129,42 +129,68 @@ class _CdfTable:
 
 
 class _SearchRows:
-    """Rows of thresholds on [0, 1], each made nondecreasing, ready for _guided_count.
+    """A group's bin-edge thresholds, from raw CDF values to each pattern's
+    counts: thresholds holds one (rows, edges) array of CDF values per
+    pattern, and each row is made nondecreasing and clipped to [0, 1] here
+    alone.
 
-    Each row gets a last node of 1, above every uniform, and is kept flat,
-    width nodes each, with its guide (_guide) over two cells a node,
+    One pattern's rows are written straight into the node rows, unsorted.
+    With two or more, each pattern's array is prepared in place, so that
+    no node-sized array is made beside the nodes; node row r is then the
+    patterns' rows r merged into one sorted row, and each pattern keeps an
+    int32 rank row per row: its rank[m], the count of its thresholds among
+    the first m merged values, is the count of its thresholds at or below
+    any u whose merged count is m, ties or not, as m ends a run of equal
+    values (one search in the union of sorted lists, then a rank in each:
+    the plain form of what fractional cascading refines, Chazelle and
+    Guibas, Algorithmica 1(2), 1986).
+
+    Each node row gets a last node of 1, above every uniform, and is kept
+    flat, width nodes each, with its guide (_guide) over two cells a node,
     rounded up to a power of two and at most _GUIDE_CELLS.  So one probe
     step, where a CDF table takes two, leaves few values to the edge
     search: thresholds crowd only where the bins hold little probability.
     """
 
     def __init__(self, thresholds):
-        count, width = thresholds.shape[0], thresholds.shape[1] + 1
+        patterns = len(thresholds)
+        count, edges = thresholds[0].shape
+        width = patterns * edges + 1
         rows = np.ones((count, width))
-        np.maximum.accumulate(thresholds, axis=1, out=rows[:, :-1])
-        np.clip(rows, 0.0, 1.0, out=rows)
+        prepared = [rows[:, :-1]] if patterns == 1 else thresholds
+        for raw, own in zip(thresholds, prepared):
+            np.maximum.accumulate(raw, axis=1, out=own)
+            np.clip(own, 0.0, 1.0, out=own)
+        self.ranks = None
+        if patterns > 1:
+            np.concatenate(thresholds, axis=1, out=rows[:, :-1])
+            rows.sort(axis=1)
+            self.ranks = np.zeros((patterns, count, width), dtype=np.int32)
+            for rank, own in zip(self.ranks, thresholds):
+                for rank_row, row, merged in zip(rank, own, rows):
+                    rank_row[1:] = np.searchsorted(row, merged[:-1], side="right")
         self.width, self.cells = width, min(1 << (2 * width - 1).bit_length(), _GUIDE_CELLS)
         self.nodes = rows.ravel()
         self.guide = _guide(rows, self.cells)
 
-    def position(self, u, rows=0):
-        """Each u's count of the thresholds at or below it in its row (rows,
-        or rows[j] for the u of column j, the last axis), plus the nodes of
-        the rows before it: row * width + count, its index into the flat
-        nodes."""
-        found, _ = _guided_count(self.nodes, self.guide, self.cells, u, rows * (self.cells + 1),
-                                 width=self.width, probes=1)
-        return found
+    def counts(self, u, rows):
+        """Each pattern's count of its thresholds at or below each u in its
+        row (rows, or rows[j] for the u of column j, the last axis), in
+        pattern order, from one search; u is let go once it is searched."""
+        found = _guided_count(self.nodes, self.guide, self.cells, u, rows * (self.cells + 1),
+                              width=self.width, probes=1)[0]
+        del u
+        if self.ranks is None:
+            found -= rows * self.width
+            yield found
+        else:
+            # found is each u's flat index into its row's rank row
+            for rank in self.ranks:
+                yield rank.take(found)
 
-    def count(self, u, rows=0):
-        """Each u's count of the thresholds at or below it in its row."""
-        found = self.position(u, rows)
-        found -= rows * self.width
-        return found
 
-
-def _guide(nodes, cells, dtype=np.intp):
-    """The guide of each row of nodes (its last axis; one row if 1-d), flat:
+def _guide(nodes, cells):
+    """The int32 guide of each row of nodes (its last axis; one row if 1-d), flat:
     row r's entries from r * (cells + 1) on, each count offset by the nodes
     of the rows before it, so that it indexes the flat nodes.
 
@@ -176,7 +202,11 @@ def _guide(nodes, cells, dtype=np.intp):
     ceil(c * cells) <= k: the guide is a running count of those ceilings
     (the indexed search of Chen and Asau, 1974), one bincount and one
     running sum for all rows, each row's ceilings shifted to its own block.
+    Its counts reach the node count, so 2**31 nodes or more raise a
+    ValueError, before anything is built.
     """
+    if nodes.size >= 1 << 31:
+        raise ValueError(f"{nodes.size} nodes: an int32 guide counts at most 2**31 - 1")
     index = np.multiply(np.atleast_2d(nodes), cells)
     np.ceil(index, out=index)
     index = index.astype(np.intp)
@@ -184,7 +214,7 @@ def _guide(nodes, cells, dtype=np.intp):
     index += np.arange(0, blocks, cells + 1)[:, None]
     counts = np.bincount(index.ravel(), minlength=blocks)
     del index
-    return np.cumsum(counts, dtype=dtype)
+    return np.cumsum(counts, dtype=np.int32)
 
 
 def _guided_count(nodes, guide, cells, u, start=None, *, width, probes):

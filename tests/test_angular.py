@@ -739,47 +739,104 @@ def _assert_guide_bounds_the_probes(table):
 
 
 @st.composite
-def _threshold_rows(draw):
-    # 1-5 rows of 1-300 thresholds on [0, 1], unsorted as a CDF's rounding
-    # may leave them: uniforms, runs of one value, 0s and 1s, and clusters
-    # far narrower than a guide cell
+def _threshold_rows(draw, patterns):
+    # patterns' arrays of the same 1-5 rows of 1-300 thresholds on [0, 1],
+    # unsorted and a rounding error outside [0, 1] as a CDF may leave them:
+    # uniforms, runs of one value, 0s and 1s, values just below 0 and just
+    # above 1, clusters far narrower than a guide cell, and whole rows
+    # another pattern has too
     count, width = draw(st.integers(1, 5)), draw(st.integers(1, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    rows = rng.random((count, width))
-    for row in rows:
+    group = rng.random((patterns, count, width))
+    for row in group.reshape(-1, width):
         for _ in range(draw(st.integers(0, 4))):
             start = draw(st.integers(0, width - 1))
             stop = draw(st.integers(start + 1, width))
-            kind = draw(st.sampled_from(["run", "zeros", "ones", "cluster"]))
-            row[start:stop] = {"run": row[start], "zeros": 0.0, "ones": 1.0,
-                               "cluster": row[start] + 1e-9 * rng.random(stop - start)}[kind]
-    return np.minimum(rows, 1.0)
+            kind = draw(st.sampled_from(["run", "zeros", "ones", "below", "above", "cluster"]))
+            noise = 1e-9 * rng.random(stop - start)
+            row[start:stop] = {"run": row[start], "zeros": 0.0, "ones": 1.0, "below": -noise,
+                               "above": 1.0 + noise, "cluster": row[start] + noise}[kind]
+    for pattern in range(1, patterns):
+        for row in range(count):
+            if draw(st.booleans()):
+                group[pattern, row] = group[draw(st.integers(0, pattern - 1)), row]
+    return list(group)
 
 
 class TestSearchRows:
-    """The guided count of thresholds in rows, against an edge search per row."""
+    """Each pattern's guided count of its thresholds in rows, against an edge search per row."""
 
     @settings(max_examples=150, deadline=None)
-    @given(_threshold_rows(), st.integers(0, 2 ** 32 - 1))
+    @given(st.integers(1, 4).flatmap(_threshold_rows), st.integers(0, 2 ** 32 - 1))
     def test_matches_searchsorted_in_each_row(self, thresholds, seed):
-        search = kernels._SearchRows(thresholds)
-        rows = np.maximum.accumulate(np.clip(thresholds, 0.0, 1.0), axis=1)
-        count, width = rows.shape
+        prepared = [np.maximum.accumulate(np.clip(rows, 0.0, 1.0), axis=1) for rows in thresholds]
+        search = kernels._SearchRows([rows.copy() for rows in thresholds])
+        count = prepared[0].shape[0]
         # the rows' own values, the doubles just below them, 0 and the
         # largest double below 1, and uniforms, in each row's columns
-        values = np.concatenate([rows.ravel(), np.nextafter(rows.ravel(), 0.0),
-                                 [0.0, np.nextafter(1.0, 0.0)],
+        own = np.concatenate([rows.ravel() for rows in prepared])
+        values = np.concatenate([own, np.nextafter(own, 0.0), [0.0, np.nextafter(1.0, 0.0)],
                                  np.random.default_rng(seed).random(2_000)])
         values = values[values < 1.0]
         u = np.tile(values[:, None], count)
-        found = search.count(u, np.arange(count))
-        for row in range(count):
-            assert np.array_equal(found[:, row], np.searchsorted(rows[row], values, side="right"))
-        # each row's guide is the one guide_searched builds for it alone
+        counts = list(search.counts(u, np.arange(count)))
+        assert len(counts) == len(prepared)
+        for found, rows in zip(counts, prepared):
+            for row in range(count):
+                assert np.array_equal(found[:, row], np.searchsorted(rows[row], values, side="right"))
+        # each node row, the patterns' rows merged, has the guide that
+        # guide_searched builds for it alone; each pattern's rank[m] is the
+        # count of its thresholds among the first m merged values
+        nodes = np.sort(np.concatenate(prepared, axis=1), axis=1)
+        width = nodes.shape[1] + 1
+        assert search.width == width
+        assert np.array_equal(search.nodes, np.append(nodes, np.ones((count, 1)), axis=1).ravel())
         block = search.cells + 1
         for row in range(count):
-            own = search.guide[row * block:(row + 1) * block] - row * (width + 1)
-            assert np.array_equal(own, guide_searched(np.append(rows[row], 1.0), search.cells))
+            guide = search.guide[row * block:(row + 1) * block] - row * width
+            assert np.array_equal(guide, guide_searched(np.append(nodes[row], 1.0), search.cells))
+        if len(prepared) > 1:
+            for rank, rows in zip(search.ranks, prepared):
+                for rank_row, row, merged in zip(rank, rows, nodes):
+                    assert rank_row[0] == 0
+                    assert np.array_equal(rank_row[1:], np.searchsorted(row, merged, side="right"))
+
+    @pytest.mark.parametrize("patterns", [1, 5])
+    def test_a_node_keeps_its_float64_and_int32_guide_entries(self, patterns):
+        # the nodes and the int32 guide, of two to four entries a node, so
+        # 16 to 24 bytes a node, and no other node-sized array; a group of
+        # patterns keeps its int32 ranks, patterns x rows x width entries, too
+        count, edges = 4, 359
+        rng = np.random.default_rng(12)
+        search = kernels._SearchRows([rng.random((count, edges)) for _ in range(patterns)])
+        width = patterns * edges + 1
+        assert search.width == width
+        assert search.nodes.dtype == np.float64 and search.nodes.nbytes == 8 * count * width
+        assert search.guide.dtype == np.int32 and search.guide.base is None
+        assert search.guide.nbytes == 4 * count * (search.cells + 1)
+        assert 16 * width <= (search.nodes.nbytes + search.guide.nbytes) / count <= 24 * width
+        arrays = {name for name, value in vars(search).items() if isinstance(value, np.ndarray)}
+        if patterns == 1:
+            assert search.ranks is None and arrays == {"nodes", "guide"}
+        else:
+            assert arrays == {"nodes", "guide", "ranks"}
+            assert search.ranks.dtype == np.int32 and search.ranks.base is None
+            assert search.ranks.shape == (patterns, count, width)
+
+    @pytest.mark.parametrize("shape", [(1 << 31,), (2, 1 << 30)])
+    def test_guide_refuses_two_to_the_31_nodes(self, shape):
+        # an int32 guide counts up to the node count; a broadcast view
+        # holds 2**31 nodes in 8 bytes, and the guard raises before any
+        # array is built
+        nodes = np.broadcast_to(0.5, shape)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^2147483648 nodes"):
+                kernels._guide(nodes, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
 
 
 _TABLES = pytest.mark.parametrize("table", [

@@ -515,7 +515,7 @@ def _assert_cells_by_definition(config, patterns, uniforms):
     thresholds at or below u."""
     bins = _bins(config.bins)
     search = montecarlo.BinSearch(config, patterns, bins)
-    entries = sum(ranks.size for _, _, ranks in search.groups if ranks is not None)
+    entries = sum(rows.ranks.size for _, rows in search.groups if rows.ranks is not None)
     assert entries <= 2 * montecarlo.CHUNK_SIZE
     local, paths = config.taps.path_counts[0], config.taps.tap_index.size
     all_cells = list(search.cells(uniforms))
@@ -555,9 +555,9 @@ class TestMergedSearch:
                                              _merged_uniforms(config, patterns, seed))
         # consecutive groups, as large as the rank budget allows
         size = montecarlo._group_size(len(patterns), len(config.taps.taps) - 1, bins - 1)
-        assert [len(group) for group, _, _ in search.groups] == [
+        assert [len(group) for group, _ in search.groups] == [
             len(patterns[first:first + size]) for first in range(0, len(patterns), size)]
-        assert [pattern for group, _, _ in search.groups for pattern in group] == list(patterns)
+        assert [pattern for group, _ in search.groups for pattern in group] == list(patterns)
 
     def test_a_smaller_budget_splits_the_patterns(self, monkeypatch):
         # 5 patterns on 2 delayed taps over 90 bins: a budget of exactly two
@@ -572,8 +572,8 @@ class TestMergedSearch:
         one_group = list(montecarlo.BinSearch(config, patterns, _bins(90)).cells(uniforms))
         monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 5 * 2 * (2 * 89 + 1) // 2)
         search = _assert_cells_by_definition(config, patterns, uniforms)
-        assert [len(group) for group, _, _ in search.groups] == [2, 2, 1]
-        assert [ranks is None for _, _, ranks in search.groups] == [False, False, True]
+        assert [len(group) for group, _ in search.groups] == [2, 2, 1]
+        assert [rows.ranks is None for _, rows in search.groups] == [False, False, True]
         for split, whole_cells in zip(search.cells(uniforms), one_group):
             assert np.array_equal(split, whole_cells)
 
@@ -584,8 +584,8 @@ class TestMergedSearch:
         assert montecarlo._group_size(3, 0, 63) == 3
         search = _assert_cells_by_definition(config, patterns,
                                              _merged_uniforms(config, patterns, 2))
-        [(group, _, ranks)] = search.groups
-        assert group == patterns and ranks.size == 0
+        [(group, rows)] = search.groups
+        assert group == patterns and rows.ranks.size == 0
 
     @pytest.mark.parametrize("points, bins, sizes", [
         # sweep_paper: 5 patterns x 4 taps x (5 x 359 + 1) = 35,920 entries
@@ -600,8 +600,8 @@ class TestMergedSearch:
         patterns = tuple(GaussianPattern(math.radians(beam))
                          for beam in np.linspace(20.0, 360.0, points))
         search = montecarlo.BinSearch(config, patterns, _bins(bins))
-        assert [len(group) for group, _, _ in search.groups] == sizes
-        entries = sum(ranks.size for _, _, ranks in search.groups if ranks is not None)
+        assert [len(group) for group, _ in search.groups] == sizes
+        entries = sum(rows.ranks.size for _, rows in search.groups if rows.ranks is not None)
         assert entries <= 2 * montecarlo.CHUNK_SIZE == 1 << 16
-        for group, _, ranks in search.groups:
-            assert ranks is None if len(group) == 1 else ranks.dtype == np.int32
+        for group, rows in search.groups:
+            assert rows.ranks is None if len(group) == 1 else rows.ranks.dtype == np.int32
