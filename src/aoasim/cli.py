@@ -18,6 +18,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -30,7 +31,9 @@ from .scenario import (DEFAULT_PATHS_PER_TAP, DEFAULT_PROMINENCE_DB, ScenarioCon
 
 
 def _load_config(args):
-    # Each override is checked under its option's name, before the file is read.
+    # Each override is checked under its option's name, before the file is
+    # read, and so is --workers, which has no other effect.
+    _check_count(args.workers, "--workers", 1)
     options = (("trials", "--trials", args.trials), ("bins", "--bins", args.bins),
                ("master_seed", "--seed", args.seed))
     overrides = {name: _check_count(value, option, *_COUNT_RANGES[name])
@@ -53,12 +56,14 @@ def _hpbw_deg(token):
     return _check_hpbw(value, "--hpbw", degrees=True)
 
 
-def _read_csv_pairs(path):
+def _read_csv_pairs(path, row_error=None):
     """The (x, y) rows of a two-column CSV of numbers.
 
     Blank rows and rows whose first field starts with # are skipped, and
     so is the first other row if its first field is not a number (a
-    header).  Every other row must be exactly two numbers.
+    header).  Every other row must be exactly two numbers, for which
+    row_error(x, y), if given, returns None or what is wrong with them:
+    a ValueError that names the file and the row.
     """
     rows, first = [], True
     reader = csv.reader(io.StringIO(_read_text(path, newline=""), newline=""))
@@ -72,10 +77,24 @@ def _read_csv_pairs(path):
         if len(values) != 2 or None in values:
             raise ValueError(f"malformed CSV row {reader.line_num} in {path}: {row!r} "
                              "(expected two numbers)")
+        error = row_error and row_error(*values)
+        if error:
+            raise ValueError(f"row {reader.line_num} in {path}: {error}")
         rows.append(tuple(values))
     if not rows:
         raise ValueError(f"no numeric rows found in {path}")
     return rows
+
+
+def _empirical_row_error(angle_deg, density_per_deg):
+    """What is wrong with an --empirical row, in its own units, or None."""
+    # NaN fails both comparisons
+    if not -180.0 < angle_deg <= 180.0:
+        return f"angle_deg must be finite and in (-180, 180], got {angle_deg!r}"
+    # a density near the largest double overflows when it is taken per radian
+    if not math.isfinite(density_per_deg / _DEG):
+        return f"density_per_deg must be finite, also per radian, got {density_per_deg!r}"
+    return None
 
 
 def _cmd_simulate(args):
@@ -102,10 +121,11 @@ def _cmd_sweep(args):
 
 def _cmd_fit(args):
     config = _load_config(args)
+    # Read and checked before any trial runs.  CSV columns are angle_deg,
+    # density_per_deg; convert to per-radian.
+    empirical = [(a * _DEG, d / _DEG)
+                 for a, d in _read_csv_pairs(args.empirical, _empirical_row_error)]
     report = run_simulation(config)
-    empirical_deg = _read_csv_pairs(args.empirical)
-    # CSV columns are angle_deg, density_per_deg; convert to per-radian.
-    empirical = [(a * _DEG, d / _DEG) for a, d in empirical_deg]
     value = lse(report.averaged_spectrum, empirical)
     result = {
         "lse": value,
@@ -143,7 +163,8 @@ def _add_run_options(parser):
     parser.add_argument("--bins", type=int, default=None, help="override histogram bin count")
     parser.add_argument("--seed", type=int, default=None, help="override master seed")
     parser.add_argument("--workers", type=int, default=1,
-                        help="accepted for compatibility; has no effect (trials run serially)")
+                        help="at least 1; accepted for compatibility, has no effect "
+                             "(trials run serially)")
 
 
 class _Parser(argparse.ArgumentParser):

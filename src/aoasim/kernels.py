@@ -176,12 +176,17 @@ class _SearchRows:
     def counts(self, u, rows):
         """Each pattern's count of its thresholds at or below each u in its
         row (rows, or rows[j] for the u of column j, the last axis), in
-        pattern order, from one search; u is let go once it is searched."""
-        found = _guided_count(self.nodes, self.guide, self.cells, u, rows * (self.cells + 1),
+        pattern order, from one search; u is let go once it is searched.
+        With one node row, rows can only be 0, and no row offset is added
+        to the u's guide cells or taken from their counts."""
+        one_row = self.nodes.size == self.width
+        found = _guided_count(self.nodes, self.guide, self.cells, u,
+                              None if one_row else rows * (self.cells + 1),
                               width=self.width, probes=1)[0]
         del u
         if self.ranks is None:
-            found -= rows * self.width
+            if not one_row:
+                found -= rows * self.width
             yield found
         else:
             # found is each u's flat index into its row's rank row

@@ -22,7 +22,8 @@ sweep) draws and weighs each chunk once (scenario._simulate).  A run that
 reports per-path spreads bins the angles of its one pattern
 (_chunk_angles); every other run bins each path from its uniform alone
 (BinSearch), as the quantile functions and the ellipse map are
-nondecreasing.  generate_chunk and generate_trial give the path sets.
+nondecreasing: under one pattern, in one search per chunk.  generate_chunk
+and generate_trial give the path sets.
 """
 
 from __future__ import annotations
@@ -146,13 +147,18 @@ class BinSearch:
     tap: (delayed taps x patterns + 1) x bins CDF values, whatever the
     trial count.
 
-    Each group of consecutive patterns (_group_size) is one _SearchRows of
-    its rows, and the local row one more, which make, merge, rank and
-    count the thresholds: a chunk bins its local columns in one search,
-    each group's delayed columns in one more, and each pattern's by one
-    take of its ranks; no angle is computed.  What is left here is the
+    _SearchRows make, merge, rank and count the thresholds; no angle is
+    computed.  A run of one pattern is one _SearchRows of the local row
+    followed by the delayed taps' rows, and a chunk bins all its paths in
+    one search, each column in its tap's row.  With more patterns, each
+    group of consecutive ones (_group_size) is one _SearchRows of its
+    delayed rows and the local row one more, as a merged group holding
+    the local row would repeat it in every merged row and rank table: a
+    chunk bins its local columns in one search, each group's delayed
+    columns in one more, and each pattern's by one take of its ranks,
+    joined to the local cells.  What is left here is that choice, the
     partition into groups, the edges' departures, the rule below for a
-    zero uniform and the join of the local and the delayed cells.
+    zero uniform and the join.
 
     A uniform of exactly 0 is the one point where a path's angle is not
     nondecreasing in its uniform: a quantile of -pi wraps to pi, the
@@ -165,9 +171,19 @@ class BinSearch:
         profile = scenario.taps
         self.scenario, self.bins = scenario, bins
         interior = bins.edges[1:-1]
-        self.local = _SearchRows([scenario.local.cdf(interior)[None]])
+        local = scenario.local.cdf(interior)[None]
         ecc = scenario.eccentricities  # one row of departures per delayed tap
         departures = aoa_to_aod(np.broadcast_to(interior, (ecc.size, interior.size)), ecc[:, None])
+        if len(patterns) == 1:
+            # The local row is row 0 of the one group, each column searched
+            # in its tap's row: the group keeps no rank row, so the local
+            # row costs it nothing.
+            [pattern] = patterns
+            self.local, self.rows = None, profile.tap_index
+            self.groups = [(patterns,
+                            _SearchRows([np.concatenate((local, pattern.cdf(departures)))]))]
+            return
+        self.local = _SearchRows([local])
         size = _group_size(len(patterns), ecc.size, interior.size)
         groups = (patterns[first:first + size] for first in range(0, len(patterns), size))
         # (patterns, search) of each group
@@ -179,23 +195,32 @@ class BinSearch:
     def cells(self, uniforms):
         """The (trials, paths) bin of each path of a chunk's uniforms under
         each pattern in turn: bins.index of _chunk_angles' angles under it,
-        but for a path within a few ulps of an edge."""
+        but for a path within a few ulps of an edge.  The angle columns are
+        copied once, contiguous: under one pattern all of them, whose
+        counts are the cells; under more the delayed ones, each pattern's
+        counts joined to the local columns' own."""
         profile = self.scenario.taps
         local, paths = profile.path_counts[0], profile.tap_index.size
-        zeros = np.flatnonzero(uniforms[:, :paths] == 0.0)
-        [local_cells] = self.local.counts(uniforms[:, :local], 0)
-        # Copied once, so that every search reads contiguous rows: short
-        # strided rows slow the search down.
-        delayed = uniforms[:, local:paths].copy()
+        # Copied, so that every search reads contiguous rows: short strided
+        # rows slow the search down.
+        if self.local is None:
+            searched = uniforms[:, :paths].copy()
+            zeros = np.flatnonzero(searched == 0.0)
+        else:
+            zeros = np.flatnonzero(uniforms[:, :paths] == 0.0)
+            [local_cells] = self.local.counts(uniforms[:, :local], 0)
+            searched = uniforms[:, local:paths].copy()
         last = len(self.groups) - 1
         for index, (group, search) in enumerate(self.groups):
-            counts = search.counts(delayed, self.rows)
+            counts = search.counts(searched, self.rows)
             if index == last:
-                del delayed  # searched for the last time: not kept beside the points' cells
+                del searched  # searched for the last time: not kept beside the points' cells
             for pattern in group:
                 # by next, not zip, whose reused result tuple would keep
                 # each point's counts alive beside its cells
-                cells = np.concatenate((local_cells, next(counts)), axis=1)
+                cells = next(counts)
+                if self.local is not None:
+                    cells = np.concatenate((local_cells, cells), axis=1)
                 if zeros.size:
                     angles = _chunk_angles(self.scenario, pattern, np.zeros((1, paths)))
                     np.put(cells, zeros, self.bins.index(angles[0]).take(zeros % paths))

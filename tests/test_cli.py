@@ -403,6 +403,9 @@ class TestSimulate:
         ("--seed", "-3", f"--seed must be from 0 to {2**64 - 1}, got -3"),
         ("--trials", "0", "--trials must be at least 1, got 0"),
         ("--bins", "4", f"--bins must be from 8 to {2**20}, got 4"),
+        # --workers has no effect, but is held to a count as --trials is
+        ("--workers", "0", "--workers must be at least 1, got 0"),
+        ("--workers", "-7", "--workers must be at least 1, got -7"),
     ])
     def test_bad_override_names_the_option(self, scenario_file, tmp_path, capsys,
                                            option, value, message):
@@ -571,6 +574,29 @@ class TestFit:
         assert code == 1
         record = _error_record(capsys)
         assert record["type"] == "ValueError" and "must be finite" in record["error"]
+
+    @pytest.mark.parametrize("row, error", [
+        ("200,0.003", "angle_deg must be finite and in (-180, 180], got 200.0"),
+        ("-180,0.003", "angle_deg must be finite and in (-180, 180], got -180.0"),
+        ("10,1e308", "density_per_deg must be finite, also per radian, got 1e+308"),
+    ])
+    def test_bad_row_names_file_and_row_before_any_trial(
+            self, scenario_file, tmp_path, capsys, monkeypatch, row, error):
+        # the file is read and checked before the simulation, which would
+        # raise here, and the record gives the row as written, in degrees
+        from aoasim import scenario
+
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran before --empirical was checked")
+
+        monkeypatch.setattr(scenario, "_simulate", no_trial)
+        csv_path = tmp_path / "empirical.csv"
+        csv_path.write_text(f"angle_deg,density_per_deg\n0,0.003\n{row}\n", encoding="utf-8")
+        code = main(["fit", "--scenario", str(scenario_file),
+                     "--empirical", str(csv_path), "--trials", "2"])
+        assert code == 1
+        assert _error_record(capsys) == {"error": f"row 3 in {csv_path}: {error}",
+                                         "type": "ValueError", "command": "fit"}
 
     @MALFORMED_ROWS
     def test_malformed_row_names_file_and_row(self, scenario_file, tmp_path, capsys,

@@ -416,6 +416,9 @@ _ROUTE_CASES = {
     "kappa_0_mu_0": dict(kappa=0.0, mu=0.0),
     "mu_1e4_8_bins": dict(mu=1e4, bins=8),
     "one_path_per_tap": dict(taps_paths=1),
+    # no delayed tap: the one-pattern search holds the local row alone, and
+    # there are no departures
+    "zero_delay_tap_only": dict(taps=[{"delay_us": 0.0, "power": 1.0, "paths": 50}]),
 }
 
 

@@ -652,6 +652,33 @@ class TestChunkedTrials:
         _, peak = _traced_memory(lambda: run_simulation(config), config)
         assert peak < config.trials * config.bins * 8 / 4
 
+    @pytest.mark.parametrize("command", ["run_simulation", "fit"])
+    def test_one_pattern_searches_each_chunk_once(self, monkeypatch, tmp_path, capsys, command):
+        # 40 trials in 2 chunks of 20 under one pattern: each chunk's 15
+        # local and 30 delayed paths are binned in one search, of the
+        # local row and the delayed taps' rows together
+        from aoasim import kernels
+        from aoasim.cli import main
+
+        config = _quick_config(trials=40)
+        searched = []
+        search = kernels._guided_count
+
+        def counted(*args, **kwargs):
+            searched.append(np.shape(args[3]))
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(scenario, "CHUNK_SIZE", 20 * 90)
+        monkeypatch.setattr(kernels, "_guided_count", counted)
+        if command == "fit":
+            config.to_file(tmp_path / "scenario.json")
+            (tmp_path / "empirical.csv").write_text("0,0.003\n", encoding="utf-8")
+            assert main(["fit", "--scenario", str(tmp_path / "scenario.json"),
+                         "--empirical", str(tmp_path / "empirical.csv")]) == 0
+        else:
+            run_simulation(config)
+        assert searched == [(20, 45)] * 2
+
 
 def _memory_config():
     # 1000 trials over 2048 bins: a (trials, bins) buffer alone would take

@@ -83,8 +83,10 @@ def test_numpy_only_step_passes_as_written(tmp_path):
     # what the step made: every command's files, and the two error records
     for made in ("bare-sim/report.json", "bare-sim-paths/spectrum.csv", "bare-sweep/sweep.csv",
                  "bare-sweep9/sweep.csv", "bare-tabulated/report.json",
-                 "bare-tabulated-binned/spectrum.csv", "bare-hpbw60/report.json"):
+                 "bare-tabulated-binned/spectrum.csv", "bare-hpbw60/report.json",
+                 "bare-omni/spectrum.csv", "bare-omni-binned/spectrum.csv"):
         assert (tmp_path / made).is_file(), made
+    assert "omni pattern's spectrum is the same on both routes: True\n" in result.stdout
     # the sweep's last point, checked against the plain run at its beamwidth
     assert "sweep point at 60 degrees equals simulate: True\n" in result.stdout
     # the 9-point sweep, in groups of 5 and 4, checked against the 5-point one
