@@ -137,10 +137,13 @@ class _SearchRows:
     One pattern's rows are written straight into the node rows, unsorted.
     With two or more, each pattern's array is prepared in place, so that
     no node-sized array is made beside the nodes; node row r is then the
-    patterns' rows r merged into one sorted row, and each pattern keeps an
-    int32 rank row per row: its rank[m], the count of its thresholds among
-    the first m merged values, is the count of its thresholds at or below
-    any u whose merged count is m, ties or not, as m ends a run of equal
+    sorted union of the patterns' distinct rows r, padded with 1s: a row
+    that several patterns share bit for bit (a run's local row, a repeated
+    beam's rows) enters it once, so that no threshold is repeated in it.
+    Each pattern keeps an int32 rank row per row: its rank[m], the count
+    of its thresholds among the first m merged values, is the count of its
+    thresholds at or below any u whose merged count is m, ties or not, as
+    each of its thresholds is a merged value and m ends a run of equal
     values (one search in the union of sorted lists, then a rank in each:
     the plain form of what fractional cascading refines, Chazelle and
     Guibas, Algorithmica 1(2), 1986).
@@ -163,7 +166,10 @@ class _SearchRows:
             np.clip(own, 0.0, 1.0, out=own)
         self.ranks = None
         if patterns > 1:
-            np.concatenate(thresholds, axis=1, out=rows[:, :-1])
+            for row, merged in enumerate(rows):
+                # each distinct row once, by its bytes; the rest stays 1
+                distinct = {own[row].tobytes(): own[row] for own in thresholds}
+                np.concatenate(list(distinct.values()), out=merged[:len(distinct) * edges])
             rows.sort(axis=1)
             self.ranks = np.zeros((patterns, count, width), dtype=np.int32)
             for rank, own in zip(self.ranks, thresholds):
@@ -176,17 +182,12 @@ class _SearchRows:
     def counts(self, u, rows):
         """Each pattern's count of its thresholds at or below each u in its
         row (rows, or rows[j] for the u of column j, the last axis), in
-        pattern order, from one search; u is let go once it is searched.
-        With one node row, rows can only be 0, and no row offset is added
-        to the u's guide cells or taken from their counts."""
-        one_row = self.nodes.size == self.width
-        found = _guided_count(self.nodes, self.guide, self.cells, u,
-                              None if one_row else rows * (self.cells + 1),
+        pattern order, from one search; u is let go once it is searched."""
+        found = _guided_count(self.nodes, self.guide, self.cells, u, rows * (self.cells + 1),
                               width=self.width, probes=1)[0]
         del u
         if self.ranks is None:
-            if not one_row:
-                found -= rows * self.width
+            found -= rows * self.width
             yield found
         else:
             # found is each u's flat index into its row's rank row

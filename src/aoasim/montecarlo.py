@@ -22,8 +22,8 @@ sweep) draws and weighs each chunk once (scenario._simulate).  A run that
 reports per-path spreads bins the angles of its one pattern
 (_chunk_angles); every other run bins each path from its uniform alone
 (BinSearch), as the quantile functions and the ellipse map are
-nondecreasing: under one pattern, in one search per chunk.  generate_chunk
-and generate_trial give the path sets.
+nondecreasing: in one search per chunk for each group of patterns.
+generate_chunk and generate_trial give the path sets.
 """
 
 from __future__ import annotations
@@ -48,8 +48,9 @@ if TYPE_CHECKING:  # pragma: no cover
 # the trial and point counts.  No array of a chunk is bins wide; the bins
 # still size the chunk, as a rule by paths alone measured more peak memory
 # on bench/'s simulate_many (1.8 MB) and sweep_paper (1.0 MB).  A run's
-# BinSearch rank tables hold at most twice this many entries in all, as
-# many as a chunk's uniforms (_group_size).  Neither changes a number.
+# BinSearch rank tables, local rows included, hold at most twice this many
+# entries in all, as many as a chunk's uniforms (_group_size).  Neither
+# changes a number.
 CHUNK_SIZE = 1 << 15
 
 
@@ -142,23 +143,18 @@ class BinSearch:
     map is increasing, so a path lies at or past interior edge b exactly when
     its uniform is at or above the edge's threshold cdf(aoa_to_aod(edge
     b)), and its bin is the count of its row's thresholds at or below
-    its uniform.  The thresholds are built once per run: one row for the
-    local paths (their cdf at the edges) and one per pattern and delayed
-    tap: (delayed taps x patterns + 1) x bins CDF values, whatever the
-    trial count.
+    its uniform.  The thresholds are built once per run: each pattern's
+    rows are the local row (the local paths' cdf at the edges) and one per
+    delayed tap, (delayed taps + 1) x bins CDF values a pattern, whatever
+    the trial count.
 
     _SearchRows make, merge, rank and count the thresholds; no angle is
-    computed.  A run of one pattern is one _SearchRows of the local row
-    followed by the delayed taps' rows, and a chunk bins all its paths in
-    one search, each column in its tap's row.  With more patterns, each
-    group of consecutive ones (_group_size) is one _SearchRows of its
-    delayed rows and the local row one more, as a merged group holding
-    the local row would repeat it in every merged row and rank table: a
-    chunk bins its local columns in one search, each group's delayed
-    columns in one more, and each pattern's by one take of its ranks,
-    joined to the local cells.  What is left here is that choice, the
-    partition into groups, the edges' departures, the rule below for a
-    zero uniform and the join.
+    computed.  Each group of consecutive patterns (_group_size) is one
+    _SearchRows of their rows, the local row, which they all share, merged
+    once, and a chunk bins all its paths in one search per group, each
+    column in its tap's row, and each pattern's by one take of its ranks
+    (a group of one keeps none).  What is left here is the partition into
+    groups, the edges' departures and the rule below for a zero uniform.
 
     A uniform of exactly 0 is the one point where a path's angle is not
     nondecreasing in its uniform: a quantile of -pi wraps to pi, the
@@ -168,76 +164,53 @@ class BinSearch:
     """
 
     def __init__(self, scenario, patterns, bins):
-        profile = scenario.taps
         self.scenario, self.bins = scenario, bins
         interior = bins.edges[1:-1]
         local = scenario.local.cdf(interior)[None]
         ecc = scenario.eccentricities  # one row of departures per delayed tap
         departures = aoa_to_aod(np.broadcast_to(interior, (ecc.size, interior.size)), ecc[:, None])
-        if len(patterns) == 1:
-            # The local row is row 0 of the one group, each column searched
-            # in its tap's row: the group keeps no rank row, so the local
-            # row costs it nothing.
-            [pattern] = patterns
-            self.local, self.rows = None, profile.tap_index
-            self.groups = [(patterns,
-                            _SearchRows([np.concatenate((local, pattern.cdf(departures)))]))]
-            return
-        self.local = _SearchRows([local])
-        size = _group_size(len(patterns), ecc.size, interior.size)
+        size = _group_size(len(patterns), ecc.size + 1, interior.size)
         groups = (patterns[first:first + size] for first in range(0, len(patterns), size))
         # (patterns, search) of each group
-        self.groups = [(group, _SearchRows([pattern.cdf(departures) for pattern in group]))
+        self.groups = [(group, _SearchRows([np.concatenate((local, pattern.cdf(departures)))
+                                            for pattern in group]))
                        for group in groups]
-        # the threshold row of each delayed column: its tap's
-        self.rows = profile.tap_index[profile.path_counts[0]:] - 1
 
     def cells(self, uniforms):
         """The (trials, paths) bin of each path of a chunk's uniforms under
         each pattern in turn: bins.index of _chunk_angles' angles under it,
         but for a path within a few ulps of an edge.  The angle columns are
-        copied once, contiguous: under one pattern all of them, whose
-        counts are the cells; under more the delayed ones, each pattern's
-        counts joined to the local columns' own."""
+        copied once, contiguous, and each group's counts are the cells."""
         profile = self.scenario.taps
-        local, paths = profile.path_counts[0], profile.tap_index.size
+        paths = profile.tap_index.size
         # Copied, so that every search reads contiguous rows: short strided
         # rows slow the search down.
-        if self.local is None:
-            searched = uniforms[:, :paths].copy()
-            zeros = np.flatnonzero(searched == 0.0)
-        else:
-            zeros = np.flatnonzero(uniforms[:, :paths] == 0.0)
-            [local_cells] = self.local.counts(uniforms[:, :local], 0)
-            searched = uniforms[:, local:paths].copy()
+        searched = uniforms[:, :paths].copy()
+        zeros = np.flatnonzero(searched == 0.0)
         last = len(self.groups) - 1
         for index, (group, search) in enumerate(self.groups):
-            counts = search.counts(searched, self.rows)
+            counts = search.counts(searched, profile.tap_index)
             if index == last:
                 del searched  # searched for the last time: not kept beside the points' cells
             for pattern in group:
                 # by next, not zip, whose reused result tuple would keep
                 # each point's counts alive beside its cells
                 cells = next(counts)
-                if self.local is not None:
-                    cells = np.concatenate((local_cells, cells), axis=1)
                 if zeros.size:
                     angles = _chunk_angles(self.scenario, pattern, np.zeros((1, paths)))
                     np.put(cells, zeros, self.bins.index(angles[0]).take(zeros % paths))
                 yield cells
 
 
-def _group_size(patterns, taps, thresholds):
+def _group_size(patterns, rows, thresholds):
     """Patterns per BinSearch group: as many as keep the run's rank tables
     within 2 * CHUNK_SIZE entries, one at least.
 
-    With groups of g, each of a run's patterns keeps taps rank rows of g x
-    thresholds + 1 entries; g = 1 keeps none.  Without a delayed tap no
-    pattern keeps a rank row, and the patterns make one group.
+    With groups of g, each of a run's patterns keeps rows rank rows (its
+    local row and one per delayed tap) of g x thresholds + 1 entries; g =
+    1 keeps none.
     """
-    if taps == 0:
-        return patterns
-    return max(1, min(patterns, (2 * CHUNK_SIZE // (patterns * taps) - 1) // thresholds))
+    return max(1, min(patterns, (2 * CHUNK_SIZE // (patterns * rows) - 1) // thresholds))
 
 
 def generate_trial(scenario: "ScenarioConfig", trial_index):

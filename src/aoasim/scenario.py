@@ -385,10 +385,10 @@ def hpbw_sweep(config, hpbw_deg_list):
     Returns one SweepPoint (hpbw_deg, report) per beamwidth (degrees),
     each equal bit for bit to run_simulation at that beamwidth.  All
     points run in one pass (_simulate) and compute no angle: each chunk
-    of trials is drawn and weighed once, its delayed paths are searched
-    once per group of points in their merged bin-edge thresholds
-    (montecarlo.BinSearch), and only each point's rank lookup and the
-    reduce run per point.  Every point reads the same uniforms, so the
+    of trials is drawn and weighed once, its paths are searched once per
+    group of points in their merged bin-edge thresholds, the local row
+    shared (montecarlo.BinSearch), and only each point's rank lookup and
+    the reduce run per point.  Every point reads the same uniforms, so the
     points share common random numbers.  Only defined for Gaussian
     patterns, and for at least one beamwidth.  The reports carry no
     per-path spreads.

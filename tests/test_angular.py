@@ -784,11 +784,18 @@ class TestSearchRows:
         for found, rows in zip(counts, prepared):
             for row in range(count):
                 assert np.array_equal(found[:, row], np.searchsorted(rows[row], values, side="right"))
-        # each node row, the patterns' rows merged, has the guide that
-        # guide_searched builds for it alone; each pattern's rank[m] is the
-        # count of its thresholds among the first m merged values
-        nodes = np.sort(np.concatenate(prepared, axis=1), axis=1)
-        width = nodes.shape[1] + 1
+        # each node row, the sorted union of the patterns' distinct rows
+        # padded with 1s, has the guide that guide_searched builds for it
+        # alone; each pattern's rank[m] is the count of its thresholds among
+        # the first m merged values
+        width = len(prepared) * prepared[0].shape[1] + 1
+        nodes = np.ones((count, width - 1))
+        for row in range(count):
+            distinct = [rows[row] for index, rows in enumerate(prepared)
+                        if not any(np.array_equal(rows[row], other[row])
+                                   for other in prepared[:index])]
+            nodes[row, :len(distinct) * prepared[0].shape[1]] = np.concatenate(distinct)
+        nodes.sort(axis=1)
         assert search.width == width
         assert np.array_equal(search.nodes, np.append(nodes, np.ones((count, 1)), axis=1).ravel())
         block = search.cells + 1

@@ -456,7 +456,9 @@ class TestBinSearch:
         # exactly -pi there wraps to pi, the last bin, where a search
         # alone would give the count of the zero thresholds; a quantile
         # just above -pi (a wide Gaussian beam) or the von Mises grid's
-        # lower end (mu 1e4) bins as any other angle.
+        # lower end (mu 1e4) bins as any other angle.  The pattern runs
+        # alone and followed by the 5 sweep beams, as one merged group of 6
+        # whose ranks give every column's cells, the local ones included.
         config = _long_spread(pattern=pattern, mu=mu, trials=6, bins=180, seed=4)
         paths = config.taps.tap_index.size
         draw = montecarlo.draw_uniforms
@@ -467,13 +469,19 @@ class TestBinSearch:
             return uniforms
 
         monkeypatch.setattr(montecarlo, "draw_uniforms", zero_draw)
-        searched, indexed = _both_routes(config, (config.pattern,))
-        assert np.array_equal(searched, indexed)
-        last = config.bins - 1
-        if mu == 0.0:
-            assert np.all(searched[::2, :config.taps.path_counts[0]] == last)
-        if pattern["kind"] == "omni" or pattern.get("hpbw_deg", 360.0) <= 1.0:
-            assert np.all(searched[::2, config.taps.path_counts[0]:] == last)
+        # one chunk, so the cells are 6 rows a pattern, config.pattern's first
+        assert trials_per_chunk(config) >= config.trials
+        last, local = config.bins - 1, config.taps.path_counts[0]
+        sweep = tuple(GaussianPattern(math.radians(hpbw)) for hpbw in SWEEP_HPBWS)
+        for patterns in (config.pattern,), (config.pattern, *sweep):
+            search = montecarlo.BinSearch(config, patterns, _bins(config.bins))
+            assert [len(group) for group, _ in search.groups] == [len(patterns)]
+            searched, indexed = _both_routes(config, patterns)
+            assert np.array_equal(searched, indexed)
+            if mu == 0.0:
+                assert np.all(searched[::2, :local] == last)
+            if pattern["kind"] == "omni" or pattern.get("hpbw_deg", 360.0) <= 1.0:
+                assert np.all(searched[:config.trials:2, local:] == last)
 
 
 def _merged_config(beams, delayed_paths, bins):
@@ -488,21 +496,24 @@ def _merged_config(beams, delayed_paths, bins):
 
 
 def _threshold_row(config, pattern, tap):
-    """Delayed tap tap's thresholds under pattern by their definition: the
-    running maximum of cdf(aoa_to_aod(edge)) over the interior edges, clipped."""
+    """Tap tap's thresholds under pattern by their definition: the running
+    maximum over the interior edges, clipped, of the local cdf (tap 0) or
+    of cdf(aoa_to_aod(edge))."""
     interior = _bins(config.bins).edges[1:-1]
-    row = pattern.cdf(aoa_to_aod(interior, config.eccentricities[tap]))
+    if tap == 0:
+        row = config.local.cdf(interior)
+    else:
+        row = pattern.cdf(aoa_to_aod(interior, config.eccentricities[tap - 1]))
     return np.clip(np.maximum.accumulate(row), 0.0, 1.0)
 
 
 def _merged_uniforms(config, patterns, seed):
-    """The config's first trials' uniforms, some delayed ones set to a
-    threshold of their tap's rows (ties across patterns included) or to 0."""
+    """The config's first trials' uniforms, some of each column set to a
+    threshold of its tap's rows (ties across patterns included) or to 0."""
     uniforms = montecarlo.draw_uniforms(config, 0, config.trials)
-    local, paths = config.taps.path_counts[0], config.taps.tap_index.size
     rng = np.random.default_rng(seed)
-    for column in range(local, paths):
-        tap = config.taps.tap_index[column] - 1
+    for column in range(config.taps.tap_index.size):
+        tap = config.taps.tap_index[column]
         values = np.concatenate([_threshold_row(config, p, tap) for p in patterns])
         values = values[values < 1.0]
         rows = rng.permutation(config.trials)[:3]
@@ -514,21 +525,20 @@ def _merged_uniforms(config, patterns, seed):
 
 def _assert_cells_by_definition(config, patterns, uniforms):
     """Each pattern's cells from one BinSearch: a one-pattern BinSearch's,
-    and in each delayed column, but where u is 0, the count of its tap's
-    thresholds at or below u."""
+    and in each column, but where u is 0, the count of its tap's thresholds
+    at or below u."""
     bins = _bins(config.bins)
     search = montecarlo.BinSearch(config, patterns, bins)
     entries = sum(rows.ranks.size for _, rows in search.groups if rows.ranks is not None)
     assert entries <= 2 * montecarlo.CHUNK_SIZE
-    local, paths = config.taps.path_counts[0], config.taps.tap_index.size
     all_cells = list(search.cells(uniforms))
     assert len(all_cells) == len(patterns)
     for pattern, cells in zip(patterns, all_cells):
         [alone] = montecarlo.BinSearch(config, (pattern,), bins).cells(uniforms)
         assert np.array_equal(cells, alone)
-        for column in range(local, paths):
+        for column in range(config.taps.tap_index.size):
             u = uniforms[:, column]
-            row = _threshold_row(config, pattern, config.taps.tap_index[column] - 1)
+            row = _threshold_row(config, pattern, config.taps.tap_index[column])
             expected = np.searchsorted(row, u, "right")
             assert np.array_equal(cells[u != 0.0, column], expected[u != 0.0])
     return search
@@ -557,15 +567,15 @@ class TestMergedSearch:
         search = _assert_cells_by_definition(config, patterns,
                                              _merged_uniforms(config, patterns, seed))
         # consecutive groups, as large as the rank budget allows
-        size = montecarlo._group_size(len(patterns), len(config.taps.taps) - 1, bins - 1)
+        size = montecarlo._group_size(len(patterns), len(config.taps.taps), bins - 1)
         assert [len(group) for group, _ in search.groups] == [
             len(patterns[first:first + size]) for first in range(0, len(patterns), size)]
         assert [pattern for group, _ in search.groups for pattern in group] == list(patterns)
 
     def test_a_smaller_budget_splits_the_patterns(self, monkeypatch):
-        # 5 patterns on 2 delayed taps over 90 bins: a budget of exactly two
-        # patterns' rank rows each makes groups of 2, 2 and 1, whose cells
-        # are the one-group run's
+        # 5 patterns on the local row and 2 delayed taps' over 90 bins: a
+        # budget of exactly two patterns' rank rows each (rounded up) makes
+        # groups of 2, 2 and 1, whose cells are the one-group run's
         beams = [360.0, 120.0, 120.0, 45.0, 10.0]
         config = _merged_config(beams, [1, 5], 90)
         patterns = tuple(GaussianPattern(math.radians(beam)) for beam in beams)
@@ -573,7 +583,7 @@ class TestMergedSearch:
         [whole] = montecarlo.BinSearch(config, patterns, _bins(90)).groups
         assert len(whole[0]) == 5
         one_group = list(montecarlo.BinSearch(config, patterns, _bins(90)).cells(uniforms))
-        monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 5 * 2 * (2 * 89 + 1) // 2)
+        monkeypatch.setattr(montecarlo, "CHUNK_SIZE", (5 * 3 * (2 * 89 + 1) + 1) // 2)
         search = _assert_cells_by_definition(config, patterns, uniforms)
         assert [len(group) for group, _ in search.groups] == [2, 2, 1]
         assert [rows.ranks is None for _, rows in search.groups] == [False, False, True]
@@ -581,20 +591,22 @@ class TestMergedSearch:
             assert np.array_equal(split, whole_cells)
 
     def test_without_a_delayed_tap_the_patterns_make_one_group(self):
-        # no rank row at all: the group rule must not divide by the tap count
+        # the local row alone, which the patterns share: merged once, and
+        # each pattern keeps its rank row of 3 x 63 + 1 entries
         config = _merged_config([360.0], [], 64)
         patterns = tuple(GaussianPattern(math.radians(beam)) for beam in (360.0, 90.0, 90.0))
-        assert montecarlo._group_size(3, 0, 63) == 3
+        assert montecarlo._group_size(3, 1, 63) == 3
         search = _assert_cells_by_definition(config, patterns,
                                              _merged_uniforms(config, patterns, 2))
         [(group, rows)] = search.groups
-        assert group == patterns and rows.ranks.size == 0
+        assert group == patterns and rows.ranks.shape == (3, 1, 190)
 
     @pytest.mark.parametrize("points, bins, sizes", [
-        # sweep_paper: 5 patterns x 4 taps x (5 x 359 + 1) = 35,920 entries
+        # sweep_paper: 5 patterns x 5 rows (the local row and 4 taps') x
+        # (5 x 359 + 1) = 44,900 entries
         (5, 360, [5]),
-        # 5 + 4: 5 x 4 x (5 x 359 + 1) + 4 x 4 x (4 x 359 + 1) = 58,912
-        (9, 360, [5, 4]),
+        # 4 + 4 + 1: 2 x 4 x 5 x (4 x 359 + 1) = 57,480
+        (9, 360, [4, 4, 1]),
         (40, 360, [1] * 40),
         (5, 2048, [1] * 5),
     ])

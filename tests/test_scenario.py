@@ -755,8 +755,8 @@ class TestHpbwSweep:
         # is built once, and the bin edges are mapped through the delayed
         # taps' ellipses once, in one call of the one map (by aoa_to_aod),
         # as the run's thresholds are built; no path's angle is mapped.
-        # Each chunk bins its local paths in one search and the delayed
-        # paths of all 5 points, one group of patterns, in one more.
+        # Each chunk bins all its paths under all 5 points, one group of
+        # patterns, in one search.
         from aoasim import geometry, kernels
 
         config = _quick_config(trials=40)
@@ -789,7 +789,7 @@ class TestHpbwSweep:
         # 30 delayed paths per trial
         assert mapped == [(2, 89)]
         assert angle_maps == []
-        assert searched == [(20, 15), (20, 30)] * 2
+        assert searched == [(20, 45)] * 2
 
     def test_power_work_is_done_once_per_chunk(self, monkeypatch):
         # 40 trials in 2 chunks of 20 for 5 points: the total powers and

@@ -89,7 +89,7 @@ def test_numpy_only_step_passes_as_written(tmp_path):
     assert "omni pattern's spectrum is the same on both routes: True\n" in result.stdout
     # the sweep's last point, checked against the plain run at its beamwidth
     assert "sweep point at 60 degrees equals simulate: True\n" in result.stdout
-    # the 9-point sweep, in groups of 5 and 4, checked against the 5-point one
+    # the 9-point sweep, in groups of 4, 4 and 1, checked against the 5-point one
     sweep9 = (tmp_path / "bare-sweep9/sweep.csv").read_text(encoding="utf-8").splitlines()
     assert len(sweep9) == 10
     assert sweep9[:6] == (tmp_path / "bare-sweep/sweep.csv").read_text(encoding="utf-8").splitlines()
