@@ -352,8 +352,16 @@ class TapProfile:
 
 
 def ellipses_for_taps(profile, distance):
-    """Ellipse set for the delayed taps of a profile, in tap order."""
-    return tuple(ellipse_params(distance, tap.delay) for tap in profile.delayed)
+    """Ellipse set for the delayed taps of a profile, in tap order; a tap
+    too short for the distance (ellipse_params) is named, taps[i]."""
+    _check_nonnegative(distance, "distance")
+    ellipses = []
+    for index, tap in enumerate(profile.delayed, 1):
+        try:
+            ellipses.append(ellipse_params(distance, tap.delay))
+        except ValueError as exc:
+            raise ValueError(f"taps[{index}]: {exc}") from None
+    return tuple(ellipses)
 
 
 def _density(phi, kernel, *args):

@@ -61,13 +61,18 @@ def ellipse_params(distance, delay):
         tap carries receiver-local scattering and never builds an ellipse.
 
     Returns an EllipseGeometry with major_axis = distance + c * delay
-    and eccentricity = distance / major_axis (zero when distance is 0).
+    and eccentricity = distance / major_axis (zero when distance is 0),
+    below 1: a delay whose c * delay rounds away beside the distance is
+    rejected.
     """
     _check_nonnegative(distance, "distance")
     if not 0.0 < delay < np.inf:
         raise ValueError(f"delay must be positive and finite (zero delay is the "
                          f"local-scattering tap), got {delay}")
     major_axis = distance + SPEED_OF_LIGHT * delay
+    if major_axis == distance:
+        raise ValueError(f"delay {delay} s is too short for distance {distance} m: c * delay is "
+                         "lost in rounding beside it, so the ellipse has eccentricity 1")
     return EllipseGeometry(major_axis=major_axis, eccentricity=distance / major_axis)
 
 

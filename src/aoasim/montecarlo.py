@@ -18,11 +18,11 @@ and columns [P, 2P) into powers.
 
 The row does not depend on the transmit pattern, which only the delayed
 taps' departure quantiles read, so a run under several patterns (an HPBW
-sweep) draws and weighs each chunk once (scenario._simulate).  A run that
-reports per-path spreads bins the angles of its one pattern
-(_chunk_angles); every other run bins each path from its uniform alone
-(BinSearch), as the quantile functions and the ellipse map are
-nondecreasing: in one search per chunk for each group of patterns.
+sweep) draws and weighs each chunk once per group of patterns
+(scenario._simulate).  A run that reports per-path spreads bins the angles
+of its one pattern (_chunk_angles); every other run bins each path from its
+uniform alone, as the quantile functions and the ellipse map are
+nondecreasing: in one search per chunk and group (BinSearch).
 generate_chunk and generate_trial give the path sets.
 """
 
@@ -47,10 +47,10 @@ if TYPE_CHECKING:  # pragma: no cover
 # and a sweep builds them for one point at a time: this bounds them whatever
 # the trial and point counts.  No array of a chunk is bins wide; the bins
 # still size the chunk, as a rule by paths alone measured more peak memory
-# on bench/'s simulate_many (1.8 MB) and sweep_paper (1.0 MB).  A run's
+# on bench/'s simulate_many (1.8 MB) and sweep_paper (1.0 MB).  Each group's
 # BinSearch rank tables, local rows included, hold at most twice this many
-# entries in all, as many as a chunk's uniforms (_group_size).  Neither
-# changes a number.
+# entries, as many as a chunk's uniforms, and one group is live at a time
+# (_group_size).  Neither changes a number.
 CHUNK_SIZE = 1 << 15
 
 
@@ -137,24 +137,17 @@ def generate_chunk(scenario: "ScenarioConfig", first, stop):
 
 
 class BinSearch:
-    """Each path's bin straight from its uniform, for a run's patterns and binning.
+    """Each path's bin straight from its uniform, for one group of patterns.
 
     Every sampler's quantile is the inverse of its cdf and the ellipse
     map is increasing, so a path lies at or past interior edge b exactly when
     its uniform is at or above the edge's threshold cdf(aoa_to_aod(edge
     b)), and its bin is the count of its row's thresholds at or below
-    its uniform.  The thresholds are built once per run: each pattern's
-    rows are the local row (the local paths' cdf at the edges) and one per
-    delayed tap, (delayed taps + 1) x bins CDF values a pattern, whatever
-    the trial count.
-
-    _SearchRows make, merge, rank and count the thresholds; no angle is
-    computed.  Each group of consecutive patterns (_group_size) is one
-    _SearchRows of their rows, the local row, which they all share, merged
-    once, and a chunk bins all its paths in one search per group, each
-    column in its tap's row, and each pattern's by one take of its ranks
-    (a group of one keeps none).  What is left here is the partition into
-    groups, the edges' departures and the rule below for a zero uniform.
+    its uniform.  Each pattern's rows are the run's local row (the local
+    paths' cdf at the edges) and one per delayed tap (bin_searches).  One
+    _SearchRows makes, merges, ranks and counts them, and a chunk bins all
+    its paths in one search, each column in its tap's row, no angle being
+    computed.
 
     A uniform of exactly 0 is the one point where a path's angle is not
     nondecreasing in its uniform: a quantile of -pi wraps to pi, the
@@ -163,54 +156,56 @@ class BinSearch:
     angle would.
     """
 
-    def __init__(self, scenario, patterns, bins):
-        self.scenario, self.bins = scenario, bins
-        interior = bins.edges[1:-1]
-        local = scenario.local.cdf(interior)[None]
-        ecc = scenario.eccentricities  # one row of departures per delayed tap
-        departures = aoa_to_aod(np.broadcast_to(interior, (ecc.size, interior.size)), ecc[:, None])
-        size = _group_size(len(patterns), ecc.size + 1, interior.size)
-        groups = (patterns[first:first + size] for first in range(0, len(patterns), size))
-        # (patterns, search) of each group
-        self.groups = [(group, _SearchRows([np.concatenate((local, pattern.cdf(departures)))
-                                            for pattern in group]))
-                       for group in groups]
+    def __init__(self, scenario, patterns, bins, local, departures):
+        self.scenario, self.patterns, self.bins = scenario, patterns, bins
+        self.rows = _SearchRows([np.concatenate((local, pattern.cdf(departures)))
+                                 for pattern in patterns])
 
     def cells(self, uniforms):
         """The (trials, paths) bin of each path of a chunk's uniforms under
         each pattern in turn: bins.index of _chunk_angles' angles under it,
-        but for a path within a few ulps of an edge.  The angle columns are
-        copied once, contiguous, and each group's counts are the cells."""
+        but for a path within a few ulps of an edge."""
         profile = self.scenario.taps
         paths = profile.tap_index.size
-        # Copied, so that every search reads contiguous rows: short strided
+        # Copied, so that the search reads contiguous rows: short strided
         # rows slow the search down.
         searched = uniforms[:, :paths].copy()
         zeros = np.flatnonzero(searched == 0.0)
-        last = len(self.groups) - 1
-        for index, (group, search) in enumerate(self.groups):
-            counts = search.counts(searched, profile.tap_index)
-            if index == last:
-                del searched  # searched for the last time: not kept beside the points' cells
-            for pattern in group:
-                # by next, not zip, whose reused result tuple would keep
-                # each point's counts alive beside its cells
-                cells = next(counts)
-                if zeros.size:
-                    angles = _chunk_angles(self.scenario, pattern, np.zeros((1, paths)))
-                    np.put(cells, zeros, self.bins.index(angles[0]).take(zeros % paths))
-                yield cells
+        counts = self.rows.counts(searched, profile.tap_index)
+        del searched  # let go once searched, not kept beside the cells
+        for pattern in self.patterns:
+            # by next, not zip, whose reused result tuple would keep
+            # each point's counts alive beside its cells
+            cells = next(counts)
+            if zeros.size:
+                angles = _chunk_angles(self.scenario, pattern, np.zeros((1, paths)))
+                np.put(cells, zeros, self.bins.index(angles[0]).take(zeros % paths))
+            yield cells
 
 
-def _group_size(patterns, rows, thresholds):
-    """Patterns per BinSearch group: as many as keep the run's rank tables
-    within 2 * CHUNK_SIZE entries, one at least.
+def bin_searches(scenario, patterns, bins):
+    """Each group of consecutive patterns' BinSearch (_group_size), built as it is
+    reached, from the local row and edge departures computed once for all."""
+    interior = bins.edges[1:-1]
+    local = scenario.local.cdf(interior)[None]
+    ecc = scenario.eccentricities  # one row of departures per delayed tap
+    departures = aoa_to_aod(np.broadcast_to(interior, (ecc.size, interior.size)), ecc[:, None])
+    size = _group_size(ecc.size + 1, interior.size)
+    for first in range(0, len(patterns), size):
+        yield BinSearch(scenario, patterns[first:first + size], bins, local, departures)
 
-    With groups of g, each of a run's patterns keeps rows rank rows (its
-    local row and one per delayed tap) of g x thresholds + 1 entries; g =
-    1 keeps none.
+
+def _group_size(rows, thresholds):
+    """Patterns per BinSearch group, whatever the pattern count: as many as
+    keep the group's rank tables within 2 * CHUNK_SIZE entries, one at least.
+
+    In a group of g, each pattern keeps rows rank rows (its local row and
+    one per delayed tap) of g x thresholds + 1 entries; g = 1 keeps none.
     """
-    return max(1, min(patterns, (2 * CHUNK_SIZE // (patterns * rows) - 1) // thresholds))
+    size = 1
+    while (size + 1) * rows * ((size + 1) * thresholds + 1) <= 2 * CHUNK_SIZE:
+        size += 1
+    return size
 
 
 def generate_trial(scenario: "ScenarioConfig", trial_index):

@@ -25,7 +25,7 @@ from .inputs import (_COUNT_RANGES, _DEG, _US, _check_count, _check_hpbw, _check
                      _check_normalized, _check_profile, _check_taps, _read_text, json_field,
                      json_object, json_pairs)
 from .kernels import _decibels
-from .montecarlo import (CHUNK_SIZE, BinSearch, _chunk_angles, _chunk_powers, _total_power,
+from .montecarlo import (CHUNK_SIZE, _chunk_angles, _chunk_powers, _total_power, bin_searches,
                          draw_uniforms)
 from .writers import write_json
 
@@ -209,10 +209,12 @@ class ScenarioConfig:
             profile = _extract_taps([(d * _US, p) for d, p in pdp], "pdp",
                                     json_field(doc, "prominence_db", DEFAULT_PROMINENCE_DB),
                                     default_paths)
-        return cls(
+        if "pattern" not in doc:
+            raise ValueError("pattern is required")
+        config = cls(
             distance=_check_nonnegative(json_field(doc, "distance_m"), "distance_m"),
             taps=_normalized_profile(profile),
-            pattern=pattern_from_json(doc.get("pattern")),
+            pattern=pattern_from_json(doc["pattern"]),
             kappa=json_field(doc, "kappa"),
             mu=json_field(doc, "mu"),
             trials=json_field(doc, "trials", 500, integer=True),
@@ -220,6 +222,8 @@ class ScenarioConfig:
             master_seed=_check_count(json_field(doc, "seed", 0, integer=True), "seed",
                                      *_COUNT_RANGES["master_seed"]),
         )
+        config.eccentricities  # a tap too short for the distance fails at load (ellipses_for_taps)
+        return config
 
     def to_json_dict(self):
         return {
@@ -290,69 +294,70 @@ def trials_per_chunk(config):
 
 
 def _simulate(config, patterns, per_path_spread):
-    """One report per pattern: config's trials, run once for all patterns.
+    """One report per pattern: config's trials, run for one group of patterns at a time.
 
-    The one owner of a chunk of consecutive trials (trials_per_chunk): it
-    draws the chunk's uniforms (montecarlo.draw_uniforms), and takes its
-    powers, path weights (each path's power over its trial's total power)
-    and point masses once, checked, whatever the pattern count.  Each
-    pattern's cells then come from the uniforms (montecarlo.BinSearch),
-    no angle being computed and per_path_spreads None; or, with
-    per_path_spread and one pattern only, from its angles
-    (montecarlo._chunk_angles), which give the unbinned per-path spreads
-    too.  One pattern's cells are reduced before the next's are found.
-    How the weights reach the running sum and the spreads: README,
+    A group, consecutive patterns with one BinSearch (montecarlo.bin_searches)
+    or, with per_path_spread, the one pattern, is run, reported and let go
+    before the next is built.  For each group this is the one owner of a
+    chunk of consecutive trials (trials_per_chunk): it draws the chunk's
+    uniforms (montecarlo.draw_uniforms), and takes its powers, path weights
+    (each path's power over its trial's total power) and point masses once,
+    checked.  Each pattern's cells then come from the uniforms, no angle
+    being computed and per_path_spreads None; or, with per_path_spread, from
+    its angles (montecarlo._chunk_angles), which give the unbinned per-path
+    spreads too.  One pattern's cells are reduced before the next's are
+    found.  How the weights reach the running sum and the spreads: README,
     Determinism.  Every trial reads its own block of the run's random
     stream, so each report is what config with that pattern gives alone,
-    bit for bit, whatever the chunking and the other patterns.
+    bit for bit, whatever the chunks and groups.
     """
     trials, step, bins = config.trials, trials_per_chunk(config), _bins(config.bins)
-    weight_sums = np.zeros((len(patterns), bins.count))
-    point_mass = np.empty(trials)
-    trial_spreads = np.empty((len(patterns), trials))
-    if per_path_spread:
-        [pattern] = patterns
-        path_spreads = np.empty(trials)
-    else:
-        search, path_spreads = BinSearch(config, patterns, bins), None
-    for first in range(0, trials, step):
-        stop = min(first + step, trials)
-        uniforms = draw_uniforms(config, first, stop)
-        powers, direct_power = _chunk_powers(config, uniforms)
-        total = _total_power(powers, direct_power)
-        point_mass[first:stop] = direct_power / total
-        weights = powers / total[:, None]
-        _check_normalized(_normalization_defects(weights, point_mass[first:stop]))
-        if per_path_spread:
-            angles = _chunk_angles(config, pattern, uniforms)
-            path_spreads[first:stop] = weighted_spread(angles, weights)
-            chunk = [bins.index(angles)]
-            del angles
-        else:
-            chunk = search.cells(uniforms)
-        for point, cells in enumerate(chunk):
-            # add.at adds one path at a time, in trial order across chunks.
-            np.add.at(weight_sums[point], cells.ravel(), weights.ravel())
-            trial_spreads[point, first:stop] = weighted_spread(bins.centers.take(cells), weights)
-        # Dropped before the next chunk is drawn, so that no array of this
-        # chunk is live beside the next one's.
-        del uniforms, powers, weights, chunk, cells
-    # Each report's spreads are read-only.
-    trial_spreads.flags.writeable = False
-    if per_path_spread:
-        path_spreads.flags.writeable = False
-    # np.mean over the point masses adds pairwise, so they are all kept.
-    mean_point_mass = float(np.mean(point_mass))
+    searches = [None] if per_path_spread else bin_searches(config, patterns, bins)
     reports = []
-    for pattern, weight_sum, trial_row in zip(patterns, weight_sums, trial_spreads):
-        averaged = AngularSpectrum(weight_sum / bins.width / trials, mean_point_mass)
-        reports.append(RunReport(
-            averaged_spectrum=averaged,
-            angle_spread=rms_angle_spread(averaged),
-            per_trial_spreads=trial_row,
-            per_path_spreads=path_spreads,
-            scenario_echo=replace(config, pattern=pattern),
-        ))
+    for search in searches:
+        group = patterns if search is None else search.patterns
+        weight_sums = np.zeros((len(group), bins.count))
+        point_mass = np.empty(trials)
+        spreads = np.empty((len(group), trials))
+        path_spreads = np.empty(trials) if search is None else None
+        for first in range(0, trials, step):
+            stop = min(first + step, trials)
+            uniforms = draw_uniforms(config, first, stop)
+            powers, direct_power = _chunk_powers(config, uniforms)
+            total = _total_power(powers, direct_power)
+            point_mass[first:stop] = direct_power / total
+            weights = powers / total[:, None]
+            _check_normalized(_normalization_defects(weights, point_mass[first:stop]))
+            if search is None:
+                [pattern] = group
+                angles = _chunk_angles(config, pattern, uniforms)
+                path_spreads[first:stop] = weighted_spread(angles, weights)
+                chunk = [bins.index(angles)]
+                del angles
+            else:
+                chunk = search.cells(uniforms)
+            for point, cells in enumerate(chunk):
+                # add.at adds one path at a time, in trial order across chunks.
+                np.add.at(weight_sums[point], cells.ravel(), weights.ravel())
+                spreads[point, first:stop] = weighted_spread(bins.centers.take(cells), weights)
+            # Dropped before the next chunk is drawn, so that no array of this
+            # chunk is live beside the next one's.
+            del uniforms, powers, weights, chunk, cells
+        spreads.flags.writeable = False  # each report's spreads are read-only
+        if path_spreads is not None:
+            path_spreads.flags.writeable = False
+        # np.mean over the point masses adds pairwise, so they are all kept.
+        mean_point_mass = float(np.mean(point_mass))
+        for pattern, weight_sum, trial_row in zip(group, weight_sums, spreads):
+            averaged = AngularSpectrum(weight_sum / bins.width / trials, mean_point_mass)
+            reports.append(RunReport(
+                averaged_spectrum=averaged,
+                angle_spread=rms_angle_spread(averaged),
+                per_trial_spreads=trial_row,
+                per_path_spreads=path_spreads,
+                scenario_echo=replace(config, pattern=pattern),
+            ))
+        del search, weight_sums  # before the next group's search is built
     return reports
 
 
@@ -383,12 +388,12 @@ def hpbw_sweep(config, hpbw_deg_list):
     """Angle spread versus half-power beamwidth.
 
     Returns one SweepPoint (hpbw_deg, report) per beamwidth (degrees),
-    each equal bit for bit to run_simulation at that beamwidth.  All
-    points run in one pass (_simulate) and compute no angle: each chunk
-    of trials is drawn and weighed once, its paths are searched once per
-    group of points in their merged bin-edge thresholds, the local row
-    shared (montecarlo.BinSearch), and only each point's rank lookup and
-    the reduce run per point.  Every point reads the same uniforms, so the
+    each equal bit for bit to run_simulation at that beamwidth.  The
+    points run group by group (_simulate) and compute no angle: each chunk
+    of trials is drawn and weighed once per group, its paths are searched
+    once in the group's merged bin-edge thresholds, the local row shared
+    (montecarlo.BinSearch), and only each point's rank lookup and the
+    reduce run per point.  Every point reads the same uniforms, so the
     points share common random numbers.  Only defined for Gaussian
     patterns, and for at least one beamwidth.  The reports carry no
     per-path spreads.

@@ -105,6 +105,14 @@ class TestEllipseParams:
         with pytest.raises(ValueError, match=f"^{name} must be "):
             ellipse_params(distance, delay)
 
+    def test_delay_lost_beside_the_distance_rejected(self):
+        # c * 1e-15 s = 3e-7 m is below half an ulp of 1e12 m, so distance
+        # + c * delay rounds to the distance: eccentricity 1, not below it
+        with pytest.raises(ValueError, match=r"^delay 1e-15 s is too short for distance "
+                                             r"1000000000000\.0 m: "):
+            ellipse_params(1e12, 1e-15)
+        assert ellipse_params(1e12, 1e-9).eccentricity < 1.0
+
     def test_invariants_over_random_inputs(self):
         rng = np.random.default_rng(11)
         for _ in range(500):

@@ -26,7 +26,7 @@ from aoasim.angular import (
 from aoasim.estimation import _bins
 from aoasim.geometry import aoa_to_aod, aod_to_aoa, wrap_angle
 from aoasim.montecarlo import generate_chunk, generate_trial, sample_aod
-from aoasim.scenario import ScenarioConfig, trials_per_chunk
+from aoasim.scenario import ScenarioConfig, hpbw_sweep, trials_per_chunk
 
 from helpers import (
     bessel_i0_series,
@@ -371,15 +371,15 @@ class TestGenerateChunk:
 
 def _both_routes(config, patterns):
     """(searched, indexed) cells of every chunk and pattern of a run, each
-    from the chunk's one draw: BinSearch's from the uniforms, and bins.index
-    of _chunk_angles' angles."""
+    from the chunk's one draw: its groups' BinSearch's from the uniforms, and
+    bins.index of _chunk_angles' angles."""
     bins = _bins(config.bins)
-    search = montecarlo.BinSearch(config, patterns, bins)
+    searches = list(montecarlo.bin_searches(config, patterns, bins))
     step = trials_per_chunk(config)
     searched, indexed = [], []
     for first in range(0, config.trials, step):
         uniforms = montecarlo.draw_uniforms(config, first, min(first + step, config.trials))
-        cells = list(search.cells(uniforms))
+        cells = [each for search in searches for each in search.cells(uniforms)]
         assert len(cells) == len(patterns)
         for pattern, pattern_cells in zip(patterns, cells):
             searched.append(pattern_cells)
@@ -474,8 +474,8 @@ class TestBinSearch:
         last, local = config.bins - 1, config.taps.path_counts[0]
         sweep = tuple(GaussianPattern(math.radians(hpbw)) for hpbw in SWEEP_HPBWS)
         for patterns in (config.pattern,), (config.pattern, *sweep):
-            search = montecarlo.BinSearch(config, patterns, _bins(config.bins))
-            assert [len(group) for group, _ in search.groups] == [len(patterns)]
+            [search] = montecarlo.bin_searches(config, patterns, _bins(config.bins))
+            assert search.patterns == patterns
             searched, indexed = _both_routes(config, patterns)
             assert np.array_equal(searched, indexed)
             if mu == 0.0:
@@ -524,24 +524,25 @@ def _merged_uniforms(config, patterns, seed):
 
 
 def _assert_cells_by_definition(config, patterns, uniforms):
-    """Each pattern's cells from one BinSearch: a one-pattern BinSearch's,
-    and in each column, but where u is 0, the count of its tap's thresholds
-    at or below u."""
+    """Each pattern's cells from its group's BinSearch: a one-pattern
+    BinSearch's, and in each column, but where u is 0, the count of its
+    tap's thresholds at or below u.  Returns the groups' searches."""
     bins = _bins(config.bins)
-    search = montecarlo.BinSearch(config, patterns, bins)
-    entries = sum(rows.ranks.size for _, rows in search.groups if rows.ranks is not None)
-    assert entries <= 2 * montecarlo.CHUNK_SIZE
-    all_cells = list(search.cells(uniforms))
+    searches = list(montecarlo.bin_searches(config, patterns, bins))
+    for search in searches:
+        assert search.rows.ranks is None or search.rows.ranks.size <= 2 * montecarlo.CHUNK_SIZE
+    all_cells = [cells for search in searches for cells in search.cells(uniforms)]
     assert len(all_cells) == len(patterns)
     for pattern, cells in zip(patterns, all_cells):
-        [alone] = montecarlo.BinSearch(config, (pattern,), bins).cells(uniforms)
+        [search] = montecarlo.bin_searches(config, (pattern,), bins)
+        [alone] = search.cells(uniforms)
         assert np.array_equal(cells, alone)
         for column in range(config.taps.tap_index.size):
             u = uniforms[:, column]
             row = _threshold_row(config, pattern, config.taps.tap_index[column])
             expected = np.searchsorted(row, u, "right")
             assert np.array_equal(cells[u != 0.0, column], expected[u != 0.0])
-    return search
+    return searches
 
 
 _BEAMS = st.one_of(st.sampled_from([360.0, 180.0, 90.0, 60.0, 12.5, 1.0]),
@@ -564,59 +565,71 @@ class TestMergedSearch:
         # 1-3 delayed taps, the first of one path
         config = _merged_config(beams, [1, *delayed_paths], bins)
         patterns = tuple(GaussianPattern(math.radians(beam)) for beam in beams)
-        search = _assert_cells_by_definition(config, patterns,
-                                             _merged_uniforms(config, patterns, seed))
-        # consecutive groups, as large as the rank budget allows
-        size = montecarlo._group_size(len(patterns), len(config.taps.taps), bins - 1)
-        assert [len(group) for group, _ in search.groups] == [
-            len(patterns[first:first + size]) for first in range(0, len(patterns), size)]
-        assert [pattern for group, _ in search.groups for pattern in group] == list(patterns)
+        searches = _assert_cells_by_definition(config, patterns,
+                                               _merged_uniforms(config, patterns, seed))
+        # consecutive groups, each as large as the rank budget allows
+        size = montecarlo._group_size(len(config.taps.taps), bins - 1)
+        assert [search.patterns for search in searches] == [
+            patterns[first:first + size] for first in range(0, len(patterns), size)]
 
     def test_a_smaller_budget_splits_the_patterns(self, monkeypatch):
         # 5 patterns on the local row and 2 delayed taps' over 90 bins: a
-        # budget of exactly two patterns' rank rows each (rounded up) makes
-        # groups of 2, 2 and 1, whose cells are the one-group run's
+        # budget of exactly a group of two's rank rows, 2 x 3 x (2 x 89 +
+        # 1) entries, makes groups of 2, 2 and 1, whose cells are the
+        # one-group run's
         beams = [360.0, 120.0, 120.0, 45.0, 10.0]
         config = _merged_config(beams, [1, 5], 90)
         patterns = tuple(GaussianPattern(math.radians(beam)) for beam in beams)
         uniforms = _merged_uniforms(config, patterns, 9)
-        [whole] = montecarlo.BinSearch(config, patterns, _bins(90)).groups
-        assert len(whole[0]) == 5
-        one_group = list(montecarlo.BinSearch(config, patterns, _bins(90)).cells(uniforms))
-        monkeypatch.setattr(montecarlo, "CHUNK_SIZE", (5 * 3 * (2 * 89 + 1) + 1) // 2)
-        search = _assert_cells_by_definition(config, patterns, uniforms)
-        assert [len(group) for group, _ in search.groups] == [2, 2, 1]
-        assert [rows.ranks is None for _, rows in search.groups] == [False, False, True]
-        for split, whole_cells in zip(search.cells(uniforms), one_group):
-            assert np.array_equal(split, whole_cells)
+        [whole] = montecarlo.bin_searches(config, patterns, _bins(90))
+        assert whole.patterns == patterns
+        one_group = list(whole.cells(uniforms))
+        monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 2 * 3 * (2 * 89 + 1) // 2)
+        searches = _assert_cells_by_definition(config, patterns, uniforms)
+        assert [len(search.patterns) for search in searches] == [2, 2, 1]
+        assert [search.rows.ranks is None for search in searches] == [False, False, True]
+        split = [cells for search in searches for cells in search.cells(uniforms)]
+        for split_cells, whole_cells in zip(split, one_group, strict=True):
+            assert np.array_equal(split_cells, whole_cells)
 
     def test_without_a_delayed_tap_the_patterns_make_one_group(self):
         # the local row alone, which the patterns share: merged once, and
-        # each pattern keeps its rank row of 3 x 63 + 1 entries
+        # each pattern keeps its rank row of 3 x 63 + 1 entries; a group
+        # holds up to 32 patterns (32 x (32 x 63 + 1) = 64,544 entries)
         config = _merged_config([360.0], [], 64)
         patterns = tuple(GaussianPattern(math.radians(beam)) for beam in (360.0, 90.0, 90.0))
-        assert montecarlo._group_size(3, 1, 63) == 3
-        search = _assert_cells_by_definition(config, patterns,
-                                             _merged_uniforms(config, patterns, 2))
-        [(group, rows)] = search.groups
-        assert group == patterns and rows.ranks.shape == (3, 1, 190)
+        assert montecarlo._group_size(1, 63) == 32
+        [search] = _assert_cells_by_definition(config, patterns,
+                                               _merged_uniforms(config, patterns, 2))
+        assert search.patterns == patterns and search.rows.ranks.shape == (3, 1, 190)
 
     @pytest.mark.parametrize("points, bins, sizes", [
         # sweep_paper: 5 patterns x 5 rows (the local row and 4 taps') x
         # (5 x 359 + 1) = 44,900 entries
         (5, 360, [5]),
-        # 4 + 4 + 1: 2 x 4 x 5 x (4 x 359 + 1) = 57,480
-        (9, 360, [4, 4, 1]),
-        (40, 360, [1] * 40),
-        (5, 2048, [1] * 5),
+        # groups of 6 at most: 6 x 5 x (6 x 359 + 1) = 64,650
+        (9, 360, [6, 3]),
+        (40, 360, [6] * 6 + [4]),
+        # groups of 2 at most: 2 x 5 x (2 x 2047 + 1) = 40,950
+        (5, 2048, [2, 2, 1]),
     ])
-    def test_rank_tables_keep_to_twice_a_chunk(self, points, bins, sizes):
-        config = replace(ScenarioConfig.from_file(LONG_SPREAD), bins=bins)
-        patterns = tuple(GaussianPattern(math.radians(beam))
-                         for beam in np.linspace(20.0, 360.0, points))
-        search = montecarlo.BinSearch(config, patterns, _bins(bins))
-        assert [len(group) for group, _ in search.groups] == sizes
-        entries = sum(rows.ranks.size for _, rows in search.groups if rows.ranks is not None)
-        assert entries <= 2 * montecarlo.CHUNK_SIZE == 1 << 16
-        for group, rows in search.groups:
-            assert rows.ranks is None if len(group) == 1 else rows.ranks.dtype == np.int32
+    def test_rank_tables_keep_to_twice_a_chunk(self, monkeypatch, points, bins, sizes):
+        # the groups that a sweep builds, one at a time, counted as built
+        config = replace(ScenarioConfig.from_file(LONG_SPREAD), bins=bins, trials=2)
+        assert montecarlo._group_size(len(config.taps.taps), bins - 1) == {360: 6, 2048: 2}[bins]
+        built, search = [], montecarlo.BinSearch
+
+        def counted(*args):
+            built.append(search(*args))
+            return built[-1]
+
+        monkeypatch.setattr(montecarlo, "BinSearch", counted)
+        hpbws = np.linspace(20.0, 360.0, points)
+        hpbw_sweep(config, hpbws)
+        assert [len(search.patterns) for search in built] == sizes
+        assert [math.degrees(pattern.hpbw) for search in built
+                for pattern in search.patterns] == pytest.approx(hpbws, rel=1e-15)
+        for search in built:
+            ranks = search.rows.ranks
+            assert ranks is None if len(search.patterns) == 1 else ranks.dtype == np.int32
+            assert ranks is None or ranks.size <= 2 * montecarlo.CHUNK_SIZE == 1 << 16

@@ -5,6 +5,7 @@ import math
 import re
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -358,6 +359,7 @@ class TestScenarioConfig:
                                  "samples": [[a, 1.0] for a in range(-165, 180, 30)]})
         pdp = dict(base, pdp=[[0.0, 1.0], [1.0, 0.2], [2.0, 0.5], [3.0, 0.1]])
         del pdp["taps"]
+        far = dict(base, distance_m=1e12)
         for doc, path, bad, message in [
             (base, ("trials",), 2.7, "trials must be an integer"),
             (base, ("bins",), True, "bins must be an integer"),
@@ -388,9 +390,14 @@ class TestScenarioConfig:
             (_config_doc({"kind": "omni"}), ("pattern", "hpbw_deg"), 60.0,
              "unknown key: pattern.hpbw_deg"),
             (base, ("mu",), DELETE, "mu is required"),
+            (base, ("pattern",), DELETE, "pattern is required"),
             (base, ("taps", 1, "power"), DELETE, "taps[1].power is required"),
             (base, ("taps",), {}, "taps must be a list"),
             (base, ("taps",), [], "taps must hold at least the zero-delay tap"),
+            # c * delay (3e-7 m) is lost beside the distance: an ellipse of
+            # eccentricity 1, named by its tap
+            (far, ("taps", 1, "delay_us"), 1e-9,
+             "taps[1]: delay 1e-15 s is too short for distance 1000000000000.0 m: "),
             # out of order or negative, in the file's units
             (base, ("taps", 2, "delay_us"), 0.5,
              "taps[2].delay_us must be greater than taps[1].delay_us, got 0.5 after 1.0"),
@@ -719,11 +726,15 @@ class TestHpbwSweep:
     @pytest.mark.parametrize("kappa,mu", [(0.0, 0.0), (0.5, 6.0)])
     def test_stacked_chunks_equal_runs_at_each_beamwidth(self, monkeypatch, kappa, mu):
         # 10 trials in chunks of 3 (a ragged last chunk of 1), each drawn
-        # once for the three points; tap 1 has a single path
+        # once for each group of points; tap 1 has a single path.  A rank
+        # budget of one group of two, 2 x 3 x (2 x 47 + 1) entries, makes
+        # groups of 2 and 1
         config = _chunk_config(_CHUNK_PATTERNS["gaussian"], kappa, mu)
         hpbws = [360.0, 75.0, 12.5]
         monkeypatch.setattr(scenario, "CHUNK_SIZE", 3 * max(11, 48))
+        monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 3 * (2 * 47 + 1))
         assert trials_per_chunk(config) == 3
+        assert montecarlo._group_size(3, 47) == 2
         points = hpbw_sweep(config, hpbws)
         assert [point.hpbw_deg for point in points] == hpbws
         for hpbw, point in zip(hpbws, points):
@@ -751,18 +762,17 @@ class TestHpbwSweep:
         assert drawn == [(0, 20), (20, 40)]
 
     def test_fixed_costs_are_paid_once_per_run_or_per_chunk(self, monkeypatch):
-        # 40 trials in 2 chunks of 20 for 5 points: the run's SeedSequence
-        # is built once, and the bin edges are mapped through the delayed
-        # taps' ellipses once, in one call of the one map (by aoa_to_aod),
-        # as the run's thresholds are built; no path's angle is mapped.
-        # Each chunk bins all its paths under all 5 points, one group of
-        # patterns, in one search.
+        # 40 trials in 2 chunks of 20: the run's SeedSequence is built
+        # once, and the bin edges are mapped through the delayed taps'
+        # ellipses once, in one call of the one map (by aoa_to_aod), before
+        # the first group's thresholds are built; no path's angle is
+        # mapped.  Each chunk bins all its paths under a group's points in
+        # one search: 5 points are one group, and 20 points two, of 15 and
+        # 5 (montecarlo._group_size), each taking the 2 chunks again.
         from aoasim import geometry, kernels
 
-        config = _quick_config(trials=40)
-        hpbws = [360.0, 180.0, 120.0, 90.0, 60.0]
         seed_sequence = np.random.SeedSequence
-        seeds, mapped, angle_maps, searched = [], [], [], []
+        seeds, mapped, angle_maps, searched, built = [], [], [], [], []
 
         def counting(owner, name, shapes, argument=0):
             # the shape of each call's angles or uniforms
@@ -778,18 +788,25 @@ class TestHpbwSweep:
             seeds.append(args)
             return seed_sequence(*args, **kwargs)
 
-        monkeypatch.setattr(scenario, "CHUNK_SIZE", 4 * len(hpbws) * max(45, 90))
+        monkeypatch.setattr(scenario, "CHUNK_SIZE", 4 * 5 * max(45, 90))
         monkeypatch.setattr(np.random, "SeedSequence", counting_seed_sequence)
         counting(geometry, "_half_angle_map", mapped)
         counting(montecarlo, "_half_angle_map", angle_maps)
         counting(kernels, "_guided_count", searched, argument=3)
-        hpbw_sweep(config, hpbws)
-        assert seeds == [(config.master_seed,)]
-        # the 89 interior edges of 90 bins on taps 1 and 2; 15 local and
-        # 30 delayed paths per trial
-        assert mapped == [(2, 89)]
-        assert angle_maps == []
-        assert searched == [(20, 45)] * 2
+        counting(montecarlo, "BinSearch", built, argument=1)
+        for hpbws, groups in (([360.0, 180.0, 120.0, 90.0, 60.0], [(5,)]),
+                              (np.linspace(20.0, 360.0, 20), [(15,), (5,)])):
+            config = _quick_config(trials=40)
+            for calls in seeds, mapped, angle_maps, searched, built:
+                calls.clear()
+            hpbw_sweep(config, hpbws)
+            assert seeds == [(config.master_seed,)]
+            # the 89 interior edges of 90 bins on taps 1 and 2; 15 local
+            # and 30 delayed paths per trial
+            assert mapped == [(2, 89)]
+            assert angle_maps == []
+            assert built == groups
+            assert searched == [(20, 45)] * 2 * len(groups)
 
     def test_power_work_is_done_once_per_chunk(self, monkeypatch):
         # 40 trials in 2 chunks of 20 for 5 points: the total powers and
@@ -818,10 +835,11 @@ class TestHpbwSweep:
 
     @pytest.mark.parametrize("points", [1, 2, 5, 40])
     def test_sweep_takes_as_many_chunks_as_one_run(self, monkeypatch, points):
-        # 41 trials in chunks of 4 (a ragged last chunk of 1) whatever the
-        # point count: ceil(41 / 4) = 11 draws, as run_simulation makes
-        from aoasim import montecarlo
-
+        # 41 trials in chunks of 4 (a ragged last chunk of 1) for each group
+        # of points: ceil(41 / 4) = 11 draws a group, as run_simulation
+        # makes.  Groups hold 15 points at most (3 rows of 89 thresholds:
+        # 15 x 3 x (15 x 89 + 1) = 60,120 rank entries), so 40 points are
+        # groups of 15, 15 and 10, and 33 draws
         config = _quick_config(trials=41)
         draw = montecarlo.draw_uniforms
         drawn = []
@@ -836,8 +854,10 @@ class TestHpbwSweep:
         alone = drawn[:]
         drawn.clear()
         hpbw_sweep(config, np.linspace(20.0, 360.0, points))
-        assert drawn == alone
+        assert montecarlo._group_size(3, 89) == 15
+        assert drawn == alone * math.ceil(points / 15)
         assert len(alone) == math.ceil(config.trials / trials_per_chunk(config)) == 11
+        assert len(drawn) == (33 if points == 40 else 11)
 
     def test_memory_does_not_grow_with_points_times_trials(self):
         # 40 points: one (points, trials, bins) buffer would take 655 MB.
@@ -849,6 +869,22 @@ class TestHpbwSweep:
         hpbws = np.linspace(20.0, 360.0, 40)
         retained, peak = _traced_memory(lambda: hpbw_sweep(config, hpbws), config)
         assert peak - retained < config.trials * config.bins * 8 / 4
+
+    def test_memory_does_not_grow_with_points(self):
+        # The shipped long-spread scenario at 16,384 bins, where each point
+        # is a group of its own: one group's thresholds and sums are live
+        # at a time, so above what it returns a 40-point sweep peaks as a
+        # 1-point sweep does.  Both are timed after a first sweep has built
+        # the caches that outlive a call.
+        config = replace(ScenarioConfig.from_file(Path(__file__).parents[1] / "scenarios"
+                                                  / "synthetic_long_spread.json"),
+                         trials=2, bins=16_384)
+        hpbw_sweep(config, [60.0])
+        working = []
+        for hpbws in [60.0], np.linspace(20.0, 360.0, 40):
+            retained, peak = _traced_memory(lambda: hpbw_sweep(config, hpbws), config)
+            working.append(peak - retained)
+        assert working[1] <= 1.25 * working[0]
 
     def test_each_point_equals_a_run_at_its_beamwidth(self):
         config = _quick_config(trials=12)

@@ -82,18 +82,23 @@ def test_numpy_only_step_passes_as_written(tmp_path):
     assert "Traceback" not in result.stderr
     # what the step made: every command's files, and the two error records
     for made in ("bare-sim/report.json", "bare-sim-paths/spectrum.csv", "bare-sweep/sweep.csv",
-                 "bare-sweep9/sweep.csv", "bare-tabulated/report.json",
+                 "bare-sweep9/sweep.csv", "bare-sweep9-reversed/sweep.csv",
+                 "bare-tabulated/report.json",
                  "bare-tabulated-binned/spectrum.csv", "bare-hpbw60/report.json",
                  "bare-omni/spectrum.csv", "bare-omni-binned/spectrum.csv"):
         assert (tmp_path / made).is_file(), made
     assert "omni pattern's spectrum is the same on both routes: True\n" in result.stdout
     # the sweep's last point, checked against the plain run at its beamwidth
     assert "sweep point at 60 degrees equals simulate: True\n" in result.stdout
-    # the 9-point sweep, in groups of 4, 4 and 1, checked against the 5-point one
+    # the 9-point sweep, in groups of 6 and 3, checked against the 5-point
+    # one, and against itself in reverse order
     sweep9 = (tmp_path / "bare-sweep9/sweep.csv").read_text(encoding="utf-8").splitlines()
     assert len(sweep9) == 10
     assert sweep9[:6] == (tmp_path / "bare-sweep/sweep.csv").read_text(encoding="utf-8").splitlines()
     assert "9-point sweep's first 5 points equal the 5-point sweep: True\n" in result.stdout
+    reversed9 = (tmp_path / "bare-sweep9-reversed/sweep.csv").read_text(encoding="utf-8")
+    assert reversed9.splitlines() == sweep9[:1] + sweep9[:0:-1]
+    assert "9-point sweep in reverse order equals its rows reversed: True\n" in result.stdout
     assert '"error": "seed ' in (tmp_path / "bad_seed.err").read_text(encoding="utf-8")
     [record] = (tmp_path / "deep.err").read_text(encoding="utf-8").splitlines()
     assert json.loads(record)["error"] == f"{tmp_path / 'deep.json'}: JSON nested too deeply to load"
